@@ -20,7 +20,10 @@ from . import analytics, decontam, injector, matcher, metrics
 from .corpus_io import (
     CORPUS_FORMATS,
     FORMAT_JSONL,
+    CorpusFormatError,
+    _require,
     read_corpus,
+    read_json_lines,
     read_stream,
     read_testset,
     write_stream,
@@ -59,7 +62,7 @@ def _cmd_decontam(args) -> int:
     if args.out:
         write_testset(kept, args.out)
     if args.scores_out:
-        matcher.write_scores(decontam.iter_scores(testset, index, config), index, args.scores_out)
+        matcher.write_scores(report.scores, index, args.scores_out)
     rendered = decontam.render_report(report, args.report_format)
     if args.report_out:
         with open(args.report_out, "w", encoding="utf-8") as f:
@@ -131,20 +134,13 @@ def _cmd_bleu(args) -> int:
 
 def _read_records(path) -> list[metrics.EvalRecord]:
     records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            r = json.loads(line)
-            records.append(
-                metrics.EvalRecord(
-                    system_id=r["system_id"],
-                    lang_pair=r["lang_pair"],
-                    testset_id=r.get("testset_id", "default"),
-                    bleu=r["bleu"],
-                    segment_count=r.get("segment_count", 1),
-                )
-            )
+    for where, r in read_json_lines(path):
+        system_id, lang_pair, bleu = (_require(r, key, where) for key in ("system_id", "lang_pair", "bleu"))
+        testset_id, segment_count = r.get("testset_id", "default"), r.get("segment_count", 1)
+        try:
+            records.append(metrics.EvalRecord(system_id, lang_pair, testset_id, bleu, segment_count))
+        except (TypeError, ValueError) as e:
+            raise CorpusFormatError(f"{where}: {e}") from e
     return records
 
 
@@ -261,8 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "inject" and not getattr(args, "inject_command", None):
-        build_parser().parse_args(["inject", "--help"])
     try:
         return args.func(args)
     except (ValueError, FileNotFoundError, injector.CapacityError) as e:

@@ -25,9 +25,11 @@ single owner per output file.
 
 import json
 import struct
-from dataclasses import dataclass, field
+import sys
+from array import array
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 FORMAT_JSONL = "jsonl"
 FORMAT_BINARY = "ctk"
@@ -39,7 +41,7 @@ CATEGORY_CONTAMINATION = "contamination"
 CATEGORIES = (CATEGORY_MONOLINGUAL, CATEGORY_PARALLEL, CATEGORY_CONTAMINATION)
 
 _BINARY_MAGIC = b"CTK1"
-_U32_MAX = 2**32 - 1
+_SWAP = sys.byteorder == "big"  # files are little-endian; arrays are native
 
 
 class CorpusFormatError(ValueError):
@@ -116,9 +118,9 @@ class BatchStream:
                 )
 
 
-def _check_tokens(value, where: str) -> list[int]:
+def _check_tokens(value, where: str, key: str = "tokens") -> list[int]:
     if not isinstance(value, list) or any(not isinstance(t, int) or isinstance(t, bool) or t < 0 for t in value):
-        raise CorpusFormatError(f"{where}: field 'tokens' must be a list of non-negative integers")
+        raise CorpusFormatError(f"{where}: field '{key}' must be a list of non-negative integers")
     return value
 
 
@@ -126,6 +128,37 @@ def _require(record: dict, key: str, where: str):
     if key not in record:
         raise CorpusFormatError(f"{where}: missing field '{key}'")
     return record[key]
+
+
+def read_json_lines(path) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:line", record)`` for every non-blank line of a JSON-lines file.
+
+    Raises :class:`CorpusFormatError` naming the line when it is not valid
+    JSON or not a JSON object.
+    """
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not line.strip():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
+            if not isinstance(record, dict):
+                raise CorpusFormatError(f"{where}: record must be a JSON object")
+            yield where, record
+
+
+def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> int:
+    """Write one JSON object per line; returns the line count."""
+    count = 0
+    with open(path, "w", encoding="utf-8") as f:
+        for record in records:
+            f.write(json.dumps(record, ensure_ascii=False, sort_keys=sort_keys))
+            f.write("\n")
+            count += 1
+    return count
 
 
 def doc_to_record(doc: CorpusDocument) -> dict:
@@ -197,136 +230,122 @@ def read_corpus(path, fmt: str = FORMAT_JSONL) -> Iterator[CorpusDocument]:
 
 
 def _read_jsonl_shard(shard: Path) -> Iterator[CorpusDocument]:
-    with open(shard, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{shard}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
-            yield doc_from_record(record, where)
+    for where, record in read_json_lines(shard):
+        yield doc_from_record(record, where)
 
 
 def _read_binary_shard(shard: Path) -> Iterator[CorpusDocument]:
     with open(shard, "rb") as f:
-        magic = f.read(4)
-        if magic != _BINARY_MAGIC:
-            raise CorpusFormatError(f"{shard}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-        (count,) = struct.unpack("<I", _read_exact(f, 4, shard, "doc count"))
-        for i in range(count):
-            where = f"{shard}: doc #{i}"
-            (id_len,) = struct.unpack("<I", _read_exact(f, 4, shard, f"{where} id length"))
-            doc_id = _read_exact(f, id_len, shard, f"{where} id").decode("utf-8")
-            (n_tok,) = struct.unpack("<I", _read_exact(f, 4, shard, f"{where} token count"))
-            raw = _read_exact(f, 4 * n_tok, shard, f"{where} tokens")
-            tokens = list(struct.unpack(f"<{n_tok}I", raw))
-            yield CorpusDocument(doc_id=doc_id, tokens=tokens)
+        for doc_id, tokens in read_doc_table(f, shard):
+            yield CorpusDocument(doc_id=doc_id, tokens=tokens.tolist())
         if f.read(1):
-            raise CorpusFormatError(f"{shard}: trailing bytes after {count} documents")
+            raise CorpusFormatError(f"{shard}: trailing bytes after the last document")
 
 
-def _read_exact(f, size: int, shard: Path, what: str) -> bytes:
+def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
+    """Read one ``CTK1`` doc table from the binary file ``f``, which ``path`` names.
+
+    Yields ``(doc_id, tokens)`` with tokens as an ``array("I")``; leaves
+    ``f`` just past the table.
+    """
+    magic = f.read(4)
+    if magic != _BINARY_MAGIC:
+        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
+    (count,) = struct.unpack("<I", _read_exact(f, 4, path, "doc count"))
+    for i in range(count):
+        where = f"doc #{i}"
+        (id_len,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} id length"))
+        try:
+            doc_id = _read_exact(f, id_len, path, f"{where} id").decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise CorpusFormatError(f"{path}: {where} id is not UTF-8") from e
+        (n_tok,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} token count"))
+        yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
+
+
+def write_doc_table(f, count: int, docs: Iterable[tuple[str, Sequence[int]]], path) -> None:
+    """Write ``count`` ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table."""
+    f.write(_BINARY_MAGIC)
+    f.write(struct.pack("<I", count))
+    for doc_id, tokens in docs:
+        try:
+            tokens = array("I", tokens)
+        except OverflowError:
+            raise CorpusFormatError(f"{path}: doc {doc_id!r}: token id exceeds 32-bit storage") from None
+        id_bytes = doc_id.encode("utf-8")
+        f.write(struct.pack("<I", len(id_bytes)))
+        f.write(id_bytes)
+        f.write(struct.pack("<I", len(tokens)))
+        write_array(f, tokens)
+
+
+def write_array(f, values: array) -> None:
+    """Write an array's items little-endian."""
+    if _SWAP:
+        values = array(values.typecode, values)
+        values.byteswap()
+    values.tofile(f)
+
+
+def read_array(f, typecode: str, count: int, path, what: str) -> array:
+    """Read ``count`` little-endian items of ``typecode`` written by :func:`write_array`."""
+    values = array(typecode)
+    values.frombytes(_read_exact(f, count * values.itemsize, path, what))
+    if _SWAP:
+        values.byteswap()
+    return values
+
+
+def _read_exact(f, size: int, path, what: str) -> bytes:
     data = f.read(size)
     if len(data) != size:
-        raise CorpusFormatError(f"{shard}: truncated while reading {what}")
+        raise CorpusFormatError(f"{path}: truncated while reading {what}")
     return data
 
 
 def write_corpus(docs: Iterable[CorpusDocument], path, fmt: str = FORMAT_JSONL) -> int:
     """Write documents to a single shard; returns the document count."""
     if fmt == FORMAT_JSONL:
-        count = 0
-        with open(path, "w", encoding="utf-8") as f:
-            for doc in docs:
-                f.write(json.dumps(doc_to_record(doc), ensure_ascii=False))
-                f.write("\n")
-                count += 1
-        return count
+        return write_json_lines(path, map(doc_to_record, docs))
     if fmt == FORMAT_BINARY:
-        return _write_binary_shard(list(docs), path)
+        docs = list(docs)
+        with open(path, "wb") as f:
+            write_doc_table(f, len(docs), ((doc.doc_id, doc.tokens) for doc in docs), path)
+        return len(docs)
     raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
 
 
-def _write_binary_shard(docs: list[CorpusDocument], path) -> int:
-    with open(path, "wb") as f:
-        f.write(_BINARY_MAGIC)
-        f.write(struct.pack("<I", len(docs)))
-        for doc in docs:
-            if any(t > _U32_MAX for t in doc.tokens):
-                raise CorpusFormatError(f"{path}: doc {doc.doc_id!r}: token id exceeds 32-bit storage")
-            id_bytes = doc.doc_id.encode("utf-8")
-            f.write(struct.pack("<I", len(id_bytes)))
-            f.write(id_bytes)
-            f.write(struct.pack("<I", len(doc.tokens)))
-            f.write(struct.pack(f"<{len(doc.tokens)}I", *doc.tokens))
-    return len(docs)
+_EXAMPLE_FIELDS = tuple(f.name for f in fields(TestExample))
 
 
 def example_to_record(ex: TestExample) -> dict:
-    return {
-        "example_id": ex.example_id,
-        "src_lang": ex.src_lang,
-        "tgt_lang": ex.tgt_lang,
-        "source_text": ex.source_text,
-        "target_text": ex.target_text,
-        "source_tokens": ex.source_tokens,
-        "target_tokens": ex.target_tokens,
-    }
+    return {key: getattr(ex, key) for key in _EXAMPLE_FIELDS}
 
 
 def read_testset(path) -> list[TestExample]:
     """Read a test set, enforcing unique ids and non-empty token fields."""
     examples = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
-            example_id = _require(record, "example_id", where)
-            if example_id in seen:
-                raise DuplicateIdError(f"{where}: duplicate example_id {example_id!r}")
-            seen.add(example_id)
-            for key in ("src_lang", "tgt_lang", "source_text", "target_text"):
-                value = _require(record, key, where)
-                if not isinstance(value, str):
-                    raise CorpusFormatError(f"{where}: field '{key}' must be a string")
-            for key in ("source_tokens", "target_tokens"):
-                tokens = _require(record, key, where)
-                _check_tokens(tokens, where.replace("tokens", key))
-                if not tokens:
-                    raise CorpusFormatError(f"{where}: field '{key}' must be non-empty")
-            try:
-                examples.append(
-                    TestExample(
-                        example_id=example_id,
-                        src_lang=record["src_lang"],
-                        tgt_lang=record["tgt_lang"],
-                        source_text=record["source_text"],
-                        target_text=record["target_text"],
-                        source_tokens=record["source_tokens"],
-                        target_tokens=record["target_tokens"],
-                    )
-                )
-            except ValueError as e:
-                raise CorpusFormatError(f"{where}: {e}") from e
+    for where, record in read_json_lines(path):
+        example_id = _require(record, "example_id", where)
+        if example_id in seen:
+            raise DuplicateIdError(f"{where}: duplicate example_id {example_id!r}")
+        seen.add(example_id)
+        for key in ("src_lang", "tgt_lang", "source_text", "target_text"):
+            if not isinstance(_require(record, key, where), str):
+                raise CorpusFormatError(f"{where}: field '{key}' must be a string")
+        for key in ("source_tokens", "target_tokens"):
+            if not _check_tokens(_require(record, key, where), where, key):
+                raise CorpusFormatError(f"{where}: field '{key}' must be non-empty")
+        try:
+            examples.append(TestExample(**{key: record[key] for key in _EXAMPLE_FIELDS}))
+        except ValueError as e:
+            raise CorpusFormatError(f"{where}: {e}") from e
     return examples
 
 
 def write_testset(examples: Iterable[TestExample], path) -> int:
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            f.write(json.dumps(example_to_record(ex), ensure_ascii=False))
-            f.write("\n")
-            count += 1
-    return count
+    return write_json_lines(path, map(example_to_record, examples))
 
 
 def group_by_pair(examples: Iterable[TestExample]) -> dict[str, list[TestExample]]:
@@ -340,15 +359,11 @@ def group_by_pair(examples: Iterable[TestExample]) -> dict[str, list[TestExample
 def write_stream(stream: BatchStream, path) -> int:
     """Write a batch stream as (step, slot, doc) records; returns slot count."""
     stream.validate()
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for step, batch in enumerate(stream.steps):
-            for slot, doc in enumerate(batch):
-                record = {"step": step, "slot": slot, "doc": doc_to_record(doc)}
-                f.write(json.dumps(record, ensure_ascii=False))
-                f.write("\n")
-                count += 1
-    return count
+    return write_json_lines(path, (
+        {"step": step, "slot": slot, "doc": doc_to_record(doc)}
+        for step, batch in enumerate(stream.steps)
+        for slot, doc in enumerate(batch)
+    ))
 
 
 def read_stream(path) -> BatchStream:
@@ -373,25 +388,17 @@ def read_stream(path) -> BatchStream:
         steps.append(list(current))
         current.clear()
 
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
-            step = _require(record, "step", where)
-            slot = _require(record, "slot", where)
-            doc = doc_from_record(_require(record, "doc", where), where)
-            if step == len(steps) + 1 and slot == 0:
-                close_step(where)
-            if step != len(steps) or slot != len(current):
-                raise CorpusFormatError(
-                    f"{where}: expected (step {len(steps)}, slot {len(current)}), got ({step}, {slot})"
-                )
-            current.append(doc)
+    for where, record in read_json_lines(path):
+        step = _require(record, "step", where)
+        slot = _require(record, "slot", where)
+        doc = doc_from_record(_require(record, "doc", where), where)
+        if step == len(steps) + 1 and slot == 0:
+            close_step(where)
+        if step != len(steps) or slot != len(current):
+            raise CorpusFormatError(
+                f"{where}: expected (step {len(steps)}, slot {len(current)}), got ({step}, {slot})"
+            )
+        current.append(doc)
     if current:
         close_step(str(path))
     if batch_size is None:

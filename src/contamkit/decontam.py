@@ -8,9 +8,8 @@ the corpus.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Iterable
 
 from .corpus_io import TestExample
 from .matcher import ContaminationScore, score_example
@@ -58,7 +57,8 @@ def bin_count(bin_width: float = DEFAULT_BIN_WIDTH) -> int:
 
 @dataclass
 class DecontamReport:
-    """Aggregate view of one decontamination run."""
+    """Aggregate view of one decontamination run; ``scores`` (not serialized)
+    holds ``(example_id, score)`` per example when :func:`decontaminate` made it."""
 
     threshold: float
     total: int
@@ -67,6 +67,7 @@ class DecontamReport:
     histogram: list[int]
     bin_width: float
     removed_ids: list[str]
+    scores: list[tuple[str, ContaminationScore]] = field(default_factory=list, init=False, repr=False, compare=False)
 
     @property
     def removed(self) -> int:
@@ -86,31 +87,14 @@ class DecontamReport:
             raise ValueError("histogram does not sum to total")
 
     def to_json(self) -> str:
-        payload = {
-            "threshold": self.threshold,
-            "total": self.total,
-            "kept": self.kept,
-            "removed": self.removed,
-            "label_counts": self.label_counts,
-            "per_pair": self.per_pair,
-            "histogram": self.histogram,
-            "bin_width": self.bin_width,
-            "removed_ids": self.removed_ids,
-        }
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        payload.update(kept=self.kept, removed=self.removed)
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str) -> "DecontamReport":
         payload = json.loads(text)
-        return cls(
-            threshold=payload["threshold"],
-            total=payload["total"],
-            label_counts=payload["label_counts"],
-            per_pair=payload["per_pair"],
-            histogram=payload["histogram"],
-            bin_width=payload["bin_width"],
-            removed_ids=payload["removed_ids"],
-        )
+        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.init})
 
 
 def _empty_counts() -> dict[str, int]:
@@ -125,18 +109,21 @@ def decontaminate(
 ) -> tuple[list[TestExample], DecontamReport]:
     """Score every example, drop those with any field above threshold.
 
-    Returns (kept examples in input order, report). Scoring each example is
-    independent and side-effect free.
+    Returns (kept examples in input order, report); ``report.scores`` holds
+    every example's score. Scoring each example is independent and
+    side-effect free.
     """
     if not testset:
         raise ValueError("testset must be non-empty")
     kept: list[TestExample] = []
     removed_ids: list[str] = []
+    scores: list[tuple[str, ContaminationScore]] = []
     label_counts = _empty_counts()
     per_pair: dict[str, dict[str, int]] = {}
     histogram = [0] * bin_count(bin_width)
     for example in testset:
         score = score_example(example, index, config)
+        scores.append((example.example_id, score))
         label = classify(score, config)
         label_counts[label.value] += 1
         per_pair.setdefault(example.pair, _empty_counts())[label.value] += 1
@@ -154,16 +141,9 @@ def decontaminate(
         bin_width=bin_width,
         removed_ids=removed_ids,
     )
+    report.scores = scores
     report.validate()
     return kept, report
-
-
-def iter_scores(
-    testset: Iterable[TestExample], index: NGramIndex, config: ScanConfig
-) -> Iterable[tuple[str, ContaminationScore]]:
-    """Yield (example_id, score) pairs for a score dump."""
-    for example in testset:
-        yield example.example_id, score_example(example, index, config)
 
 
 def render_report(report: DecontamReport, fmt: str = "text") -> str:

@@ -29,10 +29,10 @@ ascending step order. Plans are therefore a pure function of (examples,
 condition, config, template) and serialize byte-identically across runs.
 """
 
-import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
+from itertools import chain
 from typing import Callable, Mapping, Sequence
 
 from .corpus_io import (
@@ -40,7 +40,11 @@ from .corpus_io import (
     CATEGORY_PARALLEL,
     BatchStream,
     CorpusDocument,
+    CorpusFormatError,
     TestExample,
+    _require,
+    read_json_lines,
+    write_json_lines,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
@@ -441,69 +445,51 @@ def write_schedule(schedule: InjectionSchedule, path) -> int:
         "example_count": schedule.example_count,
         "entry_count": len(schedule.entries),
     }
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps(header, ensure_ascii=False, sort_keys=True))
-        f.write("\n")
-        for e in schedule.entries:
-            record = {
-                "step": e.step,
-                "slot": e.slot,
-                "example_id": e.example_id,
-                "copy_index": e.copy_index,
-                "part": e.part,
-                "rendered_text": e.rendered_text,
-                "lang": e.lang,
-            }
-            f.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
-            f.write("\n")
+    write_json_lines(path, chain([header], map(vars, schedule.entries)), sort_keys=True)
     return len(schedule.entries)
 
 
+_HEADER_FIELDS = (
+    "mode", "temporal", "copies", "total_steps", "batch_size", "max_replace_frac", "window_frac", "seed",
+    "cap", "window_start", "window_end", "template_names", "example_count",
+)
+_ENTRY_FIELDS = tuple(f.name for f in fields(ScheduleEntry))
+
+
 def read_schedule(path) -> InjectionSchedule:
-    with open(path, encoding="utf-8") as f:
-        header_line = f.readline()
-        if not header_line.strip():
-            raise ValueError(f"{path}: missing schedule header")
-        header = json.loads(header_line)
-        if header.get("kind") != "injection-schedule":
-            raise ValueError(f"{path}: not an injection schedule file")
-        entries = []
-        for line in f:
-            if not line.strip():
-                continue
-            r = json.loads(line)
-            entries.append(
-                ScheduleEntry(
-                    step=r["step"],
-                    slot=r["slot"],
-                    example_id=r["example_id"],
-                    copy_index=r["copy_index"],
-                    part=r["part"],
-                    rendered_text=r["rendered_text"],
-                    lang=r["lang"],
-                )
-            )
-    condition = ContaminationCondition(
-        mode=ContaminationMode(header["mode"]),
-        temporal=Temporal(header["temporal"]),
-        copies=header["copies"],
-    )
-    config = TrainingConfig(
-        total_steps=header["total_steps"],
-        batch_size=header["batch_size"],
-        max_replace_frac=header["max_replace_frac"],
-        window_frac=header["window_frac"],
-        seed=header["seed"],
-        strict_cap=header.get("strict_cap", False),
-    )
+    """Read a plan written by :func:`write_schedule`.
+
+    Raises :class:`CorpusFormatError` naming the line and field of a
+    malformed header or entry.
+    """
+    records = read_json_lines(path)
+    where, header = next(records, (path, None))
+    if header is None:
+        raise CorpusFormatError(f"{path}: missing schedule header")
+    if header.get("kind") != "injection-schedule":
+        raise CorpusFormatError(f"{where}: not an injection schedule file")
+    h = {key: _require(header, key, where) for key in _HEADER_FIELDS}
+    try:
+        condition = ContaminationCondition(mode=h["mode"], temporal=h["temporal"], copies=h["copies"])
+        config = TrainingConfig(
+            total_steps=h["total_steps"],
+            batch_size=h["batch_size"],
+            max_replace_frac=h["max_replace_frac"],
+            window_frac=h["window_frac"],
+            seed=h["seed"],
+            strict_cap=header.get("strict_cap", False),
+        )
+    except (TypeError, ValueError) as e:
+        raise CorpusFormatError(f"{where}: {e}") from e
+    entries = [ScheduleEntry(*[_require(r, key, where) for key in _ENTRY_FIELDS]) for where, r in records]
     return InjectionSchedule(
         condition=condition,
         config=config,
-        cap=header["cap"],
-        window_start=header["window_start"],
-        window_end=header["window_end"],
-        template_names=header["template_names"],
-        example_count=header["example_count"],
+        cap=h["cap"],
+        window_start=h["window_start"],
+        window_end=h["window_end"],
+        template_names=h["template_names"],
+        example_count=h["example_count"],
         entries=entries,
         generator_version=header.get("generator_version", "unknown"),
     )

@@ -15,11 +15,12 @@ All functions here are pure given an immutable index; examples may be scored
 in parallel with no shared state.
 """
 
-import json
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .corpus_io import TestExample
+from .corpus_io import TestExample, write_json_lines
 from .ngram_index import NGramIndex, ScanConfig
 
 
@@ -75,43 +76,54 @@ def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> l
     for j in range(len(field) - n + 1):
         grams.setdefault(tuple(field[j : j + n]), []).append(j)
 
+    tokens, starts = index.tokens, index.starts
     found: set[MatchSpan] = set()
     covered: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (doc_ref, diagonal) -> field intervals
     for gram, offsets in grams.items():
-        for loc in index.query(gram):
+        for ref, off in index.query(gram):
             for j in offsets:
-                diag = loc.offset - j
-                intervals = covered.setdefault((loc.doc_ref, diag), [])
+                diag = off - j
+                intervals = covered.setdefault((ref, diag), [])
                 if any(lo <= j < hi for lo, hi in intervals):
                     continue
-                span = _extend(field, index, loc.doc_ref, loc.offset, j, n)
+                span = MatchSpan(ref, *_extend(field, tokens, starts[ref], starts[ref + 1], off, j, n))
                 intervals.append((span.example_start, span.example_start + span.length))
                 found.add(span)
     return sorted(found, key=lambda s: (s.doc_ref, s.corpus_start, s.example_start))
 
 
-def _extend(field: list[int], index: NGramIndex, doc_ref: int, i: int, j: int, length: int) -> MatchSpan:
-    tokens = index.doc_tokens(doc_ref)
-    while i > 0 and j > 0 and tokens[i - 1] == field[j - 1]:
+def _extend(field: list[int], tokens, lo: int, hi: int, i: int, j: int, length: int) -> tuple[int, int, int]:
+    # Grow the seed at document offset i / field offset j in the document
+    # tokens[lo:hi]; returns (corpus_start, example_start, length).
+    i += lo
+    while i > lo and j > 0 and tokens[i - 1] == field[j - 1]:
         i -= 1
         j -= 1
         length += 1
-    while i + length < len(tokens) and j + length < len(field) and tokens[i + length] == field[j + length]:
+    while i + length < hi and j + length < len(field) and tokens[i + length] == field[j + length]:
         length += 1
-    return MatchSpan(doc_ref=doc_ref, corpus_start=i, example_start=j, length=length)
+    return i - lo, j, length
 
 
 def _whole_field_spans(field: list[int], index: NGramIndex) -> list[MatchSpan]:
-    # Exact whole-field occurrence scan; linear in corpus size, only reached
-    # for fields shorter than the n-gram order.
+    # Exact whole-field occurrence scan over the packed token buffer; linear in
+    # corpus size, only reached for fields shorter than the n-gram order.
+    try:
+        needle = array("I", field).tobytes()
+    except OverflowError:  # a token id no index holds
+        return []
+    haystack = index.tokens.tobytes()
+    starts = index.starts
     k = len(field)
-    first = field[0]
     spans = []
-    for ref in index.refs():
-        tokens = index.doc_tokens(ref)
-        for off in range(len(tokens) - k + 1):
-            if tokens[off] == first and tokens[off : off + k] == field:
-                spans.append(MatchSpan(doc_ref=ref, corpus_start=off, example_start=0, length=k))
+    pos = haystack.find(needle)
+    while pos >= 0:
+        start, misaligned = divmod(pos, 4)
+        if not misaligned:  # whole tokens only
+            ref = bisect_right(starts, start) - 1
+            if start + k <= starts[ref + 1]:  # inside one document
+                spans.append(MatchSpan(doc_ref=ref, corpus_start=start - starts[ref], example_start=0, length=k))
+        pos = haystack.find(needle, pos + 1)
     return spans
 
 
@@ -171,10 +183,4 @@ def score_record(example_id: str, score: ContaminationScore, index: NGramIndex) 
 
 def write_scores(items: Iterable[tuple[str, ContaminationScore]], index: NGramIndex, path) -> int:
     """Write scored examples as JSON-lines; returns the record count."""
-    count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for example_id, score in items:
-            f.write(json.dumps(score_record(example_id, score, index), ensure_ascii=False))
-            f.write("\n")
-            count += 1
-    return count
+    return write_json_lines(path, (score_record(example_id, score, index) for example_id, score in items))

@@ -12,29 +12,40 @@ returning it — results are exact regardless of fingerprint width. A weakened
 ``fingerprint_bits`` (e.g. 8) makes collisions frequent on purpose, which is
 useful for exercising the verification path.
 
-Indexes are deterministic: postings for a fingerprint are stored in document
-order then offset order, so building twice from the same corpus (or merging
-per-shard indexes with :func:`merge_indexes`) yields identical structures and
-identical files. A built index is immutable and safe to share across threads.
+An index is a handful of flat arrays: every document's tokens concatenated
+into one ``array("I")`` with ``array("Q")`` start offsets, and one posting per
+n-gram as parallel arrays — the fingerprints sorted ascending (``array("Q")``)
+beside the doc ref and token offset of each (``array("I")``). Postings with
+equal fingerprints stay in document order then offset order, so building
+twice from the same corpus (or merging per-shard indexes with
+:func:`merge_indexes`) yields identical arrays and identical files. A built
+index is immutable and safe to share across threads.
 
-File layout (magic ``CTKX``, little-endian): u32 ngram order, u32 fingerprint
-bits, u64 doc count, u64 posting count; per document u32 id length, id bytes,
-u32 token count, u32 tokens; u64 fingerprint block count; then per block
-(ascending fingerprint) u64 fingerprint, u32 posting count, and u32
-(doc_ref, offset) pairs. Document tokens are stored in the file so a loaded
-index can verify queries and serve :meth:`token_at` without the source shards.
+File layout (version 2, little-endian): a 32-byte header — magic ``CTKX``,
+u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
+doc-table bytes — then the doc table in the ``CTK1`` corpus layout (ids and
+tokens, see :mod:`contamkit.corpus_io`), then the posting arrays whole: u64
+fingerprints, u32 doc refs, u32 offsets. The header fixes the file size, so
+a short file is rejected before any parsing. Version 1 files are refused;
+rebuild them.
 """
 
-import struct
+import os
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from struct import Struct
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus_io import CorpusDocument, DuplicateIdError
+from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
+from .corpus_io import read_array, read_doc_table, write_array, write_doc_table
 
 FINGERPRINT_BASE = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _INDEX_MAGIC = b"CTKX"
-_U32_MAX = 2**32 - 1
+_INDEX_VERSION = 2
+_HEADER = Struct("<4sIIIQQ")
+_POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
 
 
 class IndexCapacityError(RuntimeError):
@@ -55,8 +66,7 @@ class ScanConfig:
             raise ValueError("threshold must be in (0, 1]")
 
 
-@dataclass(frozen=True)
-class Location:
+class Location(NamedTuple):
     """A document reference and token offset where an n-gram occurs."""
 
     doc_ref: int
@@ -74,7 +84,10 @@ def fingerprint(tokens: Sequence[int], bits: int = 64) -> int:
 
 
 class NGramIndex:
-    """Fingerprint-keyed postings from every corpus n-gram to its locations."""
+    """Fingerprint-sorted postings from every corpus n-gram to its locations.
+
+    Document ``r`` is ``tokens[starts[r]:starts[r + 1]]``; treat both arrays as read-only.
+    """
 
     def __init__(self, ngram_order: int, fingerprint_bits: int = 64):
         if ngram_order < 1:
@@ -84,68 +97,60 @@ class NGramIndex:
         self.ngram_order = ngram_order
         self.fingerprint_bits = fingerprint_bits
         self._doc_ids: list[str] = []
-        self._doc_tokens: list[list[int]] = []
         self._ref_by_id: dict[str, int] = {}
-        self._postings: dict[int, list[Location]] = {}
-        self._posting_count = 0
+        self.tokens = array("I")
+        self.starts = array("Q", [0])
+        self._fps = array("Q")
+        self._refs = array("I")
+        self._offsets = array("I")
 
-    # -- construction ------------------------------------------------------
-
-    def _add_document(self, doc: CorpusDocument):
-        if doc.doc_id in self._ref_by_id:
-            raise DuplicateIdError(f"duplicate doc_id {doc.doc_id!r}")
-        if len(self._doc_ids) > _U32_MAX:
-            raise IndexCapacityError("too many documents for one index; split the corpus into smaller shards")
-        if len(doc.tokens) > _U32_MAX:
-            raise IndexCapacityError(f"doc {doc.doc_id!r} too long for one index; split the corpus into smaller shards")
-        ref = len(self._doc_ids)
-        tokens = list(doc.tokens)
-        self._ref_by_id[doc.doc_id] = ref
-        self._doc_ids.append(doc.doc_id)
-        self._doc_tokens.append(tokens)
-        n = self.ngram_order
-        if len(tokens) < n:
-            return
-        mask = (1 << self.fingerprint_bits) - 1 if self.fingerprint_bits < 64 else _MASK64
-        shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
-        h = fingerprint(tokens[:n])
-        self._postings.setdefault(h & mask, []).append(Location(ref, 0))
-        for off in range(1, len(tokens) - n + 1):
-            h = (h * FINGERPRINT_BASE + tokens[off + n - 1] - tokens[off - 1] * shift_out) & _MASK64
-            self._postings.setdefault(h & mask, []).append(Location(ref, off))
-        self._posting_count += len(tokens) - n + 1
+    def _add_doc_id(self, doc_id: str):
+        if doc_id in self._ref_by_id:
+            raise DuplicateIdError(f"duplicate doc_id {doc_id!r}")
+        self._ref_by_id[doc_id] = len(self._doc_ids)
+        self._doc_ids.append(doc_id)
 
     # -- queries -----------------------------------------------------------
 
-    def query(self, gram: Sequence[int]) -> list[Location]:
-        """Return exactly the locations where ``gram`` occurs.
+    def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
+        """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
 
-        Candidates from the fingerprint table are verified token-by-token, so
-        fingerprint collisions never leak into the result.
+        Pairs are plain tuples, equal to the matching :class:`Location`, in
+        document order then offset order. Candidates from the fingerprint
+        table are verified token-by-token, so fingerprint collisions never
+        leak into the result.
         """
-        if len(gram) != self.ngram_order:
-            raise ValueError(f"gram has {len(gram)} tokens, expected {self.ngram_order}")
-        wanted = list(gram)
-        fp = fingerprint(wanted, self.fingerprint_bits)
-        hits = []
-        for loc in self._postings.get(fp, ()):
-            tokens = self._doc_tokens[loc.doc_ref]
-            if tokens[loc.offset : loc.offset + self.ngram_order] == wanted:
-                hits.append(loc)
-        return hits
+        n = self.ngram_order
+        if len(gram) != n:
+            raise ValueError(f"gram has {len(gram)} tokens, expected {n}")
+        fps = self._fps
+        fp = fingerprint(gram, self.fingerprint_bits)
+        lo = bisect_left(fps, fp)
+        hi = bisect_right(fps, fp, lo)
+        if lo == hi:
+            return []
+        try:
+            wanted = array("I", gram)
+        except OverflowError:  # a token id no index file can hold
+            return []
+        tokens, starts = self.tokens, self.starts
+        return [
+            (ref, off)
+            for ref, off in zip(self._refs[lo:hi], self._offsets[lo:hi])
+            if tokens[starts[ref] + off : starts[ref] + off + n] == wanted
+        ]
 
     def token_at(self, doc_ref: int, offset: int) -> int:
-        if not 0 <= doc_ref < len(self._doc_tokens):
-            raise IndexError(f"doc ref {doc_ref} out of range (0..{len(self._doc_tokens) - 1})")
-        tokens = self._doc_tokens[doc_ref]
-        if not 0 <= offset < len(tokens):
-            raise IndexError(f"offset {offset} out of range for doc {self._doc_ids[doc_ref]!r} of length {len(tokens)}")
-        return tokens[offset]
+        if not 0 <= offset < self.doc_len(doc_ref):
+            raise IndexError(
+                f"offset {offset} out of range for doc {self._doc_ids[doc_ref]!r} of length {self.doc_len(doc_ref)}"
+            )
+        return self.tokens[self.starts[doc_ref] + offset]
 
     def doc_len(self, doc_ref: int) -> int:
-        if not 0 <= doc_ref < len(self._doc_tokens):
-            raise IndexError(f"doc ref {doc_ref} out of range (0..{len(self._doc_tokens) - 1})")
-        return len(self._doc_tokens[doc_ref])
+        if not 0 <= doc_ref < self.doc_count:
+            raise IndexError(f"doc ref {doc_ref} out of range (0..{self.doc_count - 1})")
+        return self.starts[doc_ref + 1] - self.starts[doc_ref]
 
     def doc_id(self, doc_ref: int) -> str:
         return self._doc_ids[doc_ref]
@@ -154,8 +159,8 @@ class NGramIndex:
         return self._ref_by_id[doc_id]
 
     def doc_tokens(self, doc_ref: int) -> list[int]:
-        """The stored token sequence of a document; treat as read-only."""
-        return self._doc_tokens[doc_ref]
+        """A copy of a document's token sequence."""
+        return self.tokens[self.starts[doc_ref] : self.starts[doc_ref + 1]].tolist()
 
     def refs(self) -> range:
         return range(len(self._doc_ids))
@@ -166,55 +171,53 @@ class NGramIndex:
 
     @property
     def posting_count(self) -> int:
-        return self._posting_count
+        return len(self._fps)
 
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
         """Write the index to a single file, bit-exact across platforms."""
+        tokens, starts = self.tokens, self.starts
         with open(path, "wb") as f:
-            f.write(_INDEX_MAGIC)
-            f.write(struct.pack("<IIQQ", self.ngram_order, self.fingerprint_bits, self.doc_count, self._posting_count))
-            for doc_id, tokens in zip(self._doc_ids, self._doc_tokens):
-                if any(t > _U32_MAX for t in tokens):
-                    raise IndexCapacityError(f"doc {doc_id!r}: token id exceeds 32-bit storage")
-                id_bytes = doc_id.encode("utf-8")
-                f.write(struct.pack("<I", len(id_bytes)))
-                f.write(id_bytes)
-                f.write(struct.pack("<I", len(tokens)))
-                f.write(struct.pack(f"<{len(tokens)}I", *tokens))
-            f.write(struct.pack("<Q", len(self._postings)))
-            for fp in sorted(self._postings):
-                locs = self._postings[fp]
-                f.write(struct.pack("<QI", fp, len(locs)))
-                f.write(struct.pack(f"<{2 * len(locs)}I", *(v for loc in locs for v in (loc.doc_ref, loc.offset))))
+            f.seek(_HEADER.size)
+            docs = ((doc_id, tokens[starts[r] : starts[r + 1]]) for r, doc_id in enumerate(self._doc_ids))
+            write_doc_table(f, self.doc_count, docs, path)
+            table_bytes = f.tell() - _HEADER.size
+            for values in (self._fps, self._refs, self._offsets):
+                write_array(f, values)
+            f.seek(0)
+            f.write(_HEADER.pack(
+                _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, table_bytes
+            ))
 
     @classmethod
     def load(cls, path) -> "NGramIndex":
+        """Read an index written by :meth:`save`; raises :class:`CorpusFormatError` on any other file."""
         with open(path, "rb") as f:
-            magic = f.read(4)
-            if magic != _INDEX_MAGIC:
-                raise ValueError(f"{path}: bad magic {magic!r}, expected {_INDEX_MAGIC!r}")
-            ngram_order, bits, doc_count, posting_count = struct.unpack("<IIQQ", f.read(24))
-            index = cls(ngram_order, bits)
-            for _ in range(doc_count):
-                (id_len,) = struct.unpack("<I", f.read(4))
-                doc_id = f.read(id_len).decode("utf-8")
-                (n_tok,) = struct.unpack("<I", f.read(4))
-                tokens = list(struct.unpack(f"<{n_tok}I", f.read(4 * n_tok)))
-                index._ref_by_id[doc_id] = len(index._doc_ids)
-                index._doc_ids.append(doc_id)
-                index._doc_tokens.append(tokens)
-            (block_count,) = struct.unpack("<Q", f.read(8))
-            total = 0
-            for _ in range(block_count):
-                fp, count = struct.unpack("<QI", f.read(12))
-                flat = struct.unpack(f"<{2 * count}I", f.read(8 * count))
-                index._postings[fp] = [Location(flat[2 * i], flat[2 * i + 1]) for i in range(count)]
-                total += count
-            if total != posting_count:
-                raise ValueError(f"{path}: header claims {posting_count} postings, file has {total}")
-            index._posting_count = total
+            header = f.read(_HEADER.size)
+            if header[:4] != _INDEX_MAGIC:
+                raise CorpusFormatError(f"{path}: bad magic {header[:4]!r}, expected {_INDEX_MAGIC!r}")
+            if len(header) < _HEADER.size:
+                raise CorpusFormatError(f"{path}: truncated while reading the header")
+            _, version, n, bits, posting_count, table_bytes = _HEADER.unpack(header)
+            if version != _INDEX_VERSION:
+                raise CorpusFormatError(f"{path}: not a version {_INDEX_VERSION} index; rebuild the index")
+            size = _HEADER.size + table_bytes + _POSTING_BYTES * posting_count
+            if os.fstat(f.fileno()).st_size != size:
+                raise CorpusFormatError(f"{path}: file size differs from the {size} bytes its header describes")
+            try:
+                index = cls(n, bits)
+            except ValueError as e:
+                raise CorpusFormatError(f"{path}: {e}") from e
+            for doc_id, tokens in read_doc_table(f, path):
+                index._add_doc_id(doc_id)
+                index.tokens.extend(tokens)
+                index.starts.append(len(index.tokens))
+            if f.tell() != _HEADER.size + table_bytes:
+                raise CorpusFormatError(f"{path}: doc table size differs from its header")
+            index._fps = read_array(f, "Q", posting_count, path, "fingerprints")
+            index._refs = read_array(f, "I", posting_count, path, "doc refs")
+            index._offsets = read_array(f, "I", posting_count, path, "offsets")
         return index
 
 
@@ -225,34 +228,46 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     in the doc table.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
-    for doc in corpus:
-        index._add_document(doc)
+    n = index.ngram_order
+    mask = (1 << fingerprint_bits) - 1
+    shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
+    fps: list[int] = []  # in document order then offset order
+    append = fps.append
+    refs = array("I")
+    offsets = array("I")
+    for ref, doc in enumerate(corpus):
+        index._add_doc_id(doc.doc_id)
+        count = max(0, len(doc.tokens) - n + 1)
+        try:
+            index.tokens.extend(array("I", doc.tokens))
+            refs.extend(array("I", [ref]) * count)
+            offsets.extend(range(count))
+        except OverflowError:
+            raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id, doc ref or offset exceeds 32 bits") from None
+        index.starts.append(len(index.tokens))
+        if count:
+            h = fingerprint(doc.tokens[:n], fingerprint_bits)
+            append(h)
+            for new, old in zip(doc.tokens[n:], doc.tokens):  # roll: bring in new, drop old
+                h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
+                append(h)
+    order = sorted(range(len(fps)), key=fps.__getitem__)  # stable: ties keep document then offset order
+    index._fps = array("Q", [fps[i] for i in order])
+    index._refs = array("I", [refs[i] for i in order])
+    index._offsets = array("I", [offsets[i] for i in order])
     return index
 
 
 def merge_indexes(parts: Sequence[NGramIndex]) -> NGramIndex:
     """Merge per-shard indexes, in shard order, into one index.
 
-    Equivalent to building over the concatenated shards: document refs are
-    reassigned in part order and postings keep part order then offset order.
+    Equivalent to building over the concatenated shards: the result is
+    rebuilt from the parts' documents.
     """
     if not parts:
         raise ValueError("nothing to merge")
     first = parts[0]
-    merged = NGramIndex(first.ngram_order, first.fingerprint_bits)
-    for part in parts:
-        if (part.ngram_order, part.fingerprint_bits) != (first.ngram_order, first.fingerprint_bits):
-            raise ValueError("cannot merge indexes with different ngram_order or fingerprint_bits")
-        base = merged.doc_count
-        for doc_id, tokens in zip(part._doc_ids, part._doc_tokens):
-            if doc_id in merged._ref_by_id:
-                raise DuplicateIdError(f"duplicate doc_id {doc_id!r} across shards")
-            merged._ref_by_id[doc_id] = len(merged._doc_ids)
-            merged._doc_ids.append(doc_id)
-            merged._doc_tokens.append(tokens)
-        for fp, locs in part._postings.items():
-            merged._postings.setdefault(fp, []).extend(
-                Location(loc.doc_ref + base, loc.offset) for loc in locs
-            )
-        merged._posting_count += part._posting_count
-    return merged
+    if any((p.ngram_order, p.fingerprint_bits) != (first.ngram_order, first.fingerprint_bits) for p in parts):
+        raise ValueError("cannot merge indexes with different ngram_order or fingerprint_bits")
+    docs = (CorpusDocument(part.doc_id(ref), part.doc_tokens(ref)) for part in parts for ref in part.refs())
+    return build_index(docs, ScanConfig(first.ngram_order), first.fingerprint_bits)

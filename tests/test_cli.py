@@ -1,6 +1,7 @@
 import json
 import random
 
+from contamkit import decontam
 from contamkit.cli import main
 from contamkit.corpus_io import (
     CorpusDocument,
@@ -77,6 +78,61 @@ def test_index_build_and_reuse(tmp_path, capsys):
     assert index_path.exists()
     code = main(["decontam", "--testset", str(testset_path), "--index", str(index_path)])
     assert code == 3
+
+
+def test_decontam_scores_each_example_once(tmp_path, capsys, monkeypatch):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
+    calls = []
+
+    def counting(example, index, config):
+        calls.append(example.example_id)
+        return score_example(example, index, config)
+
+    score_example = decontam.score_example
+    monkeypatch.setattr(decontam, "score_example", counting)
+    code = main([
+        "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path),
+        "--scores-out", str(tmp_path / "scores.jsonl"),
+    ])
+    assert code == 3
+    assert calls == [f"ex{i}" for i in range(6)]
+    scores = [json.loads(line) for line in (tmp_path / "scores.jsonl").read_text().splitlines()]
+    assert [s["example_id"] for s in scores] == calls
+    assert scores[0]["s_source"] == 1.0
+
+
+def _assert_one_error_line(capsys, name):
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and name in err[0], err
+
+
+def test_decontam_on_truncated_index_exits_two(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
+    index_path = tmp_path / "corpus.ctkx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
+    data = index_path.read_bytes()
+    half = tmp_path / "half.ctkx"
+    half.write_bytes(data[: len(data) // 2])
+    capsys.readouterr()
+    assert main(["decontam", "--testset", str(testset_path), "--index", str(half)]) == 2
+    _assert_one_error_line(capsys, "half.ctkx")
+
+
+def test_inject_verify_on_header_without_mode_exits_two(tmp_path, capsys):
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "batched_pair", "--temporal", "late",
+        "--copies", "1", "--steps", "100", "--batch-size", "64", "--out", str(plan_path),
+    ]) == 0
+    lines = plan_path.read_text().splitlines()
+    header = json.loads(lines[0])
+    del header["mode"]
+    bad_path = tmp_path / "no_mode.jsonl"
+    bad_path.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+    capsys.readouterr()
+    assert main(["inject", "verify", "--schedule", str(bad_path)]) == 2
+    _assert_one_error_line(capsys, "no_mode.jsonl:1: missing field 'mode'")
 
 
 def test_inject_plan_verify_apply_pipeline(tmp_path, capsys):
@@ -185,3 +241,13 @@ def test_report_command_with_gap(tmp_path, capsys):
     assert "En->X" in out and "X->En" in out
     assert "3.39" in out
     assert "2.27" in out  # en-de gap: 3.39 - 1.12
+
+
+def test_report_on_record_without_lang_pair_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    cont = tmp_path / "cont.jsonl"
+    _records_file(base, [("b", "en-de", 30.95)])
+    base.write_text(base.read_text() + json.dumps({"system_id": "b", "bleu": 20.0}) + "\n")
+    _records_file(cont, [("c", "en-de", 34.34)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(cont)]) == 2
+    _assert_one_error_line(capsys, "base.jsonl:2: missing field 'lang_pair'")

@@ -175,6 +175,15 @@ def test_read_testset_missing_field_named(tmp_path):
         read_testset(path)
 
 
+def test_read_testset_names_the_bad_token_field(tmp_path):
+    record = _example_record()
+    record["target_tokens"] = [7, -1]
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"t\.jsonl:1: field 'target_tokens'"):
+        read_testset(path)
+
+
 def test_read_testset_empty_tokens_rejected(tmp_path):
     record = _example_record()
     record["source_tokens"] = []

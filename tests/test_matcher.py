@@ -154,6 +154,14 @@ def test_short_field_dp_oracle_agreement():
         assert s == (1.0 if contained else 0.0)
 
 
+def test_short_field_never_matches_across_documents_or_token_bytes():
+    # 256 followed by 0 holds the bytes of token 1 one byte in; [2, 3] spans a document boundary
+    index = index_of([[256, 0, 2], [3, 1]])
+    assert find_spans([1], index, CFG) == [MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=1)]
+    assert find_spans([2, 3], index, CFG) == []
+    assert find_spans([2], index, CFG) == [MatchSpan(doc_ref=0, corpus_start=2, example_start=0, length=1)]
+
+
 # -- maximality and oracle properties -------------------------------------------
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contamkit.corpus_io import CorpusDocument, DuplicateIdError
+from contamkit.corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
 from contamkit.ngram_index import (
     Location,
     NGramIndex,
@@ -176,6 +176,29 @@ def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "x.ctkx"
     path.write_bytes(b"WRNG" + b"\x00" * 24)
     with pytest.raises(ValueError, match="magic"):
+        NGramIndex.load(path)
+
+
+def test_every_strict_prefix_of_an_index_file_is_rejected(tmp_path):
+    rng = random.Random(13)
+    path = tmp_path / "full.ctkx"
+    index_of([random_tokens(rng, 12, 50) for _ in range(3)] + [[], [1, 2]]).save(path)
+    data = path.read_bytes()
+    short = tmp_path / "short.ctkx"
+    for size in range(len(data)):
+        short.write_bytes(data[:size])
+        with pytest.raises(CorpusFormatError, match="short.ctkx"):
+            NGramIndex.load(short)
+    assert NGramIndex.load(path).posting_count == 3 * 5
+
+
+def test_load_rejects_other_format_versions(tmp_path):
+    path = tmp_path / "x.ctkx"
+    index_of([[1] * 20]).save(path)
+    data = bytearray(path.read_bytes())
+    data[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(data)
+    with pytest.raises(CorpusFormatError, match="rebuild the index"):
         NGramIndex.load(path)
 
 
