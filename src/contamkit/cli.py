@@ -29,21 +29,19 @@ from .corpus_io import (
     write_stream,
     write_testset,
 )
-from .ngram_index import NGramIndex, ScanConfig, build_index
+from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
 
 
 def _load_index(args) -> NGramIndex:
     if getattr(args, "index", None):
         index = NGramIndex.load(args.index)
         if index.ngram_order != args.ngram:
-            raise SystemExit(
-                f"index was built with n={index.ngram_order}, requested n={args.ngram}"
-            )
+            raise ValueError(f"{args.index}: index was built with n={index.ngram_order}, requested n={args.ngram}")
         return index
     if getattr(args, "corpus", None):
         config = ScanConfig(ngram_order=args.ngram)
         return build_index(read_corpus(args.corpus, args.corpus_format), config)
-    raise SystemExit("one of --index or --corpus is required")
+    raise ValueError("one of --index or --corpus is required")
 
 
 def _cmd_index(args) -> int:
@@ -113,14 +111,21 @@ def _cmd_inject_verify(args) -> int:
 
 
 def _read_segments(path, as_tokens: bool) -> list[list]:
+    # One segment per line, blank lines included, so hypotheses and references stay aligned.
     segments = []
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, start=1):
             line = line.rstrip("\n")
-            if as_tokens:
-                segments.append(json.loads(line))
-            else:
+            if not as_tokens:
                 segments.append(metrics.whitespace_tokens(line))
+                continue
+            try:
+                tokens = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+            if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
+                raise CorpusFormatError(f"{path}:{lineno}: segment must be a JSON array of scalar tokens")
+            segments.append(tokens)
     return segments
 
 
@@ -155,7 +160,7 @@ def _parse_condition(text: str | None) -> injector.ContaminationCondition | None
             copies=int(copies),
         )
     except ValueError as e:
-        raise SystemExit(f"cannot parse condition {text!r} (expected 'temporal,mode,copies'): {e}")
+        raise ValueError(f"cannot parse condition {text!r} (expected 'temporal,mode,copies'): {e}") from e
 
 
 def _cmd_report(args) -> int:
@@ -259,7 +264,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, injector.CapacityError) as e:
+    except (ValueError, FileNotFoundError, injector.CapacityError, IndexCapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

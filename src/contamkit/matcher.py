@@ -1,9 +1,11 @@
 """Maximal token-span matching between test-example fields and a corpus.
 
-A field is split into its n-grams (duplicates looked up once), each n-gram is
-queried against the index, and every hit is extended left and right as far as
-tokens keep agreeing — producing maximal match spans. The longest span per
-field, divided by the field's own token count, is that field's overlap
+Every n-gram of a field is looked up in the index. A fingerprint candidate
+that is left-maximal — at the start of the field or of its document, or
+preceded by unequal tokens — is extended to the right as far as tokens keep
+agreeing, and kept when that reaches ``n`` tokens: each maximal match span is
+thus found once, from its left end, and verified token by token. The longest
+span per field, divided by the field's own token count, is that field's overlap
 fraction; the combined contamination score of an example is the larger of the
 two per-field fractions.
 
@@ -58,8 +60,13 @@ class ContaminationScore:
 def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> list[MatchSpan]:
     """All maximal match spans between ``field`` and any indexed document.
 
-    Spans are deduplicated (seeds inside the same maximal region extend to the
-    same span) and returned sorted by (doc_ref, corpus_start, example_start).
+    Each span is reported once, from its left end: a fingerprint candidate
+    for the n-gram at field offset ``j`` starts a span only when it is
+    left-maximal (at the start of the field or of its document, or preceded
+    by unequal tokens), and is then extended to the right only. It counts
+    when that token-by-token extension reaches ``n`` tokens, which also
+    rejects fingerprint collisions. Returned sorted by (doc_ref,
+    corpus_start, example_start).
     """
     if config.ngram_order != index.ngram_order:
         raise ValueError(
@@ -69,40 +76,27 @@ def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> l
         raise ValueError("field must be non-empty")
     n = index.ngram_order
     field = list(field)
-    if len(field) < n:
+    end = len(field)
+    if end < n:
         return _whole_field_spans(field, index)
 
-    grams: dict[tuple[int, ...], list[int]] = {}
-    for j in range(len(field) - n + 1):
-        grams.setdefault(tuple(field[j : j + n]), []).append(j)
-
     tokens, starts = index.tokens, index.starts
-    found: set[MatchSpan] = set()
-    covered: dict[tuple[int, int], list[tuple[int, int]]] = {}  # (doc_ref, diagonal) -> field intervals
-    for gram, offsets in grams.items():
-        for ref, off in index.query(gram):
-            for j in offsets:
-                diag = off - j
-                intervals = covered.setdefault((ref, diag), [])
-                if any(lo <= j < hi for lo, hi in intervals):
-                    continue
-                span = MatchSpan(ref, *_extend(field, tokens, starts[ref], starts[ref + 1], off, j, n))
-                intervals.append((span.example_start, span.example_start + span.length))
-                found.add(span)
-    return sorted(found, key=lambda s: (s.doc_ref, s.corpus_start, s.example_start))
-
-
-def _extend(field: list[int], tokens, lo: int, hi: int, i: int, j: int, length: int) -> tuple[int, int, int]:
-    # Grow the seed at document offset i / field offset j in the document
-    # tokens[lo:hi]; returns (corpus_start, example_start, length).
-    i += lo
-    while i > lo and j > 0 and tokens[i - 1] == field[j - 1]:
-        i -= 1
-        j -= 1
-        length += 1
-    while i + length < hi and j + length < len(field) and tokens[i + length] == field[j + length]:
-        length += 1
-    return i - lo, j, length
+    found = []
+    for j in range(end - n + 1):
+        refs, offsets = index.candidates(field[j : j + n])
+        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
+        for ref, off in zip(refs, offsets):
+            i = starts[ref] + off
+            if off and tokens[i - 1] == before:
+                continue  # not left-maximal: the same span starts further left
+            stop = min(starts[ref + 1] - i, end - j)
+            length = 0
+            while length < stop and tokens[i + length] == field[j + length]:
+                length += 1
+            if length >= n:
+                found.append((ref, off, j, length))
+    found.sort()
+    return [MatchSpan(*span) for span in found]
 
 
 def _whole_field_spans(field: list[int], index: NGramIndex) -> list[MatchSpan]:

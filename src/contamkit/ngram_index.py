@@ -6,11 +6,12 @@ starting at ``p``:
 
     h(g) = sum_i g[i] * BASE^(n-1-i)  mod 2^64,  BASE = 0x100000001B3
 
-Fingerprints can collide, so :meth:`NGramIndex.query` verifies every
-candidate location token-by-token against the stored documents before
-returning it — results are exact regardless of fingerprint width. A weakened
-``fingerprint_bits`` (e.g. 8) makes collisions frequent on purpose, which is
-useful for exercising the verification path.
+Fingerprints can collide, so :meth:`NGramIndex.candidates` is only the
+fingerprint lookup, and every user of it verifies each candidate location
+token-by-token against the stored documents (:meth:`NGramIndex.query`, the
+matcher's span extension) — results are exact regardless of fingerprint
+width. A weakened ``fingerprint_bits`` (e.g. 8) makes collisions frequent on
+purpose, which is useful for exercising the verification path.
 
 An index is a handful of flat arrays: every document's tokens concatenated
 into one ``array("I")`` with ``array("Q")`` start offsets, and one posting per
@@ -112,13 +113,13 @@ class NGramIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
-        """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
+    def candidates(self, gram: Sequence[int]) -> tuple[array, array]:
+        """The ``(refs, offsets)`` of every posting whose fingerprint equals ``gram``'s.
 
-        Pairs are plain tuples, equal to the matching :class:`Location`, in
-        document order then offset order. Candidates from the fingerprint
-        table are verified token-by-token, so fingerprint collisions never
-        leak into the result.
+        Parallel ``array("I")`` slices, in document order then offset order.
+        They are NOT verified: under a fingerprint collision they hold
+        postings of other n-grams too, so callers must compare tokens before
+        trusting a candidate (as :meth:`query` does).
         """
         n = self.ngram_order
         if len(gram) != n:
@@ -127,16 +128,24 @@ class NGramIndex:
         fp = fingerprint(gram, self.fingerprint_bits)
         lo = bisect_left(fps, fp)
         hi = bisect_right(fps, fp, lo)
-        if lo == hi:
-            return []
+        return self._refs[lo:hi], self._offsets[lo:hi]
+
+    def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
+        """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
+
+        Pairs are plain tuples, equal to the matching :class:`Location`, in
+        document order then offset order. The :meth:`candidates` are verified
+        token-by-token, so fingerprint collisions never leak into the result.
+        """
+        refs, offsets = self.candidates(gram)
         try:
             wanted = array("I", gram)
         except OverflowError:  # a token id no index file can hold
             return []
-        tokens, starts = self.tokens, self.starts
+        n, tokens, starts = self.ngram_order, self.tokens, self.starts
         return [
             (ref, off)
-            for ref, off in zip(self._refs[lo:hi], self._offsets[lo:hi])
+            for ref, off in zip(refs, offsets)
             if tokens[starts[ref] + off : starts[ref] + off + n] == wanted
         ]
 

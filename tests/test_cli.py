@@ -251,3 +251,47 @@ def test_report_on_record_without_lang_pair_exits_two(tmp_path, capsys):
     _records_file(cont, [("c", "en-de", 34.34)])
     assert main(["report", "--baseline", str(base), "--contaminated", str(cont)]) == 2
     _assert_one_error_line(capsys, "base.jsonl:2: missing field 'lang_pair'")
+
+
+def test_index_on_token_id_beyond_32_bits_exits_two(tmp_path, capsys):
+    corpus_path = tmp_path / "corpus.jsonl"
+    write_corpus([CorpusDocument("wide", [1, 2, 2**32, 3] * 4)], corpus_path)
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "c.ctkx")]) == 2
+    _assert_one_error_line(capsys, "'wide'")
+
+
+def test_decontam_with_index_of_other_ngram_exits_two(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
+    index_path = tmp_path / "corpus.ctkx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
+    capsys.readouterr()
+    assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path), "--ngram", "5"]) == 2
+    _assert_one_error_line(capsys, "built with n=8, requested n=5")
+
+
+def test_decontam_without_index_or_corpus_exits_two(tmp_path, capsys):
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    assert main(["decontam", "--testset", str(testset_path)]) == 2
+    _assert_one_error_line(capsys, "one of --index or --corpus is required")
+
+
+def test_report_with_bad_condition_exits_two(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    cont = tmp_path / "cont.jsonl"
+    _records_file(base, [("b", "en-de", 30.95)])
+    _records_file(cont, [("c", "en-de", 34.34)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(cont), "--condition", "bad"]) == 2
+    _assert_one_error_line(capsys, "cannot parse condition 'bad'")
+
+
+def test_bleu_tokens_line_not_a_json_array_exits_two_naming_the_line(tmp_path, capsys):
+    ref = tmp_path / "ref.jsonl"
+    ref.write_text("[1, 2]\n[3, 4]\n[5, 6]\n")
+    cases = (("not_json.jsonl", "not json"), ("object.jsonl", '{"x": 1}'), ("nested.jsonl", "[[1], 2]"),
+             ("blank.jsonl", ""))
+    for name, bad in cases:
+        hyp = tmp_path / name
+        hyp.write_text(f"[1, 2]\n{bad}\n[5, 6]\n")
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--tokens"]) == 2
+        _assert_one_error_line(capsys, f"{name}:2:")
+

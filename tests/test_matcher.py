@@ -207,6 +207,30 @@ def test_score_matches_dp_oracle_when_at_least_n(data):
         assert (s, span) == (0.0, None)
 
 
+@pytest.mark.parametrize("bits", [64, 4])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_find_spans_equals_dp_oracle_union_over_documents(bits, data):
+    # a 2-5 token vocabulary repeats grams, so one diagonal carries several
+    # spans; 4-bit fingerprints make most candidates collisions
+    vocab = data.draw(st.integers(min_value=2, max_value=5))
+    tokens = st.integers(min_value=0, max_value=vocab - 1)
+    docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
+    field = data.draw(st.lists(tokens, min_size=8, max_size=40))
+    spans = find_spans(field, index_of(docs, bits=bits), CFG)
+    got = [(s.doc_ref, s.corpus_start, s.example_start, s.length) for s in spans]
+    oracle = {(ref, *span) for ref, doc in enumerate(docs) for span in maximal_common_substrings(field, doc, 8)}
+    assert got == sorted(oracle)
+
+
+def test_span_at_document_start_after_a_document_ending_in_the_preceding_field_token():
+    # the token buffer holds doc 0's last token 9 right before doc 1, and 9
+    # also precedes the match in the field: the span must still start at 0
+    field = [9] + list(range(1, 13))
+    index = index_of([[4] * 10 + [9], list(range(1, 13)) + [7]])
+    assert find_spans(field, index, CFG) == [MatchSpan(doc_ref=1, corpus_start=0, example_start=1, length=12)]
+
+
 def test_monotonicity_appending_tokens_never_decreases_score():
     rng = random.Random(9)
     for _ in range(30):
