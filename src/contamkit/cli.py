@@ -14,6 +14,7 @@ Subcommands:
 
 import argparse
 import json
+import os
 import sys
 
 from . import analytics, decontam, injector, matcher, metrics
@@ -22,11 +23,11 @@ from .corpus_io import (
     FORMAT_JSONL,
     CorpusFormatError,
     _require,
+    iter_batches,
     read_corpus,
     read_json_lines,
-    read_stream,
     read_testset,
-    write_stream,
+    write_batches,
     write_testset,
 )
 from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
@@ -96,11 +97,34 @@ def _cmd_inject_plan(args) -> int:
 
 def _cmd_inject_apply(args) -> int:
     schedule = injector.read_schedule(args.schedule)
-    stream = read_stream(args.stream)
-    out = injector.apply_schedule(stream, schedule, require_parallel_slots=args.require_parallel)
-    write_stream(out, args.out)
+    batches = injector.apply_batches(
+        iter_batches(args.stream), schedule, require_parallel_slots=args.require_parallel
+    )
+    try:
+        _write_on_success(batches, args.out)
+    except injector.StreamShapeError as e:
+        raise injector.StreamShapeError(f"{args.stream}: {e}") from e
     print(f"applied {len(schedule.entries)} entries -> {args.out}")
     return 0
+
+
+def _write_on_success(batches, out) -> None:
+    """Write batches to a temporary file beside ``out`` that replaces ``out``
+    only once the whole stream is written; on any error it is removed and
+    ``out`` is left as it was. A target that exists but is not a regular file
+    (e.g. ``/dev/stdout``) is written in place."""
+    if os.path.exists(out) and not os.path.isfile(out):
+        write_batches(batches, out)
+        return
+    target = os.path.realpath(out)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        write_batches(batches, tmp)
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _cmd_inject_verify(args) -> int:
@@ -132,6 +156,11 @@ def _read_segments(path, as_tokens: bool) -> list[list]:
 def _cmd_bleu(args) -> int:
     hyps = _read_segments(args.hyp, args.tokens)
     refs = _read_segments(args.ref, args.tokens)
+    if len(hyps) != len(refs):
+        raise ValueError(f"{args.hyp}: {len(hyps)} hypotheses vs {args.ref}: {len(refs)} references")
+    for lineno, ref in enumerate(refs, start=1):
+        if not ref:
+            raise CorpusFormatError(f"{args.ref}:{lineno}: reference segment is empty")
     score = metrics.corpus_bleu(hyps, refs, max_order=args.max_order, smoothing=args.smoothing)
     print(f"BLEU = {score:.4f} (order={args.max_order}, smoothing={args.smoothing})")
     return 0

@@ -18,12 +18,18 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
-filename order) or an explicit list of shard paths. Documents are plain
-dataclasses and safe to hand between threads once read; writers assume a
-single owner per output file.
+filename order) or an explicit list of shard paths. Batch streams are read
+one step at a time by :func:`iter_batches` and written from any iterable of
+batches by :func:`write_batches`, so a stream of any length passes through
+in memory bounded by one batch; ``read_stream`` and ``write_stream`` are the
+whole-stream forms built on them. Undecodable bytes in a JSON-lines file are
+reported as ``path:line`` like any other malformed record.
+Documents are plain dataclasses and safe to hand between threads once read;
+writers assume a single owner per output file.
 """
 
 import json
+import re
 import struct
 import sys
 from array import array
@@ -133,29 +139,45 @@ def _require(record: dict, key: str, where: str):
 def read_json_lines(path) -> Iterator[tuple[str, dict]]:
     """Yield ``("path:line", record)`` for every non-blank line of a JSON-lines file.
 
-    Raises :class:`CorpusFormatError` naming the line when it is not valid
-    JSON or not a JSON object.
+    Raises :class:`CorpusFormatError` naming the line when it is not UTF-8,
+    not valid JSON or not a JSON object.
     """
-    with open(path, encoding="utf-8") as f:
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                if not line.strip():
+                    continue
+                where = f"{path}:{lineno}"
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
+                if not isinstance(record, dict):
+                    raise CorpusFormatError(f"{where}: record must be a JSON object")
+                yield where, record
+    except UnicodeDecodeError:
+        raise CorpusFormatError(_undecodable_line(path)) from None
+
+
+def _undecodable_line(path) -> str:
+    # The reader decodes ahead of the line it yields, so its failure does not
+    # say where the bad byte is; find it, numbering lines as the reader does.
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
-            if not isinstance(record, dict):
-                raise CorpusFormatError(f"{where}: record must be a JSON object")
-            yield where, record
+            bad = re.search("[\udc80-\udcff]", line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                return f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x} at column {bad.start() + 1})"
+    return f"{path}: not UTF-8"
 
 
 def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> int:
     """Write one JSON object per line; returns the line count."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
     count = 0
     with open(path, "w", encoding="utf-8") as f:
         for record in records:
-            f.write(json.dumps(record, ensure_ascii=False, sort_keys=sort_keys))
+            f.write(encode(record))
             f.write("\n")
             count += 1
     return count
@@ -359,48 +381,62 @@ def group_by_pair(examples: Iterable[TestExample]) -> dict[str, list[TestExample
 def write_stream(stream: BatchStream, path) -> int:
     """Write a batch stream as (step, slot, doc) records; returns slot count."""
     stream.validate()
+    return write_batches(stream.steps, path)
+
+
+def write_batches(batches: Iterable[Sequence[CorpusDocument]], path) -> int:
+    """Write batches in order as (step, slot, doc) records; returns slot count.
+
+    Batches are consumed one at a time, so a generator is written in memory
+    bounded by one batch. Batch sizes are not checked here.
+    """
     return write_json_lines(path, (
         {"step": step, "slot": slot, "doc": doc_to_record(doc)}
-        for step, batch in enumerate(stream.steps)
+        for step, batch in enumerate(batches)
         for slot, doc in enumerate(batch)
     ))
 
 
-def read_stream(path) -> BatchStream:
-    """Read a batch stream, checking slot coverage per step.
+def iter_batches(path) -> Iterator[list[CorpusDocument]]:
+    """Yield a batch stream file one step at a time, checking slot coverage.
 
     Records must arrive step-major, slot-minor, starting at (0, 0). The batch
     size is taken from step 0; every step must then cover slots
-    ``0..batch_size-1`` exactly once.
+    ``0..batch_size-1`` exactly once. A step is yielded once the first record
+    of the next step (or the end of the file) shows it complete, so only one
+    batch is held at a time. An empty file yields nothing.
     """
-    steps: list[list[CorpusDocument]] = []
+    step = 0
     batch_size = None
     current: list[CorpusDocument] = []
 
-    def close_step(where: str):
+    def check_size(where: str):
         nonlocal batch_size
         if batch_size is None:
             batch_size = len(current)
         elif len(current) != batch_size:
-            raise CorpusFormatError(
-                f"{where}: step {len(steps)} has {len(current)} slots, expected {batch_size}"
-            )
-        steps.append(list(current))
-        current.clear()
+            raise CorpusFormatError(f"{where}: step {step} has {len(current)} slots, expected {batch_size}")
 
     for where, record in read_json_lines(path):
-        step = _require(record, "step", where)
+        record_step = _require(record, "step", where)
         slot = _require(record, "slot", where)
         doc = doc_from_record(_require(record, "doc", where), where)
-        if step == len(steps) + 1 and slot == 0:
-            close_step(where)
-        if step != len(steps) or slot != len(current):
+        if record_step == step + 1 and slot == 0:
+            check_size(where)
+            yield current
+            current = []
+            step += 1
+        if record_step != step or slot != len(current):
             raise CorpusFormatError(
-                f"{where}: expected (step {len(steps)}, slot {len(current)}), got ({step}, {slot})"
+                f"{where}: expected (step {step}, slot {len(current)}), got ({record_step}, {slot})"
             )
         current.append(doc)
     if current:
-        close_step(str(path))
-    if batch_size is None:
-        return BatchStream(batch_size=0, steps=[])
-    return BatchStream(batch_size=batch_size, steps=steps)
+        check_size(str(path))
+        yield current
+
+
+def read_stream(path) -> BatchStream:
+    """Read a whole batch stream into memory (see :func:`iter_batches`)."""
+    steps = list(iter_batches(path))
+    return BatchStream(batch_size=len(steps[0]) if steps else 0, steps=steps)

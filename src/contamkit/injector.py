@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, fields
 from enum import Enum
 from itertools import chain
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus_io import (
     CATEGORY_CONTAMINATION,
@@ -67,6 +67,10 @@ class CapacityError(RuntimeError):
 
 class TemplateError(ValueError):
     """A language tag has no English name in the prompt template."""
+
+
+class StreamShapeError(ValueError):
+    """A batch stream's step count or batch size does not match the schedule."""
 
 
 class ContaminationMode(str, Enum):
@@ -507,48 +511,78 @@ def apply_schedule(
     """Substitute scheduled slots with rendered contamination documents.
 
     Every scheduled (step, slot) gets a ``category=contamination`` document;
-    all other slots are returned untouched. With ``require_parallel_slots``
-    the incumbent at each scheduled slot must be parallel-category, which is
-    the convention that keeps the per-batch parallel-text budget constant
-    (contamination is parallel text in substance and counts toward it).
+    all other slots are returned untouched (the same document objects, in new
+    batch lists). With ``require_parallel_slots`` the incumbent at each
+    scheduled slot must be parallel-category, which is the convention that
+    keeps the per-batch parallel-text budget constant (contamination is
+    parallel text in substance and counts toward it).
 
     ``tokenizer`` turns rendered text into token ids; without one the
     replacement documents carry text only and the consumer tokenizes.
+
+    This is the in-memory form of :func:`apply_batches`, which does the work
+    one batch at a time; it raises ``ValueError`` as that function does.
+    """
+    steps = list(apply_batches(stream.steps, schedule, tokenizer, require_parallel_slots))
+    return BatchStream(batch_size=stream.batch_size, steps=steps)
+
+
+def apply_batches(
+    batches: Iterable[Sequence[CorpusDocument]],
+    schedule: InjectionSchedule,
+    tokenizer: Callable[[str], list[int]] | None = None,
+    require_parallel_slots: bool = False,
+) -> Iterator[list[CorpusDocument]]:
+    """Yield each batch of a stream with its scheduled slots substituted.
+
+    One merge pass: batches are read one at a time and each is yielded, as
+    a new list, before the next is read, so memory is one batch plus the
+    schedule. Checks run as early as the stream allows: duplicate targets
+    before the first batch is read, the batch size on the first batch, slot
+    bounds and ``require_parallel_slots`` per batch, and the step count and
+    any targets past the last step once the stream ends; a failed check
+    raises ``ValueError``, or :class:`StreamShapeError` for the batch size
+    and step count. Batches after the first are not size-checked
+    (:func:`~contamkit.corpus_io.iter_batches` already checks slot coverage).
+    Arguments and replacement documents are as in :func:`apply_schedule`.
     """
     config = schedule.config
-    if stream.batch_size != config.batch_size:
-        raise ValueError(
-            f"stream batch_size {stream.batch_size} does not match schedule batch_size {config.batch_size}"
-        )
-    if len(stream.steps) != config.total_steps:
-        raise ValueError(
-            f"stream has {len(stream.steps)} steps, schedule expects {config.total_steps}"
-        )
-    targets: dict[tuple[int, int], ScheduleEntry] = {}
+    targets: dict[int, dict[int, ScheduleEntry]] = {}
     for e in schedule.entries:
-        key = (e.step, e.slot)
-        if key in targets:
+        slots = targets.setdefault(e.step, {})
+        if e.slot in slots:
             raise ValueError(f"schedule targets (step {e.step}, slot {e.slot}) twice")
-        targets[key] = e
-    new_steps = [list(batch) for batch in stream.steps]
-    for (step, slot), e in targets.items():
-        if not 0 <= step < len(new_steps) or not 0 <= slot < stream.batch_size:
-            raise ValueError(f"schedule entry out of stream bounds: (step {step}, slot {slot})")
-        incumbent = new_steps[step][slot]
-        if require_parallel_slots and incumbent.category != CATEGORY_PARALLEL:
-            raise ValueError(
-                f"(step {step}, slot {slot}): incumbent is {incumbent.category!r}, "
-                "expected 'parallel'; replacing it would change the parallel-text budget"
+        slots[e.slot] = e
+    steps = 0
+    for step, batch in enumerate(batches):
+        if step == 0 and len(batch) != config.batch_size:
+            raise StreamShapeError(
+                f"stream batch_size {len(batch)} does not match schedule batch_size {config.batch_size}"
             )
-        tokens = tokenizer(e.rendered_text) if tokenizer is not None else []
-        new_steps[step][slot] = CorpusDocument(
-            doc_id=f"inject/{e.example_id}/{e.copy_index}/{e.part}",
-            tokens=tokens,
-            category=CATEGORY_CONTAMINATION,
-            lang=e.lang,
-            text=e.rendered_text,
-        )
-    return BatchStream(batch_size=stream.batch_size, steps=new_steps)
+        batch = list(batch)
+        for slot, e in targets.pop(step, {}).items():
+            if not 0 <= slot < config.batch_size:
+                raise ValueError(f"schedule entry out of stream bounds: (step {step}, slot {slot})")
+            incumbent = batch[slot]
+            if require_parallel_slots and incumbent.category != CATEGORY_PARALLEL:
+                raise ValueError(
+                    f"(step {step}, slot {slot}): incumbent is {incumbent.category!r}, "
+                    "expected 'parallel'; replacing it would change the parallel-text budget"
+                )
+            batch[slot] = CorpusDocument(
+                doc_id=f"inject/{e.example_id}/{e.copy_index}/{e.part}",
+                tokens=tokenizer(e.rendered_text) if tokenizer is not None else [],
+                category=CATEGORY_CONTAMINATION,
+                lang=e.lang,
+                text=e.rendered_text,
+            )
+        yield batch
+        steps = step + 1
+    if steps != config.total_steps:
+        raise StreamShapeError(f"stream has {steps} steps, schedule expects {config.total_steps}")
+    for e in schedule.entries:
+        if e.step in targets:  # a step the stream never reached
+            raise ValueError(f"schedule entry out of stream bounds: (step {e.step}, slot {e.slot})")
 
 
 @dataclass

@@ -1,5 +1,8 @@
 import json
+import os
 import random
+import stat
+import threading
 
 from contamkit import decontam
 from contamkit.cli import main
@@ -11,7 +14,7 @@ from contamkit.corpus_io import (
     write_corpus,
     write_stream,
 )
-from contamkit.injector import read_schedule
+from contamkit.injector import apply_schedule, read_schedule
 
 from helpers import make_example, random_tokens
 from test_injector import _synth_stream
@@ -295,3 +298,107 @@ def test_bleu_tokens_line_not_a_json_array_exits_two_naming_the_line(tmp_path, c
         assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--tokens"]) == 2
         _assert_one_error_line(capsys, f"{name}:2:")
 
+
+
+def _apply_plan(tmp_path):
+    """A 6-entry full_prompted plan for a 100 x 64 stream."""
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "full_prompted",
+        "--temporal", "late", "--copies", "1", "--steps", "100", "--batch-size", "64",
+        "--out", str(plan_path),
+    ]) == 0
+    return plan_path
+
+
+def test_failed_inject_apply_exits_two_and_leaves_out_alone(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    assert any(e.slot != 0 for e in read_schedule(plan_path).entries)  # slot 0 is always parallel
+    cases = (
+        ("short.jsonl", _synth_stream(50, 64), [], "short.jsonl: stream has 50 steps, schedule expects 100"),
+        ("narrow.jsonl", _synth_stream(100, 32), [],
+         "narrow.jsonl: stream batch_size 32 does not match schedule batch_size 64"),
+        ("mono.jsonl", _synth_stream(100, 64), ["--require-parallel"], "expected 'parallel'"),
+    )
+    for name, stream, flags, message in cases:
+        stream_path = tmp_path / name
+        write_stream(stream, stream_path)
+        for existing in (None, b"previous output\n"):
+            out_path = tmp_path / "out.jsonl"
+            if existing is not None:
+                out_path.write_bytes(existing)
+            before = sorted(p.name for p in tmp_path.iterdir())
+            capsys.readouterr()
+            assert main([
+                "inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                "--out", str(out_path), *flags,
+            ]) == 2
+            _assert_one_error_line(capsys, message)
+            assert sorted(p.name for p in tmp_path.iterdir()) == before  # no partial or temporary file
+            if existing is None:
+                assert not out_path.exists()
+            else:
+                assert out_path.read_bytes() == existing
+                out_path.unlink()
+
+
+def test_inject_apply_replaces_existing_out(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream = _synth_stream(100, 64)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(stream, stream_path)
+    out_path = tmp_path / "out.jsonl"
+    out_path.write_text("previous output\n")
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                 "--out", str(out_path)]) == 0
+    assert read_stream(out_path) == apply_schedule(stream, read_schedule(plan_path))
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+def test_inject_apply_writes_a_special_file_in_place(tmp_path, capsys):
+    # e.g. --out /dev/stdout: a target that is not a regular file is written, never replaced
+    plan_path = _apply_plan(tmp_path)
+    stream = _synth_stream(100, 64)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(stream, stream_path)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                 "--out", str(fifo)]) == 0
+    reader.join(timeout=30)
+    assert not reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode)
+    expected = tmp_path / "expected.jsonl"
+    write_stream(apply_schedule(stream, read_schedule(plan_path)), expected)
+    assert received == [expected.read_bytes()]
+
+
+def test_inject_apply_on_undecodable_stream_names_the_line(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(_synth_stream(100, 64), stream_path)
+    data = bytearray(stream_path.read_bytes())
+    third = data.index(b"\n", data.index(b"\n") + 1) + 1
+    data[third + 3] = 0xFF
+    stream_path.write_bytes(bytes(data))
+    capsys.readouterr()
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                 "--out", str(tmp_path / "out.jsonl")]) == 2
+    _assert_one_error_line(capsys, "stream.jsonl:3: not UTF-8 (byte 0xff at column 4)")
+    assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_bleu_names_the_file_and_line_of_a_bad_reference(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b c\nd e f\n")
+    ref.write_text("a b c\n\n")
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+    _assert_one_error_line(capsys, "ref.txt:2: reference segment is empty")
+
+    ref.write_text("a b c\n")
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 2
+    _assert_one_error_line(capsys, f"{hyp}: 2 hypotheses vs {ref}: 1 references")

@@ -11,7 +11,9 @@ from contamkit.corpus_io import (
     DuplicateIdError,
     TestExample,
     group_by_pair,
+    iter_batches,
     read_corpus,
+    read_json_lines,
     read_stream,
     read_testset,
     write_corpus,
@@ -274,3 +276,31 @@ def test_read_rejects_short_step(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match=r"expected \(step 1, slot 1\)"):
         read_stream(path)
+
+
+def test_iter_batches_yields_each_step_before_reading_the_next(tmp_path):
+    stream = _stream(3, 4)
+    path = tmp_path / "s.jsonl"
+    write_stream(stream, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:5] + ["not json"]) + "\n")  # step 1 breaks at its second record
+    batches = iter_batches(path)
+    assert next(batches) == stream.steps[0]
+    with pytest.raises(CorpusFormatError, match=r"s.jsonl:6: invalid JSON"):
+        next(batches)
+
+
+def test_iter_batches_rejects_a_short_last_step(tmp_path):
+    stream = _stream(3, 4)
+    path = tmp_path / "s.jsonl"
+    write_stream(stream, path)
+    path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
+    with pytest.raises(CorpusFormatError, match=r"s.jsonl: step 2 has 3 slots, expected 4"):
+        list(iter_batches(path))
+
+
+def test_undecodable_bytes_are_reported_as_path_and_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"doc_id": "d0", "tokens": [1]}\n\n{"doc_id": "d\xff1", "tokens": [2]}\n')
+    with pytest.raises(CorpusFormatError, match=r"c.jsonl:3: not UTF-8 \(byte 0xff at column 14\)"):
+        list(read_json_lines(path))

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -17,6 +18,7 @@ from contamkit.injector import (
     Temporal,
     TemplateError,
     TrainingConfig,
+    apply_batches,
     apply_schedule,
     plan_schedule,
     read_schedule,
@@ -444,3 +446,43 @@ def test_apply_untouched_slots_are_identical_objects():
         for slot in range(64):
             if (step, slot) not in touched:
                 assert out.steps[step][slot] is stream.steps[step][slot]
+
+
+def test_apply_batches_holds_one_batch_at_a_time():
+    schedule = plan_schedule(
+        _examples(2),
+        ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.UNIFORM, 5),
+        CONFIG,
+    )
+    stream = _synth_stream(1000, 64)
+    pulled = []
+
+    def source():
+        for step, batch in enumerate(stream.steps):
+            pulled.append(step)
+            yield batch
+
+    expected = apply_schedule(stream, schedule)
+    for step, batch in enumerate(apply_batches(source(), schedule)):
+        assert pulled[-1] == step
+        assert batch == expected.steps[step]
+    assert len(pulled) == 1000
+
+
+def test_apply_batches_checks_targets_before_and_after_the_stream():
+    schedule = plan_schedule(
+        _examples(1),
+        ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2),
+        CONFIG,
+    )
+    first = schedule.entries[0]
+    schedule.entries.append(first)
+    with pytest.raises(ValueError, match=rf"targets \(step {first.step}, slot {first.slot}\) twice"):
+        next(apply_batches(iter(()), schedule))
+
+    schedule.entries[-1] = dataclasses.replace(first, step=1000)
+    batches = apply_batches(_synth_stream(1000, 64).steps, schedule)
+    for _ in range(1000):
+        next(batches)
+    with pytest.raises(ValueError, match=r"out of stream bounds: \(step 1000, slot"):
+        next(batches)

@@ -1,12 +1,15 @@
-"""Peak-memory soak check: corpus reading must stream, not materialize."""
+"""Peak-memory soak checks: corpus reading and stream application must stream, not materialize."""
 
 import json
 import subprocess
 import sys
 import textwrap
 
-from contamkit.corpus_io import write_corpus
-from contamkit.corpus_io import CorpusDocument
+from contamkit.cli import main
+from contamkit.corpus_io import CorpusDocument, example_to_record, write_corpus
+from contamkit.injector import read_schedule
+
+from helpers import make_example
 
 DOCS_PER_SHARD = 20_000
 SHARDS = 3
@@ -15,7 +18,7 @@ RSS_CEILING_MB = 150  # generous; full materialization of 3M tokens would blow p
 
 READER = textwrap.dedent(
     """
-    import json, resource, sys
+    import json, sys
     from contamkit.corpus_io import read_corpus
 
     docs = 0
@@ -23,10 +26,31 @@ READER = textwrap.dedent(
     for doc in read_corpus(sys.argv[1]):
         docs += 1
         tokens += len(doc.tokens)
-    peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    print(json.dumps({"docs": docs, "tokens": tokens, "peak_kb": peak_kb}))
+    print(json.dumps({"docs": docs, "tokens": tokens}))
     """
 )
+
+# Linux carries the peak RSS of the process that calls exec into the new
+# program's ru_maxrss, so a command started straight from this (large) test
+# process would report at least the test process's own peak. A small launcher
+# starts the command instead and reads its peak from os.wait4.
+LAUNCHER = textwrap.dedent(
+    """
+    import json, os, sys
+
+    pid = os.posix_spawn(sys.executable, [sys.executable, *sys.argv[1:]], os.environ)
+    _, status, usage = os.wait4(pid, 0)
+    print(json.dumps({"code": os.waitstatus_to_exitcode(status), "peak_kb": usage.ru_maxrss}))
+    """
+)
+
+
+def _run_measured(*args):
+    """Run ``python *args`` through the launcher; returns (its output lines, exit code, peak RSS in MB)."""
+    result = subprocess.run([sys.executable, "-c", LAUNCHER, *args], capture_output=True, text=True, check=True)
+    *lines, last = result.stdout.splitlines()
+    stats = json.loads(last)
+    return lines, stats["code"], stats["peak_kb"] / 1024
 
 
 def _doc_stream(shard, count):
@@ -45,14 +69,65 @@ def test_reader_peak_rss_stays_bounded(tmp_path):
     for shard in range(SHARDS):
         write_corpus(_doc_stream(shard, DOCS_PER_SHARD), corpus_dir / f"shard-{shard:02d}.jsonl")
 
-    result = subprocess.run(
-        [sys.executable, "-c", READER, str(corpus_dir)],
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    stats = json.loads(result.stdout)
+    lines, code, peak_mb = _run_measured("-c", READER, str(corpus_dir))
+    assert code == 0
+    stats = json.loads(lines[-1])
     assert stats["docs"] == SHARDS * DOCS_PER_SHARD
     assert stats["tokens"] == SHARDS * DOCS_PER_SHARD * TOKENS_PER_DOC
-    peak_mb = stats["peak_kb"] / 1024
     assert peak_mb < RSS_CEILING_MB, f"peak RSS {peak_mb:.0f} MB exceeds {RSS_CEILING_MB} MB ceiling"
+
+
+STREAM_STEPS = 2_000
+STREAM_BATCH = 512
+APPLY_RSS_CEILING_MB = 64  # the whole 1.02M-record stream held in memory takes ~470 MB
+
+
+def _stream_line(step, slot):
+    # the exact bytes the writer emits, so untouched records must come back identical
+    category = "parallel" if slot % 2 else "monolingual"
+    return (
+        f'{{"step": {step}, "slot": {slot}, "doc": {{"doc_id": "d{step}-{slot}", '
+        f'"tokens": [{(step * STREAM_BATCH + slot) % 997}], "category": "{category}", "lang": "en"}}}}\n'
+    )
+
+
+def test_inject_apply_peak_rss_stays_bounded(tmp_path):
+    stream_path = tmp_path / "stream.jsonl"
+    with open(stream_path, "w", encoding="utf-8") as f:
+        for step in range(STREAM_STEPS):
+            f.write("".join(_stream_line(step, slot) for slot in range(STREAM_BATCH)))
+    testset_path = tmp_path / "testset.jsonl"
+    with open(testset_path, "w", encoding="utf-8") as f:
+        for i in range(20):
+            f.write(json.dumps(example_to_record(make_example(f"ex{i}", [i + 1], [i + 2]))) + "\n")
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "batched_pair",
+        "--temporal", "uniform", "--copies", "5", "--steps", str(STREAM_STEPS),
+        "--batch-size", str(STREAM_BATCH), "--seed", "3", "--out", str(plan_path),
+    ]) == 0
+    out_path = tmp_path / "applied.jsonl"
+
+    _, code, peak_mb = _run_measured(
+        "-m", "contamkit.cli", "inject", "apply", "--stream", str(stream_path),
+        "--schedule", str(plan_path), "--out", str(out_path),
+    )
+    assert code == 0
+    assert peak_mb < APPLY_RSS_CEILING_MB, f"peak RSS {peak_mb:.0f} MB exceeds {APPLY_RSS_CEILING_MB} MB ceiling"
+
+    targets = {(e.step, e.slot): e for e in read_schedule(plan_path).entries}
+    assert len(targets) == 200
+    changed = {}
+    with open(stream_path, encoding="utf-8") as before, open(out_path, encoding="utf-8") as after:
+        for step in range(STREAM_STEPS):
+            for slot in range(STREAM_BATCH):
+                a, b = next(before), next(after)
+                if a != b:
+                    changed[(step, slot)] = json.loads(b)
+        assert not before.read(1) and not after.read(1)
+    assert changed.keys() == targets.keys()
+    for key, record in changed.items():
+        e = targets[key]
+        assert (record["step"], record["slot"]) == key
+        assert record["doc"]["doc_id"] == f"inject/{e.example_id}/{e.copy_index}/{e.part}"
+        assert record["doc"]["category"] == "contamination" and record["doc"]["text"] == e.rendered_text
