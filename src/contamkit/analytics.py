@@ -18,7 +18,8 @@ import json
 import statistics
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Sequence
 
 from .injector import ContaminationCondition
 from .metrics import EvalRecord
@@ -63,6 +64,17 @@ class ImpactTable:
     missing_contaminated: tuple[tuple[str, str], ...]
 
 
+def _keyed(items: Iterable, key: Callable, what: str) -> dict:
+    """Index items by ``key(item)``, refusing a key seen twice."""
+    table = {}
+    for item in items:
+        k = key(item)
+        if k in table:
+            raise ValueError(f"duplicate {what} for {k}")
+        table[k] = item
+    return table
+
+
 def impact_table(
     baseline: Iterable[EvalRecord],
     contaminated: Iterable[EvalRecord],
@@ -73,18 +85,8 @@ def impact_table(
     Keys present on only one side are reported in the result, never silently
     dropped. An empty intersection is an error.
     """
-
-    def keyed(records, side):
-        table = {}
-        for r in records:
-            key = (r.lang_pair, r.testset_id)
-            if key in table:
-                raise ValueError(f"duplicate {side} record for {key}")
-            table[key] = r
-        return table
-
-    base = keyed(baseline, "baseline")
-    cont = keyed(contaminated, "contaminated")
+    base = _keyed(baseline, attrgetter("lang_pair", "testset_id"), "baseline record")
+    cont = _keyed(contaminated, attrgetter("lang_pair", "testset_id"), "contaminated record")
     shared = [k for k in base if k in cont]
     if not shared:
         raise ValueError("baseline and contaminated records share no (lang_pair, testset) keys")
@@ -173,18 +175,8 @@ def testset_gap(
     clean_set: Iterable[ImpactCell],
 ) -> list[GapCell]:
     """Per-pair gap between two impact tables sharing (condition, lang_pair)."""
-
-    def keyed(cells, side):
-        table = {}
-        for c in cells:
-            key = (c.condition, c.lang_pair)
-            if key in table:
-                raise ValueError(f"duplicate {side} cell for {key}")
-            table[key] = c
-        return table
-
-    contaminated = keyed(contaminated_set, "contaminated-set")
-    clean = keyed(clean_set, "clean-set")
+    contaminated = _keyed(contaminated_set, attrgetter("condition", "lang_pair"), "contaminated-set cell")
+    clean = _keyed(clean_set, attrgetter("condition", "lang_pair"), "clean-set cell")
     shared = [k for k in contaminated if k in clean]
     if not shared:
         raise ValueError("impact tables share no (condition, lang_pair) keys")

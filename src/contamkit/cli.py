@@ -23,6 +23,7 @@ from .corpus_io import (
     FORMAT_JSONL,
     CorpusFormatError,
     _require,
+    _undecodable_line,
     iter_batches,
     read_corpus,
     read_json_lines,
@@ -137,19 +138,22 @@ def _cmd_inject_verify(args) -> int:
 def _read_segments(path, as_tokens: bool) -> list[list]:
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
     segments = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not as_tokens:
-                segments.append(metrics.whitespace_tokens(line))
-                continue
-            try:
-                tokens = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-            if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
-                raise CorpusFormatError(f"{path}:{lineno}: segment must be a JSON array of scalar tokens")
-            segments.append(tokens)
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if not as_tokens:
+                    segments.append(metrics.whitespace_tokens(line))
+                    continue
+                try:
+                    tokens = json.loads(line)
+                except json.JSONDecodeError as e:
+                    raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
+                if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
+                    raise CorpusFormatError(f"{path}:{lineno}: segment must be a JSON array of scalar tokens")
+                segments.append(tokens)
+    except UnicodeDecodeError:
+        raise CorpusFormatError(_undecodable_line(path)) from None
     return segments
 
 

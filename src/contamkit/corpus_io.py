@@ -130,10 +130,17 @@ def _check_tokens(value, where: str, key: str = "tokens") -> list[int]:
     return value
 
 
-def _require(record: dict, key: str, where: str):
+def _require(record: dict, key: str, where: str, kind: type | None = None):
+    """``record[key]``; with ``kind`` ``int`` or ``str`` the value must also be a
+    non-negative integer or a string."""
     if key not in record:
         raise CorpusFormatError(f"{where}: missing field '{key}'")
-    return record[key]
+    value = record[key]
+    if kind is int and (type(value) is not int or value < 0):
+        raise CorpusFormatError(f"{where}: field '{key}' must be a non-negative integer")
+    if kind is str and type(value) is not str:
+        raise CorpusFormatError(f"{where}: field '{key}' must be a string")
+    return value
 
 
 def read_json_lines(path) -> Iterator[tuple[str, dict]]:
@@ -354,8 +361,7 @@ def read_testset(path) -> list[TestExample]:
             raise DuplicateIdError(f"{where}: duplicate example_id {example_id!r}")
         seen.add(example_id)
         for key in ("src_lang", "tgt_lang", "source_text", "target_text"):
-            if not isinstance(_require(record, key, where), str):
-                raise CorpusFormatError(f"{where}: field '{key}' must be a string")
+            _require(record, key, where, str)
         for key in ("source_tokens", "target_tokens"):
             if not _check_tokens(_require(record, key, where), where, key):
                 raise CorpusFormatError(f"{where}: field '{key}' must be non-empty")

@@ -9,7 +9,10 @@ way it appears at test time, with English language names prepended::
 ``source_only`` / ``target_only`` emit the bare field text with no
 formatting. ``split_pair`` and ``batched_pair`` emit both bare texts as two
 separate unpaired documents; batched halves land in the same training step
-while split halves land in different steps.
+while split halves land in different steps. ``MODE_LAYOUT`` is the one place
+that says which documents a mode renders and which of them share a step; the
+renderer, the planner's window, capacity and placement, and the verifier all
+read it.
 
 A plan places ``examples x copies`` rendered copies into a training stream
 under a temporal condition: ``early`` / ``middle`` / ``late`` windows start
@@ -23,10 +26,11 @@ drawn uniformly without replacement.
 
 All randomness comes from one counter-based generator (SplitMix64: output i
 is the splitmix finalizer applied to ``seed + (i+1) * 0x9E3779B97F4A7C15``;
-integers below a bound are taken by rejection sampling). Draw order is:
-steps in unit order (source half before target half), then slots per step in
-ascending step order. Plans are therefore a pure function of (examples,
-condition, config, template) and serialize byte-identically across runs.
+integers below a bound are taken by rejection sampling). Draw order is: one
+step per layout group in unit order (source half before target half), then
+slots per step in ascending step order. Plans are therefore a pure function
+of (examples, condition, config, template) and serialize byte-identically
+across runs.
 """
 
 import math
@@ -81,12 +85,15 @@ class ContaminationMode(str, Enum):
     BATCHED_PAIR = "batched_pair"
 
 
-MODE_ARITY = {
-    ContaminationMode.FULL_PROMPTED: 1,
-    ContaminationMode.SOURCE_ONLY: 1,
-    ContaminationMode.TARGET_ONLY: 1,
-    ContaminationMode.SPLIT_PAIR: 2,
-    ContaminationMode.BATCHED_PAIR: 2,
+# The parts each copy of an example is rendered into, in render order, as
+# groups: the documents of a group share one step, and each group of a copy
+# takes a step of its own.
+MODE_LAYOUT: dict[ContaminationMode, tuple[tuple[str, ...], ...]] = {
+    ContaminationMode.FULL_PROMPTED: ((PART_WHOLE,),),
+    ContaminationMode.SOURCE_ONLY: ((PART_WHOLE,),),
+    ContaminationMode.TARGET_ONLY: ((PART_WHOLE,),),
+    ContaminationMode.SPLIT_PAIR: ((PART_SOURCE_HALF,), (PART_TARGET_HALF,)),
+    ContaminationMode.BATCHED_PAIR: ((PART_SOURCE_HALF, PART_TARGET_HALF),),
 }
 
 
@@ -117,7 +124,8 @@ class ContaminationCondition:
 
     @property
     def arity(self) -> int:
-        return MODE_ARITY[self.mode]
+        """Documents per copy."""
+        return sum(map(len, MODE_LAYOUT[self.mode]))
 
 
 @dataclass(frozen=True)
@@ -192,22 +200,22 @@ class RenderedDoc:
 def render(example: TestExample, mode: ContaminationMode, template: PromptTemplate = DEFAULT_TEMPLATE) -> list[RenderedDoc]:
     """Render one example into the training documents its mode calls for."""
     mode = ContaminationMode(mode)
-    pair_lang = f"{example.src_lang}-{example.tgt_lang}"
+    source = (example.source_text, example.src_lang)
+    target = (example.target_text, example.tgt_lang)
     if mode is ContaminationMode.FULL_PROMPTED:
         text = (
             f"{template.name_for(example.src_lang)}: {example.source_text}\n"
             f"{template.name_for(example.tgt_lang)}: {example.target_text}"
         )
-        return [RenderedDoc(text=text, part=PART_WHOLE, lang=pair_lang)]
-    if mode is ContaminationMode.SOURCE_ONLY:
-        return [RenderedDoc(text=example.source_text, part=PART_WHOLE, lang=example.src_lang)]
-    if mode is ContaminationMode.TARGET_ONLY:
-        return [RenderedDoc(text=example.target_text, part=PART_WHOLE, lang=example.tgt_lang)]
-    # split_pair / batched_pair: both bare texts as separate unpaired documents
-    return [
-        RenderedDoc(text=example.source_text, part=PART_SOURCE_HALF, lang=example.src_lang),
-        RenderedDoc(text=example.target_text, part=PART_TARGET_HALF, lang=example.tgt_lang),
-    ]
+        docs = [(text, f"{example.src_lang}-{example.tgt_lang}")]
+    elif mode is ContaminationMode.SOURCE_ONLY:
+        docs = [source]
+    elif mode is ContaminationMode.TARGET_ONLY:
+        docs = [target]
+    else:  # split_pair / batched_pair: both bare texts as separate unpaired documents
+        docs = [source, target]
+    parts = [part for group in MODE_LAYOUT[mode] for part in group]
+    return [RenderedDoc(text=text, part=part, lang=lang) for (text, lang), part in zip(docs, parts, strict=True)]
 
 
 class CounterRng:
@@ -269,44 +277,35 @@ class InjectionSchedule:
 
 
 def _window(condition: ContaminationCondition, config: TrainingConfig, units: int) -> tuple[int, int]:
-    """Resolve the [start, end) step window for a condition, growing
-    concentrated windows just enough to fit all entries under the cap."""
+    """Resolve the [start, end) step window for ``units`` copies, growing
+    concentrated windows just enough to fit all entries under the cap.
+
+    Raises :class:`CapacityError` when the window cannot hold them.
+    """
     steps = config.total_steps
     cap = config.replace_cap()
-    mode = condition.mode
+    layout = MODE_LAYOUT[condition.mode]
+    size, groups = len(layout[0]), len(layout)  # documents per group (all alike), steps per copy
+    per_step = cap // size  # groups one step can take
     if condition.temporal is Temporal.UNIFORM:
-        lo = int(math.floor(UNIFORM_RANGE_FRAC[0] * steps))
-        hi = int(math.floor(UNIFORM_RANGE_FRAC[1] * steps))
-        return lo, min(hi + 1, steps)
-    start = int(math.floor(WINDOW_START_FRAC[condition.temporal] * steps))
-    base = max(1, math.ceil(config.window_frac * steps))
-    if mode is ContaminationMode.BATCHED_PAIR:
-        units_per_step = cap // 2
-        needed = math.ceil(units / units_per_step) if units_per_step else steps + 1
-    elif mode is ContaminationMode.SPLIT_PAIR:
-        # one spare step of headroom so the different-step constraint on the
-        # two halves cannot wedge a tightly packed window
-        needed = max(2, math.ceil(2 * units / cap) + 1) if cap else steps + 1
+        start = int(math.floor(UNIFORM_RANGE_FRAC[0] * steps))
+        end = min(int(math.floor(UNIFORM_RANGE_FRAC[1] * steps)) + 1, steps)
     else:
-        needed = math.ceil(units / cap) if cap else steps + 1
-    end = min(start + max(base, needed), steps)
-    return start, end
-
-
-def _check_capacity(condition: ContaminationCondition, config: TrainingConfig, units: int, window: tuple[int, int]):
-    cap = config.replace_cap()
-    width = window[1] - window[0]
-    entries = units * condition.arity
-    if condition.mode is ContaminationMode.BATCHED_PAIR:
-        available = width * (cap // 2) * 2
-    else:
-        available = width * cap
-    if condition.mode is ContaminationMode.SPLIT_PAIR and width < 2 and units > 0:
+        start = int(math.floor(WINDOW_START_FRAC[condition.temporal] * steps))
+        base = max(1, math.ceil(config.window_frac * steps))
+        # one spare step per extra group of a copy, so the different-step
+        # constraint cannot wedge a tightly packed window
+        needed = math.ceil(units * groups / per_step) + groups - 1 if per_step else steps + 1
+        end = min(start + max(base, needed), steps)
+    width = end - start
+    if width < groups:
         raise CapacityError(
-            f"split_pair needs a window of at least 2 steps, window has {width}",
-            required=2,
+            f"{condition.mode.value} needs a window of at least {groups} steps, window has {width}",
+            required=groups,
             available=width,
         )
+    entries = units * condition.arity
+    available = width * per_step * size
     if entries > available:
         raise CapacityError(
             f"plan needs {entries} injection slots but the window provides {available} "
@@ -314,6 +313,7 @@ def _check_capacity(condition: ContaminationCondition, config: TrainingConfig, u
             required=entries,
             available=available,
         )
+    return start, end
 
 
 def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], bool]) -> int:
@@ -358,12 +358,14 @@ def plan_schedule(
             required=1,
             available=0,
         )
-    rendered = {ex.example_id: render(ex, condition.mode, template) for ex in examples}
-    if len(rendered) != len(examples):
+    # each example's rendered documents, split into the groups of its mode's layout
+    grouped: dict[str, list[list[RenderedDoc]]] = {}
+    for ex in examples:
+        docs = iter(render(ex, condition.mode, template))
+        grouped[ex.example_id] = [[next(docs) for _ in parts] for parts in MODE_LAYOUT[condition.mode]]
+    if len(grouped) != len(examples):
         raise ValueError("examples must have unique example_ids")
-    units = [(ex, copy) for ex in examples for copy in range(condition.copies)]
-    window = _window(condition, config, len(units))
-    _check_capacity(condition, config, len(units), window)
+    window = _window(condition, config, len(examples) * condition.copies)
 
     rng = CounterRng(config.seed)
     load: dict[int, int] = {}
@@ -371,35 +373,21 @@ def plan_schedule(
     def room(step: int, need: int) -> bool:
         return cap - load.get(step, 0) >= need
 
-    pending: list[tuple[str, int, RenderedDoc, int]] = []  # (example_id, copy, doc, step)
-    for ex, copy in units:
-        docs = rendered[ex.example_id]
-        if condition.mode is ContaminationMode.BATCHED_PAIR:
-            step = _draw_step(rng, window, lambda s: room(s, 2))
-            load[step] = load.get(step, 0) + 2
-            pending.append((ex.example_id, copy, docs[0], step))
-            pending.append((ex.example_id, copy, docs[1], step))
-        elif condition.mode is ContaminationMode.SPLIT_PAIR:
-            first = _draw_step(rng, window, lambda s: room(s, 1))
-            load[first] = load.get(first, 0) + 1
-            second = _draw_step(rng, window, lambda s: s != first and room(s, 1))
-            load[second] = load.get(second, 0) + 1
-            pending.append((ex.example_id, copy, docs[0], first))
-            pending.append((ex.example_id, copy, docs[1], second))
-        else:
-            step = _draw_step(rng, window, lambda s: room(s, 1))
-            load[step] = load.get(step, 0) + 1
-            pending.append((ex.example_id, copy, docs[0], step))
-
     by_step: dict[int, list[tuple[str, int, RenderedDoc]]] = {}
-    for example_id, copy, doc, step in pending:
-        by_step.setdefault(step, []).append((example_id, copy, doc))
+    for example_id, groups in grouped.items():
+        for copy in range(condition.copies):
+            taken: list[int] = []
+            for group in groups:
+                step = _draw_step(rng, window, lambda s: s not in taken and room(s, len(group)))
+                load[step] = load.get(step, 0) + len(group)
+                taken.append(step)
+                by_step.setdefault(step, []).extend([(example_id, copy, doc) for doc in group])
 
     entries: list[ScheduleEntry] = []
     for step in sorted(by_step):
-        group = by_step[step]
-        slots = _sample_slots(rng, config.batch_size, len(group))
-        for (example_id, copy, doc), slot in zip(group, slots):
+        placed = by_step[step]
+        slots = _sample_slots(rng, config.batch_size, len(placed))
+        for (example_id, copy, doc), slot in zip(placed, slots):
             entries.append(
                 ScheduleEntry(
                     step=step,
@@ -427,37 +415,30 @@ def plan_schedule(
 # -- schedule file I/O -------------------------------------------------------
 
 
+# The header holds the condition's fields, the config's and the schedule's own,
+# plus the derived branch_step and entry_count; a reader requires them in this
+# order, checking the types of the schedule's own and of each entry's fields
+# (the condition and config constructors check theirs).
+_CONDITION_FIELDS = tuple(f.name for f in fields(ContaminationCondition))
+_CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig))
+_SCHEDULE_FIELDS = {f.name: f.type for f in fields(InjectionSchedule) if f.name not in ("condition", "config", "entries")}
+_ENTRY_FIELDS = tuple((f.name, f.type) for f in fields(ScheduleEntry))
+# header fields that older files lack, and the value they read as there
+_OPTIONAL_FIELDS = {"strict_cap": False, "generator_version": "unknown"}
+
+
 def write_schedule(schedule: InjectionSchedule, path) -> int:
     """Write a plan: one JSON header line, then one JSON line per entry."""
     header = {
         "kind": "injection-schedule",
-        "generator_version": schedule.generator_version,
-        "mode": schedule.condition.mode.value,
-        "temporal": schedule.condition.temporal.value,
-        "copies": schedule.condition.copies,
-        "total_steps": schedule.config.total_steps,
-        "batch_size": schedule.config.batch_size,
-        "max_replace_frac": schedule.config.max_replace_frac,
-        "window_frac": schedule.config.window_frac,
-        "seed": schedule.config.seed,
-        "strict_cap": schedule.config.strict_cap,
-        "cap": schedule.cap,
-        "window_start": schedule.window_start,
-        "window_end": schedule.window_end,
+        **vars(schedule.condition),
+        **vars(schedule.config),
+        **{key: getattr(schedule, key) for key in _SCHEDULE_FIELDS},
         "branch_step": schedule.branch_step,
-        "template_names": dict(sorted(schedule.template_names.items())),
-        "example_count": schedule.example_count,
         "entry_count": len(schedule.entries),
     }
     write_json_lines(path, chain([header], map(vars, schedule.entries)), sort_keys=True)
     return len(schedule.entries)
-
-
-_HEADER_FIELDS = (
-    "mode", "temporal", "copies", "total_steps", "batch_size", "max_replace_frac", "window_frac", "seed",
-    "cap", "window_start", "window_end", "template_names", "example_count",
-)
-_ENTRY_FIELDS = tuple(f.name for f in fields(ScheduleEntry))
 
 
 def read_schedule(path) -> InjectionSchedule:
@@ -472,31 +453,22 @@ def read_schedule(path) -> InjectionSchedule:
         raise CorpusFormatError(f"{path}: missing schedule header")
     if header.get("kind") != "injection-schedule":
         raise CorpusFormatError(f"{where}: not an injection schedule file")
-    h = {key: _require(header, key, where) for key in _HEADER_FIELDS}
+
+    def field(key, kind=None):
+        if key in _OPTIONAL_FIELDS:
+            return header.get(key, _OPTIONAL_FIELDS[key])
+        return _require(header, key, where, kind)
+
+    condition_args = {key: field(key) for key in _CONDITION_FIELDS}
+    config_args = {key: field(key) for key in _CONFIG_FIELDS}
+    own = {key: field(key, kind) for key, kind in _SCHEDULE_FIELDS.items()}
     try:
-        condition = ContaminationCondition(mode=h["mode"], temporal=h["temporal"], copies=h["copies"])
-        config = TrainingConfig(
-            total_steps=h["total_steps"],
-            batch_size=h["batch_size"],
-            max_replace_frac=h["max_replace_frac"],
-            window_frac=h["window_frac"],
-            seed=h["seed"],
-            strict_cap=header.get("strict_cap", False),
-        )
+        condition = ContaminationCondition(**condition_args)
+        config = TrainingConfig(**config_args)
     except (TypeError, ValueError) as e:
         raise CorpusFormatError(f"{where}: {e}") from e
-    entries = [ScheduleEntry(*[_require(r, key, where) for key in _ENTRY_FIELDS]) for where, r in records]
-    return InjectionSchedule(
-        condition=condition,
-        config=config,
-        cap=h["cap"],
-        window_start=h["window_start"],
-        window_end=h["window_end"],
-        template_names=h["template_names"],
-        example_count=h["example_count"],
-        entries=entries,
-        generator_version=header.get("generator_version", "unknown"),
-    )
+    entries = [ScheduleEntry(*[_require(r, key, where, kind) for key, kind in _ENTRY_FIELDS]) for where, r in records]
+    return InjectionSchedule(condition=condition, config=config, entries=entries, **own)
 
 
 # -- application and verification --------------------------------------------
@@ -647,26 +619,20 @@ def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None =
         if count > schedule.cap:
             violations.append(f"step {step} has {count} injected entries, cap is {schedule.cap}")
 
-    expected_parts = {
-        ContaminationMode.FULL_PROMPTED: [PART_WHOLE],
-        ContaminationMode.SOURCE_ONLY: [PART_WHOLE],
-        ContaminationMode.TARGET_ONLY: [PART_WHOLE],
-        ContaminationMode.SPLIT_PAIR: [PART_SOURCE_HALF, PART_TARGET_HALF],
-        ContaminationMode.BATCHED_PAIR: [PART_SOURCE_HALF, PART_TARGET_HALF],
-    }[condition.mode]
+    layout = MODE_LAYOUT[condition.mode]
+    expected = sorted(part for group in layout for part in group)
     for (example_id, copy), group in sorted(parts.items()):
         have = sorted(e.part for e in group)
-        if have != sorted(expected_parts):
-            violations.append(
-                f"({example_id}, copy {copy}) has parts {have}, expected {sorted(expected_parts)}"
-            )
+        if have != expected:
+            violations.append(f"({example_id}, copy {copy}) has parts {have}, expected {expected}")
             continue
-        if condition.mode is ContaminationMode.BATCHED_PAIR:
-            if len({e.step for e in group}) != 1:
-                violations.append(f"({example_id}, copy {copy}): batched halves are not in the same step")
-        if condition.mode is ContaminationMode.SPLIT_PAIR:
-            if len({e.step for e in group}) != 2:
-                violations.append(f"({example_id}, copy {copy}): split halves share a step")
+        # a copy takes one step per layout group: more steps pull a group
+        # apart, fewer put two groups in one step
+        steps = len({e.step for e in group})
+        if steps > len(layout):
+            violations.append(f"({example_id}, copy {copy}): batched halves are not in the same step")
+        elif steps < len(layout):
+            violations.append(f"({example_id}, copy {copy}): split halves share a step")
 
     copies_seen: dict[str, set[int]] = {}
     for example_id, copy in parts:

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .corpus_io import TestExample
+from .corpus_io import TestExample, group_by_pair
 
 SMOOTHING_MODES = ("none", "add_one")
 
@@ -128,9 +128,7 @@ def score_system(
     missing = [ex.example_id for ex in testset if ex.example_id not in outputs]
     if missing:
         raise ValueError(f"missing hypotheses for {len(missing)} example(s): {', '.join(sorted(missing))}")
-    groups: dict[str, list[TestExample]] = {}
-    for ex in testset:
-        groups.setdefault(ex.pair, []).append(ex)
+    groups = group_by_pair(testset)
     records = []
     for pair in sorted(groups):
         members = groups[pair]

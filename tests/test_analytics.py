@@ -234,6 +234,23 @@ def test_gap_fixture_late_100_en_de():
     assert en_de.gap == pytest.approx(14.47, abs=1e-9)
 
 
+def test_duplicate_keys_are_named_with_their_side():
+    one, two = _record("de-en", 10.0), _record("de-en", 11.0)
+    with pytest.raises(ValueError) as err:
+        impact_table([one], [one, two])
+    assert str(err.value) == "duplicate contaminated record for ('de-en', 't')"
+    with pytest.raises(ValueError) as err:
+        impact_table([one, two], [one, two])
+    assert str(err.value) == "duplicate baseline record for ('de-en', 't')"
+    cell = _impact("en-de", 1.0, 2.0, condition=None)
+    with pytest.raises(ValueError) as err:
+        analytics.testset_gap([cell, cell], [cell])
+    assert str(err.value) == "duplicate contaminated-set cell for (None, 'en-de')"
+    with pytest.raises(ValueError) as err:
+        analytics.testset_gap([cell], [cell, cell])
+    assert str(err.value) == "duplicate clean-set cell for (None, 'en-de')"
+
+
 def test_gap_empty_intersection_is_error():
     with pytest.raises(ValueError, match="share no"):
         analytics.testset_gap([_impact("en-de", 1.0, 2.0)], [_impact("en-uk", 1.0, 2.0)])

@@ -391,6 +391,45 @@ def test_inject_apply_on_undecodable_stream_names_the_line(tmp_path, capsys):
     assert not (tmp_path / "out.jsonl").exists()
 
 
+def test_inject_verify_and_apply_reject_mistyped_schedule_fields(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(_synth_stream(100, 64), stream_path)
+    lines = [json.loads(line) for line in plan_path.read_text().splitlines()]
+    cases = (
+        (2, "slot", "4", "bad.jsonl:3: field 'slot' must be a non-negative integer"),
+        (2, "step", -1, "bad.jsonl:3: field 'step' must be a non-negative integer"),
+        (2, "copy_index", True, "bad.jsonl:3: field 'copy_index' must be a non-negative integer"),
+        (2, "example_id", 7, "bad.jsonl:3: field 'example_id' must be a string"),
+        (0, "cap", "3", "bad.jsonl:1: field 'cap' must be a non-negative integer"),
+        (0, "window_end", 99.5, "bad.jsonl:1: field 'window_end' must be a non-negative integer"),
+    )
+    bad_path = tmp_path / "bad.jsonl"
+    for line, key, value, message in cases:
+        edited = [dict(record) for record in lines]
+        edited[line][key] = value
+        bad_path.write_text("".join(json.dumps(record) + "\n" for record in edited))
+        capsys.readouterr()
+        assert main(["inject", "verify", "--schedule", str(bad_path)]) == 2
+        _assert_one_error_line(capsys, message)
+        assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(bad_path),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
+        _assert_one_error_line(capsys, message)
+        assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_bleu_names_the_file_and_line_of_undecodable_bytes(tmp_path, capsys):
+    hyp = tmp_path / "h.txt"
+    ref = tmp_path / "r.txt"
+    hyp.write_bytes(b"a b\xff c\nd e f\n")
+    ref.write_text("a b c\nd e f\n")
+    for flags in ([], ["--tokens"]):
+        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), *flags]) == 2
+        _assert_one_error_line(capsys, "h.txt:1: not UTF-8 (byte 0xff at column 4)")
+    assert main(["bleu", "--hyp", str(ref), "--ref", str(hyp)]) == 2
+    _assert_one_error_line(capsys, "h.txt:1: not UTF-8 (byte 0xff at column 4)")
+
+
 def test_bleu_names_the_file_and_line_of_a_bad_reference(tmp_path, capsys):
     hyp = tmp_path / "hyp.txt"
     ref = tmp_path / "ref.txt"

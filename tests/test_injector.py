@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -222,6 +223,43 @@ def test_schedule_is_deterministic_and_seed_changes_placement(tmp_path):
     assert [(e.step, e.slot) for e in other.entries] != [(e.step, e.slot) for e in a.entries]
 
 
+# sha256 of the schedule file of 3 examples x 4 copies on 200 steps x 64, seed 7,
+# as written by the contamkit-planner/1 generator: a plan is byte-stable across
+# code versions for as long as GENERATOR_VERSION stays the same
+PLAN_DIGESTS = {
+    ("full_prompted", "early"): "eb2516fa0bdce34412653da70466f8abed12e9cfdbff4f8f4e97ff4c8bc354cd",
+    ("full_prompted", "middle"): "ce6205d1815948a5ed375aa7f2fba43e0725fd98e2f090c4ab0091975cb608c9",
+    ("full_prompted", "late"): "a9532045a6aea8d9f060b2e20d15c9c6f41ef3079f1b8214cecc66b5cc383a9b",
+    ("full_prompted", "uniform"): "258350171eaa1cdc73a1677a897e25e03e58b1df842e2e746f3be4ebc17a552e",
+    ("source_only", "early"): "1ee68ba128c485f2553840652f2fc4792cb65b9474d2ffbf229ddbc83246dc53",
+    ("source_only", "middle"): "50161112b999da4b2a86b549457fff9f5689d7ac09188c6416e52fb97c3e44b8",
+    ("source_only", "late"): "83fa0e459d6760fdfd62fb068870823e61bf19f15238f90e2fb6a1ab8f4a2ab8",
+    ("source_only", "uniform"): "72bb53346c302cd15bc9580014436b717ae23e4821d0d381f9928d5eaddd812d",
+    ("target_only", "early"): "ee13ea3c9a2b1ae92621382e02c4efdfff5a4c7a8e002f742fdd08c0013ebc6d",
+    ("target_only", "middle"): "d574be92bcb2e49c561aeba3fde8ce460129462c008d563b3ea55785b01bce08",
+    ("target_only", "late"): "059de1ff0b709070916ee3c1b5c237df709077431f12c461c7395e02cae2cdb6",
+    ("target_only", "uniform"): "b22bb867f27f7a8b88704b3edac375ddd335e86b388082a01075b75b88db5ac7",
+    ("split_pair", "early"): "d56d21852818eb60c542804533db5bc3e252317c8b080d36cd63b492f7f0d288",
+    ("split_pair", "middle"): "6ff40f1cfadb9f3ede831d3aecd1d6563e4704758046ec54ce560a67a269d657",
+    ("split_pair", "late"): "ba2caae50c6aab6ca84368bbe1bda904909be41e16c0498b3f6fefef82192287",
+    ("split_pair", "uniform"): "d3faa5e4ca5c3a0efd47f910d5a47d5e9d127473b96293c6ce528c0f013c7537",
+    ("batched_pair", "early"): "c5adea73ec0f1d1ca6c7b2109ff068312be2898fd97356df7e8f1be6310f7268",
+    ("batched_pair", "middle"): "d3a6559111c48886c1ba49abe23545aa7aea907412d38f4a483e215aa02534c2",
+    ("batched_pair", "late"): "7e2903b563723b14b04e167e05df5404dd67c7702df6e7951159fb2142030180",
+    ("batched_pair", "uniform"): "eeffa76a595cb6c8f317499566b2bedf9561bf6fb93ce328683ee7c99d212cbb",
+}
+
+
+def test_schedule_files_match_recorded_digests(tmp_path):
+    config = TrainingConfig(total_steps=200, batch_size=64, seed=7)
+    path = tmp_path / "plan.jsonl"
+    digests = {}
+    for mode, temporal in itertools.product(ContaminationMode, Temporal):
+        write_schedule(plan_schedule(_examples(3), ContaminationCondition(mode, temporal, 4), config), path)
+        digests[(mode.value, temporal.value)] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PLAN_DIGESTS
+
+
 def test_capacity_error_reports_required_vs_available():
     config = TrainingConfig(total_steps=100, batch_size=64, seed=1)  # late window: steps 90..99, cap 3
     with pytest.raises(CapacityError) as err:
@@ -233,6 +271,14 @@ def test_capacity_error_reports_required_vs_available():
     assert err.value.required == 200
     assert err.value.available == 30
     assert "200" in str(err.value) and "30" in str(err.value)
+
+
+def test_split_pair_in_a_one_step_window_is_a_capacity_error():
+    config = TrainingConfig(total_steps=10, batch_size=64, seed=1)  # late window: step 9 only
+    with pytest.raises(CapacityError) as err:
+        plan_schedule(_examples(1), ContaminationCondition(ContaminationMode.SPLIT_PAIR, Temporal.LATE, 1), config)
+    assert str(err.value) == "split_pair needs a window of at least 2 steps, window has 1"
+    assert (err.value.required, err.value.available) == (2, 1)
 
 
 def test_duplicate_example_ids_rejected():
@@ -324,6 +370,50 @@ def test_verify_flags_missing_half():
     report = verify_schedule(schedule)
     assert any("entry count" in v for v in report.violations)
     assert any("parts" in v for v in report.violations)
+
+
+def _move_one_half(schedule, to_step):
+    """Move the second half of the first copy whose ``to_step(first)`` step has
+    room under the cap to that step's first free slot; returns the copy's key."""
+    load = {}
+    for e in schedule.entries:
+        load[e.step] = load.get(e.step, 0) + 1
+    used = {(e.step, e.slot) for e in schedule.entries}
+    first = {}
+    for i, e in enumerate(schedule.entries):
+        key = (e.example_id, e.copy_index)
+        if key not in first:
+            first[key] = e
+            continue
+        step = to_step(first[key])
+        if step != e.step and load.get(step, 0) < schedule.cap:
+            slot = next(s for s in range(schedule.config.batch_size) if (step, s) not in used)
+            schedule.entries[i] = dataclasses.replace(e, step=step, slot=slot)
+            return key
+    raise AssertionError("no copy can be moved")
+
+
+def test_verify_flags_batched_half_in_another_step():
+    schedule = plan_schedule(
+        _examples(3),
+        ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.MIDDLE, 4),
+        CONFIG,
+    )
+    steps = range(schedule.window_start, schedule.window_end)
+    example_id, copy = _move_one_half(schedule, lambda e: steps[(e.step - schedule.window_start + 1) % len(steps)])
+    assert verify_schedule(schedule).violations == [
+        f"({example_id}, copy {copy}): batched halves are not in the same step"
+    ]
+
+
+def test_verify_flags_split_halves_in_one_step():
+    schedule = plan_schedule(
+        _examples(3),
+        ContaminationCondition(ContaminationMode.SPLIT_PAIR, Temporal.MIDDLE, 4),
+        CONFIG,
+    )
+    example_id, copy = _move_one_half(schedule, lambda e: e.step)
+    assert verify_schedule(schedule).violations == [f"({example_id}, copy {copy}): split halves share a step"]
 
 
 # -- application --------------------------------------------------------------------
