@@ -22,7 +22,7 @@ from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
 from .injector import ContaminationCondition
-from .metrics import EvalRecord
+from .metrics import EvalRecord, split_pair
 
 DIRECTION_EN_TO_X = "en_to_x"
 DIRECTION_X_TO_EN = "x_to_en"
@@ -132,9 +132,7 @@ def box_stats(values: Sequence[float]) -> BoxStats:
 
 def direction_of(lang_pair: str) -> str:
     """Direction group of a "src-tgt" pair string."""
-    src, sep, tgt = lang_pair.partition("-")
-    if not sep or not src or not tgt:
-        raise ValueError(f"cannot parse lang_pair {lang_pair!r}")
+    src, tgt = split_pair(lang_pair)
     if src == "en":
         return DIRECTION_EN_TO_X
     if tgt == "en":
@@ -260,24 +258,7 @@ _DIRECTION_TITLES = (
 def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
     """Render impact cells as direction-blocked aligned text or as JSON."""
     if fmt == "json":
-        payload = [
-            {
-                "lang_pair": c.lang_pair,
-                "testset_id": c.testset_id,
-                "baseline_bleu": c.baseline_bleu,
-                "contaminated_bleu": c.contaminated_bleu,
-                "delta": c.delta,
-                "pct": c.pct,
-                "condition": None
-                if c.condition is None
-                else {
-                    "mode": c.condition.mode.value,
-                    "temporal": c.condition.temporal.value,
-                    "copies": c.condition.copies,
-                },
-            }
-            for c in cells
-        ]
+        payload = [{**vars(c), "condition": None if c.condition is None else vars(c.condition)} for c in cells]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
@@ -304,15 +285,7 @@ def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
 def render_gaps(gaps: Sequence[GapCell], fmt: str = "text") -> str:
     """Render test-set gap cells as aligned text or JSON."""
     if fmt == "json":
-        payload = [
-            {
-                "lang_pair": g.lang_pair,
-                "delta_contaminated_set": g.delta_contaminated_set,
-                "delta_clean_set": g.delta_clean_set,
-                "gap": g.gap,
-            }
-            for g in gaps
-        ]
+        payload = [{key: value for key, value in vars(g).items() if key != "condition"} for g in gaps]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")

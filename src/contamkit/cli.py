@@ -22,8 +22,8 @@ from .corpus_io import (
     CORPUS_FORMATS,
     FORMAT_JSONL,
     CorpusFormatError,
-    _require,
     _undecodable_line,
+    from_record,
     iter_batches,
     read_corpus,
     read_json_lines,
@@ -171,15 +171,10 @@ def _cmd_bleu(args) -> int:
 
 
 def _read_records(path) -> list[metrics.EvalRecord]:
-    records = []
-    for where, r in read_json_lines(path):
-        system_id, lang_pair, bleu = (_require(r, key, where) for key in ("system_id", "lang_pair", "bleu"))
-        testset_id, segment_count = r.get("testset_id", "default"), r.get("segment_count", 1)
-        try:
-            records.append(metrics.EvalRecord(system_id, lang_pair, testset_id, bleu, segment_count))
-        except (TypeError, ValueError) as e:
-            raise CorpusFormatError(f"{where}: {e}") from e
-    return records
+    return [
+        from_record(metrics.EvalRecord, {"testset_id": "default", "segment_count": 1, **r}, where)
+        for where, r in read_json_lines(path)
+    ]
 
 
 def _parse_condition(text: str | None) -> injector.ContaminationCondition | None:

@@ -2,7 +2,7 @@
 
 On-disk formats (all little-endian, all line-oriented files UTF-8):
 
-* Corpus JSON-lines (``jsonl``): one document per line,
+* Corpus JSON-lines (``jsonl``): one :class:`CorpusDocument` per line,
   ``{"doc_id": str, "tokens": [int, ...], "category": str, "lang": str}``.
   ``category`` defaults to ``monolingual`` when absent; ``lang`` defaults to
   ``""``. Rendered contamination documents may carry an extra ``"text"`` field
@@ -11,10 +11,15 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
   u32 id length, id bytes, u32 token count, u32 tokens. This is the compact
   format for the n-gram scanner's hot path; it carries ids and tokens only
   (category/lang come back as defaults on read).
-* Test-set JSON-lines: ``{"example_id", "src_lang", "tgt_lang",
-  "source_text", "target_text", "source_tokens", "target_tokens"}``.
-* Batch-stream JSON-lines: ``{"step": int, "slot": int, "doc": <document>}``,
-  step-major then slot-minor.
+* Test-set JSON-lines: one :class:`TestExample` per line.
+* Batch-stream JSON-lines: one :class:`StreamRecord` per line,
+  ``{"step": int, "slot": int, "doc": <document>}``, step-major then
+  slot-minor.
+
+Every JSON-lines record (here, and schedules and eval records) is read by
+:func:`from_record`: every field is checked against its dataclass annotation
+(``int`` means non-negative; ``float`` admits an int; neither a bool) and
+``__post_init__``, and ``path:line`` and the field are named.
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
@@ -28,14 +33,15 @@ Documents are plain dataclasses and safe to hand between threads once read;
 writers assume a single owner per output file.
 """
 
+import functools
 import json
 import re
 import struct
 import sys
 from array import array
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NewType, Sequence, get_args
 
 FORMAT_JSONL = "jsonl"
 FORMAT_BINARY = "ctk"
@@ -58,6 +64,10 @@ class DuplicateIdError(ValueError):
     """The same id occurs more than once where uniqueness is required."""
 
 
+# annotates an integer field that may be negative (an ``int`` field may not)
+SignedInt = NewType("SignedInt", int)
+
+
 @dataclass
 class CorpusDocument:
     """One training document: an id plus its token-id sequence.
@@ -72,6 +82,12 @@ class CorpusDocument:
     category: str = CATEGORY_MONOLINGUAL
     lang: str = ""
     text: str | None = None
+
+    def __post_init__(self):
+        if not self.doc_id:
+            raise ValueError("field 'doc_id' must be a non-empty string")
+        if self.category not in CATEGORIES:
+            raise ValueError(f"field 'category' must be one of {CATEGORIES}")
 
 
 @dataclass
@@ -93,8 +109,9 @@ class TestExample:
     target_tokens: list[int]
 
     def __post_init__(self):
-        if not self.source_tokens or not self.target_tokens:
-            raise ValueError(f"example {self.example_id!r}: token fields must be non-empty")
+        for key in ("source_tokens", "target_tokens"):
+            if not getattr(self, key):
+                raise ValueError(f"field '{key}' must be non-empty")
         if self.src_lang == self.tgt_lang:
             raise ValueError(f"example {self.example_id!r}: src_lang and tgt_lang must differ")
 
@@ -124,23 +141,78 @@ class BatchStream:
                 )
 
 
-def _check_tokens(value, where: str, key: str = "tokens") -> list[int]:
-    if not isinstance(value, list) or any(not isinstance(t, int) or isinstance(t, bool) or t < 0 for t in value):
-        raise CorpusFormatError(f"{where}: field '{key}' must be a list of non-negative integers")
-    return value
+@dataclass(slots=True)
+class StreamRecord:
+    """One batch-stream line: the document at (``step``, ``slot``)."""
+
+    step: int
+    slot: int
+    doc: CorpusDocument
 
 
-def _require(record: dict, key: str, where: str, kind: type | None = None):
-    """``record[key]``; with ``kind`` ``int`` or ``str`` the value must also be a
-    non-negative integer or a string."""
-    if key not in record:
-        raise CorpusFormatError(f"{where}: missing field '{key}'")
-    value = record[key]
-    if kind is int and (type(value) is not int or value < 0):
-        raise CorpusFormatError(f"{where}: field '{key}' must be a non-negative integer")
-    if kind is str and type(value) is not str:
-        raise CorpusFormatError(f"{where}: field '{key}' must be a string")
-    return value
+# The JSON test of each field annotation :func:`from_record` reads, and what
+# its error says the value must be.
+_KINDS = {
+    int: (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
+    SignedInt: (lambda v: type(v) is int, "an integer"),
+    float: (lambda v: type(v) is int or type(v) is float, "a number"),
+    bool: (lambda v: type(v) is bool, "a boolean"),
+    str: (lambda v: type(v) is str, "a string"),
+    # every item exactly an int (so no bool), the smallest >= 0
+    list[int]: (lambda v: type(v) is list and (not v or ({*map(type, v)} == {int} and min(v) >= 0)),
+                "a list of non-negative integers"),
+    dict[str, str]: (lambda v: type(v) is dict and all(type(x) is str for x in v.values()), "an object of strings"),
+}
+
+
+@functools.cache
+def _field_plan(cls) -> tuple:
+    """``(name, test, what, default, nested)`` per field of dataclass ``cls``:
+    ``X | None`` also admits null, a ``str`` Enum reads as ``str``, a
+    dataclass as a nested object; other types have no test and must be given."""
+    plan = []
+    for f in fields(cls):
+        kind = f.type
+        optional = type(None) in get_args(kind)
+        if optional:
+            (kind,) = set(get_args(kind)) - {type(None)}
+        if isinstance(kind, type) and issubclass(kind, str):
+            kind = str
+        nested = kind if is_dataclass(kind) else None
+        test, what = (lambda v: type(v) is dict, "an object") if nested else _KINDS.get(kind, (None, None))
+        if optional:
+            test, what = (lambda v, test=test: v is None or test(v)), f"{what} or null"
+        plan.append((f.name, test, what, f.default, nested))
+    return tuple(plan)
+
+
+def from_record(cls, record: dict, where: str, *, defaults: bool = True, **given):
+    """Build dataclass ``cls`` from the JSON object ``record`` read at ``where``.
+
+    Fields in ``given`` are taken as they are; the others are read from
+    ``record`` and checked against their annotation, and may be absent when
+    they have a default value and ``defaults`` is true. A failed check, or a
+    ``ValueError`` from ``__post_init__``, raises :class:`CorpusFormatError`.
+    """
+    args = []  # positional: a dataclass builds faster from them than from keywords
+    for name, test, what, default, nested in _field_plan(cls):
+        if given and name in given:
+            value = given[name]
+        elif name in record:
+            value = record[name]
+            if not test(value):
+                raise CorpusFormatError(f"{where}: field '{name}' must be {what}")
+            if nested:
+                value = from_record(nested, value, where)
+        elif default is MISSING or not defaults:
+            raise CorpusFormatError(f"{where}: missing field '{name}'")
+        else:
+            value = default
+        args.append(value)
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise CorpusFormatError(f"{where}: {e}") from e
 
 
 def read_json_lines(path) -> Iterator[tuple[str, dict]]:
@@ -191,34 +263,11 @@ def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> 
 
 
 def doc_to_record(doc: CorpusDocument) -> dict:
-    record = {
-        "doc_id": doc.doc_id,
-        "tokens": doc.tokens,
-        "category": doc.category,
-        "lang": doc.lang,
-    }
-    if doc.text is not None:
-        record["text"] = doc.text
+    """A document's JSON object; ``text`` is left out when it is None."""
+    record = vars(doc).copy()
+    if doc.text is None:
+        del record["text"]
     return record
-
-
-def doc_from_record(record: dict, where: str) -> CorpusDocument:
-    if not isinstance(record, dict):
-        raise CorpusFormatError(f"{where}: record must be a JSON object")
-    doc_id = _require(record, "doc_id", where)
-    if not isinstance(doc_id, str) or not doc_id:
-        raise CorpusFormatError(f"{where}: field 'doc_id' must be a non-empty string")
-    tokens = _check_tokens(_require(record, "tokens", where), where)
-    category = record.get("category", CATEGORY_MONOLINGUAL)
-    if category not in CATEGORIES:
-        raise CorpusFormatError(f"{where}: field 'category' must be one of {CATEGORIES}")
-    lang = record.get("lang", "")
-    if not isinstance(lang, str):
-        raise CorpusFormatError(f"{where}: field 'lang' must be a string")
-    text = record.get("text")
-    if text is not None and not isinstance(text, str):
-        raise CorpusFormatError(f"{where}: field 'text' must be a string")
-    return CorpusDocument(doc_id=doc_id, tokens=tokens, category=category, lang=lang, text=text)
 
 
 def corpus_shards(path, fmt: str = FORMAT_JSONL) -> list[Path]:
@@ -243,30 +292,32 @@ def read_corpus(path, fmt: str = FORMAT_JSONL) -> Iterator[CorpusDocument]:
     """Stream documents from a corpus file, shard directory, or shard list.
 
     Yields documents in shard order then record order. Raises
-    :class:`CorpusFormatError` naming shard, line, and field on malformed
-    input and :class:`DuplicateIdError` on repeated doc_ids.
+    :class:`CorpusFormatError` naming shard, line (``doc #i`` in a ``ctk``
+    shard), and field on malformed input and :class:`DuplicateIdError`,
+    naming the same, on repeated doc_ids.
     """
     if fmt not in CORPUS_FORMATS:
         raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
     seen: set[str] = set()
     for shard in corpus_shards(path, fmt):
         reader = _read_jsonl_shard if fmt == FORMAT_JSONL else _read_binary_shard
-        for doc in reader(shard):
+        for where, doc in reader(shard):
             if doc.doc_id in seen:
-                raise DuplicateIdError(f"{shard}: duplicate doc_id {doc.doc_id!r}")
+                raise DuplicateIdError(f"{where}: duplicate doc_id {doc.doc_id!r}")
             seen.add(doc.doc_id)
             yield doc
 
 
-def _read_jsonl_shard(shard: Path) -> Iterator[CorpusDocument]:
+def _read_jsonl_shard(shard: Path) -> Iterator[tuple[str, CorpusDocument]]:
     for where, record in read_json_lines(shard):
-        yield doc_from_record(record, where)
+        yield where, from_record(CorpusDocument, record, where)
 
 
-def _read_binary_shard(shard: Path) -> Iterator[CorpusDocument]:
+def _read_binary_shard(shard: Path) -> Iterator[tuple[str, CorpusDocument]]:
     with open(shard, "rb") as f:
-        for doc_id, tokens in read_doc_table(f, shard):
-            yield CorpusDocument(doc_id=doc_id, tokens=tokens.tolist())
+        for i, (doc_id, tokens) in enumerate(read_doc_table(f, shard)):
+            where = f"{shard}: doc #{i}"
+            yield where, from_record(CorpusDocument, {"doc_id": doc_id}, where, tokens=tokens.tolist())
         if f.read(1):
             raise CorpusFormatError(f"{shard}: trailing bytes after the last document")
 
@@ -344,11 +395,8 @@ def write_corpus(docs: Iterable[CorpusDocument], path, fmt: str = FORMAT_JSONL) 
     raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
 
 
-_EXAMPLE_FIELDS = tuple(f.name for f in fields(TestExample))
-
-
 def example_to_record(ex: TestExample) -> dict:
-    return {key: getattr(ex, key) for key in _EXAMPLE_FIELDS}
+    return dict(vars(ex))
 
 
 def read_testset(path) -> list[TestExample]:
@@ -356,19 +404,11 @@ def read_testset(path) -> list[TestExample]:
     examples = []
     seen: set[str] = set()
     for where, record in read_json_lines(path):
-        example_id = _require(record, "example_id", where)
-        if example_id in seen:
-            raise DuplicateIdError(f"{where}: duplicate example_id {example_id!r}")
-        seen.add(example_id)
-        for key in ("src_lang", "tgt_lang", "source_text", "target_text"):
-            _require(record, key, where, str)
-        for key in ("source_tokens", "target_tokens"):
-            if not _check_tokens(_require(record, key, where), where, key):
-                raise CorpusFormatError(f"{where}: field '{key}' must be non-empty")
-        try:
-            examples.append(TestExample(**{key: record[key] for key in _EXAMPLE_FIELDS}))
-        except ValueError as e:
-            raise CorpusFormatError(f"{where}: {e}") from e
+        ex = from_record(TestExample, record, where)
+        if ex.example_id in seen:
+            raise DuplicateIdError(f"{where}: duplicate example_id {ex.example_id!r}")
+        seen.add(ex.example_id)
+        examples.append(ex)
     return examples
 
 
@@ -424,19 +464,15 @@ def iter_batches(path) -> Iterator[list[CorpusDocument]]:
             raise CorpusFormatError(f"{where}: step {step} has {len(current)} slots, expected {batch_size}")
 
     for where, record in read_json_lines(path):
-        record_step = _require(record, "step", where)
-        slot = _require(record, "slot", where)
-        doc = doc_from_record(_require(record, "doc", where), where)
-        if record_step == step + 1 and slot == 0:
+        r = from_record(StreamRecord, record, where)
+        if r.step == step + 1 and r.slot == 0:
             check_size(where)
             yield current
             current = []
             step += 1
-        if record_step != step or slot != len(current):
-            raise CorpusFormatError(
-                f"{where}: expected (step {step}, slot {len(current)}), got ({record_step}, {slot})"
-            )
-        current.append(doc)
+        if r.step != step or r.slot != len(current):
+            raise CorpusFormatError(f"{where}: expected (step {step}, slot {len(current)}), got ({r.step}, {r.slot})")
+        current.append(r.doc)
     if current:
         check_size(str(path))
         yield current

@@ -34,7 +34,7 @@ across runs.
 """
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from itertools import chain
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -45,8 +45,9 @@ from .corpus_io import (
     BatchStream,
     CorpusDocument,
     CorpusFormatError,
+    SignedInt,
     TestExample,
-    _require,
+    from_record,
     read_json_lines,
     write_json_lines,
 )
@@ -136,7 +137,7 @@ class TrainingConfig:
     batch_size: int
     max_replace_frac: float = 0.05
     window_frac: float = 0.02
-    seed: int = 0
+    seed: SignedInt = 0
     strict_cap: bool = False
 
     def __post_init__(self):
@@ -415,25 +416,16 @@ def plan_schedule(
 # -- schedule file I/O -------------------------------------------------------
 
 
-# The header holds the condition's fields, the config's and the schedule's own,
-# plus the derived branch_step and entry_count; a reader requires them in this
-# order, checking the types of the schedule's own and of each entry's fields
-# (the condition and config constructors check theirs).
-_CONDITION_FIELDS = tuple(f.name for f in fields(ContaminationCondition))
-_CONFIG_FIELDS = tuple(f.name for f in fields(TrainingConfig))
-_SCHEDULE_FIELDS = {f.name: f.type for f in fields(InjectionSchedule) if f.name not in ("condition", "config", "entries")}
-_ENTRY_FIELDS = tuple((f.name, f.type) for f in fields(ScheduleEntry))
-# header fields that older files lack, and the value they read as there
-_OPTIONAL_FIELDS = {"strict_cap": False, "generator_version": "unknown"}
-
-
 def write_schedule(schedule: InjectionSchedule, path) -> int:
-    """Write a plan: one JSON header line, then one JSON line per entry."""
+    """Write a plan: one JSON header line (the condition's, the config's and
+    the schedule's own fields, plus branch_step and entry_count), then one
+    JSON line per entry."""
+    own = {key: value for key, value in vars(schedule).items() if key not in ("condition", "config", "entries")}
     header = {
         "kind": "injection-schedule",
         **vars(schedule.condition),
         **vars(schedule.config),
-        **{key: getattr(schedule, key) for key in _SCHEDULE_FIELDS},
+        **own,
         "branch_step": schedule.branch_step,
         "entry_count": len(schedule.entries),
     }
@@ -444,7 +436,9 @@ def write_schedule(schedule: InjectionSchedule, path) -> int:
 def read_schedule(path) -> InjectionSchedule:
     """Read a plan written by :func:`write_schedule`.
 
-    Raises :class:`CorpusFormatError` naming the line and field of a
+    Every header field is required, except the two that older files lack:
+    ``strict_cap`` reads as false and ``generator_version`` as ``"unknown"``
+    there. Raises :class:`CorpusFormatError` naming the line and field of a
     malformed header or entry.
     """
     records = read_json_lines(path)
@@ -453,22 +447,15 @@ def read_schedule(path) -> InjectionSchedule:
         raise CorpusFormatError(f"{path}: missing schedule header")
     if header.get("kind") != "injection-schedule":
         raise CorpusFormatError(f"{where}: not an injection schedule file")
-
-    def field(key, kind=None):
-        if key in _OPTIONAL_FIELDS:
-            return header.get(key, _OPTIONAL_FIELDS[key])
-        return _require(header, key, where, kind)
-
-    condition_args = {key: field(key) for key in _CONDITION_FIELDS}
-    config_args = {key: field(key) for key in _CONFIG_FIELDS}
-    own = {key: field(key, kind) for key, kind in _SCHEDULE_FIELDS.items()}
-    try:
-        condition = ContaminationCondition(**condition_args)
-        config = TrainingConfig(**config_args)
-    except (TypeError, ValueError) as e:
-        raise CorpusFormatError(f"{where}: {e}") from e
-    entries = [ScheduleEntry(*[_require(r, key, where, kind) for key, kind in _ENTRY_FIELDS]) for where, r in records]
-    return InjectionSchedule(condition=condition, config=config, entries=entries, **own)
+    header = {"strict_cap": False, "generator_version": "unknown", **header}
+    schedule = from_record(
+        InjectionSchedule, header, where, defaults=False,
+        condition=from_record(ContaminationCondition, header, where, defaults=False),
+        config=from_record(TrainingConfig, header, where, defaults=False),
+        entries=[],
+    )
+    schedule.entries.extend(from_record(ScheduleEntry, r, where) for where, r in records)
+    return schedule
 
 
 # -- application and verification --------------------------------------------

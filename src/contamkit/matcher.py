@@ -156,20 +156,16 @@ def score_example(example: TestExample, index: NGramIndex, config: ScanConfig) -
 def _span_record(span: MatchSpan | None, index: NGramIndex) -> dict | None:
     if span is None:
         return None
-    return {
-        "doc_id": index.doc_id(span.doc_ref),
-        "corpus_start": span.corpus_start,
-        "example_start": span.example_start,
-        "length": span.length,
-    }
+    record = {"doc_id": index.doc_id(span.doc_ref), **vars(span)}
+    del record["doc_ref"]
+    return record
 
 
 def score_record(example_id: str, score: ContaminationScore, index: NGramIndex) -> dict:
     """Dump-format record for one scored example."""
     return {
         "example_id": example_id,
-        "s_source": score.s_source,
-        "s_target": score.s_target,
+        **vars(score),
         "longest_source": _span_record(score.longest_source, index),
         "longest_target": _span_record(score.longest_target, index),
     }

@@ -39,10 +39,19 @@ class EvalRecord:
     segment_count: int
 
     def __post_init__(self):
+        split_pair(self.lang_pair)
         if not 0 <= self.bleu <= 100:
             raise ValueError(f"bleu {self.bleu} outside [0, 100]")
         if self.segment_count < 1:
             raise ValueError("segment_count must be >= 1")
+
+
+def split_pair(lang_pair: str) -> tuple[str, str]:
+    """The (source, target) tags of a "src-tgt" pair string."""
+    src, sep, tgt = lang_pair.partition("-")
+    if not sep or not src or not tgt:
+        raise ValueError(f"cannot parse lang_pair {lang_pair!r}")
+    return src, tgt
 
 
 def _ngram_counts(tokens: Sequence, order: int) -> Counter:
