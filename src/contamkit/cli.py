@@ -13,8 +13,6 @@ Subcommands:
 """
 
 import argparse
-import json
-import os
 import sys
 
 from . import analytics, decontam, injector, matcher, metrics
@@ -22,14 +20,16 @@ from .corpus_io import (
     CORPUS_FORMATS,
     FORMAT_JSONL,
     CorpusFormatError,
-    _undecodable_line,
     from_record,
     iter_batches,
+    parse_json,
     read_corpus,
     read_json_lines,
+    read_lines,
     read_testset,
     write_batches,
     write_testset,
+    write_text,
 )
 from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
 
@@ -65,8 +65,7 @@ def _cmd_decontam(args) -> int:
         matcher.write_scores(report.scores, index, args.scores_out)
     rendered = decontam.render_report(report, args.report_format)
     if args.report_out:
-        with open(args.report_out, "w", encoding="utf-8") as f:
-            f.write(rendered)
+        write_text(args.report_out, rendered)
     else:
         print(rendered, end="")
     return decontam.EXIT_CLEAN if report.removed == 0 else decontam.EXIT_CONTAMINATED
@@ -102,30 +101,11 @@ def _cmd_inject_apply(args) -> int:
         iter_batches(args.stream), schedule, require_parallel_slots=args.require_parallel
     )
     try:
-        _write_on_success(batches, args.out)
+        write_batches(batches, args.out)
     except injector.StreamShapeError as e:
         raise injector.StreamShapeError(f"{args.stream}: {e}") from e
     print(f"applied {len(schedule.entries)} entries -> {args.out}")
     return 0
-
-
-def _write_on_success(batches, out) -> None:
-    """Write batches to a temporary file beside ``out`` that replaces ``out``
-    only once the whole stream is written; on any error it is removed and
-    ``out`` is left as it was. A target that exists but is not a regular file
-    (e.g. ``/dev/stdout``) is written in place."""
-    if os.path.exists(out) and not os.path.isfile(out):
-        write_batches(batches, out)
-        return
-    target = os.path.realpath(out)
-    tmp = f"{target}.{os.getpid()}.tmp"
-    try:
-        write_batches(batches, tmp)
-        os.replace(tmp, target)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
 
 
 def _cmd_inject_verify(args) -> int:
@@ -138,22 +118,15 @@ def _cmd_inject_verify(args) -> int:
 def _read_segments(path, as_tokens: bool) -> list[list]:
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
     segments = []
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                line = line.rstrip("\n")
-                if not as_tokens:
-                    segments.append(metrics.whitespace_tokens(line))
-                    continue
-                try:
-                    tokens = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from e
-                if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
-                    raise CorpusFormatError(f"{path}:{lineno}: segment must be a JSON array of scalar tokens")
-                segments.append(tokens)
-    except UnicodeDecodeError:
-        raise CorpusFormatError(_undecodable_line(path)) from None
+    for where, line in read_lines(path):
+        line = line.rstrip("\n")
+        if not as_tokens:
+            segments.append(metrics.whitespace_tokens(line))
+            continue
+        tokens = parse_json(line, where)
+        if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
+            raise CorpusFormatError(f"{where}: segment must be a JSON array of scalar tokens")
+        segments.append(tokens)
     return segments
 
 
@@ -292,7 +265,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FileNotFoundError, injector.CapacityError, IndexCapacityError) as e:
+    except (ValueError, OSError, injector.CapacityError, IndexCapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

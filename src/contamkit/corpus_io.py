@@ -27,18 +27,28 @@ filename order) or an explicit list of shard paths. Batch streams are read
 one step at a time by :func:`iter_batches` and written from any iterable of
 batches by :func:`write_batches`, so a stream of any length passes through
 in memory bounded by one batch; ``read_stream`` and ``write_stream`` are the
-whole-stream forms built on them. Undecodable bytes in a JSON-lines file are
-reported as ``path:line`` like any other malformed record.
+whole-stream forms built on them.
+
+Every text file is read through :func:`read_lines`, which names undecodable
+bytes as ``path:line`` like any other malformed record, and every JSON line
+is parsed by :func:`parse_json`. Every file contamkit writes goes through
+:func:`output_file`: a temporary file beside the target replaces it only
+when the whole output is written, so a failed write leaves an existing
+output untouched and no partial one behind.
 Documents are plain dataclasses and safe to hand between threads once read;
 writers assume a single owner per output file.
 """
 
 import functools
 import json
+import math
+import os
 import re
+import stat
 import struct
 import sys
 from array import array
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, NewType, Sequence, get_args
@@ -215,25 +225,43 @@ def from_record(cls, record: dict, where: str, *, defaults: bool = True, **given
         raise CorpusFormatError(f"{where}: {e}") from e
 
 
-def read_json_lines(path) -> Iterator[tuple[str, dict]]:
-    """Yield ``("path:line", record)`` for every non-blank line of a JSON-lines file.
+@contextmanager
+def output_file(path, mode: str = "w"):
+    """Open ``path`` for writing, all or nothing.
 
-    Raises :class:`CorpusFormatError` naming the line when it is not UTF-8,
-    not valid JSON or not a JSON object.
+    The block writes ``<realpath>.<pid>.tmp`` beside the target, which
+    replaces the target once the block ends without error; on any error it is
+    removed and the target is left as it was. A target that exists but is not
+    a regular file (a FIFO, ``/dev/stdout``) is written in place. Text modes
+    write UTF-8.
+    """
+    encoding = None if "b" in mode else "utf-8"
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, encoding=encoding) as f:
+            yield f
+        return
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, mode, encoding=encoding) as f:
+            yield f
+        os.replace(tmp, target)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def read_lines(path) -> Iterator[tuple[str, str]]:
+    """Yield ``("path:line", line)`` for every line of a UTF-8 text file, newline kept.
+
+    Raises :class:`CorpusFormatError` naming the line and column of the first
+    byte that is not UTF-8.
     """
     try:
         with open(path, encoding="utf-8") as f:
             for lineno, line in enumerate(f, start=1):
-                if not line.strip():
-                    continue
-                where = f"{path}:{lineno}"
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as e:
-                    raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
-                if not isinstance(record, dict):
-                    raise CorpusFormatError(f"{where}: record must be a JSON object")
-                yield where, record
+                yield f"{path}:{lineno}", line
     except UnicodeDecodeError:
         raise CorpusFormatError(_undecodable_line(path)) from None
 
@@ -250,16 +278,57 @@ def _undecodable_line(path) -> str:
     return f"{path}: not UTF-8"
 
 
+def parse_json(line: str, where: str):
+    """The JSON value of ``line``, read at ``where``; raises :class:`CorpusFormatError` naming it when invalid."""
+    try:
+        return json.loads(line)
+    except json.JSONDecodeError as e:
+        raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
+    except RecursionError:
+        raise CorpusFormatError(f"{where}: invalid JSON (nested too deeply)") from None
+
+
+def read_json_lines(path) -> Iterator[tuple[str, dict]]:
+    """Yield ``("path:line", record)`` for every non-blank line of a JSON-lines file.
+
+    Raises :class:`CorpusFormatError` naming the line when it is not UTF-8,
+    not valid JSON or not a JSON object.
+    """
+    for where, line in read_lines(path):
+        if not line.strip():
+            continue
+        record = parse_json(line, where)
+        if not isinstance(record, dict):
+            raise CorpusFormatError(f"{where}: record must be a JSON object")
+        yield where, record
+
+
 def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> int:
-    """Write one JSON object per line; returns the line count."""
+    """Write one JSON object per line through :func:`output_file`; returns the line count.
+
+    A value that cannot be written as UTF-8 (a lone surrogate) raises
+    :class:`CorpusFormatError` naming the path and line.
+    """
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
     count = 0
-    with open(path, "w", encoding="utf-8") as f:
-        for record in records:
-            f.write(encode(record))
-            f.write("\n")
-            count += 1
+    with output_file(path) as f:
+        try:
+            for count, record in enumerate(records, start=1):
+                f.write(encode(record))
+                f.write("\n")
+        except UnicodeEncodeError as e:
+            raise CorpusFormatError(f"{path}:{count}: {e}") from None
     return count
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` through :func:`output_file`; a character that cannot be
+    written as UTF-8 raises :class:`CorpusFormatError` naming the path."""
+    with output_file(path) as f:
+        try:
+            f.write(text)
+        except UnicodeEncodeError as e:
+            raise CorpusFormatError(f"{path}: {e}") from None
 
 
 def doc_to_record(doc: CorpusDocument) -> dict:
@@ -332,31 +401,47 @@ def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
     if magic != _BINARY_MAGIC:
         raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
     (count,) = struct.unpack("<I", _read_exact(f, 4, path, "doc count"))
+    # A length is checked against the bytes left before it is read, so a
+    # damaged one cannot ask for gigabytes; a pipe's length is unknown.
+    st = os.fstat(f.fileno())
+    left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else math.inf
     for i in range(count):
         where = f"doc #{i}"
         (id_len,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} id length"))
+        left -= 4 + id_len
+        if left < 0:
+            raise CorpusFormatError(f"{path}: truncated while reading {where} id")
         try:
             doc_id = _read_exact(f, id_len, path, f"{where} id").decode("utf-8")
         except UnicodeDecodeError as e:
             raise CorpusFormatError(f"{path}: {where} id is not UTF-8") from e
         (n_tok,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} token count"))
+        left -= 4 + 4 * n_tok
+        if left < 0:
+            raise CorpusFormatError(f"{path}: truncated while reading {where} tokens")
         yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
 
 
 def write_doc_table(f, count: int, docs: Iterable[tuple[str, Sequence[int]]], path) -> None:
-    """Write ``count`` ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table."""
+    """Write ``count`` ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table.
+
+    Raises :class:`CorpusFormatError` naming ``path`` and the document when a
+    token id does not fit 32 bits or an id cannot be written as UTF-8.
+    """
     f.write(_BINARY_MAGIC)
     f.write(struct.pack("<I", count))
-    for doc_id, tokens in docs:
-        try:
+    try:
+        for i, (doc_id, tokens) in enumerate(docs):
             tokens = array("I", tokens)
-        except OverflowError:
-            raise CorpusFormatError(f"{path}: doc {doc_id!r}: token id exceeds 32-bit storage") from None
-        id_bytes = doc_id.encode("utf-8")
-        f.write(struct.pack("<I", len(id_bytes)))
-        f.write(id_bytes)
-        f.write(struct.pack("<I", len(tokens)))
-        write_array(f, tokens)
+            id_bytes = doc_id.encode("utf-8")
+            f.write(struct.pack("<I", len(id_bytes)))
+            f.write(id_bytes)
+            f.write(struct.pack("<I", len(tokens)))
+            write_array(f, tokens)
+    except OverflowError:
+        raise CorpusFormatError(f"{path}: doc {doc_id!r}: token id exceeds 32-bit storage") from None
+    except UnicodeEncodeError as e:
+        raise CorpusFormatError(f"{path}: doc #{i}: {e}") from None
 
 
 def write_array(f, values: array) -> None:
@@ -389,7 +474,7 @@ def write_corpus(docs: Iterable[CorpusDocument], path, fmt: str = FORMAT_JSONL) 
         return write_json_lines(path, map(doc_to_record, docs))
     if fmt == FORMAT_BINARY:
         docs = list(docs)
-        with open(path, "wb") as f:
+        with output_file(path, "wb") as f:
             write_doc_table(f, len(docs), ((doc.doc_id, doc.tokens) for doc in docs), path)
         return len(docs)
     raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")

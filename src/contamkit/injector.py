@@ -439,7 +439,8 @@ def read_schedule(path) -> InjectionSchedule:
     Every header field is required, except the two that older files lack:
     ``strict_cap`` reads as false and ``generator_version`` as ``"unknown"``
     there. Raises :class:`CorpusFormatError` naming the line and field of a
-    malformed header or entry.
+    malformed header or entry, and the file when it does not hold the
+    header's ``entry_count`` entries (a cut-short plan).
     """
     records = read_json_lines(path)
     where, header = next(records, (path, None))
@@ -447,6 +448,11 @@ def read_schedule(path) -> InjectionSchedule:
         raise CorpusFormatError(f"{path}: missing schedule header")
     if header.get("kind") != "injection-schedule":
         raise CorpusFormatError(f"{where}: not an injection schedule file")
+    if "entry_count" not in header:
+        raise CorpusFormatError(f"{where}: missing field 'entry_count'")
+    entry_count = header["entry_count"]
+    if type(entry_count) is not int or entry_count < 0:
+        raise CorpusFormatError(f"{where}: field 'entry_count' must be a non-negative integer")
     header = {"strict_cap": False, "generator_version": "unknown", **header}
     schedule = from_record(
         InjectionSchedule, header, where, defaults=False,
@@ -455,6 +461,8 @@ def read_schedule(path) -> InjectionSchedule:
         entries=[],
     )
     schedule.entries.extend(from_record(ScheduleEntry, r, where) for where, r in records)
+    if len(schedule.entries) != entry_count:
+        raise CorpusFormatError(f"{path}: header says {entry_count} entries, file has {len(schedule.entries)}")
     return schedule
 
 

@@ -39,7 +39,7 @@ from struct import Struct
 from typing import Iterable, NamedTuple, Sequence
 
 from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
-from .corpus_io import read_array, read_doc_table, write_array, write_doc_table
+from .corpus_io import output_file, read_array, read_doc_table, write_array, write_doc_table
 
 FINGERPRINT_BASE = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -187,7 +187,7 @@ class NGramIndex:
     def save(self, path):
         """Write the index to a single file, bit-exact across platforms."""
         tokens, starts = self.tokens, self.starts
-        with open(path, "wb") as f:
+        with output_file(path, "wb") as f:
             f.seek(_HEADER.size)
             docs = ((doc_id, tokens[starts[r] : starts[r + 1]]) for r, doc_id in enumerate(self._doc_ids))
             write_doc_table(f, self.doc_count, docs, path)

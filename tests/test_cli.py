@@ -441,3 +441,21 @@ def test_bleu_names_the_file_and_line_of_a_bad_reference(tmp_path, capsys):
     ref.write_text("a b c\n")
     assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 2
     _assert_one_error_line(capsys, f"{hyp}: 2 hypotheses vs {ref}: 1 references")
+
+
+def test_deeply_nested_json_names_the_line(tmp_path, capsys):
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text("[" * 100_000 + "\n")
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    commands = (
+        ["bleu", "--hyp", str(deep), "--ref", str(deep), "--tokens"],
+        ["report", "--baseline", str(deep), "--contaminated", str(deep)],
+        ["index", "--corpus", str(deep), "--out", str(tmp_path / "i.ctkx")],
+        ["decontam", "--testset", str(deep), "--corpus", str(tmp_path / "corpus.jsonl")],
+        ["inject", "verify", "--schedule", str(deep)],
+    )
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.splitlines() == [f"error: {deep}:1: invalid JSON (nested too deeply)"]
+    assert not (tmp_path / "i.ctkx").exists()

@@ -1,5 +1,7 @@
 import json
+import os
 import random
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -136,6 +138,32 @@ def test_binary_truncation_detected(tmp_path):
     path.write_bytes(data[:-2])
     with pytest.raises(CorpusFormatError, match="truncated"):
         list(read_corpus(path, fmt="ctk"))
+
+
+@pytest.mark.parametrize("offset, what", [(8, "doc #0 id"), (8 + 4 + 2, "doc #0 tokens"), (36, "doc #1 tokens")])
+def test_binary_length_past_the_end_of_file_is_truncation(tmp_path, offset, what):
+    # a damaged length is refused before it is read, however large it claims to be
+    path = tmp_path / "c.ctk"
+    write_corpus([CorpusDocument("d0", [1, 2, 3]), CorpusDocument("d1", [4])], path, fmt="ctk")
+    data = bytearray(path.read_bytes())
+    data[offset + 3] = 0xFF
+    path.write_bytes(bytes(data))
+    with pytest.raises(CorpusFormatError, match=f"c.ctk: truncated while reading {what}$"):
+        list(read_corpus(path, fmt="ctk"))
+
+
+def test_binary_shard_reads_from_a_pipe(tmp_path):
+    # e.g. --corpus <(zcat c.ctk.gz): a pipe has no size to bound the lengths by
+    docs = docs_from_tokens([[1, 2, 3], [], [7]])
+    path = tmp_path / "c.ctk"
+    write_corpus(docs, path, fmt="ctk")
+    fifo = tmp_path / "fifo.ctk"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()), daemon=True)
+    writer.start()
+    assert list(read_corpus(fifo, fmt="ctk")) == docs
+    writer.join(timeout=30)
+    assert not writer.is_alive()
 
 
 def test_unknown_format_rejected(tmp_path):

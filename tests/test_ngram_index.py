@@ -192,6 +192,20 @@ def test_every_strict_prefix_of_an_index_file_is_rejected(tmp_path):
     assert NGramIndex.load(path).posting_count == 3 * 5
 
 
+def test_doc_table_length_past_the_end_of_file_is_truncation(tmp_path):
+    # a damaged length is refused before it is read, however large it claims to be
+    path = tmp_path / "full.ctkx"
+    index_of([[1] * 20]).save(path)  # doc id "d0"
+    table = 32 + 8  # header, then the doc table's magic and count
+    for offset, what in ((table, "doc #0 id"), (table + 4 + 2, "doc #0 tokens")):
+        data = bytearray(path.read_bytes())
+        data[offset + 3] = 0xFF
+        bad = tmp_path / "bad.ctkx"
+        bad.write_bytes(bytes(data))
+        with pytest.raises(CorpusFormatError, match=f"bad.ctkx: truncated while reading {what}$"):
+            NGramIndex.load(bad)
+
+
 def test_load_rejects_other_format_versions(tmp_path):
     path = tmp_path / "x.ctkx"
     index_of([[1] * 20]).save(path)

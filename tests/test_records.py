@@ -85,6 +85,8 @@ MISTYPED = [
     ("header", "max_replace_frac", "0.3", "field 'max_replace_frac' must be a number"),
     ("header", "strict_cap", "yes", "field 'strict_cap' must be a boolean"),
     ("header", "generator_version", 5, "field 'generator_version' must be a string"),
+    ("header", "entry_count", "3", "field 'entry_count' must be a non-negative integer"),
+    ("header", "entry_count", -1, "field 'entry_count' must be a non-negative integer"),
 ]
 
 
@@ -184,3 +186,26 @@ def test_from_record_reads_each_annotation():
     for record, message in cases:
         with pytest.raises(ValueError, match=f"^{message}"):
             from_record(CorpusDocument, record, "f:1")
+
+
+def test_header_requires_entry_count(files, capsys):
+    path = files / "plan.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    del records[0]["entry_count"]
+    _write_lines(path, records)
+    assert main(["inject", "verify", "--schedule", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:1: missing field 'entry_count'"]
+
+
+def test_cut_short_or_padded_schedule_is_refused(files, capsys):
+    path = files / "plan.jsonl"
+    header, *entries = [json.loads(line) for line in path.read_text().splitlines()]
+    assert header["entry_count"] == len(entries) == 3
+    extra = {**entries[0], "slot": entries[0]["slot"] + 1}
+    for kept, have in ((entries[:1], 1), ([], 0), ([*entries, extra], 4)):
+        _write_lines(path, [header, *kept])
+        for kind in ("header", "stream"):
+            capsys.readouterr()
+            assert main(_command(kind, files)) == 2
+            assert capsys.readouterr().err.splitlines() == [f"error: {path}: header says 3 entries, file has {have}"]
+        assert not (files / "out.jsonl").exists()
