@@ -28,9 +28,12 @@ All randomness comes from one counter-based generator (SplitMix64: output i
 is the splitmix finalizer applied to ``seed + (i+1) * 0x9E3779B97F4A7C15``;
 integers below a bound are taken by rejection sampling). Draw order is: one
 step per layout group in unit order (source half before target half), then
-slots per step in ascending step order. Plans are therefore a pure function
-of (examples, condition, config, template) and serialize byte-identically
-across runs.
+slots per step in ascending step order. A ``split_pair`` half that finds no
+step with room outside its copy's other steps (a window filled exactly) takes
+the step of an earlier placed half instead, which moves, without a draw, to
+the first step that has room and does not hold its own copy. Plans are
+therefore a pure function of (examples, condition, config, template) and
+serialize byte-identically across runs.
 """
 
 import math
@@ -317,7 +320,8 @@ def _window(condition: ContaminationCondition, config: TrainingConfig, units: in
     return start, end
 
 
-def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], bool]) -> int:
+def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], bool]) -> int | None:
+    """A step of the window that is ``ok``, or None when there is none."""
     lo, hi = window
     width = hi - lo
     step = lo
@@ -330,7 +334,7 @@ def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], boo
         candidate = lo + (step - lo + d) % width
         if ok(candidate):
             return candidate
-    raise CapacityError("could not place an entry; window capacity exhausted")
+    return None
 
 
 def _sample_slots(rng: CounterRng, batch_size: int, k: int) -> list[int]:
@@ -375,11 +379,38 @@ def plan_schedule(
         return cap - load.get(step, 0) >= need
 
     by_step: dict[int, list[tuple[str, int, RenderedDoc]]] = {}
+
+    def free_step(taken: list[int], need: int) -> int:
+        """Move one placed group off a step that ``taken`` lacks, to a step with
+        room that its own copy lacks; return the step it freed. Groups of a
+        layout are all the same size, so the freed step fits ``need``."""
+        for old in range(*window):
+            if old in taken:
+                continue
+            for unit in dict.fromkeys(e[:2] for e in by_step.get(old, ())):  # (example_id, copy)
+                own = {s for s, placed in by_step.items() if any(e[:2] == unit for e in placed)}
+                for step in range(*window):
+                    if step not in own and room(step, need):
+                        by_step.setdefault(step, []).extend(e for e in by_step[old] if e[:2] == unit)
+                        by_step[old] = [e for e in by_step[old] if e[:2] != unit]
+                        load[old] -= need
+                        load[step] = load.get(step, 0) + need
+                        return old
+        available = sum(cap - load.get(s, 0) for s in range(*window) if s not in taken)
+        raise CapacityError(
+            f"could not place an entry; window capacity exhausted ({need} slots needed "
+            f"on a step its copy does not use, {available} free there)",
+            required=need,
+            available=available,
+        )
+
     for example_id, groups in grouped.items():
         for copy in range(condition.copies):
             taken: list[int] = []
             for group in groups:
                 step = _draw_step(rng, window, lambda s: s not in taken and room(s, len(group)))
+                if step is None:
+                    step = free_step(taken, len(group))
                 load[step] = load.get(step, 0) + len(group)
                 taken.append(step)
                 by_step.setdefault(step, []).extend([(example_id, copy, doc) for doc in group])

@@ -22,6 +22,13 @@ twice from the same corpus (or merging per-shard indexes with
 :func:`merge_indexes`) yields identical arrays and identical files. A built
 index is immutable and safe to share across threads.
 
+:func:`build_index` keeps memory flat too. While it reads the corpus it
+appends each posting to one of ``2**min(6, bits)`` buckets chosen by the top
+bits of its fingerprint, as parallel arrays. It then sorts the buckets one at
+a time, in ascending order, and appends each to the index arrays, which gives
+the global order exactly. Building 1M postings peaks at about 46 B per
+posting above the interpreter, where sorting every posting at once took 155.
+
 File layout (version 2, little-endian): a 32-byte header — magic ``CTKX``,
 u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
 doc-table bytes — then the doc table in the ``CTK1`` corpus layout (ids and
@@ -36,7 +43,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from struct import Struct
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
 from .corpus_io import output_file, read_array, read_doc_table, write_array, write_doc_table
@@ -47,6 +54,8 @@ _INDEX_MAGIC = b"CTKX"
 _INDEX_VERSION = 2
 _HEADER = Struct("<4sIIIQQ")
 _POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
+_MAX_U32 = (1 << 32) - 1
+_BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 
 
 class IndexCapacityError(RuntimeError):
@@ -65,13 +74,6 @@ class ScanConfig:
             raise ValueError("ngram_order must be >= 1")
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
-
-
-class Location(NamedTuple):
-    """A document reference and token offset where an n-gram occurs."""
-
-    doc_ref: int
-    offset: int
 
 
 def fingerprint(tokens: Sequence[int], bits: int = 64) -> int:
@@ -133,8 +135,7 @@ class NGramIndex:
     def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
         """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
 
-        Pairs are plain tuples, equal to the matching :class:`Location`, in
-        document order then offset order. The :meth:`candidates` are verified
+        Pairs are in document order then offset order. The :meth:`candidates` are verified
         token-by-token, so fingerprint collisions never leak into the result.
         """
         refs, offsets = self.candidates(gram)
@@ -234,36 +235,53 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     """Index a document stream; deterministic for a given corpus order.
 
     Documents shorter than the n-gram order contribute no postings but stay
-    in the doc table.
+    in the doc table. Postings are gathered into flat buckets by the top bits
+    of their fingerprint and each bucket is sorted on its own, so the build
+    never holds a Python object per posting of the whole corpus: it peaks at
+    about 46 B per posting above the interpreter (sorting every posting at
+    once took 155).
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
     mask = (1 << fingerprint_bits) - 1
     shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
-    fps: list[int] = []  # in document order then offset order
-    append = fps.append
-    refs = array("I")
-    offsets = array("I")
+    bucket_bits = min(_BUCKET_BITS, fingerprint_bits)
+    low_bits = fingerprint_bits - bucket_bits
+    # bucket b holds the postings whose fingerprint starts with the bits of b,
+    # as parallel arrays in document order then offset order
+    buckets = [(array("Q"), array("I"), array("I")) for _ in range(1 << bucket_bits)]
+    add_fp, add_ref, add_offset = ([bucket[i].append for bucket in buckets] for i in range(3))
     for ref, doc in enumerate(corpus):
         index._add_doc_id(doc.doc_id)
-        count = max(0, len(doc.tokens) - n + 1)
+        tokens = doc.tokens
+        count = max(0, len(tokens) - n + 1)
+        if ref > _MAX_U32 or count > _MAX_U32 + 1:
+            raise IndexCapacityError(f"doc {doc.doc_id!r}: its doc ref or offsets exceed 32 bits")
         try:
-            index.tokens.extend(array("I", doc.tokens))
-            refs.extend(array("I", [ref]) * count)
-            offsets.extend(range(count))
+            index.tokens.extend(array("I", tokens))
         except OverflowError:
-            raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id, doc ref or offset exceeds 32 bits") from None
+            raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id exceeds 32 bits") from None
         index.starts.append(len(index.tokens))
         if count:
-            h = fingerprint(doc.tokens[:n], fingerprint_bits)
-            append(h)
-            for new, old in zip(doc.tokens[n:], doc.tokens):  # roll: bring in new, drop old
+            h = fingerprint(tokens[:n], fingerprint_bits)
+            b = h >> low_bits
+            add_fp[b](h)
+            add_ref[b](ref)
+            add_offset[b](0)
+            for offset, new, old in zip(range(1, count), tokens[n:], tokens):  # roll: bring in new, drop old
                 h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
-                append(h)
-    order = sorted(range(len(fps)), key=fps.__getitem__)  # stable: ties keep document then offset order
-    index._fps = array("Q", [fps[i] for i in order])
-    index._refs = array("I", [refs[i] for i in order])
-    index._offsets = array("I", [offsets[i] for i in order])
+                b = h >> low_bits
+                add_fp[b](h)
+                add_ref[b](ref)
+                add_offset[b](offset)
+    del add_fp, add_ref, add_offset  # they too hold the buckets
+    # buckets in ascending order, each sorted stably, are the global order
+    for b, (fps, refs, offsets) in enumerate(buckets):
+        buckets[b] = None  # each bucket is freed once it has been copied out
+        order = sorted(range(len(fps)), key=fps.__getitem__)  # stable: ties keep document then offset order
+        index._fps.extend(map(fps.__getitem__, order))
+        index._refs.extend(map(refs.__getitem__, order))
+        index._offsets.extend(map(offsets.__getitem__, order))
     return index
 
 

@@ -121,6 +121,20 @@ def test_decontam_on_truncated_index_exits_two(tmp_path, capsys):
     _assert_one_error_line(capsys, "half.ctkx")
 
 
+def test_inject_plan_fills_an_exactly_full_split_pair_window(tmp_path, capsys):
+    # 6 examples x 5 copies x 2 halves = 60 entries on steps 45..49 at cap 12:
+    # the last halves find room only on their own copy's step, so a placed half must move
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "split_pair", "--temporal", "late",
+        "--copies", "5", "--steps", "50", "--batch-size", "100", "--cap", "0.125", "--window-frac", "0.001",
+        "--out", str(plan_path),
+    ]) == 0
+    assert main(["inject", "verify", "--schedule", str(plan_path)]) == 0
+    assert "schedule check: ok (60 entries over 5 steps)" in capsys.readouterr().out
+
+
 def test_inject_verify_on_header_without_mode_exits_two(tmp_path, capsys):
     _, testset_path = _corpus_and_testset(tmp_path, planted=False)
     plan_path = tmp_path / "plan.jsonl"

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -5,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from contamkit.corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
 from contamkit.ngram_index import (
-    Location,
+    IndexCapacityError,
     NGramIndex,
     ScanConfig,
     build_index,
@@ -13,7 +15,7 @@ from contamkit.ngram_index import (
     merge_indexes,
 )
 
-from helpers import index_of, random_tokens
+from helpers import docs_from_tokens, index_of, random_tokens
 
 
 def linear_scan(token_lists, gram):
@@ -23,7 +25,7 @@ def linear_scan(token_lists, gram):
     for ref, tokens in enumerate(token_lists):
         for off in range(len(tokens) - n + 1):
             if tokens[off : off + n] == list(gram):
-                hits.append(Location(ref, off))
+                hits.append((ref, off))
     return hits
 
 
@@ -41,8 +43,8 @@ def test_config_validation():
 def test_nine_token_doc_has_two_postings():
     index = index_of([[1, 2, 3, 4, 5, 6, 7, 8, 9]])
     assert index.posting_count == 2
-    assert index.query([1, 2, 3, 4, 5, 6, 7, 8]) == [Location(0, 0)]
-    assert index.query([2, 3, 4, 5, 6, 7, 8, 9]) == [Location(0, 1)]
+    assert index.query([1, 2, 3, 4, 5, 6, 7, 8]) == [(0, 0)]
+    assert index.query([2, 3, 4, 5, 6, 7, 8, 9]) == [(0, 1)]
 
 
 def test_short_doc_registered_but_unposted():
@@ -75,7 +77,7 @@ def test_planted_gram_found_at_exactly_its_positions():
     token_lists[2][0:8] = gram
     token_lists[4][52:60] = gram
     index = index_of(token_lists)
-    assert index.query(gram) == [Location(0, 10), Location(2, 0), Location(4, 52)]
+    assert index.query(gram) == [(0, 10), (2, 0), (4, 52)]
 
 
 def test_wrong_gram_length_rejected():
@@ -94,8 +96,8 @@ def test_weakened_fingerprints_collide_but_queries_stay_exact():
         if gram_b != gram_a and fingerprint(gram_b, bits=8) == fp_a:
             break
     index = index_of([gram_a, gram_b], bits=8)
-    assert index.query(gram_a) == [Location(0, 0)]
-    assert index.query(gram_b) == [Location(1, 0)]
+    assert index.query(gram_a) == [(0, 0)]
+    assert index.query(gram_b) == [(1, 0)]
 
 
 def test_token_at_and_doc_len():
@@ -123,6 +125,12 @@ def test_duplicate_doc_id_rejected():
     docs = [CorpusDocument("same", [1] * 8), CorpusDocument("same", [2] * 8)]
     with pytest.raises(DuplicateIdError):
         build_index(docs, ScanConfig())
+
+
+def test_offsets_beyond_32_bits_are_a_capacity_error():
+    # 2**32 + 1 postings need offset 2**32; the build refuses the doc before reading its tokens
+    with pytest.raises(IndexCapacityError, match="'huge'"):
+        build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
 
 
 @settings(max_examples=60, deadline=None)
@@ -232,3 +240,50 @@ def test_merge_equals_direct_build(tmp_path):
     merged.save(a)
     direct.save(b)
     assert a.read_bytes() == b.read_bytes()
+
+
+# sha256 of the .ctkx file of _golden_corpus() for each (n, fingerprint_bits),
+# recorded from the build that sorted every posting of the corpus at once: the
+# bucketed build must write the same bytes, also when fewer than six
+# fingerprint bits leave fewer bucket bits (bits 5 and 1)
+INDEX_DIGESTS = {
+    (1, 64): "eb15d6c00e4dc9f474f998e41d79c0fd6731df2ac4c9b3261db65c6399a047e2",
+    (1, 8): "94c20b1577e17c6f40d7b495018918a1382226fcd8ba650bb6edc37a271c8edf",
+    (1, 5): "3284947e08634a6044c5274cc3777b59a05e8f59ec5ebed1bba934946c429111",
+    (1, 1): "26a0560b31a23f4519790349280ecd3e7d624c7e1c8c967d020a932cfdf5f9da",
+    (3, 64): "8d2dfc8ec7e5197f8739d0e8c5dbc6b811de188366a8a9feab8638a981fbc862",
+    (3, 8): "ed2f5426c8e70160362e1ed6258ffd912aaeda13f2f31bcce251aeeafe42f302",
+    (3, 5): "9a7f0b011bde2b6d5e1d847b5e8e4bdfce130503c4b89acac03e45a5de35eba8",
+    (3, 1): "929e0b4766df7eeec217a6aec4377750afc7e51dd6a127a6b9c650ae2908894c",
+    (8, 64): "76bcb14e45c75d5855a8077afc6ea0058ad386c748c372dcb6ab42328e11a459",
+    (8, 8): "2efb04e7f9bbc2f3699a9d59af4710c3e4b5ce6e45e3c5f9da70f2c37542cf83",
+    (8, 5): "e50e13ca68d9f3970d508a4563bb772f8f997b806bc70226611c0eec2f8e7315",
+    (8, 1): "a50442589b2a20699ec542f2be5afb811eedf517b0943fd4d29458e483217e35",
+}
+
+
+def _golden_corpus():
+    """Empty and shorter-than-n documents, and grams that repeat within and across documents."""
+    rng = random.Random(41)
+    token_lists = [[], [7], [7, 7], [3, 1, 4, 1, 5, 9, 2]]
+    token_lists += [random_tokens(rng, rng.randrange(0, 60), 5) for _ in range(40)]
+    token_lists += [[2**32 - 1, 0] * 10, list(range(30)) * 2, []]
+    return docs_from_tokens(token_lists)
+
+
+def _digest(index, path):
+    index.save(path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_index_files_match_recorded_digests(tmp_path):
+    docs = _golden_corpus()
+    path = tmp_path / "i.ctkx"
+    digests = {
+        (n, bits): _digest(build_index(docs, ScanConfig(n), bits), path)
+        for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1))
+    }
+    assert digests == INDEX_DIGESTS
+    shards = [docs[:10], docs[10:30], docs[30:]]
+    merged = merge_indexes([build_index(shard, ScanConfig(3), 5) for shard in shards])
+    assert _digest(merged, path) == INDEX_DIGESTS[(3, 5)]

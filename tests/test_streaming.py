@@ -1,6 +1,7 @@
-"""Peak-memory soak checks: corpus reading and stream application must stream, not materialize."""
+"""Peak-memory soak checks: corpus reading, index building and stream application must stay bounded."""
 
 import json
+import random
 import subprocess
 import sys
 import textwrap
@@ -131,3 +132,26 @@ def test_inject_apply_peak_rss_stays_bounded(tmp_path):
         assert (record["step"], record["slot"]) == key
         assert record["doc"]["doc_id"] == f"inject/{e.example_id}/{e.copy_index}/{e.part}"
         assert record["doc"]["category"] == "contamination" and record["doc"]["text"] == e.rendered_text
+
+
+INDEX_DOCS = 20_000
+INDEX_DOC_TOKENS = 57  # 50 postings per document at n=8: 1,000,000 postings
+INDEX_RSS_CEILING_MB = 100  # sorting every posting at once peaks at ~173 MB; bucketed, ~63 MB
+
+
+def test_index_peak_rss_stays_bounded(tmp_path):
+    rng = random.Random(5)
+    docs = (
+        CorpusDocument(f"doc-{i:06d}", [rng.randrange(50_000) for _ in range(INDEX_DOC_TOKENS)])
+        for i in range(INDEX_DOCS)
+    )
+    corpus_path, index_path = tmp_path / "corpus.ctk", tmp_path / "corpus.ctkx"
+    write_corpus(docs, corpus_path, fmt="ctk")
+
+    lines, code, peak_mb = _run_measured(
+        "-m", "contamkit.cli", "index", "--corpus", str(corpus_path), "--corpus-format", "ctk",
+        "--out", str(index_path),
+    )
+    assert code == 0
+    assert lines == [f"indexed {INDEX_DOCS} docs, 1000000 postings -> {index_path}"]
+    assert peak_mb < INDEX_RSS_CEILING_MB, f"peak RSS {peak_mb:.0f} MB exceeds {INDEX_RSS_CEILING_MB} MB ceiling"
