@@ -3,7 +3,7 @@
 Three pipelines share one set of primitives:
 
 * detection and removal — exact n-gram indexing (:mod:`contamkit.ngram_index`),
-  maximal-span matching and per-field overlap scores (:mod:`contamkit.matcher`),
+  longest-span matching and per-field overlap scores (:mod:`contamkit.matcher`),
   and threshold-based test-set filtering with reports (:mod:`contamkit.decontam`);
 * controlled injection — deterministic, condition-controlled plans for placing
   rendered test examples into training batch streams (:mod:`contamkit.injector`);

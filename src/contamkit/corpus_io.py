@@ -422,16 +422,26 @@ def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
         yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
 
 
-def write_doc_table(f, count: int, docs: Iterable[tuple[str, Sequence[int]]], path) -> None:
-    """Write ``count`` ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table.
+def write_doc_table(f, docs: Iterable[tuple[str, Sequence[int]]], path) -> int:
+    """Write ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table; returns the document count.
 
+    The count in the table's header is patched in once the documents are
+    written, so they stream through one at a time; only a file that cannot
+    seek back (a pipe) holds them all first, to learn the count.
     Raises :class:`CorpusFormatError` naming ``path`` and the document when a
     token id does not fit 32 bits or an id cannot be written as UTF-8.
     """
     f.write(_BINARY_MAGIC)
-    f.write(struct.pack("<I", count))
+    if f.seekable():
+        count_at = f.tell()
+        f.write(struct.pack("<I", 0))
+    else:
+        count_at = None
+        docs = list(docs)
+        f.write(struct.pack("<I", len(docs)))
+    count = 0
     try:
-        for i, (doc_id, tokens) in enumerate(docs):
+        for count, (doc_id, tokens) in enumerate(docs, 1):
             tokens = array("I", tokens)
             id_bytes = doc_id.encode("utf-8")
             f.write(struct.pack("<I", len(id_bytes)))
@@ -441,7 +451,13 @@ def write_doc_table(f, count: int, docs: Iterable[tuple[str, Sequence[int]]], pa
     except OverflowError:
         raise CorpusFormatError(f"{path}: doc {doc_id!r}: token id exceeds 32-bit storage") from None
     except UnicodeEncodeError as e:
-        raise CorpusFormatError(f"{path}: doc #{i}: {e}") from None
+        raise CorpusFormatError(f"{path}: doc #{count - 1}: {e}") from None
+    if count_at is not None:
+        end = f.tell()
+        f.seek(count_at)
+        f.write(struct.pack("<I", count))
+        f.seek(end)
+    return count
 
 
 def write_array(f, values: array) -> None:
@@ -473,10 +489,8 @@ def write_corpus(docs: Iterable[CorpusDocument], path, fmt: str = FORMAT_JSONL) 
     if fmt == FORMAT_JSONL:
         return write_json_lines(path, map(doc_to_record, docs))
     if fmt == FORMAT_BINARY:
-        docs = list(docs)
         with output_file(path, "wb") as f:
-            write_doc_table(f, len(docs), ((doc.doc_id, doc.tokens) for doc in docs), path)
-        return len(docs)
+            return write_doc_table(f, ((doc.doc_id, doc.tokens) for doc in docs), path)
     raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
 
 

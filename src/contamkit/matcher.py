@@ -1,13 +1,18 @@
-"""Maximal token-span matching between test-example fields and a corpus.
+"""Longest token-span matching between test-example fields and a corpus.
 
-Every n-gram of a field is looked up in the index. A fingerprint candidate
-that is left-maximal — at the start of the field or of its document, or
-preceded by unequal tokens — is extended to the right as far as tokens keep
-agreeing, and kept when that reaches ``n`` tokens: each maximal match span is
-thus found once, from its left end, and verified token by token. The longest
-span per field, divided by the field's own token count, is that field's overlap
-fraction; the combined contamination score of an example is the larger of the
-two per-field fractions.
+A field's overlap fraction is the length of its longest exact match against
+any indexed document, divided by the field's own token count; the combined
+contamination score of an example is the larger of its two per-field
+fractions. Only that one span per field is searched for
+(:func:`longest_span`). The n-grams of the field are looked up in order of
+field offset, and a fingerprint candidate that is left-maximal — at the
+start of the field or of its document, or preceded by unequal tokens — is
+extended to the right token by token, which makes the match exact at any
+fingerprint width. Branch and bound prunes the rest: the walk stops once
+fewer field tokens are left than the best length found, and a candidate
+with too little room to reach that length is not extended.
+:func:`find_spans` keeps every maximal span instead; it is the oracle the
+search is tested against.
 
 Token ids are compared raw: no normalization, no re-tokenization. Fields
 shorter than the n-gram order are handled by searching the entire field as a
@@ -20,7 +25,7 @@ in parallel with no shared state.
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus_io import TestExample, write_json_lines
 from .ngram_index import NGramIndex, ScanConfig
@@ -57,6 +62,16 @@ class ContaminationScore:
         return max(self.s_source, self.s_target)
 
 
+def _ngram_order(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> int:
+    if config.ngram_order != index.ngram_order:
+        raise ValueError(
+            f"config ngram_order {config.ngram_order} does not match index ngram_order {index.ngram_order}"
+        )
+    if len(field) == 0:
+        raise ValueError("field must be non-empty")
+    return index.ngram_order
+
+
 def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> list[MatchSpan]:
     """All maximal match spans between ``field`` and any indexed document.
 
@@ -67,18 +82,15 @@ def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> l
     when that token-by-token extension reaches ``n`` tokens, which also
     rejects fingerprint collisions. Returned sorted by (doc_ref,
     corpus_start, example_start).
+
+    Scoring needs only the longest of these (:func:`longest_span`); this is
+    the all-spans form that the tests check that search against.
     """
-    if config.ngram_order != index.ngram_order:
-        raise ValueError(
-            f"config ngram_order {config.ngram_order} does not match index ngram_order {index.ngram_order}"
-        )
-    if len(field) == 0:
-        raise ValueError("field must be non-empty")
-    n = index.ngram_order
+    n = _ngram_order(field, index, config)
     field = list(field)
     end = len(field)
     if end < n:
-        return _whole_field_spans(field, index)
+        return list(_whole_field_spans(field, index))
 
     tokens, starts = index.tokens, index.starts
     found = []
@@ -99,26 +111,68 @@ def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> l
     return [MatchSpan(*span) for span in found]
 
 
-def _whole_field_spans(field: list[int], index: NGramIndex) -> list[MatchSpan]:
-    # Exact whole-field occurrence scan over the packed token buffer; linear in
-    # corpus size, only reached for fields shorter than the n-gram order.
+def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> MatchSpan | None:
+    """The longest maximal match span of ``field``, or ``None`` when there is none.
+
+    Equal to ``longest_match(find_spans(field, index, config))``, ties
+    included, but searched by branch and bound: the best length ``L`` found
+    so far ends the walk over field offsets ``j`` at the first one with
+    fewer than ``L`` tokens left, and skips a candidate whose room
+    ``min(document end - i, field end - j)`` is below ``L``. Both tests are
+    strict, so a later span of length ``L`` still competes on the tie key
+    ``(doc_ref, corpus_start, example_start)``. Candidates are verified
+    token by token as in :func:`find_spans`, so the result is exact at any
+    fingerprint width. A field shorter than ``n`` returns its first
+    whole-field occurrence, which is the smallest on the tie key.
+    """
+    n = _ngram_order(field, index, config)
+    field = list(field)
+    end = len(field)
+    if end < n:
+        return next(_whole_field_spans(field, index), None)
+
+    tokens, starts = index.tokens, index.starts
+    best = None  # (doc_ref, corpus_start, example_start) of the span kept
+    best_len = n  # spans shorter than n do not count
+    for j in range(end - n + 1):
+        if end - j < best_len:
+            break  # no span starting here or later can be longer
+        refs, offsets = index.candidates(field[j : j + n])
+        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
+        for ref, off in zip(refs, offsets):
+            i = starts[ref] + off
+            if off and tokens[i - 1] == before:
+                continue  # not left-maximal: the same span starts further left
+            stop = min(starts[ref + 1] - i, end - j)
+            if stop < best_len:
+                continue  # too little room to reach the best length
+            length = 0
+            while length < stop and tokens[i + length] == field[j + length]:
+                length += 1
+            if length > best_len or (length == best_len and (best is None or (ref, off, j) < best)):
+                best, best_len = (ref, off, j), length
+    return None if best is None else MatchSpan(*best, best_len)
+
+
+def _whole_field_spans(field: list[int], index: NGramIndex) -> Iterator[MatchSpan]:
+    # Exact whole-field occurrences in the packed token buffer, in (doc_ref,
+    # corpus_start) order; linear in corpus size, only reached for fields
+    # shorter than the n-gram order.
     try:
         needle = array("I", field).tobytes()
     except OverflowError:  # a token id no index holds
-        return []
+        return
     haystack = index.tokens.tobytes()
     starts = index.starts
     k = len(field)
-    spans = []
     pos = haystack.find(needle)
     while pos >= 0:
         start, misaligned = divmod(pos, 4)
         if not misaligned:  # whole tokens only
             ref = bisect_right(starts, start) - 1
             if start + k <= starts[ref + 1]:  # inside one document
-                spans.append(MatchSpan(doc_ref=ref, corpus_start=start - starts[ref], example_start=0, length=k))
+                yield MatchSpan(doc_ref=ref, corpus_start=start - starts[ref], example_start=0, length=k)
         pos = haystack.find(needle, pos + 1)
-    return spans
 
 
 def longest_match(spans: Iterable[MatchSpan]) -> MatchSpan | None:
@@ -135,7 +189,7 @@ def longest_match(spans: Iterable[MatchSpan]) -> MatchSpan | None:
 
 def score_field(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> tuple[float, MatchSpan | None]:
     """Overlap fraction of a single field: longest span length / field length."""
-    best = longest_match(find_spans(field, index, config))
+    best = longest_span(field, index, config)
     if best is None:
         return 0.0, None
     return best.length / len(field), best

@@ -191,7 +191,7 @@ class NGramIndex:
         with output_file(path, "wb") as f:
             f.seek(_HEADER.size)
             docs = ((doc_id, tokens[starts[r] : starts[r + 1]]) for r, doc_id in enumerate(self._doc_ids))
-            write_doc_table(f, self.doc_count, docs, path)
+            write_doc_table(f, docs, path)
             table_bytes = f.tell() - _HEADER.size
             for values in (self._fps, self._refs, self._offsets):
                 write_array(f, values)

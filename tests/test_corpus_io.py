@@ -2,6 +2,7 @@ import json
 import os
 import random
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -164,6 +165,38 @@ def test_binary_shard_reads_from_a_pipe(tmp_path):
     assert list(read_corpus(fifo, fmt="ctk")) == docs
     writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+def test_binary_write_streams_a_generator_of_documents(tmp_path):
+    def docs():
+        for i in range(10_000):
+            yield CorpusDocument(f"d{i}", [(i * 7919 + j * 97) % 50_000 for j in range(50)])
+
+    path = tmp_path / "c.ctk"
+    tracemalloc.start()
+    try:
+        assert write_corpus(docs(), path, fmt="ctk") == 10_000
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # holding the documents would take about 22 MB
+    assert peak < 2_000_000, f"writing traced a peak of {peak} bytes"
+    assert all(a == b for a, b in zip(read_corpus(path, fmt="ctk"), docs(), strict=True))
+
+
+def test_binary_write_to_a_pipe_equals_the_file_write(tmp_path):
+    docs = docs_from_tokens([[1, 2, 3], [], [7]])
+    path = tmp_path / "c.ctk"
+    write_corpus(docs, path, fmt="ctk")
+    fifo = tmp_path / "fifo.ctk"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert write_corpus(iter(docs), fifo, fmt="ctk") == 3
+    reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert got == [path.read_bytes()]
 
 
 def test_unknown_format_rejected(tmp_path):

@@ -7,6 +7,7 @@ from contamkit.matcher import (
     MatchSpan,
     find_spans,
     longest_match,
+    longest_span,
     score_example,
     score_field,
 )
@@ -241,3 +242,51 @@ def test_monotonicity_appending_tokens_never_decreases_score():
         docs[grow] = docs[grow] + field[: rng.randrange(0, len(field) + 1)]
         after, _ = score_field(field, index_of(docs), CFG)
         assert after >= before
+
+
+# -- longest-only search ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("bits", [64, 4])
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_longest_span_equals_longest_of_all_spans(bits, data):
+    # fields of 1-40 tokens cover the whole-field scan below n; a 2-5 token
+    # vocabulary makes equal-length ties common, and 4-bit fingerprints make
+    # most candidates collisions
+    vocab = data.draw(st.integers(min_value=2, max_value=5))
+    tokens = st.integers(min_value=0, max_value=vocab - 1)
+    docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
+    field = data.draw(st.lists(tokens, min_size=1, max_size=40))
+    index = index_of(docs, bits=bits)
+    assert longest_span(field, index, CFG) == longest_match(find_spans(field, index, CFG))
+
+
+def test_longest_span_tie_across_documents_goes_to_the_smaller_doc_found_later():
+    a = list(range(100, 108))
+    b = list(range(200, 208))
+    # a is in doc 1, found from field offset 0; b fills doc 0 and ends the
+    # field, so its room and the tokens left both equal the best length
+    index = index_of([b, [1] + a + [2]])
+    assert longest_span(a + b, index, CFG) == MatchSpan(doc_ref=0, corpus_start=0, example_start=8, length=8)
+
+
+def test_longest_span_tie_within_a_document_goes_to_the_smaller_corpus_start():
+    a = list(range(100, 108))
+    b = list(range(200, 208))
+    index = index_of([[1] + b + [2] + a + [3]])
+    assert longest_span(a + b, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=8, length=8)
+
+
+def test_longest_span_tie_at_one_corpus_position_goes_to_the_smaller_field_start():
+    a = list(range(100, 108))
+    index = index_of([[1] + a + [2]])
+    field = [3] + a + [4] + a
+    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
+
+
+def test_longest_span_of_a_short_field_is_its_first_hit_across_documents():
+    index = index_of([[5, 6, 7], [9, 1, 2, 3, 1, 2], [1, 2, 8]])
+    assert longest_span([1, 2], index, CFG) == MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=2)
+    assert longest_span([2, 8], index, CFG) == MatchSpan(doc_ref=2, corpus_start=1, example_start=0, length=2)
+    assert longest_span([7, 9], index, CFG) is None  # only across the boundary of docs 0 and 1
