@@ -2,8 +2,8 @@
 
 Given baseline and contaminated score tables this module computes per-pair
 deltas and percent improvements, box-plot statistics, translation-direction
-groupings (En->X, X->En, X->Y), gaps between improvements on contaminated vs
-clean test sets, and peak/final deltas of through-training score series.
+groupings (En->X, X->En, X->Y), and gaps between improvements on
+contaminated vs clean test sets.
 
 Percent improvement always uses the uncontaminated baseline as denominator
 and is flagged undefined (``None``) when the baseline is 0 rather than
@@ -188,28 +188,6 @@ def testset_gap(
         )
         for condition, pair in shared
     ]
-
-
-def timeseries_summary(step_scores: Sequence[tuple[int, float]], window_start: int) -> tuple[float, float]:
-    """(peak_delta, final_delta) of a through-training score series.
-
-    Both deltas are relative to the last score before ``window_start``:
-    peak_delta uses the maximum score at or after it, final_delta the last
-    score of the series.
-    """
-    if not step_scores:
-        raise ValueError("step_scores must be non-empty")
-    steps = [s for s, _ in step_scores]
-    if any(b <= a for a, b in zip(steps, steps[1:])):
-        raise ValueError("steps must be strictly increasing")
-    pre = [bleu for step, bleu in step_scores if step < window_start]
-    post = [bleu for step, bleu in step_scores if step >= window_start]
-    if not pre:
-        raise ValueError(f"no score before window_start {window_start}")
-    if not post:
-        raise ValueError(f"no score at or after window_start {window_start}")
-    base = pre[-1]
-    return max(post) - base, step_scores[-1][1] - base
 
 
 # -- packaged reference tables ------------------------------------------------

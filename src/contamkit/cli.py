@@ -34,7 +34,7 @@ from .corpus_io import (
 from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
 
 
-def _load_index(args) -> NGramIndex:
+def _index_from_args(args) -> NGramIndex:
     if getattr(args, "index", None):
         index = NGramIndex.load(args.index)
         if index.ngram_order != args.ngram:
@@ -47,8 +47,7 @@ def _load_index(args) -> NGramIndex:
 
 
 def _cmd_index(args) -> int:
-    config = ScanConfig(ngram_order=args.ngram)
-    index = build_index(read_corpus(args.corpus, args.corpus_format), config)
+    index = _index_from_args(args)
     index.save(args.out)
     print(f"indexed {index.doc_count} docs, {index.posting_count} postings -> {args.out}")
     return 0
@@ -56,7 +55,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_decontam(args) -> int:
     config = ScanConfig(ngram_order=args.ngram, threshold=args.threshold)
-    index = _load_index(args)
+    index = _index_from_args(args)
     testset = read_testset(args.testset)
     kept, report = decontam.decontaminate(testset, index, config)
     if args.out:

@@ -373,12 +373,10 @@ def plan_schedule(
     window = _window(condition, config, len(examples) * condition.copies)
 
     rng = CounterRng(config.seed)
-    load: dict[int, int] = {}
+    by_step: dict[int, list[tuple[str, int, RenderedDoc]]] = {}
 
     def room(step: int, need: int) -> bool:
-        return cap - load.get(step, 0) >= need
-
-    by_step: dict[int, list[tuple[str, int, RenderedDoc]]] = {}
+        return cap - len(by_step.get(step, ())) >= need
 
     def free_step(taken: list[int], need: int) -> int:
         """Move one placed group off a step that ``taken`` lacks, to a step with
@@ -393,10 +391,8 @@ def plan_schedule(
                     if step not in own and room(step, need):
                         by_step.setdefault(step, []).extend(e for e in by_step[old] if e[:2] == unit)
                         by_step[old] = [e for e in by_step[old] if e[:2] != unit]
-                        load[old] -= need
-                        load[step] = load.get(step, 0) + need
                         return old
-        available = sum(cap - load.get(s, 0) for s in range(*window) if s not in taken)
+        available = sum(cap - len(by_step.get(s, ())) for s in range(*window) if s not in taken)
         raise CapacityError(
             f"could not place an entry; window capacity exhausted ({need} slots needed "
             f"on a step its copy does not use, {available} free there)",
@@ -411,7 +407,6 @@ def plan_schedule(
                 step = _draw_step(rng, window, lambda s: s not in taken and room(s, len(group)))
                 if step is None:
                     step = free_step(taken, len(group))
-                load[step] = load.get(step, 0) + len(group)
                 taken.append(step)
                 by_step.setdefault(step, []).extend([(example_id, copy, doc) for doc in group])
 
@@ -536,13 +531,11 @@ def apply_batches(
     One merge pass: batches are read one at a time and each is yielded, as
     a new list, before the next is read, so memory is one batch plus the
     schedule. Checks run as early as the stream allows: duplicate targets
-    before the first batch is read, the batch size on the first batch, slot
-    bounds and ``require_parallel_slots`` per batch, and the step count and
-    any targets past the last step once the stream ends; a failed check
-    raises ``ValueError``, or :class:`StreamShapeError` for the batch size
-    and step count. Batches after the first are not size-checked
-    (:func:`~contamkit.corpus_io.iter_batches` already checks slot coverage).
-    Arguments and replacement documents are as in :func:`apply_schedule`.
+    before the first batch is read, the batch size, slot bounds and
+    ``require_parallel_slots`` per batch, and the step count and any targets
+    past the last step once the stream ends; a failed check raises
+    ``ValueError``, or :class:`StreamShapeError` for the batch size and step
+    count. Arguments and replacement documents are as in :func:`apply_schedule`.
     """
     config = schedule.config
     targets: dict[int, dict[int, ScheduleEntry]] = {}
@@ -553,7 +546,7 @@ def apply_batches(
         slots[e.slot] = e
     steps = 0
     for step, batch in enumerate(batches):
-        if step == 0 and len(batch) != config.batch_size:
+        if len(batch) != config.batch_size:
             raise StreamShapeError(
                 f"stream batch_size {len(batch)} does not match schedule batch_size {config.batch_size}"
             )

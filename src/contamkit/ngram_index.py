@@ -42,6 +42,7 @@ import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import chain
 from struct import Struct
 from typing import Iterable, Sequence
 
@@ -219,8 +220,11 @@ class NGramIndex:
                 index = cls(n, bits)
             except ValueError as e:
                 raise CorpusFormatError(f"{path}: {e}") from e
-            for doc_id, tokens in read_doc_table(f, path):
-                index._add_doc_id(doc_id)
+            for ref, (doc_id, tokens) in enumerate(read_doc_table(f, path)):
+                try:
+                    index._add_doc_id(doc_id)
+                except DuplicateIdError as e:
+                    raise CorpusFormatError(f"{path}: doc #{ref}: {e}") from None
                 index.tokens.extend(tokens)
                 index.starts.append(len(index.tokens))
             if f.tell() != _HEADER.size + table_bytes:
@@ -262,18 +266,13 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         except OverflowError:
             raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id exceeds 32 bits") from None
         index.starts.append(len(index.tokens))
-        if count:
-            h = fingerprint(tokens[:n], fingerprint_bits)
+        h = fingerprint(tokens[: n - 1], fingerprint_bits)  # one token short: offset 0 drops nothing
+        for offset, new, old in zip(range(count), tokens[n - 1 :], chain((0,), tokens)):  # roll: bring in new, drop old
+            h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
             b = h >> low_bits
             add_fp[b](h)
             add_ref[b](ref)
-            add_offset[b](0)
-            for offset, new, old in zip(range(1, count), tokens[n:], tokens):  # roll: bring in new, drop old
-                h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
-                b = h >> low_bits
-                add_fp[b](h)
-                add_ref[b](ref)
-                add_offset[b](offset)
+            add_offset[b](offset)
     del add_fp, add_ref, add_offset  # they too hold the buckets
     # buckets in ascending order, each sorted stably, are the global order
     for b, (fps, refs, offsets) in enumerate(buckets):

@@ -17,7 +17,6 @@ from contamkit.analytics import (
     render_gaps,
     render_impact,
     table_records,
-    timeseries_summary,
 )
 from contamkit import analytics
 from contamkit.injector import ContaminationCondition, ContaminationMode, Temporal
@@ -254,43 +253,6 @@ def test_duplicate_keys_are_named_with_their_side():
 def test_gap_empty_intersection_is_error():
     with pytest.raises(ValueError, match="share no"):
         analytics.testset_gap([_impact("en-de", 1.0, 2.0)], [_impact("en-uk", 1.0, 2.0)])
-
-
-# -- through-training series -------------------------------------------------------------
-
-
-def test_timeseries_flat_series():
-    series = [(step, 12.0) for step in range(0, 1000, 100)]
-    assert timeseries_summary(series, window_start=500) == (0.0, 0.0)
-
-
-def test_timeseries_spike_then_decay():
-    series = [(0, 10.0), (100, 10.0), (200, 30.0), (300, 22.0), (400, 18.0)]
-    peak, final = timeseries_summary(series, window_start=150)
-    assert peak == pytest.approx(20.0)
-    assert final == pytest.approx(8.0)
-
-
-def test_timeseries_synthetic_spike_decay_closed_form():
-    base, spike, floor, rate = 15.0, 40.0, 6.0, 0.5
-    window_start = 300
-    series = [(step, base) for step in range(0, window_start, 50)]
-    for i, step in enumerate(range(window_start, 1000, 50)):
-        series.append((step, base + floor + (spike - floor) * (rate**i)))
-    peak, final = timeseries_summary(series, window_start)
-    assert peak == pytest.approx(spike)
-    assert final == pytest.approx(floor + (spike - floor) * rate ** (len(range(window_start, 1000, 50)) - 1))
-
-
-def test_timeseries_errors():
-    with pytest.raises(ValueError, match="strictly increasing"):
-        timeseries_summary([(0, 1.0), (0, 2.0)], 0)
-    with pytest.raises(ValueError, match="before window_start"):
-        timeseries_summary([(10, 1.0), (20, 2.0)], 5)
-    with pytest.raises(ValueError, match="at or after"):
-        timeseries_summary([(10, 1.0), (20, 2.0)], 50)
-    with pytest.raises(ValueError, match="non-empty"):
-        timeseries_summary([], 0)
 
 
 # -- rendering ------------------------------------------------------------------------------

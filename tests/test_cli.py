@@ -121,6 +121,23 @@ def test_decontam_on_truncated_index_exits_two(tmp_path, capsys):
     _assert_one_error_line(capsys, "half.ctkx")
 
 
+def test_decontam_on_index_with_repeated_doc_id_names_the_file_and_doc(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    write_corpus([CorpusDocument("a", list(range(10))), CorpusDocument("b", list(range(20)))], corpus_path)
+    index_path = tmp_path / "corpus.ctkx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
+    data = bytearray(index_path.read_bytes())
+    # 32-byte index header, doc table magic and count, doc #0 (id length,
+    # id, token count, tokens), then doc #1's id length and its id
+    at = 32 + 8 + (4 + 1 + 4 + 4 * 10) + 4
+    assert data[at : at + 1] == b"b"
+    data[at : at + 1] = b"a"
+    index_path.write_bytes(data)
+    capsys.readouterr()
+    assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path)]) == 2
+    assert capsys.readouterr().err == f"error: {index_path}: doc #1: duplicate doc_id 'a'\n"
+
+
 def test_inject_plan_fills_an_exactly_full_split_pair_window(tmp_path, capsys):
     # 6 examples x 5 copies x 2 halves = 60 entries on steps 45..49 at cap 12:
     # the last halves find room only on their own copy's step, so a placed half must move

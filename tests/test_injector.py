@@ -16,6 +16,7 @@ from contamkit.injector import (
     CounterRng,
     PromptTemplate,
     ScheduleEntry,
+    StreamShapeError,
     Temporal,
     TemplateError,
     TrainingConfig,
@@ -260,6 +261,46 @@ def test_schedule_files_match_recorded_digests(tmp_path):
     assert digests == PLAN_DIGESTS
 
 
+def _sweep_configs(count, seed):
+    """Random small plan configs over every mode and temporal setting: about
+    half of them are capacity errors, and a few wedge a split_pair window."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        condition = ContaminationCondition(
+            rng.choice(list(ContaminationMode)), rng.choice(list(Temporal)), rng.randint(1, 6)
+        )
+        config = TrainingConfig(
+            total_steps=rng.randint(2, 60),
+            batch_size=rng.randint(1, 40),
+            max_replace_frac=rng.choice((0.05, 0.1, 0.125, 0.2, 0.25, 0.5)),
+            window_frac=rng.choice((0.001, 0.02, 0.05, 0.1, 0.3, 1.0)),
+            seed=rng.randrange(1 << 32),
+            strict_cap=rng.random() < 0.5,
+        )
+        yield rng.randint(1, 8), condition, config
+
+
+# sha256 over 5,000 swept configs (seed 2) of each plan's window, cap and
+# entries, or each CapacityError's message and counts, as planned by the
+# contamkit-planner/1 generator
+PLAN_SWEEP_DIGEST = "e980fb9055c7084da832a993e522430240ef5ebaee7cd38026e11b688cca44a8"
+
+
+def test_plan_sweep_matches_recorded_digest():
+    examples = _examples(8)
+    digest = hashlib.sha256()
+    for count, condition, config in _sweep_configs(5000, seed=2):
+        try:
+            schedule = plan_schedule(examples[:count], condition, config)
+        except CapacityError as e:
+            digest.update(f"error {e} {e.required} {e.available}\n".encode())
+            continue
+        digest.update(f"plan {schedule.window_start} {schedule.window_end} {schedule.cap}\n".encode())
+        for entry in schedule.entries:
+            digest.update(f"{dataclasses.astuple(entry)!r}\n".encode())
+    assert digest.hexdigest() == PLAN_SWEEP_DIGEST
+
+
 def test_capacity_error_reports_required_vs_available():
     config = TrainingConfig(total_steps=100, batch_size=64, seed=1)  # late window: steps 90..99, cap 3
     with pytest.raises(CapacityError) as err:
@@ -500,6 +541,20 @@ def test_apply_dimension_mismatch_rejected():
         apply_schedule(_synth_stream(1000, 32), schedule)
     with pytest.raises(ValueError, match="steps"):
         apply_schedule(_synth_stream(10, 64), schedule)
+
+
+def test_apply_rejects_a_short_batch_at_any_step():
+    config = TrainingConfig(total_steps=20, batch_size=10, max_replace_frac=0.5, seed=3)
+    schedule = plan_schedule(
+        _examples(3), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1), config
+    )
+    stream = _synth_stream(20, 10)
+    last = schedule.entries[-1]
+    assert last.step > 0
+    del stream.steps[last.step][last.slot :]  # the batch ends before its slot
+    message = f"stream batch_size {last.slot} does not match schedule batch_size 10"
+    with pytest.raises(StreamShapeError, match=message):
+        apply_schedule(stream, schedule)
 
 
 def test_apply_require_parallel_slots():
