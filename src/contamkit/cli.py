@@ -57,7 +57,14 @@ def _cmd_decontam(args) -> int:
     config = ScanConfig(ngram_order=args.ngram, threshold=args.threshold)
     index = _index_from_args(args)
     testset = read_testset(args.testset)
-    kept, report = decontam.decontaminate(testset, index, config)
+    try:
+        kept, report = decontam.decontaminate(testset, index, config)
+    except IndexError:
+        if not args.index:
+            raise
+        # a damaged doc ref or offset reads past the indexed documents; it can never fake a match
+        message = "a posting points outside the indexed documents; rebuild the index"
+        raise CorpusFormatError(f"{args.index}: {message}") from None
     if args.out:
         write_testset(kept, args.out)
     if args.scores_out:

@@ -4,15 +4,19 @@ A field's overlap fraction is the length of its longest exact match against
 any indexed document, divided by the field's own token count; the combined
 contamination score of an example is the larger of its two per-field
 fractions. Only that one span per field is searched for
-(:func:`longest_span`). The n-grams of the field are looked up in order of
-field offset, and a fingerprint candidate that is left-maximal — at the
-start of the field or of its document, or preceded by unequal tokens — is
-extended to the right token by token, which makes the match exact at any
-fingerprint width. Branch and bound prunes the rest: the walk stops once
-fewer field tokens are left than the best length found, and a candidate
-with too little room to reach that length is not extended.
-:func:`find_spans` keeps every maximal span instead; it is the oracle the
-search is tested against.
+(:func:`longest_span`). One rolling fingerprint walks the field
+(:meth:`NGramIndex.probe`), so each n-gram's fingerprint follows from the
+one before in one step, and the grams are looked up in order of field
+offset. A fingerprint candidate that is left-maximal — at the
+start of the field or of its document, or preceded by unequal tokens — must
+then equal the field on its first ``L`` tokens, where ``L`` is the best
+length found so far, checked as one array-slice comparison; only past ``L``
+is it extended token by token. Every counted span is thus compared token by
+token, which makes the match exact at any fingerprint width. Branch and
+bound prunes the rest: the walk stops once fewer field tokens are left than
+the best length found, and a candidate with too little room to reach that
+length is not compared. :func:`find_spans` keeps every maximal span instead;
+it is the oracle the search is tested against.
 
 Token ids are compared raw: no normalization, no re-tokenization. Fields
 shorter than the n-gram order are handled by searching the entire field as a
@@ -25,10 +29,11 @@ in parallel with no shared state.
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Iterator, Sequence
 
 from .corpus_io import TestExample, write_json_lines
-from .ngram_index import NGramIndex, ScanConfig
+from .ngram_index import _MAX_U32, NGramIndex, ScanConfig
 
 
 @dataclass(frozen=True)
@@ -120,38 +125,59 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     fewer than ``L`` tokens left, and skips a candidate whose room
     ``min(document end - i, field end - j)`` is below ``L``. Both tests are
     strict, so a later span of length ``L`` still competes on the tie key
-    ``(doc_ref, corpus_start, example_start)``. Candidates are verified
-    token by token as in :func:`find_spans`, so the result is exact at any
-    fingerprint width. A field shorter than ``n`` returns its first
-    whole-field occurrence, which is the smallest on the tie key.
+    ``(doc_ref, corpus_start, example_start)``. The grams come from one
+    rolling probe of the field (:meth:`NGramIndex.probe`). A surviving
+    candidate is first compared on its ``L`` tokens as one slice,
+    ``tokens[i:i + L] == field[j:j + L]``, and only then extended token by
+    token past ``L``, so the result is exact at any fingerprint width.
+    Tokens that no index holds (below 0, or 2**32 and above) split the
+    field, and each piece is searched at its own field offset. A field
+    shorter than ``n`` returns its first whole-field occurrence, which is the
+    smallest on the tie key.
     """
     n = _ngram_order(field, index, config)
-    field = list(field)
-    end = len(field)
-    if end < n:
-        return next(_whole_field_spans(field, index), None)
+    if len(field) < n:
+        return next(_whole_field_spans(list(field), index), None)
 
     tokens, starts = index.tokens, index.starts
     best = None  # (doc_ref, corpus_start, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
-    for j in range(end - n + 1):
-        if end - j < best_len:
-            break  # no span starting here or later can be longer
-        refs, offsets = index.candidates(field[j : j + n])
-        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
-        for ref, off in zip(refs, offsets):
-            i = starts[ref] + off
-            if off and tokens[i - 1] == before:
-                continue  # not left-maximal: the same span starts further left
-            stop = min(starts[ref + 1] - i, end - j)
-            if stop < best_len:
-                continue  # too little room to reach the best length
-            length = 0
-            while length < stop and tokens[i + length] == field[j + length]:
-                length += 1
-            if length > best_len or (length == best_len and (best is None or (ref, off, j) < best)):
-                best, best_len = (ref, off, j), length
+    for base, piece in _pieces(field):
+        end = len(piece)
+        for j, (refs, offsets) in enumerate(index.probe(piece)):
+            if end - j < best_len:
+                break  # no span starting here or later in the piece can be longer
+            before = piece[j - 1] if j else None  # equals no token: a piece start is left-maximal
+            for ref, off in zip(refs, offsets):
+                i = starts[ref] + off
+                if off and tokens[i - 1] == before:
+                    continue  # not left-maximal: the same span starts further left
+                stop = min(starts[ref + 1] - i, end - j)
+                if stop < best_len or tokens[i : i + best_len] != piece[j : j + best_len]:
+                    continue  # too little room, or the first best_len tokens differ
+                length = best_len
+                while length < stop and tokens[i + length] == piece[j + length]:
+                    length += 1
+                if length > best_len or best is None or (ref, off, base + j) < best:
+                    best, best_len = (ref, off, base + j), length
     return None if best is None else MatchSpan(*best, best_len)
+
+
+def _pieces(field: Sequence[int]) -> list[tuple[int, array]]:
+    # The field as (field offset, array("I")) runs between the tokens that no
+    # index holds (below 0, or 2**32 and above). Such a token matches nothing,
+    # so no span crosses it, and a piece start is left-maximal like the field start.
+    try:
+        return [(0, array("I", field))]
+    except OverflowError:
+        pass
+    pieces, start = [], 0
+    for holdable, run in groupby(field, lambda token: 0 <= token <= _MAX_U32):
+        run = list(run)
+        if holdable:
+            pieces.append((start, array("I", run)))
+        start += len(run)
+    return pieces
 
 
 def _whole_field_spans(field: list[int], index: NGramIndex) -> Iterator[MatchSpan]:

@@ -6,10 +6,13 @@ starting at ``p``:
 
     h(g) = sum_i g[i] * BASE^(n-1-i)  mod 2^64,  BASE = 0x100000001B3
 
-Fingerprints can collide, so :meth:`NGramIndex.candidates` is only the
+:func:`gram_fingerprints` rolls that fingerprint along a token sequence, one
+step per gram; :func:`build_index` and :meth:`NGramIndex.probe` (the lookup
+of every gram of a field) both use it. Fingerprints can collide, so a probe
+entry, like :meth:`NGramIndex.candidates` (a probe of one gram), is only the
 fingerprint lookup, and every user of it verifies each candidate location
 token-by-token against the stored documents (:meth:`NGramIndex.query`, the
-matcher's span extension) — results are exact regardless of fingerprint
+matcher's span search) — results are exact regardless of fingerprint
 width. A weakened ``fingerprint_bits`` (e.g. 8) makes collisions frequent on
 purpose, which is useful for exercising the verification path.
 
@@ -44,7 +47,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import chain
 from struct import Struct
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
 from .corpus_io import output_file, read_array, read_doc_table, write_array, write_doc_table
@@ -57,6 +60,7 @@ _HEADER = Struct("<4sIIIQQ")
 _POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
 _MAX_U32 = (1 << 32) - 1
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
+_ROLL_CHUNK = 1 << 14  # the build fingerprints at most this many grams of a document at once
 
 
 class IndexCapacityError(RuntimeError):
@@ -85,6 +89,22 @@ def fingerprint(tokens: Sequence[int], bits: int = 64) -> int:
     if bits < 64:
         h &= (1 << bits) - 1
     return h
+
+
+def gram_fingerprints(tokens: Sequence[int], n: int, bits: int = 64) -> list[int]:
+    """The fingerprint of every n-gram of ``tokens``, in offset order.
+
+    One rolling pass: each fingerprint is the one before with the new token
+    brought in and the old one dropped, which equals :func:`fingerprint` of
+    the gram. Empty when ``tokens`` is shorter than ``n``. The list costs
+    about 44 B per gram, so :func:`build_index` rolls a long document one
+    chunk at a time.
+    """
+    mask = (1 << bits) - 1
+    shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
+    h = fingerprint(tokens[: n - 1], bits)  # one token short: the first roll drops nothing
+    rolls = zip(tokens[n - 1 :], chain((0,), tokens))  # bring in new, drop old
+    return [h := (h * FINGERPRINT_BASE + new - old * shift_out) & mask for new, old in rolls]
 
 
 class NGramIndex:
@@ -119,19 +139,29 @@ class NGramIndex:
     def candidates(self, gram: Sequence[int]) -> tuple[array, array]:
         """The ``(refs, offsets)`` of every posting whose fingerprint equals ``gram``'s.
 
-        Parallel ``array("I")`` slices, in document order then offset order.
-        They are NOT verified: under a fingerprint collision they hold
-        postings of other n-grams too, so callers must compare tokens before
-        trusting a candidate (as :meth:`query` does).
+        Parallel ``array("I")`` slices, in document order then offset order:
+        the one entry of :meth:`probe` over the gram alone. They are NOT
+        verified: under a fingerprint collision they hold postings of other
+        n-grams too, so callers must compare tokens before trusting a
+        candidate (as :meth:`query` does).
         """
-        n = self.ngram_order
-        if len(gram) != n:
-            raise ValueError(f"gram has {len(gram)} tokens, expected {n}")
-        fps = self._fps
-        fp = fingerprint(gram, self.fingerprint_bits)
-        lo = bisect_left(fps, fp)
-        hi = bisect_right(fps, fp, lo)
-        return self._refs[lo:hi], self._offsets[lo:hi]
+        if len(gram) != self.ngram_order:
+            raise ValueError(f"gram has {len(gram)} tokens, expected {self.ngram_order}")
+        return next(self.probe(gram))
+
+    def probe(self, field: Sequence[int]) -> Iterator[tuple[array, array]]:
+        """The :meth:`candidates` of every n-gram of ``field``, in offset order.
+
+        Entry ``j`` is ``candidates(field[j:j + n])``, found from one rolling
+        fingerprint over the field (:func:`gram_fingerprints`). Lazy, so a
+        caller that stops early looks up no more grams.
+        """
+        fps, refs, offsets = self._fps, self._refs, self._offsets
+        size = len(fps)
+        for fp in gram_fingerprints(field, self.ngram_order, self.fingerprint_bits):
+            lo = bisect_left(fps, fp)
+            hi = bisect_right(fps, fp, lo) if lo < size and fps[lo] == fp else lo  # most grams have no posting
+            yield refs[lo:hi], offsets[lo:hi]
 
     def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
         """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
@@ -243,12 +273,11 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     of their fingerprint and each bucket is sorted on its own, so the build
     never holds a Python object per posting of the whole corpus: it peaks at
     about 46 B per posting above the interpreter (sorting every posting at
-    once took 155).
+    once took 155). A document is fingerprinted at most ``_ROLL_CHUNK``
+    grams at a time, so a long one adds no memory per gram either.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
-    mask = (1 << fingerprint_bits) - 1
-    shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
     bucket_bits = min(_BUCKET_BITS, fingerprint_bits)
     low_bits = fingerprint_bits - bucket_bits
     # bucket b holds the postings whose fingerprint starts with the bits of b,
@@ -266,13 +295,13 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         except OverflowError:
             raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id exceeds 32 bits") from None
         index.starts.append(len(index.tokens))
-        h = fingerprint(tokens[: n - 1], fingerprint_bits)  # one token short: offset 0 drops nothing
-        for offset, new, old in zip(range(count), tokens[n - 1 :], chain((0,), tokens)):  # roll: bring in new, drop old
-            h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
-            b = h >> low_bits
-            add_fp[b](h)
-            add_ref[b](ref)
-            add_offset[b](offset)
+        for lo in range(0, count, _ROLL_CHUNK):
+            chunk = tokens[lo : lo + _ROLL_CHUNK + n - 1]
+            for offset, h in enumerate(gram_fingerprints(chunk, n, fingerprint_bits), lo):
+                b = h >> low_bits
+                add_fp[b](h)
+                add_ref[b](ref)
+                add_offset[b](offset)
     del add_fp, add_ref, add_offset  # they too hold the buckets
     # buckets in ascending order, each sorted stably, are the global order
     for b, (fps, refs, offsets) in enumerate(buckets):

@@ -2,6 +2,7 @@ import json
 import os
 import random
 import stat
+import struct
 import threading
 
 from contamkit import decontam
@@ -15,8 +16,10 @@ from contamkit.corpus_io import (
     write_stream,
 )
 from contamkit.injector import apply_schedule, read_schedule
+from contamkit.matcher import find_spans, longest_match
+from contamkit.ngram_index import ScanConfig
 
-from helpers import make_example, random_tokens
+from helpers import index_of, make_example, random_tokens
 from test_injector import _synth_stream
 
 
@@ -136,6 +139,57 @@ def test_decontam_on_index_with_repeated_doc_id_names_the_file_and_doc(tmp_path,
     capsys.readouterr()
     assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path)]) == 2
     assert capsys.readouterr().err == f"error: {index_path}: doc #1: duplicate doc_id 'a'\n"
+
+
+def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
+    rng = random.Random(5)
+    docs = [random_tokens(rng, 20, 50) for _ in range(5)]
+    corpus_path, testset_path = tmp_path / "corpus.jsonl", tmp_path / "testset.jsonl"
+    write_corpus([CorpusDocument(f"d{i}", doc) for i, doc in enumerate(docs)], corpus_path)
+    _write_testset_file(testset_path, [make_example("ex0", docs[0][:12], docs[1][5:17])])
+    index_path = tmp_path / "corpus.ctkx"
+    assert main(["index", "--corpus", str(corpus_path), "--ngram", "3", "--out", str(index_path)]) == 0
+    data = bytearray(index_path.read_bytes())
+    # the 32-byte header holds the posting count and doc-table size; the doc
+    # refs follow the table and the u64 fingerprints
+    postings, table_bytes = struct.unpack_from("<QQ", data, 16)
+    refs_at = 32 + table_bytes + 8 * postings
+    for k in range(postings):
+        data[refs_at + 4 * k + 1] = 1  # doc ref k + 256: past the 5 documents
+    bad = tmp_path / "bad.ctkx"
+    bad.write_bytes(data)
+    capsys.readouterr()
+    kept = tmp_path / "kept.jsonl"
+    code = main(["decontam", "--testset", str(testset_path), "--index", str(bad), "--ngram", "3", "--out", str(kept)])
+    assert code == 2
+    _assert_one_error_line(capsys, "bad.ctkx: a posting points outside the indexed documents; rebuild the index")
+    assert not kept.exists()
+
+
+def test_decontam_scores_a_field_holding_a_token_no_index_holds_as_the_oracle_does(tmp_path, capsys):
+    rng = random.Random(6)
+    docs = [random_tokens(rng, 40, 10**6) for _ in range(3)]
+    # 2**32 splits the source; its longer span comes after the split
+    source = docs[0][:10] + [2**32] + docs[1][3:18]
+    target = docs[2][:9] + [2**32]
+    corpus_path, testset_path = tmp_path / "corpus.jsonl", tmp_path / "testset.jsonl"
+    write_corpus([CorpusDocument(f"d{i}", doc) for i, doc in enumerate(docs)], corpus_path)
+    _write_testset_file(testset_path, [make_example("ex0", source, target)])
+    scores_path = tmp_path / "scores.jsonl"
+    argv = ["decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), "--scores-out", str(scores_path)]
+    assert main(argv) == 3  # the target's 9 of 10 tokens are above 0.7
+    record = json.loads(scores_path.read_text())
+    index = index_of(docs)
+    for side, field in (("source", source), ("target", target)):
+        span = longest_match(find_spans(field, index, ScanConfig()))
+        assert record[f"s_{side}"] == span.length / len(field)
+        assert record[f"longest_{side}"] == {
+            "doc_id": f"d{span.doc_ref}",
+            "corpus_start": span.corpus_start,
+            "example_start": span.example_start,
+            "length": span.length,
+        }
+    assert record["longest_source"]["example_start"] == 11
 
 
 def test_inject_plan_fills_an_exactly_full_split_pair_window(tmp_path, capsys):

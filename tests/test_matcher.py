@@ -253,11 +253,15 @@ def test_monotonicity_appending_tokens_never_decreases_score():
 def test_longest_span_equals_longest_of_all_spans(bits, data):
     # fields of 1-40 tokens cover the whole-field scan below n; a 2-5 token
     # vocabulary makes equal-length ties common, and 4-bit fingerprints make
-    # most candidates collisions
+    # most candidates collisions. A few tokens that no index holds split the
+    # field into pieces searched on their own.
     vocab = data.draw(st.integers(min_value=2, max_value=5))
     tokens = st.integers(min_value=0, max_value=vocab - 1)
     docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
     field = data.draw(st.lists(tokens, min_size=1, max_size=40))
+    wild = st.tuples(st.integers(min_value=0, max_value=40), st.sampled_from([-1, 2**32, 2**40]))
+    for at, token in data.draw(st.lists(wild, max_size=3)):
+        field.insert(at, token)
     index = index_of(docs, bits=bits)
     assert longest_span(field, index, CFG) == longest_match(find_spans(field, index, CFG))
 
@@ -282,6 +286,15 @@ def test_longest_span_tie_at_one_corpus_position_goes_to_the_smaller_field_start
     a = list(range(100, 108))
     index = index_of([[1] + a + [2]])
     field = [3] + a + [4] + a
+    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
+
+
+def test_longest_span_tie_across_a_split_goes_to_the_smaller_field_start():
+    # 2**32 splits the field; the piece after it restarts its own offsets at
+    # 0, but the tie is decided on field offsets
+    a = list(range(100, 108))
+    index = index_of([[1] + a + [2]])
+    field = [3] + a + [2**32] + a
     assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
 
 

@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contamkit import ngram_index
 from contamkit.corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
 from contamkit.ngram_index import (
     IndexCapacityError,
@@ -12,6 +13,7 @@ from contamkit.ngram_index import (
     ScanConfig,
     build_index,
     fingerprint,
+    gram_fingerprints,
     merge_indexes,
 )
 
@@ -144,6 +146,28 @@ def test_query_matches_linear_scan(data):
     index = index_of(token_lists, n=n)
     gram = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n), label="gram")
     assert index.query(gram) == linear_scan(token_lists, gram)
+
+
+@pytest.mark.parametrize("bits", [64, 4])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, data):
+    # 4-bit fingerprints put postings of other grams in most entries; -1 and
+    # 2**40 are tokens no index holds, fingerprinted all the same
+    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
+    tokens = st.integers(min_value=0, max_value=3) | st.sampled_from([-1, 2**40])
+    token_lists = data.draw(
+        st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=20), min_size=1, max_size=5),
+        label="corpus",
+    )
+    index = index_of(token_lists, n=n, bits=bits)
+    field = data.draw(st.lists(tokens, max_size=20), label="field")
+    grams = [field[j : j + n] for j in range(len(field) - n + 1)]
+    assert list(gram_fingerprints(field, n, bits)) == [fingerprint(gram, bits) for gram in grams]
+    entries = list(index.probe(field))
+    assert entries == [index.candidates(gram) for gram in grams]
+    if bits == 64:  # no collisions among grams this small: each entry is exactly the gram's postings
+        assert [list(zip(refs, offsets)) for refs, offsets in entries] == [linear_scan(token_lists, g) for g in grams]
 
 
 def test_query_matches_linear_scan_on_corpus_grams():
@@ -287,3 +311,12 @@ def test_index_files_match_recorded_digests(tmp_path):
     shards = [docs[:10], docs[10:30], docs[30:]]
     merged = merge_indexes([build_index(shard, ScanConfig(3), 5) for shard in shards])
     assert _digest(merged, path) == INDEX_DIGESTS[(3, 5)]
+
+
+def test_index_files_match_recorded_digests_when_documents_roll_in_small_chunks(tmp_path, monkeypatch):
+    # chunks of 4 grams split most golden documents, and the roll restarts at each chunk
+    monkeypatch.setattr(ngram_index, "_ROLL_CHUNK", 4)
+    docs = _golden_corpus()
+    path = tmp_path / "i.ctkx"
+    for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1)):
+        assert _digest(build_index(docs, ScanConfig(n), bits), path) == INDEX_DIGESTS[(n, bits)]
