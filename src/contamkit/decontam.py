@@ -91,11 +91,6 @@ class DecontamReport:
         payload.update(kept=self.kept, removed=self.removed)
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "DecontamReport":
-        payload = json.loads(text)
-        return cls(**{f.name: payload[f.name] for f in fields(cls) if f.init})
-
 
 def _empty_counts() -> dict[str, int]:
     return {label.value: 0 for label in ContaminationLabel}

@@ -15,22 +15,23 @@ is it extended token by token. Every counted span is thus compared token by
 token, which makes the match exact at any fingerprint width. Branch and
 bound prunes the rest: the walk stops once fewer field tokens are left than
 the best length found, and a candidate with too little room to reach that
-length is not compared. :func:`find_spans` keeps every maximal span instead;
-it is the oracle the search is tested against.
+length is not compared.
 
 Token ids are compared raw: no normalization, no re-tokenization. Fields
 shorter than the n-gram order are handled by searching the entire field as a
-single gram, so such fields only ever score 0 or 1.
+single gram in the corpus token buffer, in place, so such fields only ever
+score 0 or 1.
 
 All functions here are pure given an immutable index; examples may be scored
 in parallel with no shared state.
 """
 
+import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import groupby
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .corpus_io import TestExample, write_json_lines
 from .ngram_index import _MAX_U32, NGramIndex, ScanConfig
@@ -67,62 +68,14 @@ class ContaminationScore:
         return max(self.s_source, self.s_target)
 
 
-def _ngram_order(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> int:
-    if config.ngram_order != index.ngram_order:
-        raise ValueError(
-            f"config ngram_order {config.ngram_order} does not match index ngram_order {index.ngram_order}"
-        )
-    if len(field) == 0:
-        raise ValueError("field must be non-empty")
-    return index.ngram_order
-
-
-def find_spans(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> list[MatchSpan]:
-    """All maximal match spans between ``field`` and any indexed document.
-
-    Each span is reported once, from its left end: a fingerprint candidate
-    for the n-gram at field offset ``j`` starts a span only when it is
-    left-maximal (at the start of the field or of its document, or preceded
-    by unequal tokens), and is then extended to the right only. It counts
-    when that token-by-token extension reaches ``n`` tokens, which also
-    rejects fingerprint collisions. Returned sorted by (doc_ref,
-    corpus_start, example_start).
-
-    Scoring needs only the longest of these (:func:`longest_span`); this is
-    the all-spans form that the tests check that search against.
-    """
-    n = _ngram_order(field, index, config)
-    field = list(field)
-    end = len(field)
-    if end < n:
-        return list(_whole_field_spans(field, index))
-
-    tokens, starts = index.tokens, index.starts
-    found = []
-    for j in range(end - n + 1):
-        refs, offsets = index.candidates(field[j : j + n])
-        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
-        for ref, off in zip(refs, offsets):
-            i = starts[ref] + off
-            if off and tokens[i - 1] == before:
-                continue  # not left-maximal: the same span starts further left
-            stop = min(starts[ref + 1] - i, end - j)
-            length = 0
-            while length < stop and tokens[i + length] == field[j + length]:
-                length += 1
-            if length >= n:
-                found.append((ref, off, j, length))
-    found.sort()
-    return [MatchSpan(*span) for span in found]
-
-
 def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> MatchSpan | None:
     """The longest maximal match span of ``field``, or ``None`` when there is none.
 
-    Equal to ``longest_match(find_spans(field, index, config))``, ties
-    included, but searched by branch and bound: the best length ``L`` found
-    so far ends the walk over field offsets ``j`` at the first one with
-    fewer than ``L`` tokens left, and skips a candidate whose room
+    Spans shorter than ``n`` do not count, and of equal-length spans the one
+    smallest on ``(doc_ref, corpus_start, example_start)`` is returned. The
+    search is branch and bound: the best length ``L`` found so far ends the
+    walk over field offsets ``j`` at the first one with fewer than ``L``
+    tokens left, and skips a candidate whose room
     ``min(document end - i, field end - j)`` is below ``L``. Both tests are
     strict, so a later span of length ``L`` still competes on the tie key
     ``(doc_ref, corpus_start, example_start)``. The grams come from one
@@ -135,9 +88,13 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     shorter than ``n`` returns its first whole-field occurrence, which is the
     smallest on the tie key.
     """
-    n = _ngram_order(field, index, config)
+    n = index.ngram_order
+    if config.ngram_order != n:
+        raise ValueError(f"config ngram_order {config.ngram_order} does not match index ngram_order {n}")
+    if len(field) == 0:
+        raise ValueError("field must be non-empty")
     if len(field) < n:
-        return next(_whole_field_spans(list(field), index), None)
+        return _whole_field_span(field, index)
 
     tokens, starts = index.tokens, index.starts
     best = None  # (doc_ref, corpus_start, example_start) of the span kept
@@ -180,37 +137,28 @@ def _pieces(field: Sequence[int]) -> list[tuple[int, array]]:
     return pieces
 
 
-def _whole_field_spans(field: list[int], index: NGramIndex) -> Iterator[MatchSpan]:
-    # Exact whole-field occurrences in the packed token buffer, in (doc_ref,
-    # corpus_start) order; linear in corpus size, only reached for fields
-    # shorter than the n-gram order.
+def _whole_field_span(field: Sequence[int], index: NGramIndex) -> MatchSpan | None:
+    # The first exact whole-field occurrence in the packed token buffer, in
+    # (doc_ref, corpus_start) order; linear in corpus size, only reached for
+    # fields shorter than the n-gram order. The buffer is searched through a
+    # byte view, not copied; the view is released on return, so the array can
+    # still grow.
     try:
         needle = array("I", field).tobytes()
     except OverflowError:  # a token id no index holds
-        return
-    haystack = index.tokens.tobytes()
-    starts = index.starts
-    k = len(field)
-    pos = haystack.find(needle)
-    while pos >= 0:
-        start, misaligned = divmod(pos, 4)
-        if not misaligned:  # whole tokens only
-            ref = bisect_right(starts, start) - 1
-            if start + k <= starts[ref + 1]:  # inside one document
-                yield MatchSpan(doc_ref=ref, corpus_start=start - starts[ref], example_start=0, length=k)
-        pos = haystack.find(needle, pos + 1)
-
-
-def longest_match(spans: Iterable[MatchSpan]) -> MatchSpan | None:
-    """The span of maximal length; ties broken by smallest
-    (doc_ref, corpus_start, example_start). ``None`` on empty input."""
-    best = None
-    best_key = None
-    for span in spans:
-        key = (-span.length, span.doc_ref, span.corpus_start, span.example_start)
-        if best_key is None or key < best_key:
-            best, best_key = span, key
-    return best
+        return None
+    search = re.compile(re.escape(needle)).search
+    starts, k = index.starts, len(field)
+    with memoryview(index.tokens) as view, view.cast("B") as haystack:
+        hit = search(haystack)
+        while hit:
+            start, misaligned = divmod(hit.start(), 4)
+            if not misaligned:  # whole tokens only
+                ref = bisect_right(starts, start) - 1
+                if start + k <= starts[ref + 1]:  # inside one document
+                    return MatchSpan(doc_ref=ref, corpus_start=start - starts[ref], example_start=0, length=k)
+            hit = search(haystack, hit.start() + 1)  # hits may overlap
+    return None
 
 
 def score_field(field: Sequence[int], index: NGramIndex, config: ScanConfig) -> tuple[float, MatchSpan | None]:

@@ -8,22 +8,20 @@ starting at ``p``:
 
 :func:`gram_fingerprints` rolls that fingerprint along a token sequence, one
 step per gram; :func:`build_index` and :meth:`NGramIndex.probe` (the lookup
-of every gram of a field) both use it. Fingerprints can collide, so a probe
-entry, like :meth:`NGramIndex.candidates` (a probe of one gram), is only the
-fingerprint lookup, and every user of it verifies each candidate location
-token-by-token against the stored documents (:meth:`NGramIndex.query`, the
-matcher's span search) — results are exact regardless of fingerprint
-width. A weakened ``fingerprint_bits`` (e.g. 8) makes collisions frequent on
-purpose, which is useful for exercising the verification path.
+of every gram of a field, and the index's one lookup) both use it.
+Fingerprints can collide, so a probe entry is only the fingerprint lookup,
+and the matcher's span search verifies each candidate location token by
+token against the stored documents — results are exact regardless of
+fingerprint width. A weakened ``fingerprint_bits`` (e.g. 8) makes collisions
+frequent on purpose, which is useful for exercising the verification path.
 
 An index is a handful of flat arrays: every document's tokens concatenated
 into one ``array("I")`` with ``array("Q")`` start offsets, and one posting per
 n-gram as parallel arrays — the fingerprints sorted ascending (``array("Q")``)
 beside the doc ref and token offset of each (``array("I")``). Postings with
 equal fingerprints stay in document order then offset order, so building
-twice from the same corpus (or merging per-shard indexes with
-:func:`merge_indexes`) yields identical arrays and identical files. A built
-index is immutable and safe to share across threads.
+twice from the same corpus yields identical arrays and identical files. A
+built index is immutable and safe to share across threads.
 
 :func:`build_index` keeps memory flat too. While it reads the corpus it
 appends each posting to one of ``2**min(6, bits)`` buckets chosen by the top
@@ -121,7 +119,7 @@ class NGramIndex:
         self.ngram_order = ngram_order
         self.fingerprint_bits = fingerprint_bits
         self._doc_ids: list[str] = []
-        self._ref_by_id: dict[str, int] = {}
+        self._seen_ids: set[str] = set()  # only to refuse a repeated doc id
         self.tokens = array("I")
         self.starts = array("Q", [0])
         self._fps = array("Q")
@@ -129,31 +127,23 @@ class NGramIndex:
         self._offsets = array("I")
 
     def _add_doc_id(self, doc_id: str):
-        if doc_id in self._ref_by_id:
+        if doc_id in self._seen_ids:
             raise DuplicateIdError(f"duplicate doc_id {doc_id!r}")
-        self._ref_by_id[doc_id] = len(self._doc_ids)
+        self._seen_ids.add(doc_id)
         self._doc_ids.append(doc_id)
 
     # -- queries -----------------------------------------------------------
 
-    def candidates(self, gram: Sequence[int]) -> tuple[array, array]:
-        """The ``(refs, offsets)`` of every posting whose fingerprint equals ``gram``'s.
-
-        Parallel ``array("I")`` slices, in document order then offset order:
-        the one entry of :meth:`probe` over the gram alone. They are NOT
-        verified: under a fingerprint collision they hold postings of other
-        n-grams too, so callers must compare tokens before trusting a
-        candidate (as :meth:`query` does).
-        """
-        if len(gram) != self.ngram_order:
-            raise ValueError(f"gram has {len(gram)} tokens, expected {self.ngram_order}")
-        return next(self.probe(gram))
-
     def probe(self, field: Sequence[int]) -> Iterator[tuple[array, array]]:
-        """The :meth:`candidates` of every n-gram of ``field``, in offset order.
+        """The fingerprint candidates of every n-gram of ``field``, in offset order.
 
-        Entry ``j`` is ``candidates(field[j:j + n])``, found from one rolling
-        fingerprint over the field (:func:`gram_fingerprints`). Lazy, so a
+        Entry ``j`` is the ``(refs, offsets)`` of every posting whose
+        fingerprint equals that of ``field[j:j + n]``: parallel
+        ``array("I")`` slices, in document order then offset order, found
+        from one rolling fingerprint over the field
+        (:func:`gram_fingerprints`). They are NOT verified: under a
+        fingerprint collision they hold postings of other n-grams too, so a
+        caller must compare tokens before trusting a candidate. Lazy, so a
         caller that stops early looks up no more grams.
         """
         fps, refs, offsets = self._fps, self._refs, self._offsets
@@ -163,48 +153,8 @@ class NGramIndex:
             hi = bisect_right(fps, fp, lo) if lo < size and fps[lo] == fp else lo  # most grams have no posting
             yield refs[lo:hi], offsets[lo:hi]
 
-    def query(self, gram: Sequence[int]) -> list[tuple[int, int]]:
-        """Return exactly the ``(doc_ref, offset)`` pairs where ``gram`` occurs.
-
-        Pairs are in document order then offset order. The :meth:`candidates` are verified
-        token-by-token, so fingerprint collisions never leak into the result.
-        """
-        refs, offsets = self.candidates(gram)
-        try:
-            wanted = array("I", gram)
-        except OverflowError:  # a token id no index file can hold
-            return []
-        n, tokens, starts = self.ngram_order, self.tokens, self.starts
-        return [
-            (ref, off)
-            for ref, off in zip(refs, offsets)
-            if tokens[starts[ref] + off : starts[ref] + off + n] == wanted
-        ]
-
-    def token_at(self, doc_ref: int, offset: int) -> int:
-        if not 0 <= offset < self.doc_len(doc_ref):
-            raise IndexError(
-                f"offset {offset} out of range for doc {self._doc_ids[doc_ref]!r} of length {self.doc_len(doc_ref)}"
-            )
-        return self.tokens[self.starts[doc_ref] + offset]
-
-    def doc_len(self, doc_ref: int) -> int:
-        if not 0 <= doc_ref < self.doc_count:
-            raise IndexError(f"doc ref {doc_ref} out of range (0..{self.doc_count - 1})")
-        return self.starts[doc_ref + 1] - self.starts[doc_ref]
-
     def doc_id(self, doc_ref: int) -> str:
         return self._doc_ids[doc_ref]
-
-    def doc_ref(self, doc_id: str) -> int:
-        return self._ref_by_id[doc_id]
-
-    def doc_tokens(self, doc_ref: int) -> list[int]:
-        """A copy of a document's token sequence."""
-        return self.tokens[self.starts[doc_ref] : self.starts[doc_ref + 1]].tolist()
-
-    def refs(self) -> range:
-        return range(len(self._doc_ids))
 
     @property
     def doc_count(self) -> int:
@@ -311,18 +261,3 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         index._refs.extend(map(refs.__getitem__, order))
         index._offsets.extend(map(offsets.__getitem__, order))
     return index
-
-
-def merge_indexes(parts: Sequence[NGramIndex]) -> NGramIndex:
-    """Merge per-shard indexes, in shard order, into one index.
-
-    Equivalent to building over the concatenated shards: the result is
-    rebuilt from the parts' documents.
-    """
-    if not parts:
-        raise ValueError("nothing to merge")
-    first = parts[0]
-    if any((p.ngram_order, p.fingerprint_bits) != (first.ngram_order, first.fingerprint_bits) for p in parts):
-        raise ValueError("cannot merge indexes with different ngram_order or fingerprint_bits")
-    docs = (CorpusDocument(part.doc_id(ref), part.doc_tokens(ref)) for part in parts for ref in part.refs())
-    return build_index(docs, ScanConfig(first.ngram_order), first.fingerprint_bits)

@@ -11,6 +11,7 @@ import random
 import numpy as np
 
 from contamkit.corpus_io import CorpusDocument, TestExample
+from contamkit.matcher import MatchSpan
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
 
@@ -62,6 +63,22 @@ def maximal_common_substrings(field, doc, min_len) -> set[tuple[int, int, int]]:
             if ends_run:
                 spans.add((i - length, j - length, length))
     return spans
+
+
+def longest_common_span(field, docs, n) -> MatchSpan | None:
+    """The longest maximal common run of at least ``min(n, len(field))`` tokens
+    between ``field`` and any doc, by the DP above; ties go to the smallest
+    ``(doc_ref, corpus_start, example_start)``. ``None`` when there is none."""
+    min_len = min(n, len(field))
+    spans = [
+        (-length, ref, i, j)
+        for ref, doc in enumerate(docs)
+        for i, j, length in maximal_common_substrings(field, doc, min_len)
+    ]
+    if not spans:
+        return None
+    neg_length, ref, i, j = min(spans)
+    return MatchSpan(ref, i, j, -neg_length)
 
 
 def brute_bleu(hypotheses, references, max_order=4) -> float:

@@ -16,10 +16,8 @@ from contamkit.corpus_io import (
     write_stream,
 )
 from contamkit.injector import apply_schedule, read_schedule
-from contamkit.matcher import find_spans, longest_match
-from contamkit.ngram_index import ScanConfig
 
-from helpers import index_of, make_example, random_tokens
+from helpers import longest_common_span, make_example, random_tokens
 from test_injector import _synth_stream
 
 
@@ -179,9 +177,8 @@ def test_decontam_scores_a_field_holding_a_token_no_index_holds_as_the_oracle_do
     argv = ["decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), "--scores-out", str(scores_path)]
     assert main(argv) == 3  # the target's 9 of 10 tokens are above 0.7
     record = json.loads(scores_path.read_text())
-    index = index_of(docs)
     for side, field in (("source", source), ("target", target)):
-        span = longest_match(find_spans(field, index, ScanConfig()))
+        span = longest_common_span(field, docs, 8)
         assert record[f"s_{side}"] == span.length / len(field)
         assert record[f"longest_{side}"] == {
             "doc_id": f"d{span.doc_ref}",

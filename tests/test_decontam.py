@@ -1,5 +1,6 @@
 import json
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -175,7 +176,8 @@ def test_headline_numbers_render_as_six_point_seven_percent():
 
 def test_report_json_round_trips():
     report = _headline_report()
-    again = DecontamReport.from_json(report.to_json())
+    payload = json.loads(report.to_json())
+    again = DecontamReport(**{f.name: payload[f.name] for f in fields(DecontamReport) if f.init})
     assert again == report
     assert json.loads(render_report(report, "json")) == json.loads(report.to_json())
 

@@ -1,24 +1,18 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contamkit.matcher import (
-    MatchSpan,
-    find_spans,
-    longest_match,
-    longest_span,
-    score_example,
-    score_field,
-)
+from contamkit.matcher import MatchSpan, longest_span, score_example, score_field
 from contamkit.ngram_index import ScanConfig
 
 from helpers import (
     best_overlap,
     index_of,
     lcs_substring_length,
+    longest_common_span,
     make_example,
-    maximal_common_substrings,
     plant,
     random_tokens,
 )
@@ -31,13 +25,12 @@ def test_contained_field_yields_one_full_span():
     doc = random_tokens(rng, 40, 100)
     field = doc[5:17]
     index = index_of([doc])
-    spans = find_spans(field, index, CFG)
-    assert spans == [MatchSpan(doc_ref=0, corpus_start=5, example_start=0, length=12)]
+    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=5, example_start=0, length=12)
 
 
 def test_disjoint_field_yields_no_spans():
     index = index_of([[1] * 30])
-    assert find_spans([2] * 12, index, CFG) == []
+    assert longest_span([2] * 12, index, CFG) is None
 
 
 def test_two_planted_substrings_match_dp_oracle():
@@ -47,25 +40,9 @@ def test_two_planted_substrings_match_dp_oracle():
     plant(field, doc[20:29], 0)    # length 9
     plant(field, doc[100:114], 12)  # length 14
     index = index_of([doc])
-    spans = find_spans(field, index, CFG)
-    assert sorted(s.length for s in spans) == [9, 14]
-    oracle = maximal_common_substrings(field, doc, min_len=8)
-    assert {(s.corpus_start, s.example_start, s.length) for s in spans} == oracle
-
-
-def test_longest_match_empty_and_lengths():
-    assert longest_match([]) is None
-    a = MatchSpan(0, 0, 0, 9)
-    b = MatchSpan(1, 3, 2, 14)
-    assert longest_match([a, b]) == b
-
-
-def test_longest_match_tie_breaks_toward_smallest_doc():
-    d1 = MatchSpan(doc_ref=1, corpus_start=7, example_start=0, length=10)
-    d2 = MatchSpan(doc_ref=2, corpus_start=0, example_start=0, length=10)
-    assert longest_match([d2, d1]) == d1
-    same_doc = MatchSpan(doc_ref=1, corpus_start=3, example_start=5, length=10)
-    assert longest_match([d1, same_doc]) == same_doc
+    span = longest_span(field, index, CFG)
+    assert span == MatchSpan(doc_ref=0, corpus_start=100, example_start=12, length=14)
+    assert span == longest_common_span(field, [doc], 8)
 
 
 def test_score_source_present_target_absent():
@@ -116,12 +93,12 @@ def test_field_swap_swaps_scores():
 
 def test_empty_field_rejected():
     with pytest.raises(ValueError):
-        find_spans([], index_of([[1] * 10]), CFG)
+        longest_span([], index_of([[1] * 10]), CFG)
 
 
 def test_mismatched_config_rejected():
     with pytest.raises(ValueError, match="ngram_order"):
-        find_spans([1] * 10, index_of([[1] * 10], n=4), CFG)
+        longest_span([1] * 10, index_of([[1] * 10], n=4), CFG)
 
 
 # -- short-field fallback -------------------------------------------------------
@@ -155,19 +132,37 @@ def test_short_field_dp_oracle_agreement():
         assert s == (1.0 if contained else 0.0)
 
 
+def test_short_field_is_searched_without_copying_the_corpus():
+    # 1,000 documents of 1,000 tokens under n = 1001: a 1M-token buffer (4 MB)
+    # with no postings, in which a 2-token field is one whole-field gram
+    doc = list(range(1000))
+    index = index_of([doc] * 1000, n=1001)
+    assert len(index.tokens) == 1_000_000
+    tracemalloc.start()
+    try:
+        span = longest_span([7, 7], index, ScanConfig(ngram_order=1001))  # in no document: the whole buffer is read
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert span is None
+    assert peak < 1_000_000
+    index.tokens.append(0)  # no view of the buffer is left open, so it can still grow
+
+
 def test_short_field_never_matches_across_documents_or_token_bytes():
     # 256 followed by 0 holds the bytes of token 1 one byte in; [2, 3] spans a document boundary
     index = index_of([[256, 0, 2], [3, 1]])
-    assert find_spans([1], index, CFG) == [MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=1)]
-    assert find_spans([2, 3], index, CFG) == []
-    assert find_spans([2], index, CFG) == [MatchSpan(doc_ref=0, corpus_start=2, example_start=0, length=1)]
+    assert longest_span([1], index, CFG) == MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=1)
+    assert longest_span([2, 3], index, CFG) is None
+    assert longest_span([2], index, CFG) == MatchSpan(doc_ref=0, corpus_start=2, example_start=0, length=1)
 
 
 # -- maximality and oracle properties -------------------------------------------
 
 
 def _assert_maximal(span, field, index):
-    tokens = index.doc_tokens(span.doc_ref)
+    starts = index.starts
+    tokens = index.tokens[starts[span.doc_ref] : starts[span.doc_ref + 1]].tolist()
     i, j, length = span.corpus_start, span.example_start, span.length
     assert tokens[i : i + length] == field[j : j + length]
     if i > 0 and j > 0:
@@ -182,7 +177,8 @@ def test_spans_are_maximal_on_random_inputs():
         docs = [random_tokens(rng, rng.randrange(8, 60), 5) for _ in range(4)]
         field = random_tokens(rng, rng.randrange(8, 40), 5)
         index = index_of(docs)
-        for span in find_spans(field, index, CFG):
+        span = longest_span(field, index, CFG)
+        if span is not None:
             _assert_maximal(span, field, index)
 
 
@@ -212,16 +208,25 @@ def test_score_matches_dp_oracle_when_at_least_n(data):
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_find_spans_equals_dp_oracle_union_over_documents(bits, data):
-    # a 2-5 token vocabulary repeats grams, so one diagonal carries several
-    # spans; 4-bit fingerprints make most candidates collisions
+    # the span over all documents is the longest of the spans searched in each
+    # document alone, each equal to the DP oracle on that document; a 2-5
+    # token vocabulary repeats grams, so one diagonal carries several spans,
+    # and 4-bit fingerprints make most candidates collisions
     vocab = data.draw(st.integers(min_value=2, max_value=5))
     tokens = st.integers(min_value=0, max_value=vocab - 1)
     docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
     field = data.draw(st.lists(tokens, min_size=8, max_size=40))
-    spans = find_spans(field, index_of(docs, bits=bits), CFG)
-    got = [(s.doc_ref, s.corpus_start, s.example_start, s.length) for s in spans]
-    oracle = {(ref, *span) for ref, doc in enumerate(docs) for span in maximal_common_substrings(field, doc, 8)}
-    assert got == sorted(oracle)
+    per_doc = []
+    for ref, doc in enumerate(docs):
+        span = longest_span(field, index_of([doc], bits=bits), CFG)
+        assert span == longest_common_span(field, [doc], 8)
+        if span is not None:
+            per_doc.append((-span.length, ref, span.corpus_start, span.example_start))
+    want = None
+    if per_doc:
+        neg_length, ref, i, j = min(per_doc)
+        want = MatchSpan(ref, i, j, -neg_length)
+    assert longest_span(field, index_of(docs, bits=bits), CFG) == want
 
 
 def test_span_at_document_start_after_a_document_ending_in_the_preceding_field_token():
@@ -229,7 +234,7 @@ def test_span_at_document_start_after_a_document_ending_in_the_preceding_field_t
     # also precedes the match in the field: the span must still start at 0
     field = [9] + list(range(1, 13))
     index = index_of([[4] * 10 + [9], list(range(1, 13)) + [7]])
-    assert find_spans(field, index, CFG) == [MatchSpan(doc_ref=1, corpus_start=0, example_start=1, length=12)]
+    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=1, corpus_start=0, example_start=1, length=12)
 
 
 def test_monotonicity_appending_tokens_never_decreases_score():
@@ -251,10 +256,12 @@ def test_monotonicity_appending_tokens_never_decreases_score():
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_longest_span_equals_longest_of_all_spans(bits, data):
-    # fields of 1-40 tokens cover the whole-field scan below n; a 2-5 token
-    # vocabulary makes equal-length ties common, and 4-bit fingerprints make
-    # most candidates collisions. A few tokens that no index holds split the
-    # field into pieces searched on their own.
+    # the longest of all maximal spans, found by the DP oracle. Fields of 1-40
+    # tokens cover the whole-field scan below n; a 2-5 token vocabulary repeats
+    # grams, so one diagonal carries several spans and equal-length ties are
+    # common, and 4-bit fingerprints make most candidates collisions. A few
+    # tokens that no index holds split the field into pieces searched on
+    # their own.
     vocab = data.draw(st.integers(min_value=2, max_value=5))
     tokens = st.integers(min_value=0, max_value=vocab - 1)
     docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
@@ -262,8 +269,7 @@ def test_longest_span_equals_longest_of_all_spans(bits, data):
     wild = st.tuples(st.integers(min_value=0, max_value=40), st.sampled_from([-1, 2**32, 2**40]))
     for at, token in data.draw(st.lists(wild, max_size=3)):
         field.insert(at, token)
-    index = index_of(docs, bits=bits)
-    assert longest_span(field, index, CFG) == longest_match(find_spans(field, index, CFG))
+    assert longest_span(field, index_of(docs, bits=bits), CFG) == longest_common_span(field, docs, 8)
 
 
 def test_longest_span_tie_across_documents_goes_to_the_smaller_doc_found_later():

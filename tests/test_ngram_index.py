@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from contamkit import ngram_index
 from contamkit.corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
+from contamkit.matcher import MatchSpan, longest_span
 from contamkit.ngram_index import (
     IndexCapacityError,
     NGramIndex,
@@ -14,7 +15,6 @@ from contamkit.ngram_index import (
     build_index,
     fingerprint,
     gram_fingerprints,
-    merge_indexes,
 )
 
 from helpers import docs_from_tokens, index_of, random_tokens
@@ -45,15 +45,15 @@ def test_config_validation():
 def test_nine_token_doc_has_two_postings():
     index = index_of([[1, 2, 3, 4, 5, 6, 7, 8, 9]])
     assert index.posting_count == 2
-    assert index.query([1, 2, 3, 4, 5, 6, 7, 8]) == [(0, 0)]
-    assert index.query([2, 3, 4, 5, 6, 7, 8, 9]) == [(0, 1)]
+    assert list(zip(*next(index.probe([1, 2, 3, 4, 5, 6, 7, 8])))) == [(0, 0)]
+    assert list(zip(*next(index.probe([2, 3, 4, 5, 6, 7, 8, 9])))) == [(0, 1)]
 
 
 def test_short_doc_registered_but_unposted():
     index = index_of([[1, 2, 3, 4, 5, 6, 7]])
     assert index.posting_count == 0
     assert index.doc_count == 1
-    assert index.doc_len(0) == 7
+    assert list(index.starts) == [0, 7]
 
 
 def test_posting_count_matches_counting_oracle():
@@ -68,7 +68,7 @@ def test_posting_count_matches_counting_oracle():
 
 def test_absent_gram_returns_empty():
     index = index_of([[1] * 20])
-    assert index.query([2] * 8) == []
+    assert list(zip(*next(index.probe([2] * 8)))) == []
 
 
 def test_planted_gram_found_at_exactly_its_positions():
@@ -79,13 +79,7 @@ def test_planted_gram_found_at_exactly_its_positions():
     token_lists[2][0:8] = gram
     token_lists[4][52:60] = gram
     index = index_of(token_lists)
-    assert index.query(gram) == [(0, 10), (2, 0), (4, 52)]
-
-
-def test_wrong_gram_length_rejected():
-    index = index_of([[1] * 20])
-    with pytest.raises(ValueError, match="expected 8"):
-        index.query([1, 2, 3])
+    assert list(zip(*next(index.probe(gram)))) == [(0, 10), (2, 0), (4, 52)]
 
 
 def test_weakened_fingerprints_collide_but_queries_stay_exact():
@@ -98,29 +92,29 @@ def test_weakened_fingerprints_collide_but_queries_stay_exact():
         if gram_b != gram_a and fingerprint(gram_b, bits=8) == fp_a:
             break
     index = index_of([gram_a, gram_b], bits=8)
-    assert index.query(gram_a) == [(0, 0)]
-    assert index.query(gram_b) == [(1, 0)]
+    # the fingerprint lookup holds both grams; the span search keeps only the equal one
+    assert list(zip(*next(index.probe(gram_a)))) == [(0, 0), (1, 0)]
+    assert longest_span(gram_a, index, ScanConfig()) == MatchSpan(doc_ref=0, corpus_start=0, example_start=0, length=8)
+    assert longest_span(gram_b, index, ScanConfig()) == MatchSpan(doc_ref=1, corpus_start=0, example_start=0, length=8)
 
 
 def test_token_at_and_doc_len():
+    # a document's tokens and length are read from the shared buffer at its start
     index = index_of([[9, 8, 7]])
-    assert index.token_at(0, 0) == 9
-    assert index.token_at(0, 2) == 7
-    assert index.doc_len(0) == 3
-    with pytest.raises(IndexError, match="offset 3"):
-        index.token_at(0, 3)
-    with pytest.raises(IndexError, match="doc ref"):
-        index.token_at(1, 0)
+    assert index.doc_count == 1
+    assert list(index.starts) == [0, 3]
+    assert index.tokens[index.starts[0]] == 9
+    assert index.tokens[index.starts[0] + 2] == 7
+    assert index.tokens[index.starts[0] : index.starts[1]].tolist() == [9, 8, 7]
 
 
 def test_token_at_spot_checks_against_source():
+    # the stored documents, read back to back, equal the input documents
     rng = random.Random(5)
-    token_lists = [random_tokens(rng, rng.randrange(1, 200), 1000) for _ in range(50)]
+    token_lists = [random_tokens(rng, rng.randrange(0, 200), 1000) for _ in range(50)]
     index = index_of(token_lists)
-    for _ in range(10_000):
-        ref = rng.randrange(len(token_lists))
-        off = rng.randrange(len(token_lists[ref]))
-        assert index.token_at(ref, off) == token_lists[ref][off]
+    assert index.tokens.tolist() == [token for tokens in token_lists for token in tokens]
+    assert [index.starts[r + 1] - index.starts[r] for r in range(index.doc_count)] == list(map(len, token_lists))
 
 
 def test_duplicate_doc_id_rejected():
@@ -133,19 +127,6 @@ def test_offsets_beyond_32_bits_are_a_capacity_error():
     # 2**32 + 1 postings need offset 2**32; the build refuses the doc before reading its tokens
     with pytest.raises(IndexCapacityError, match="'huge'"):
         build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_query_matches_linear_scan(data):
-    n = data.draw(st.integers(min_value=1, max_value=4), label="n")
-    token_lists = data.draw(
-        st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=20), min_size=1, max_size=5),
-        label="corpus",
-    )
-    index = index_of(token_lists, n=n)
-    gram = data.draw(st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n), label="gram")
-    assert index.query(gram) == linear_scan(token_lists, gram)
 
 
 @pytest.mark.parametrize("bits", [64, 4])
@@ -165,19 +146,9 @@ def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, data):
     grams = [field[j : j + n] for j in range(len(field) - n + 1)]
     assert list(gram_fingerprints(field, n, bits)) == [fingerprint(gram, bits) for gram in grams]
     entries = list(index.probe(field))
-    assert entries == [index.candidates(gram) for gram in grams]
+    assert entries == [next(index.probe(gram)) for gram in grams]
     if bits == 64:  # no collisions among grams this small: each entry is exactly the gram's postings
         assert [list(zip(refs, offsets)) for refs, offsets in entries] == [linear_scan(token_lists, g) for g in grams]
-
-
-def test_query_matches_linear_scan_on_corpus_grams():
-    rng = random.Random(23)
-    token_lists = [random_tokens(rng, 80, 6) for _ in range(8)]
-    index = index_of(token_lists)
-    for tokens in token_lists:
-        for off in range(0, len(tokens) - 8 + 1, 7):
-            gram = tokens[off : off + 8]
-            assert index.query(gram) == linear_scan(token_lists, gram)
 
 
 # -- persistence and determinism ---------------------------------------------
@@ -196,10 +167,8 @@ def test_save_is_deterministic_and_load_round_trips(tmp_path):
     assert loaded.ngram_order == original.ngram_order
     assert loaded.doc_count == original.doc_count
     assert loaded.posting_count == original.posting_count
-    for tokens in token_lists:
-        if len(tokens) >= 8:
-            gram = tokens[:8]
-            assert loaded.query(gram) == original.query(gram)
+    for name in ("tokens", "starts", "_fps", "_refs", "_offsets"):
+        assert getattr(loaded, name) == getattr(original, name), name
     loaded.save(b)
     assert a.read_bytes() == b.read_bytes()
 
@@ -248,24 +217,6 @@ def test_load_rejects_other_format_versions(tmp_path):
         NGramIndex.load(path)
 
 
-def test_merge_equals_direct_build(tmp_path):
-    rng = random.Random(31)
-    shard_lists = [[random_tokens(rng, 30, 8) for _ in range(10)] for _ in range(3)]
-    parts = []
-    offset = 0
-    for tokens in shard_lists:
-        docs = [CorpusDocument(f"d{offset + i}", t) for i, t in enumerate(tokens)]
-        parts.append(build_index(docs, ScanConfig()))
-        offset += len(tokens)
-    merged = merge_indexes(parts)
-    flat = [t for shard in shard_lists for t in shard]
-    direct = index_of(flat)
-    a, b = tmp_path / "m.ctkx", tmp_path / "d.ctkx"
-    merged.save(a)
-    direct.save(b)
-    assert a.read_bytes() == b.read_bytes()
-
-
 # sha256 of the .ctkx file of _golden_corpus() for each (n, fingerprint_bits),
 # recorded from the build that sorted every posting of the corpus at once: the
 # bucketed build must write the same bytes, also when fewer than six
@@ -308,9 +259,6 @@ def test_index_files_match_recorded_digests(tmp_path):
         for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1))
     }
     assert digests == INDEX_DIGESTS
-    shards = [docs[:10], docs[10:30], docs[30:]]
-    merged = merge_indexes([build_index(shard, ScanConfig(3), 5) for shard in shards])
-    assert _digest(merged, path) == INDEX_DIGESTS[(3, 5)]
 
 
 def test_index_files_match_recorded_digests_when_documents_roll_in_small_chunks(tmp_path, monkeypatch):
