@@ -79,11 +79,7 @@ def _cmd_decontam(args) -> int:
 
 def _cmd_inject_plan(args) -> int:
     examples = read_testset(args.testset)
-    condition = injector.ContaminationCondition(
-        mode=injector.ContaminationMode(args.mode),
-        temporal=injector.Temporal(args.temporal),
-        copies=args.copies,
-    )
+    condition = injector.ContaminationCondition(mode=args.mode, temporal=args.temporal, copies=args.copies)
     config = injector.TrainingConfig(
         total_steps=args.steps,
         batch_size=args.batch_size,
@@ -141,6 +137,8 @@ def _cmd_bleu(args) -> int:
     refs = _read_segments(args.ref, args.tokens)
     if len(hyps) != len(refs):
         raise ValueError(f"{args.hyp}: {len(hyps)} hypotheses vs {args.ref}: {len(refs)} references")
+    if not refs:
+        raise CorpusFormatError(f"{args.ref}: no segments")
     for lineno, ref in enumerate(refs, start=1):
         if not ref:
             raise CorpusFormatError(f"{args.ref}:{lineno}: reference segment is empty")
@@ -150,10 +148,13 @@ def _cmd_bleu(args) -> int:
 
 
 def _read_records(path) -> list[metrics.EvalRecord]:
-    return [
+    records = [
         from_record(metrics.EvalRecord, {"testset_id": "default", "segment_count": 1, **r}, where)
         for where, r in read_json_lines(path)
     ]
+    if not records:
+        raise CorpusFormatError(f"{path}: no records")
+    return records
 
 
 def _parse_condition(text: str | None) -> injector.ContaminationCondition | None:
@@ -161,11 +162,7 @@ def _parse_condition(text: str | None) -> injector.ContaminationCondition | None
         return None
     try:
         temporal, mode, copies = text.split(",")
-        return injector.ContaminationCondition(
-            mode=injector.ContaminationMode(mode.strip()),
-            temporal=injector.Temporal(temporal.strip()),
-            copies=int(copies),
-        )
+        return injector.ContaminationCondition(mode=mode.strip(), temporal=temporal.strip(), copies=int(copies))
     except ValueError as e:
         raise ValueError(f"cannot parse condition {text!r} (expected 'temporal,mode,copies'): {e}") from e
 
@@ -198,9 +195,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("index", help="build and save an n-gram index")
-    p.add_argument("--corpus", required=True, help="corpus file, shard directory, or shard list")
+    p.add_argument("--corpus", required=True, help="corpus file or shard directory")
     p.add_argument("--corpus-format", default=FORMAT_JSONL, choices=CORPUS_FORMATS)
-    p.add_argument("--ngram", type=int, default=8)
+    p.add_argument("--ngram", type=int, default=ScanConfig.ngram_order)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
@@ -209,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--index", help="prebuilt index file")
     p.add_argument("--corpus", help="corpus to index on the fly")
     p.add_argument("--corpus-format", default=FORMAT_JSONL, choices=CORPUS_FORMATS)
-    p.add_argument("--ngram", type=int, default=8)
-    p.add_argument("--threshold", type=float, default=0.7)
+    p.add_argument("--ngram", type=int, default=ScanConfig.ngram_order)
+    p.add_argument("--threshold", type=float, default=ScanConfig.threshold)
     p.add_argument("--out", help="file for the kept examples")
     p.add_argument("--scores-out", help="file for the per-example score dump")
     p.add_argument("--report-out", help="file for the report (stdout otherwise)")
@@ -227,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--window-frac", type=float, default=0.02)
-    p.add_argument("--cap", type=float, default=0.05, help="max replaced fraction of a batch")
+    p.add_argument("--seed", type=int, default=injector.TrainingConfig.seed)
+    p.add_argument("--window-frac", type=float, default=injector.TrainingConfig.window_frac)
+    p.add_argument("--cap", type=float, default=injector.TrainingConfig.max_replace_frac,
+                   help="max replaced fraction of a batch")
     p.add_argument("--strict-cap", action="store_true", help="keep the replaced fraction strictly below --cap")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_inject_plan)

@@ -23,10 +23,10 @@ Every JSON-lines record (here, and schedules and eval records) is read by
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
-filename order) or an explicit list of shard paths. Batch streams are read
-one step at a time by :func:`iter_batches` and written from any iterable of
-batches by :func:`write_batches`, so a stream of any length passes through
-in memory bounded by one batch; ``read_stream`` and ``write_stream`` are the
+filename order). Batch streams are read one step at a time by
+:func:`iter_batches` and written from any iterable of batches by
+:func:`write_batches`, so a stream of any length passes through in memory
+bounded by one batch; ``read_stream`` and ``write_stream`` are the
 whole-stream forms built on them.
 
 Every text file is read through :func:`read_lines`, which names undecodable
@@ -124,10 +124,6 @@ class TestExample:
                 raise ValueError(f"field '{key}' must be non-empty")
         if self.src_lang == self.tgt_lang:
             raise ValueError(f"example {self.example_id!r}: src_lang and tgt_lang must differ")
-
-    @property
-    def lang_pair(self) -> tuple[str, str]:
-        return (self.src_lang, self.tgt_lang)
 
     @property
     def pair(self) -> str:
@@ -343,10 +339,8 @@ def corpus_shards(path, fmt: str = FORMAT_JSONL) -> list[Path]:
     """Resolve a corpus path to an ordered shard list.
 
     A directory expands to its ``*.jsonl`` / ``*.ctk`` files sorted by name;
-    a file is a single shard; a list/tuple is taken as given.
+    a file is a single shard.
     """
-    if isinstance(path, (list, tuple)):
-        return [Path(p) for p in path]
     p = Path(path)
     if p.is_dir():
         suffix = ".jsonl" if fmt == FORMAT_JSONL else ".ctk"
@@ -358,7 +352,7 @@ def corpus_shards(path, fmt: str = FORMAT_JSONL) -> list[Path]:
 
 
 def read_corpus(path, fmt: str = FORMAT_JSONL) -> Iterator[CorpusDocument]:
-    """Stream documents from a corpus file, shard directory, or shard list.
+    """Stream documents from a corpus file or shard directory.
 
     Yields documents in shard order then record order. Raises
     :class:`CorpusFormatError` naming shard, line (``doc #i`` in a ``ctk``
@@ -499,7 +493,7 @@ def example_to_record(ex: TestExample) -> dict:
 
 
 def read_testset(path) -> list[TestExample]:
-    """Read a test set, enforcing unique ids and non-empty token fields."""
+    """Read a test set, enforcing at least one example, unique ids and non-empty token fields."""
     examples = []
     seen: set[str] = set()
     for where, record in read_json_lines(path):
@@ -508,6 +502,8 @@ def read_testset(path) -> list[TestExample]:
             raise DuplicateIdError(f"{where}: duplicate example_id {ex.example_id!r}")
         seen.add(ex.example_id)
         examples.append(ex)
+    if not examples:
+        raise CorpusFormatError(f"{path}: no examples")
     return examples
 
 
@@ -564,7 +560,7 @@ def iter_batches(path) -> Iterator[list[CorpusDocument]]:
 
     for where, record in read_json_lines(path):
         r = from_record(StreamRecord, record, where)
-        if r.step == step + 1 and r.slot == 0:
+        if current and r.step == step + 1 and r.slot == 0:
             check_size(where)
             yield current
             current = []

@@ -77,15 +77,6 @@ class DecontamReport:
     def kept(self) -> int:
         return self.total - self.removed
 
-    def validate(self):
-        if sum(self.label_counts.values()) != self.total:
-            raise ValueError("label counts do not sum to total")
-        not_clean = self.total - self.label_counts.get(ContaminationLabel.CLEAN.value, 0)
-        if not_clean != self.removed:
-            raise ValueError("removed ids do not match non-clean count")
-        if sum(self.histogram) != self.total:
-            raise ValueError("histogram does not sum to total")
-
     def to_json(self) -> str:
         payload = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         payload.update(kept=self.kept, removed=self.removed)
@@ -137,7 +128,6 @@ def decontaminate(
         removed_ids=removed_ids,
     )
     report.scores = scores
-    report.validate()
     return kept, report
 
 

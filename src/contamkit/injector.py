@@ -211,7 +211,7 @@ def render(example: TestExample, mode: ContaminationMode, template: PromptTempla
             f"{template.name_for(example.src_lang)}: {example.source_text}\n"
             f"{template.name_for(example.tgt_lang)}: {example.target_text}"
         )
-        docs = [(text, f"{example.src_lang}-{example.tgt_lang}")]
+        docs = [(text, example.pair)]
     elif mode is ContaminationMode.SOURCE_ONLY:
         docs = [source]
     elif mode is ContaminationMode.TARGET_ONLY:
@@ -240,8 +240,6 @@ class CounterRng:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection sampling."""
-        if n < 1:
-            raise ValueError("bound must be >= 1")
         limit = (1 << 64) - ((1 << 64) % n)
         while True:
             v = self.draw64()
@@ -462,11 +460,9 @@ def write_schedule(schedule: InjectionSchedule, path) -> int:
 def read_schedule(path) -> InjectionSchedule:
     """Read a plan written by :func:`write_schedule`.
 
-    Every header field is required, except the two that older files lack:
-    ``strict_cap`` reads as false and ``generator_version`` as ``"unknown"``
-    there. Raises :class:`CorpusFormatError` naming the line and field of a
-    malformed header or entry, and the file when it does not hold the
-    header's ``entry_count`` entries (a cut-short plan).
+    Every header field is required. Raises :class:`CorpusFormatError` naming
+    the line and field of a malformed header or entry, and the file when it
+    does not hold the header's ``entry_count`` entries (a cut-short plan).
     """
     records = read_json_lines(path)
     where, header = next(records, (path, None))
@@ -479,7 +475,6 @@ def read_schedule(path) -> InjectionSchedule:
     entry_count = header["entry_count"]
     if type(entry_count) is not int or entry_count < 0:
         raise CorpusFormatError(f"{where}: field 'entry_count' must be a non-negative integer")
-    header = {"strict_cap": False, "generator_version": "unknown", **header}
     schedule = from_record(
         InjectionSchedule, header, where, defaults=False,
         condition=from_record(ContaminationCondition, header, where, defaults=False),

@@ -165,6 +165,14 @@ def test_direction_group_means():
     assert "x_to_y" not in groups
 
 
+def test_direction_group_skips_a_cell_with_a_zero_baseline():
+    cells = impact_table(
+        [_record("en-de", 0.0), _record("en-cs", 10.0)],
+        [_record("en-de", 5.0), _record("en-cs", 12.0)],
+    ).cells
+    assert direction_group(cells) == {"en_to_x": pytest.approx(20.0)}
+
+
 def test_direction_fixture_en_to_x_exceeds_x_to_en_for_late_full():
     table = load_table("bleu_wmt23.json")
     headline = set(table["headline_pairs"])
@@ -284,6 +292,13 @@ def test_render_gaps_text():
     gaps = analytics.testset_gap([_impact("en-de", 10.0, 20.0)], [_impact("en-de", 10.0, 12.0, testset="c")])
     text = render_gaps(gaps)
     assert "en-de" in text and "8.00" in text
+
+
+def test_render_gaps_json_leaves_the_condition_out():
+    gaps = analytics.testset_gap([_impact("en-de", 10.0, 20.0)], [_impact("en-de", 10.0, 12.0, testset="c")])
+    assert json.loads(render_gaps(gaps, "json")) == [
+        {"lang_pair": "en-de", "delta_contaminated_set": 10.0, "delta_clean_set": 2.0, "gap": 8.0}
+    ]
 
 
 def test_render_unknown_format_rejected():

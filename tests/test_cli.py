@@ -16,6 +16,7 @@ from contamkit.corpus_io import (
     write_stream,
 )
 from contamkit.injector import apply_schedule, read_schedule
+from contamkit.metrics import corpus_bleu
 
 from helpers import longest_common_span, make_example, random_tokens
 from test_injector import _synth_stream
@@ -73,6 +74,21 @@ def test_decontam_exit_three_when_contaminated(tmp_path, capsys):
     scores = [json.loads(line) for line in (tmp_path / "scores.jsonl").read_text().splitlines()]
     assert scores[0]["s_source"] == 1.0
     assert scores[0]["longest_source"]["doc_id"] == "hit-src"
+
+
+def test_decontam_lower_threshold_removes_a_superset(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
+    partial = read_testset(testset_path)[1].source_tokens[:12]  # 60% of ex1's source field
+    corpus_path.write_text(corpus_path.read_text() + json.dumps({"doc_id": "partial", "tokens": partial}) + "\n")
+    removed = {}
+    for flags in ([], ["--threshold", "0.5"]):
+        report_path = tmp_path / "report.json"
+        assert main([
+            "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), *flags,
+            "--report-format", "json", "--report-out", str(report_path),
+        ]) == 3
+        removed[tuple(flags)] = json.loads(report_path.read_text())["removed_ids"]
+    assert removed == {(): ["ex0"], ("--threshold", "0.5"): ["ex0", "ex1"]}
 
 
 def test_index_build_and_reuse(tmp_path, capsys):
@@ -203,6 +219,21 @@ def test_inject_plan_fills_an_exactly_full_split_pair_window(tmp_path, capsys):
     assert "schedule check: ok (60 entries over 5 steps)" in capsys.readouterr().out
 
 
+def test_inject_plan_strict_cap_lowers_an_exact_cap_by_one(tmp_path, capsys):
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    caps = {}
+    for flags in ([], ["--strict-cap"]):
+        plan_path = tmp_path / "plan.jsonl"
+        assert main([
+            "inject", "plan", "--testset", str(testset_path), "--mode", "full_prompted", "--temporal", "late",
+            "--copies", "1", "--steps", "100", "--batch-size", "100", "--cap", "0.05", *flags,
+            "--out", str(plan_path),
+        ]) == 0
+        header = json.loads(plan_path.read_text().splitlines()[0])
+        caps[header["strict_cap"]] = header["cap"]
+    assert caps == {False: 5, True: 4}
+
+
 def test_inject_verify_on_header_without_mode_exits_two(tmp_path, capsys):
     _, testset_path = _corpus_and_testset(tmp_path, planted=False)
     plan_path = tmp_path / "plan.jsonl"
@@ -298,6 +329,20 @@ def test_bleu_command_token_mode(tmp_path, capsys):
     assert "smoothing=add_one" in out
 
 
+def test_bleu_max_order_is_passed_to_corpus_bleu(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("a b c d\nx y z\n")
+    ref.write_text("a b c d e\nx y w\n")
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--max-order", "2"]) == 0
+    hyps = [line.split() for line in hyp.read_text().splitlines()]
+    refs = [line.split() for line in ref.read_text().splitlines()]
+    expected = corpus_bleu(hyps, refs, max_order=2)
+    assert capsys.readouterr().out == f"BLEU = {expected:.4f} (order=2, smoothing=none)\n"
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--max-order", "0"]) == 2
+    _assert_one_error_line(capsys, "max_order must be >= 1")
+
+
 def _records_file(path, rows):
     with open(path, "w") as f:
         for system, pair, bleu in rows:
@@ -326,6 +371,15 @@ def test_report_command_with_gap(tmp_path, capsys):
     assert "En->X" in out and "X->En" in out
     assert "3.39" in out
     assert "2.27" in out  # en-de gap: 3.39 - 1.12
+
+
+def test_report_warns_of_keys_on_one_side_only(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    cont = tmp_path / "cont.jsonl"
+    _records_file(base, [("b", "en-de", 30.95), ("b", "de-en", 33.59), ("b", "cs-uk", 20.0)])
+    _records_file(cont, [("c", "en-de", 34.34)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(cont)]) == 0
+    assert capsys.readouterr().err == "warning: unmatched keys (baseline-only: 2, contaminated-only: 0)\n"
 
 
 def test_report_on_record_without_lang_pair_exits_two(tmp_path, capsys):
@@ -367,6 +421,13 @@ def test_report_with_bad_condition_exits_two(tmp_path, capsys):
     _records_file(cont, [("c", "en-de", 34.34)])
     assert main(["report", "--baseline", str(base), "--contaminated", str(cont), "--condition", "bad"]) == 2
     _assert_one_error_line(capsys, "cannot parse condition 'bad'")
+
+
+def test_report_condition_with_two_faults_names_the_copies_count(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    _records_file(base, [("b", "en-de", 30.95)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(base), "--condition", "late,bad,x"]) == 2
+    _assert_one_error_line(capsys, "invalid literal for int() with base 10: 'x'")
 
 
 def test_bleu_tokens_line_not_a_json_array_exits_two_naming_the_line(tmp_path, capsys):

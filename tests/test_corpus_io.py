@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import threading
 import tracemalloc
 
@@ -61,6 +62,21 @@ def test_three_shards_read_in_shard_then_line_order(tmp_path):
     got = list(read_corpus(corpus_dir))
     assert len(got) == 1000
     assert [d.doc_id for d in got] == [f"doc-{i:04d}" for i in range(1000)]
+
+
+def test_blank_lines_are_skipped_and_a_non_object_line_is_named(tmp_path):
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"doc_id": "a", "tokens": [1]}\n\n   \n{"doc_id": "b", "tokens": [2]}\n')
+    assert [d.doc_id for d in read_corpus(path)] == ["a", "b"]
+    path.write_text('{"doc_id": "a", "tokens": [1]}\n[1, 2]\n')
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:2: record must be a JSON object$"):
+        list(read_corpus(path))
+
+
+def test_shard_directory_without_shards_is_refused(tmp_path):
+    (tmp_path / "c.ctk").write_bytes(b"")
+    with pytest.raises(FileNotFoundError, match=r"no \.jsonl shards found$"):
+        list(read_corpus(tmp_path))
 
 
 def test_malformed_record_names_shard_line_and_field(tmp_path):
@@ -153,6 +169,31 @@ def test_binary_length_past_the_end_of_file_is_truncation(tmp_path, offset, what
         list(read_corpus(path, fmt="ctk"))
 
 
+def test_binary_cut_inside_the_doc_count_is_truncation(tmp_path):
+    path = tmp_path / "c.ctk"
+    write_corpus([CorpusDocument("a", [1, 2])], path, fmt="ctk")
+    path.write_bytes(path.read_bytes()[:6])
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: truncated while reading doc count$"):
+        list(read_corpus(path, fmt="ctk"))
+
+
+def test_binary_trailing_bytes_are_refused(tmp_path):
+    path = tmp_path / "c.ctk"
+    write_corpus([CorpusDocument("a", [1, 2])], path, fmt="ctk")
+    path.write_bytes(path.read_bytes() + b"\x00")
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: trailing bytes after the last document$"):
+        list(read_corpus(path, fmt="ctk"))
+
+
+def test_binary_id_that_is_not_utf8_names_the_doc(tmp_path):
+    path = tmp_path / "c.ctk"
+    write_corpus([CorpusDocument("a", [1]), CorpusDocument("b", [2])], path, fmt="ctk")
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"b", b"\xff"))  # doc #1's one-byte id
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: doc #1 id is not UTF-8$"):
+        list(read_corpus(path, fmt="ctk"))
+
+
 def test_binary_shard_reads_from_a_pipe(tmp_path):
     # e.g. --corpus <(zcat c.ctk.gz): a pipe has no size to bound the lengths by
     docs = docs_from_tokens([[1, 2, 3], [], [7]])
@@ -204,6 +245,12 @@ def test_unknown_format_rejected(tmp_path):
         list(read_corpus(tmp_path / "c.x", fmt="parquet"))
 
 
+def test_write_corpus_refuses_an_unknown_format(tmp_path):
+    with pytest.raises(ValueError, match="unknown corpus format 'parquet'"):
+        write_corpus([CorpusDocument("a", [1])], tmp_path / "c.x", fmt="parquet")
+    assert not (tmp_path / "c.x").exists()
+
+
 # -- test sets ----------------------------------------------------------------
 
 
@@ -225,7 +272,6 @@ def test_read_testset_basic(tmp_path):
     examples = read_testset(path)
     assert len(examples) == 1
     assert examples[0].source_tokens == [5, 6]
-    assert examples[0].lang_pair == ("de", "en")
     assert examples[0].pair == "de-en"
 
 
@@ -328,6 +374,11 @@ def test_write_rejects_wrong_slot_count():
         write_stream(stream, "/dev/null")
 
 
+def test_write_rejects_a_stream_without_slots():
+    with pytest.raises(ValueError, match="batch_size must be >= 1"):
+        write_stream(BatchStream(0, []), "/dev/null")
+
+
 def test_read_rejects_short_step(tmp_path):
     stream = _stream(3, 4)
     path = tmp_path / "s.jsonl"
@@ -349,6 +400,15 @@ def test_iter_batches_yields_each_step_before_reading_the_next(tmp_path):
     assert next(batches) == stream.steps[0]
     with pytest.raises(CorpusFormatError, match=r"s.jsonl:6: invalid JSON"):
         next(batches)
+
+
+def test_iter_batches_refuses_a_stream_that_starts_past_step_zero(tmp_path):
+    path = tmp_path / "s.jsonl"
+    write_stream(_stream(3, 4), path)
+    path.write_text("\n".join(path.read_text().splitlines()[4:]) + "\n")  # step 0 is missing
+    message = rf"^{re.escape(str(path))}:1: expected \(step 0, slot 0\), got \(1, 0\)$"
+    with pytest.raises(CorpusFormatError, match=message):
+        next(iter_batches(path))
 
 
 def test_iter_batches_rejects_a_short_last_step(tmp_path):

@@ -128,6 +128,19 @@ def test_per_pair_breakdown_sums_to_total():
     assert sorted(report.per_pair) == ["de-en", "en-cs"]
 
 
+def test_decontaminate_of_no_examples_is_an_error():
+    with pytest.raises(ValueError, match="testset must be non-empty"):
+        decontaminate([], index_of([[1] * 10]), CFG)
+
+
+@pytest.mark.parametrize("bin_width", [0, 1.5])
+def test_decontaminate_refuses_a_bin_width_outside_zero_to_one(bin_width):
+    rng = random.Random(0)
+    examples, corpus = _testset_with_plants(rng, total=2, planted_count=1)
+    with pytest.raises(ValueError, match=r"bin_width must be in \(0, 1\]"):
+        decontaminate(examples, index_of(corpus), CFG, bin_width=bin_width)
+
+
 # -- histogram ------------------------------------------------------------------
 
 
@@ -167,7 +180,6 @@ def _headline_report():
 
 def test_headline_numbers_render_as_six_point_seven_percent():
     report = _headline_report()
-    report.validate()
     text = render_report(report, "text")
     assert "total examples : 10172" in text
     assert "kept           : 9491" in text
@@ -192,7 +204,6 @@ def test_two_label_breakdown_sums():
         bin_width=0.05,
         removed_ids=["x"],
     )
-    report.validate()
     text = render_report(report)
     assert "clean        9" in text
     assert "both         1" in text
@@ -211,10 +222,3 @@ def test_empty_report_renders():
 def test_unknown_report_format_rejected():
     with pytest.raises(ValueError, match="format"):
         render_report(_headline_report(), "yaml")
-
-
-def test_validate_catches_inconsistencies():
-    report = _headline_report()
-    report.removed_ids = report.removed_ids[:-1]
-    with pytest.raises(ValueError):
-        report.validate()

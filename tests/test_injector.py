@@ -108,6 +108,15 @@ def test_replace_cap():
         TrainingConfig(10, 64, max_replace_frac=1.5)
 
 
+@pytest.mark.parametrize("field, message", [
+    ("batch_size", "batch_size must be >= 1"),
+    ("window_frac", r"window_frac must be in \(0, 1\]"),
+])
+def test_training_config_refuses_an_empty_batch_or_window(field, message):
+    with pytest.raises(ValueError, match=message):
+        TrainingConfig(**{"total_steps": 10, "batch_size": 64, field: 0})
+
+
 def test_counter_rng_is_reproducible_and_bounded():
     a = CounterRng(42)
     b = CounterRng(42)
@@ -342,6 +351,22 @@ def test_cap_of_zero_is_an_error():
         )
 
 
+def test_plan_of_no_examples_is_an_error():
+    with pytest.raises(ValueError, match="examples must be non-empty"):
+        plan_schedule([], ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1), CONFIG)
+
+
+def test_split_pair_repair_looks_past_a_step_its_own_copy_took():
+    # 20 halves fill the 4-step window exactly; the copy that needs a repair
+    # already holds the window's first step, so a half is moved off a later one
+    config = TrainingConfig(total_steps=5, batch_size=10, max_replace_frac=0.5, seed=2)
+    condition = ContaminationCondition(ContaminationMode.SPLIT_PAIR, Temporal.UNIFORM, 5)
+    schedule = plan_schedule(_examples(2), condition, config)
+    assert (schedule.window_start, schedule.window_end, schedule.cap) == (1, 5, 5)
+    assert len(schedule.entries) == 20
+    assert verify_schedule(schedule).ok
+
+
 def test_schedule_file_round_trip(tmp_path):
     condition = ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.LATE, 3)
     schedule = plan_schedule(_examples(2), condition, CONFIG)
@@ -411,6 +436,44 @@ def test_verify_flags_missing_half():
     report = verify_schedule(schedule)
     assert any("entry count" in v for v in report.violations)
     assert any("parts" in v for v in report.violations)
+
+
+def _cap_too_high(schedule):
+    schedule.cap += 1
+    return ["header cap 4 does not match config cap 3"]
+
+
+def _window_past_the_end(schedule):
+    schedule.window_end = 1001
+    return ["window [900, 1001) outside training range [0, 1000)"]
+
+
+def _slot_past_the_batch(schedule):
+    e = schedule.entries[0] = dataclasses.replace(schedule.entries[0], slot=64)
+    return [f"entry at step {e.step} has slot 64 outside batch of 64"]
+
+
+def _slot_taken_twice(schedule):
+    first = schedule.entries[0]
+    schedule.entries[1] = dataclasses.replace(schedule.entries[1], step=first.step, slot=first.slot)
+    return [f"slot collision at (step {first.step}, slot {first.slot})"]
+
+
+def _copy_index_skipped(schedule):
+    schedule.entries[:] = [dataclasses.replace(e, copy_index=2) if e.copy_index == 1 else e for e in schedule.entries]
+    return ["ex0: copy indexes [0, 2] do not cover 0..1"]
+
+
+@pytest.mark.parametrize("damage", [
+    _cap_too_high, _window_past_the_end, _slot_past_the_batch, _slot_taken_twice, _copy_index_skipped,
+])
+def test_verify_flags_each_damaged_header_or_entry(damage):
+    schedule = plan_schedule(
+        _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2), CONFIG
+    )
+    assert (schedule.window_start, schedule.cap) == (900, 3)
+    expected = damage(schedule)
+    assert verify_schedule(schedule).violations == expected
 
 
 def _move_one_half(schedule, to_step):
@@ -555,6 +618,16 @@ def test_apply_rejects_a_short_batch_at_any_step():
     message = f"stream batch_size {last.slot} does not match schedule batch_size 10"
     with pytest.raises(StreamShapeError, match=message):
         apply_schedule(stream, schedule)
+
+
+def test_apply_refuses_a_slot_past_the_batch_on_a_step_the_stream_reaches():
+    config = TrainingConfig(total_steps=20, batch_size=10, max_replace_frac=0.5, seed=3)
+    schedule = plan_schedule(
+        _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1), config
+    )
+    e = schedule.entries[0] = dataclasses.replace(schedule.entries[0], slot=10)
+    with pytest.raises(ValueError, match=rf"^schedule entry out of stream bounds: \(step {e.step}, slot 10\)$"):
+        apply_schedule(_synth_stream(20, 10), schedule)
 
 
 def test_apply_require_parallel_slots():

@@ -42,6 +42,16 @@ def test_config_validation():
     assert ScanConfig().threshold == 0.7
 
 
+@pytest.mark.parametrize("n, bits, message", [
+    (0, 64, "ngram_order must be >= 1"),
+    (8, 0, r"fingerprint_bits must be in \[1, 64\]"),
+    (8, 65, r"fingerprint_bits must be in \[1, 64\]"),
+])
+def test_index_refuses_an_order_or_width_it_cannot_hold(n, bits, message):
+    with pytest.raises(ValueError, match=message):
+        NGramIndex(n, bits)
+
+
 def test_nine_token_doc_has_two_postings():
     index = index_of([[1, 2, 3, 4, 5, 6, 7, 8, 9]])
     assert index.posting_count == 2
@@ -214,6 +224,33 @@ def test_load_rejects_other_format_versions(tmp_path):
     data[4:8] = (1).to_bytes(4, "little")
     path.write_bytes(data)
     with pytest.raises(CorpusFormatError, match="rebuild the index"):
+        NGramIndex.load(path)
+
+
+def _with_header(path, **changes):
+    """Apply ``changes`` (field name -> function of the old value) to the header of the index file at ``path``."""
+    data = bytearray(path.read_bytes())
+    names = ("magic", "version", "n", "bits", "posting_count", "table_bytes")
+    header = dict(zip(names, ngram_index._HEADER.unpack_from(data)))
+    header.update((name, change(header[name])) for name, change in changes.items())
+    ngram_index._HEADER.pack_into(data, 0, *header.values())
+    path.write_bytes(data)
+
+
+def test_load_names_the_file_of_a_header_with_n_zero(tmp_path):
+    path = tmp_path / "x.ctkx"
+    index_of([[1] * 20]).save(path)
+    _with_header(path, n=lambda n: 0)
+    with pytest.raises(CorpusFormatError, match=r"x.ctkx: ngram_order must be >= 1$"):
+        NGramIndex.load(path)
+
+
+def test_load_refuses_a_doc_table_size_that_differs_from_the_header(tmp_path):
+    # one posting fewer and 16 table bytes more: the file size still matches the header
+    path = tmp_path / "x.ctkx"
+    index_of([[1] * 20]).save(path)
+    _with_header(path, posting_count=lambda c: c - 1, table_bytes=lambda b: b + 16)
+    with pytest.raises(CorpusFormatError, match=r"x.ctkx: doc table size differs from its header$"):
         NGramIndex.load(path)
 
 

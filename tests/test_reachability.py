@@ -1,12 +1,15 @@
 """Every definition in the package is reached from the package itself.
 
-A top-level function, class or method under ``src/contamkit`` must be named
+A top-level function or class under ``src/contamkit`` must be named
 somewhere else in the package (called, imported or read as an attribute),
 be exported through an ``__all__``, or be imported by the acceptance tests.
+A method must be called somewhere in the package, and a property read there.
 Code that only other tests call does not belong in the package. Dunder
-methods are called by Python itself and are not checked. Names are matched
-by spelling alone, so a method counts as reached when any attribute of that
-name is read anywhere in the package.
+methods are called by Python itself and are not checked.
+
+Names are matched by spelling, so a property that shares its name with a
+dataclass field anywhere in the package would count as read whenever that
+field is read. Such a property must be listed in ``EXCEPTIONS`` with a reason.
 """
 
 import ast
@@ -23,14 +26,22 @@ EXCEPTIONS = {
 }
 
 
+def _decorated(node, name: str) -> bool:
+    return any(getattr(d, "id", None) == name or getattr(getattr(d, "func", None), "id", None) == name
+               for d in node.decorator_list)
+
+
 def _definitions(module: str, tree: ast.Module):
+    """``(qualified name, name, kind)`` per top-level definition and method;
+    kind is "top", "method" or "property"."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield f"{module}.{node.name}", node.name
+            yield f"{module}.{node.name}", node.name, "top"
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    yield f"{module}.{node.name}.{item.name}", item.name
+                    kind = "property" if _decorated(item, "property") else "method"
+                    yield f"{module}.{node.name}.{item.name}", item.name, kind
 
 
 def _named(tree: ast.AST) -> set[str]:
@@ -45,6 +56,24 @@ def _named(tree: ast.AST) -> set[str]:
     return names
 
 
+def _called_methods(tree: ast.AST) -> set[str]:
+    return {
+        node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+    }
+
+
+def _dataclass_fields(tree: ast.AST) -> set[str]:
+    return {
+        item.target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _decorated(node, "dataclass")
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+    }
+
+
 def _exported(tree: ast.Module) -> set[str]:
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
@@ -55,13 +84,20 @@ def _exported(tree: ast.Module) -> set[str]:
 def test_every_package_definition_is_reached_from_the_package():
     trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
     named = set().union(*map(_named, trees.values()))
+    called = set().union(*map(_called_methods, trees.values()))
+    shadowing = set().union(*map(_dataclass_fields, trees.values()))
     exported = set().union(*map(_exported, trees.values()))
     imported = {node.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text())) if isinstance(node, ast.alias)}
+    reached = {
+        "top": named | exported | imported,
+        "method": called,
+        "property": named - shadowing,
+    }
     unreached = {
         qualified
         for module, tree in trees.items()
-        for qualified, name in _definitions(module, tree)
+        for qualified, name, kind in _definitions(module, tree)
         if not (name.startswith("__") and name.endswith("__"))
-        and name not in named | exported | imported
+        and name not in reached[kind]
     }
     assert unreached == set(EXCEPTIONS)

@@ -87,6 +87,7 @@ MISTYPED = [
     ("header", "generator_version", 5, "field 'generator_version' must be a string"),
     ("header", "entry_count", "3", "field 'entry_count' must be a non-negative integer"),
     ("header", "entry_count", -1, "field 'entry_count' must be a non-negative integer"),
+    ("header", "kind", "plan", "not an injection schedule file"),
 ]
 
 
@@ -130,16 +131,15 @@ def test_negative_seed_round_trips_through_plan_verify_apply(files, capsys):
     assert len(read_stream(files / "out.jsonl").steps) == STEPS
 
 
-def test_header_without_strict_cap_and_generator_version_still_reads(files, capsys):
+@pytest.mark.parametrize("key", ["strict_cap", "generator_version"])
+def test_header_requires_strict_cap_and_generator_version(files, capsys, key):
     path = files / "plan.jsonl"
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert records[0]["generator_version"] == GENERATOR_VERSION
-    del records[0]["strict_cap"], records[0]["generator_version"]
+    del records[0][key]
     _write_lines(path, records)
-    schedule = read_schedule(path)
-    assert schedule.config.strict_cap is False
-    assert schedule.generator_version == "unknown"
-    assert main(["inject", "verify", "--schedule", str(path)]) == 0
+    assert main(["inject", "verify", "--schedule", str(path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:1: missing field '{key}'"]
 
 
 def test_header_still_requires_the_config_fields_with_defaults(files, capsys):
@@ -149,6 +149,40 @@ def test_header_still_requires_the_config_fields_with_defaults(files, capsys):
     _write_lines(path, records)
     assert main(["inject", "verify", "--schedule", str(path)]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: {path}:1: missing field 'seed'"]
+
+
+EMPTY = [
+    ("decontam", "t.jsonl", "no examples"),
+    ("inject-plan", "t.jsonl", "no examples"),
+    ("bleu", "ref.txt", "no segments"),
+    ("report", "base.jsonl", "no records"),
+    ("verify", "plan.jsonl", "missing schedule header"),
+]
+
+
+@pytest.mark.parametrize("command, name, message", EMPTY, ids=[command for command, _, _ in EMPTY])
+def test_empty_input_file_exits_two_naming_itself(files, capsys, command, name, message):
+    write_corpus([CorpusDocument("d", [1, 2, 3])], files / "c.jsonl")
+    for empty in ("t.jsonl", "hyp.txt", "ref.txt", "base.jsonl", "plan.jsonl"):
+        (files / empty).write_text("")
+    argv = {
+        "decontam": ["decontam", "--testset", str(files / "t.jsonl"), "--corpus", str(files / "c.jsonl")],
+        "inject-plan": _command("testset", files),
+        "bleu": ["bleu", "--hyp", str(files / "hyp.txt"), "--ref", str(files / "ref.txt")],
+        "report": _command("records", files),
+        "verify": _command("header", files),
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {files / name}: {message}"]
+
+
+def test_stream_that_skips_step_zero_names_its_first_line(files, capsys):
+    path = files / "s.jsonl"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[BATCH:]))
+    capsys.readouterr()
+    assert main(_command("stream", files)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: {path}:1: expected (step 0, slot 0), got (1, 0)"]
 
 
 def test_duplicate_doc_id_names_the_jsonl_line(tmp_path):
