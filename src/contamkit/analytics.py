@@ -38,21 +38,14 @@ class ImpactCell:
     testset_id: str
     baseline_bleu: float
     contaminated_bleu: float
-    delta: float
-    pct: float | None
 
-    @classmethod
-    def build(
-        cls,
-        condition: ContaminationCondition | None,
-        lang_pair: str,
-        testset_id: str,
-        baseline_bleu: float,
-        contaminated_bleu: float,
-    ) -> "ImpactCell":
-        delta = contaminated_bleu - baseline_bleu
-        pct = 100.0 * delta / baseline_bleu if baseline_bleu != 0 else None
-        return cls(condition, lang_pair, testset_id, baseline_bleu, contaminated_bleu, delta, pct)
+    @property
+    def delta(self) -> float:
+        return self.contaminated_bleu - self.baseline_bleu
+
+    @property
+    def pct(self) -> float | None:
+        return 100.0 * self.delta / self.baseline_bleu if self.baseline_bleu != 0 else None
 
 
 @dataclass(frozen=True)
@@ -91,7 +84,7 @@ def impact_table(
     if not shared:
         raise ValueError("baseline and contaminated records share no (lang_pair, testset) keys")
     cells = tuple(
-        ImpactCell.build(condition, pair, testset, base[(pair, testset)].bleu, cont[(pair, testset)].bleu)
+        ImpactCell(condition, pair, testset, base[(pair, testset)].bleu, cont[(pair, testset)].bleu)
         for pair, testset in shared
     )
     return ImpactTable(
@@ -165,7 +158,10 @@ class GapCell:
     lang_pair: str
     delta_contaminated_set: float
     delta_clean_set: float
-    gap: float
+
+    @property
+    def gap(self) -> float:
+        return self.delta_contaminated_set - self.delta_clean_set
 
 
 def testset_gap(
@@ -184,7 +180,6 @@ def testset_gap(
             lang_pair=pair,
             delta_contaminated_set=contaminated[(condition, pair)].delta,
             delta_clean_set=clean[(condition, pair)].delta,
-            gap=contaminated[(condition, pair)].delta - clean[(condition, pair)].delta,
         )
         for condition, pair in shared
     ]
@@ -236,7 +231,10 @@ _DIRECTION_TITLES = (
 def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
     """Render impact cells as direction-blocked aligned text or as JSON."""
     if fmt == "json":
-        payload = [{**vars(c), "condition": None if c.condition is None else vars(c.condition)} for c in cells]
+        payload = [
+            {**vars(c), "condition": None if c.condition is None else vars(c.condition), "delta": c.delta, "pct": c.pct}
+            for c in cells
+        ]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
@@ -263,7 +261,7 @@ def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
 def render_gaps(gaps: Sequence[GapCell], fmt: str = "text") -> str:
     """Render test-set gap cells as aligned text or JSON."""
     if fmt == "json":
-        payload = [{key: value for key, value in vars(g).items() if key != "condition"} for g in gaps]
+        payload = [{**{key: value for key, value in vars(g).items() if key != "condition"}, "gap": g.gap} for g in gaps]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")

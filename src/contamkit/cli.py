@@ -13,6 +13,7 @@ Subcommands:
 """
 
 import argparse
+import inspect
 import sys
 
 from . import analytics, decontam, injector, matcher, metrics
@@ -88,7 +89,10 @@ def _cmd_inject_plan(args) -> int:
         seed=args.seed,
         strict_cap=args.strict_cap,
     )
-    schedule = injector.plan_schedule(examples, condition, config)
+    try:
+        schedule = injector.plan_schedule(examples, condition, config)
+    except injector.TemplateError as e:
+        raise injector.TemplateError(f"{args.testset}: {e}") from None
     injector.write_schedule(schedule, args.out)
     print(
         f"planned {len(schedule.entries)} entries in window "
@@ -104,6 +108,8 @@ def _cmd_inject_apply(args) -> int:
     )
     try:
         write_batches(batches, args.out)
+    except injector.ScheduleError as e:
+        raise injector.ScheduleError(f"{args.schedule}: {e}") from e
     except injector.StreamShapeError as e:
         raise injector.StreamShapeError(f"{args.stream}: {e}") from e
     print(f"applied {len(schedule.entries)} entries -> {args.out}")
@@ -148,13 +154,24 @@ def _cmd_bleu(args) -> int:
 
 
 def _read_records(path) -> list[metrics.EvalRecord]:
-    records = [
-        from_record(metrics.EvalRecord, {"testset_id": "default", "segment_count": 1, **r}, where)
-        for where, r in read_json_lines(path)
-    ]
+    records = {}
+    for where, r in read_json_lines(path):
+        record = from_record(metrics.EvalRecord, {"testset_id": "default", "segment_count": 1, **r}, where)
+        key = (record.lang_pair, record.testset_id)
+        if key in records:
+            raise CorpusFormatError(f"{where}: duplicate (lang_pair, testset_id) key {key}")
+        records[key] = record
     if not records:
         raise CorpusFormatError(f"{path}: no records")
-    return records
+    return list(records.values())
+
+
+def _impact_table(baseline, contaminated, condition) -> analytics.ImpactTable:
+    base, cont = _read_records(baseline), _read_records(contaminated)
+    try:
+        return analytics.impact_table(base, cont, condition)
+    except ValueError as e:  # the files share no key; each file's own keys are unique
+        raise ValueError(f"{baseline}, {contaminated}: {e}") from None
 
 
 def _parse_condition(text: str | None) -> injector.ContaminationCondition | None:
@@ -169,9 +186,7 @@ def _parse_condition(text: str | None) -> injector.ContaminationCondition | None
 
 def _cmd_report(args) -> int:
     condition = _parse_condition(args.condition)
-    table = analytics.impact_table(
-        _read_records(args.baseline), _read_records(args.contaminated), condition
-    )
+    table = _impact_table(args.baseline, args.contaminated, condition)
     print(analytics.render_impact(table.cells, args.format), end="")
     if table.missing_baseline or table.missing_contaminated:
         print(
@@ -180,11 +195,11 @@ def _cmd_report(args) -> int:
             file=sys.stderr,
         )
     if args.clean_set:
-        clean_base, clean_cont = args.clean_set
-        clean = analytics.impact_table(
-            _read_records(clean_base), _read_records(clean_cont), condition
-        )
-        gaps = analytics.testset_gap(table.cells, clean.cells)
+        clean = _impact_table(*args.clean_set, condition)
+        try:
+            gaps = analytics.testset_gap(table.cells, clean.cells)
+        except ValueError as e:
+            raise ValueError(f"{args.baseline}, {args.contaminated} vs {', '.join(args.clean_set)}: {e}") from None
         print()
         print(analytics.render_gaps(gaps, args.format), end="")
     return 0
@@ -247,8 +262,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file vs a reference file")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    p.add_argument("--smoothing", default="none", choices=metrics.SMOOTHING_MODES)
-    p.add_argument("--max-order", type=int, default=4)
+    bleu_defaults = inspect.signature(metrics.corpus_bleu).parameters
+    p.add_argument("--smoothing", default=bleu_defaults["smoothing"].default, choices=metrics.SMOOTHING_MODES)
+    p.add_argument("--max-order", type=int, default=bleu_defaults["max_order"].default)
     p.add_argument("--tokens", action="store_true",
                    help="lines are JSON token arrays instead of whitespace-split text")
     p.set_defaults(func=_cmd_bleu)

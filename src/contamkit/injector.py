@@ -78,7 +78,13 @@ class TemplateError(ValueError):
 
 
 class StreamShapeError(ValueError):
-    """A batch stream's step count or batch size does not match the schedule."""
+    """A batch stream does not fit the schedule: its step count, a batch's
+    size, or a slot's incumbent where ``require_parallel_slots`` asks for a
+    parallel one."""
+
+
+class ScheduleError(ValueError):
+    """A schedule targets a slot twice, or a step or slot outside its own stream shape."""
 
 
 class ContaminationMode(str, Enum):
@@ -184,12 +190,6 @@ class PromptTemplate:
 
     names: Mapping[str, str]
 
-    def name_for(self, tag: str) -> str:
-        try:
-            return self.names[tag]
-        except KeyError:
-            raise TemplateError(f"no English name for language tag {tag!r} in template") from None
-
 
 DEFAULT_TEMPLATE = PromptTemplate(names=DEFAULT_LANGUAGE_NAMES)
 
@@ -207,10 +207,14 @@ def render(example: TestExample, mode: ContaminationMode, template: PromptTempla
     source = (example.source_text, example.src_lang)
     target = (example.target_text, example.tgt_lang)
     if mode is ContaminationMode.FULL_PROMPTED:
-        text = (
-            f"{template.name_for(example.src_lang)}: {example.source_text}\n"
-            f"{template.name_for(example.tgt_lang)}: {example.target_text}"
-        )
+        try:
+            text = (
+                f"{template.names[example.src_lang]}: {example.source_text}\n"
+                f"{template.names[example.tgt_lang]}: {example.target_text}"
+            )
+        except KeyError as e:
+            message = f"no English name for language tag {e.args[0]!r} in template"
+            raise TemplateError(f"example {example.example_id!r}: {message}") from None
         docs = [(text, example.pair)]
     elif mode is ContaminationMode.SOURCE_ONLY:
         docs = [source]
@@ -322,7 +326,6 @@ def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], boo
     """A step of the window that is ``ok``, or None when there is none."""
     lo, hi = window
     width = hi - lo
-    step = lo
     for _ in range(64):
         step = lo + rng.below(width)
         if ok(step):
@@ -390,13 +393,7 @@ def plan_schedule(
                         by_step.setdefault(step, []).extend(e for e in by_step[old] if e[:2] == unit)
                         by_step[old] = [e for e in by_step[old] if e[:2] != unit]
                         return old
-        available = sum(cap - len(by_step.get(s, ())) for s in range(*window) if s not in taken)
-        raise CapacityError(
-            f"could not place an entry; window capacity exhausted ({need} slots needed "
-            f"on a step its copy does not use, {available} free there)",
-            required=need,
-            available=available,
-        )
+        # not reached: when no step draws, a full step outside ``taken`` holds a copy that a step with room lacks
 
     for example_id, groups in grouped.items():
         for copy in range(condition.copies):
@@ -525,19 +522,23 @@ def apply_batches(
 
     One merge pass: batches are read one at a time and each is yielded, as
     a new list, before the next is read, so memory is one batch plus the
-    schedule. Checks run as early as the stream allows: duplicate targets
-    before the first batch is read, the batch size, slot bounds and
-    ``require_parallel_slots`` per batch, and the step count and any targets
-    past the last step once the stream ends; a failed check raises
-    ``ValueError``, or :class:`StreamShapeError` for the batch size and step
-    count. Arguments and replacement documents are as in :func:`apply_schedule`.
+    schedule. Checks run as early as the stream allows: every target's step
+    and slot against the schedule's own stream shape, and no slot targeted
+    twice, before the first batch is read; the batch size and
+    ``require_parallel_slots`` per batch; the step count once the stream
+    ends. A failed check raises :class:`ScheduleError` for a fault of the
+    schedule alone and :class:`StreamShapeError` for one of the stream (both
+    are ``ValueError``). Arguments and replacement documents are as in
+    :func:`apply_schedule`.
     """
     config = schedule.config
     targets: dict[int, dict[int, ScheduleEntry]] = {}
     for e in schedule.entries:
+        if not (0 <= e.step < config.total_steps and 0 <= e.slot < config.batch_size):
+            raise ScheduleError(f"schedule entry out of stream bounds: (step {e.step}, slot {e.slot})")
         slots = targets.setdefault(e.step, {})
         if e.slot in slots:
-            raise ValueError(f"schedule targets (step {e.step}, slot {e.slot}) twice")
+            raise ScheduleError(f"schedule targets (step {e.step}, slot {e.slot}) twice")
         slots[e.slot] = e
     steps = 0
     for step, batch in enumerate(batches):
@@ -547,11 +548,9 @@ def apply_batches(
             )
         batch = list(batch)
         for slot, e in targets.pop(step, {}).items():
-            if not 0 <= slot < config.batch_size:
-                raise ValueError(f"schedule entry out of stream bounds: (step {step}, slot {slot})")
             incumbent = batch[slot]
             if require_parallel_slots and incumbent.category != CATEGORY_PARALLEL:
-                raise ValueError(
+                raise StreamShapeError(
                     f"(step {step}, slot {slot}): incumbent is {incumbent.category!r}, "
                     "expected 'parallel'; replacing it would change the parallel-text budget"
                 )
@@ -566,9 +565,6 @@ def apply_batches(
         steps = step + 1
     if steps != config.total_steps:
         raise StreamShapeError(f"stream has {steps} steps, schedule expects {config.total_steps}")
-    for e in schedule.entries:
-        if e.step in targets:  # a step the stream never reached
-            raise ValueError(f"schedule entry out of stream bounds: (step {e.step}, slot {e.slot})")
 
 
 @dataclass

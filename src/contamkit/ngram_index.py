@@ -167,9 +167,15 @@ class NGramIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        """Write the index to a single file, bit-exact across platforms."""
+        """Write the index to a single file, bit-exact across platforms.
+
+        The header is written last, so the file must be seekable: a FIFO or
+        pipe is refused with an ``OSError`` naming it.
+        """
         tokens, starts = self.tokens, self.starts
         with output_file(path, "wb") as f:
+            if not f.seekable():
+                raise OSError(f"{path}: not seekable; an index can only be written to a regular file")
             f.seek(_HEADER.size)
             docs = ((doc_id, tokens[starts[r] : starts[r + 1]]) for r, doc_id in enumerate(self._doc_ids))
             write_doc_table(f, docs, path)

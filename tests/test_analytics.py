@@ -202,7 +202,7 @@ def test_mean_delta_ordering_full_above_partial_for_every_copy_count():
 
 
 def _impact(pair, base, cont, condition=LATE_FULL_1, testset="t"):
-    return ImpactCell.build(condition, pair, testset, base, cont)
+    return ImpactCell(condition, pair, testset, base, cont)
 
 
 def test_gap_simple_cases():
@@ -213,9 +213,9 @@ def test_gap_simple_cases():
             lang_pair="en-de",
             delta_contaminated_set=10.0,
             delta_clean_set=2.0,
-            gap=8.0,
         )
     ]
+    assert gaps[0].gap == 8.0
     flat = analytics.testset_gap([_impact("en-de", 10.0, 12.0)], [_impact("en-de", 9.0, 11.0, testset="clean")])
     assert flat[0].gap == 0.0
 

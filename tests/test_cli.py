@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -5,8 +6,8 @@ import stat
 import struct
 import threading
 
-from contamkit import decontam
-from contamkit.cli import main
+from contamkit import decontam, metrics
+from contamkit.cli import build_parser, main
 from contamkit.corpus_io import (
     CorpusDocument,
     example_to_record,
@@ -15,7 +16,7 @@ from contamkit.corpus_io import (
     write_corpus,
     write_stream,
 )
-from contamkit.injector import apply_schedule, read_schedule
+from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
 
 from helpers import longest_common_span, make_example, random_tokens
@@ -602,3 +603,104 @@ def test_deeply_nested_json_names_the_line(tmp_path, capsys):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err.splitlines() == [f"error: {deep}:1: invalid JSON (nested too deeply)"]
     assert not (tmp_path / "i.ctkx").exists()
+
+
+def test_inject_apply_names_the_schedule_behind_a_schedule_fault(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream_path = tmp_path / "stream.jsonl"
+    write_stream(_synth_stream(100, 64), stream_path)
+    first = read_schedule(plan_path).entries[0]
+    cases = (
+        (first, f"schedule targets (step {first.step}, slot {first.slot}) twice"),
+        (dataclasses.replace(first, step=100), f"schedule entry out of stream bounds: (step 100, slot {first.slot})"),
+        (dataclasses.replace(first, slot=64), f"schedule entry out of stream bounds: (step {first.step}, slot 64)"),
+    )
+    for extra, message in cases:
+        schedule = read_schedule(plan_path)
+        schedule.entries.append(extra)
+        bad = tmp_path / "bad_plan.jsonl"
+        write_schedule(schedule, bad)
+        capsys.readouterr()
+        assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(bad),
+                     "--out", str(tmp_path / "out.jsonl")]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+        assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_inject_apply_require_parallel_names_the_stream_step_and_slot(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream_path = tmp_path / "mono.jsonl"
+    write_stream(_synth_stream(100, 64), stream_path)  # only slot 0 of each batch is parallel
+    refused = next(e for e in read_schedule(plan_path).entries if e.slot != 0)
+    capsys.readouterr()
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                 "--out", str(tmp_path / "out.jsonl"), "--require-parallel"]) == 2
+    _assert_one_error_line(
+        capsys, f"error: {stream_path}: (step {refused.step}, slot {refused.slot}): incumbent is 'monolingual'"
+    )
+
+
+def test_report_names_the_file_and_line_of_a_repeated_key(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    cont = tmp_path / "cont.jsonl"
+    _records_file(base, [("b", "en-de", 30.95), ("b", "de-en", 33.59), ("b2", "en-de", 31.0)])
+    _records_file(cont, [("c", "en-de", 34.34)])
+    for argv in (["--baseline", str(base), "--contaminated", str(cont)],
+                 ["--baseline", str(cont), "--contaminated", str(base)]):
+        assert main(["report", *argv]) == 2
+        assert capsys.readouterr().err == f"error: {base}:3: duplicate (lang_pair, testset_id) key ('en-de', 't')\n"
+
+
+def test_report_names_both_files_when_they_share_no_key(tmp_path, capsys):
+    base = tmp_path / "base.jsonl"
+    cont = tmp_path / "cont.jsonl"
+    _records_file(base, [("b", "en-de", 30.95)])
+    _records_file(cont, [("c", "de-en", 34.34)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(cont)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {base}, {cont}: baseline and contaminated records share no (lang_pair, testset) keys\n"
+    )
+    clean = tmp_path / "clean.jsonl"
+    _records_file(clean, [("c", "cs-uk", 20.0)])
+    assert main(["report", "--baseline", str(base), "--contaminated", str(base),
+                 "--clean-set", str(clean), str(clean)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {base}, {base} vs {clean}, {clean}: impact tables share no (condition, lang_pair) keys\n"
+    )
+
+
+def test_inject_plan_names_the_testset_and_example_of_an_unnamed_language(tmp_path, capsys):
+    testset_path = tmp_path / "testset.jsonl"
+    _write_testset_file(testset_path, [make_example("ex0", [1, 2], [3, 4]),
+                                       make_example("ex1", [1, 2], [3, 4], pair=("fr", "en"))])
+    assert main(["inject", "plan", "--testset", str(testset_path), "--mode", "full_prompted",
+                 "--temporal", "late", "--copies", "1", "--steps", "100", "--batch-size", "64",
+                 "--out", str(tmp_path / "plan.jsonl")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {testset_path}: example 'ex1': no English name for language tag 'fr' in template\n"
+    )
+    assert not (tmp_path / "plan.jsonl").exists()
+
+
+def test_index_to_a_fifo_names_the_path(tmp_path, capsys):
+    corpus_path, _ = _corpus_and_testset(tmp_path, planted=False)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(fifo)]) == 2
+    reader.join(timeout=30)
+    assert not reader.is_alive() and received == [b""]
+    assert capsys.readouterr().err == (
+        f"error: {fifo}: not seekable; an index can only be written to a regular file\n"
+    )
+
+
+def test_bleu_defaults_are_those_of_corpus_bleu(monkeypatch):
+    def corpus_bleu(hypotheses, references, max_order=3, smoothing="add_one"):
+        raise AssertionError("not called")
+
+    monkeypatch.setattr(metrics, "corpus_bleu", corpus_bleu)
+    args = build_parser().parse_args(["bleu", "--hyp", "h.txt", "--ref", "r.txt"])
+    assert (args.max_order, args.smoothing) == (3, "add_one")

@@ -699,8 +699,31 @@ def test_apply_batches_checks_targets_before_and_after_the_stream():
         next(apply_batches(iter(()), schedule))
 
     schedule.entries[-1] = dataclasses.replace(first, step=1000)
-    batches = apply_batches(_synth_stream(1000, 64).steps, schedule)
-    for _ in range(1000):
-        next(batches)
     with pytest.raises(ValueError, match=r"out of stream bounds: \(step 1000, slot"):
-        next(batches)
+        next(apply_batches(_synth_stream(1000, 64).steps, schedule))
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(step=-1), r"schedule entry out of stream bounds: \(step -1, slot \d+\)"),
+    (dict(step=1000), r"schedule entry out of stream bounds: \(step 1000, slot \d+\)"),
+    (dict(slot=-1), r"schedule entry out of stream bounds: \(step \d+, slot -1\)"),
+    (dict(slot=64), r"schedule entry out of stream bounds: \(step \d+, slot 64\)"),
+    ({}, r"schedule targets \(step \d+, slot \d+\) twice"),
+])
+def test_apply_batches_refuses_a_faulty_schedule_before_pulling_a_batch(change, message):
+    schedule = plan_schedule(
+        _examples(1),
+        ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2),
+        CONFIG,
+    )
+    schedule.entries.append(dataclasses.replace(schedule.entries[0], **change))
+    pulled = []
+
+    def source():
+        for batch in _synth_stream(1000, 64).steps:
+            pulled.append(batch)
+            yield batch
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        next(apply_batches(source(), schedule))
+    assert pulled == []

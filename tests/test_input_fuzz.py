@@ -4,10 +4,10 @@ A valid test set, jsonl or `ctk` corpus, schedule, eval-record file or
 `bleu --tokens` hypothesis file is truncated at a random byte or line end, or
 has one to three bytes overwritten (the batch stream has its own test in
 `test_stream_fuzz.py`). Whatever the damage, each command either ends with its
-normal exit code or exits 2 with exactly one `error:` line. The work directory
-never holds a `*.tmp`, a failed run leaves no output, and a successful apply
-writes exactly as many contamination documents as the undamaged plan has
-entries.
+normal exit code or exits 2 with exactly one `error:` line, which names one
+of the command's input files. The work directory never holds a `*.tmp`, a
+failed run leaves no output, and a successful apply writes exactly as many
+contamination documents as the undamaged plan has entries.
 """
 
 import contextlib
@@ -121,6 +121,7 @@ def test_damaged_input_runs_cleanly_or_exits_two(valid, name, data):
         written = sorted(set(p.name for p in d.iterdir()) - set(inputs))
         if code == 2:
             assert len(lines) == 1 and lines[0].startswith("error: "), lines
+            assert any(a in lines[0] for a in argv if Path(a).name in inputs), lines  # names an input file
             assert written == [], written  # no output, no temporary file
             continue
         assert code in normal, (argv[:2], code, lines)

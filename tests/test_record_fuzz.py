@@ -3,8 +3,8 @@
 One field of one record of a valid test set, corpus, batch stream, schedule
 or eval-record file is set to a JSON value of another type (int, float, bool,
 null, string, list or object). Whatever the value, the command that reads the
-file either succeeds or exits 2 with exactly one `error:` line; it never
-raises out of `main`.
+file either succeeds or exits 2 with exactly one `error:` line, which names
+one of the command's input files; it never raises out of `main`.
 """
 
 import contextlib
@@ -30,6 +30,7 @@ from test_injector import _synth_stream
 
 STEPS = 8
 BATCH = 8
+INPUT_FLAGS = ("--testset", "--corpus", "--stream", "--schedule", "--baseline", "--contaminated")
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,8 @@ def test_mistyped_field_runs_cleanly_or_exits_two(work, data):
             lines = stderr.getvalue().splitlines()
             if code == 2:
                 assert len(lines) == 1 and lines[0].startswith("error: "), lines
+                inputs = [path for flag, path in zip(argv, argv[1:]) if flag in INPUT_FLAGS]
+                assert any(path in lines[0] for path in inputs), lines
             else:  # success; `inject verify` exits 1 when it finds a violation
                 assert code in ((0, 1) if argv[1] == "verify" else (0,)), (code, lines)
                 assert all(text.startswith("warning: ") for text in lines), lines

@@ -2,8 +2,8 @@
 
 A valid stream is truncated at a random byte offset or has a few bytes
 overwritten. Whatever the damage, apply either succeeds with a well-formed
-output stream or exits 2 with exactly one `error:` line, and never leaves a
-partial or temporary output file behind.
+output stream or exits 2 with exactly one `error:` line naming the stream or
+the plan, and never leaves a partial or temporary output file behind.
 """
 
 import contextlib
@@ -87,4 +87,5 @@ def test_damaged_stream_applies_cleanly_or_exits_two(valid, data):
         assert code == 2
         lines = stderr.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert str(stream_path) in lines[0] or str(plan_path) in lines[0], lines
         assert files == ["damaged.jsonl", "plan.jsonl", "stream.jsonl"]
