@@ -187,21 +187,21 @@ def _parse_condition(text: str | None) -> injector.ContaminationCondition | None
 def _cmd_report(args) -> int:
     condition = _parse_condition(args.condition)
     table = _impact_table(args.baseline, args.contaminated, condition)
-    print(analytics.render_impact(table.cells, args.format), end="")
-    if table.missing_baseline or table.missing_contaminated:
-        print(
-            f"warning: unmatched keys (baseline-only: {len(table.missing_contaminated)}, "
-            f"contaminated-only: {len(table.missing_baseline)})",
-            file=sys.stderr,
-        )
+    text = analytics.render_impact(table.cells, args.format)
     if args.clean_set:
         clean = _impact_table(*args.clean_set, condition)
         try:
             gaps = analytics.testset_gap(table.cells, clean.cells)
         except ValueError as e:
             raise ValueError(f"{args.baseline}, {args.contaminated} vs {', '.join(args.clean_set)}: {e}") from None
-        print()
-        print(analytics.render_gaps(gaps, args.format), end="")
+        text += "\n" + analytics.render_gaps(gaps, args.format)
+    print(text, end="")  # only once every input has passed, so a refusal prints nothing
+    if table.missing_baseline or table.missing_contaminated:
+        print(
+            f"warning: unmatched keys (baseline-only: {len(table.missing_contaminated)}, "
+            f"contaminated-only: {len(table.missing_baseline)})",
+            file=sys.stderr,
+        )
     return 0
 
 

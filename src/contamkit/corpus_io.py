@@ -18,8 +18,10 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
 
 Every JSON-lines record (here, and schedules and eval records) is read by
 :func:`from_record`: every field is checked against its dataclass annotation
-(``int`` means non-negative; ``float`` admits an int; neither a bool) and
-``__post_init__``, and ``path:line`` and the field are named.
+(``int`` means non-negative; ``list[int]`` is a token list, each id in
+``[0, 2**32)``; ``float`` admits an int; none admits a bool) and
+``__post_init__``, and ``path:line`` and the field are named. Token ids are
+32-bit in every format, so no reader yields one that an index cannot hold.
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
@@ -82,7 +84,7 @@ SignedInt = NewType("SignedInt", int)
 class CorpusDocument:
     """One training document: an id plus its token-id sequence.
 
-    Token ids are opaque non-negative integers; no normalization of any kind
+    Token ids are opaque integers in ``[0, 2**32)``; no normalization of any kind
     is applied to them. ``text`` is only populated for rendered contamination
     documents whose consumer tokenizes late.
     """
@@ -164,9 +166,10 @@ _KINDS = {
     float: (lambda v: type(v) is int or type(v) is float, "a number"),
     bool: (lambda v: type(v) is bool, "a boolean"),
     str: (lambda v: type(v) is str, "a string"),
-    # every item exactly an int (so no bool), the smallest >= 0
-    list[int]: (lambda v: type(v) is list and (not v or ({*map(type, v)} == {int} and min(v) >= 0)),
-                "a list of non-negative integers"),
+    # every item exactly an int (so no bool) that 32 bits hold, as every token id in every format
+    list[int]: (lambda v: type(v) is list
+                and (not v or ({*map(type, v)} == {int} and min(v) >= 0 and max(v) < 1 << 32)),
+                "a list of token ids (integers in [0, 2**32))"),
     dict[str, str]: (lambda v: type(v) is dict and all(type(x) is str for x in v.values()), "an object of strings"),
 }
 

@@ -84,7 +84,8 @@ class StreamShapeError(ValueError):
 
 
 class ScheduleError(ValueError):
-    """A schedule targets a slot twice, or a step or slot outside its own stream shape."""
+    """A schedule that :func:`verify_schedule` flags; the message gives the
+    violation count and the first violation."""
 
 
 class ContaminationMode(str, Enum):
@@ -522,24 +523,23 @@ def apply_batches(
 
     One merge pass: batches are read one at a time and each is yielded, as
     a new list, before the next is read, so memory is one batch plus the
-    schedule. Checks run as early as the stream allows: every target's step
-    and slot against the schedule's own stream shape, and no slot targeted
-    twice, before the first batch is read; the batch size and
-    ``require_parallel_slots`` per batch; the step count once the stream
-    ends. A failed check raises :class:`ScheduleError` for a fault of the
-    schedule alone and :class:`StreamShapeError` for one of the stream (both
-    are ``ValueError``). Arguments and replacement documents are as in
+    schedule. Checks run as early as the stream allows: the schedule must
+    pass :func:`verify_schedule` before the first batch is read, so every
+    target lies inside the window and the batch and no slot is targeted
+    twice; the batch size and ``require_parallel_slots`` are checked per
+    batch and the step count once the stream ends. A failed check raises
+    :class:`ScheduleError` for a fault of the schedule alone and
+    :class:`StreamShapeError` for one of the stream (both are
+    ``ValueError``). Arguments and replacement documents are as in
     :func:`apply_schedule`.
     """
     config = schedule.config
+    violations = verify_schedule(schedule).violations
+    if violations:
+        raise ScheduleError(f"schedule check: {len(violations)} violation(s), the first: {violations[0]}")
     targets: dict[int, dict[int, ScheduleEntry]] = {}
     for e in schedule.entries:
-        if not (0 <= e.step < config.total_steps and 0 <= e.slot < config.batch_size):
-            raise ScheduleError(f"schedule entry out of stream bounds: (step {e.step}, slot {e.slot})")
-        slots = targets.setdefault(e.step, {})
-        if e.slot in slots:
-            raise ScheduleError(f"schedule targets (step {e.step}, slot {e.slot}) twice")
-        slots[e.slot] = e
+        targets.setdefault(e.step, {})[e.slot] = e
     steps = 0
     for step, batch in enumerate(batches):
         if len(batch) != config.batch_size:

@@ -17,10 +17,12 @@ bound prunes the rest: the walk stops once fewer field tokens are left than
 the best length found, and a candidate with too little room to reach that
 length is not compared.
 
-Token ids are compared raw: no normalization, no re-tokenization. Fields
-shorter than the n-gram order are handled by searching the entire field as a
-single gram in the corpus token buffer, in place, so such fields only ever
-score 0 or 1.
+Token ids are compared raw: no normalization, no re-tokenization. They are
+32-bit, as in every index and every format :mod:`contamkit.corpus_io` reads,
+so a field is searched as one ``array("I")``, and an id outside
+``[0, 2**32)`` is a ``ValueError``. Fields shorter than the n-gram order are
+handled by searching the entire field as a single gram in the corpus token
+buffer, in place, so such fields only ever score 0 or 1.
 
 All functions here are pure given an immutable index; examples may be scored
 in parallel with no shared state.
@@ -30,11 +32,10 @@ import re
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, Sequence
 
 from .corpus_io import TestExample, write_json_lines
-from .ngram_index import _MAX_U32, NGramIndex, ScanConfig
+from .ngram_index import NGramIndex, ScanConfig
 
 
 @dataclass(frozen=True)
@@ -82,72 +83,53 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     rolling probe of the field (:meth:`NGramIndex.probe`). A surviving
     candidate is first compared on its ``L`` tokens as one slice,
     ``tokens[i:i + L] == field[j:j + L]``, and only then extended token by
-    token past ``L``, so the result is exact at any fingerprint width.
-    Tokens that no index holds (below 0, or 2**32 and above) split the
-    field, and each piece is searched at its own field offset. A field
-    shorter than ``n`` returns its first whole-field occurrence, which is the
-    smallest on the tie key.
+    token past ``L``, so the result is exact at any fingerprint width. A
+    token id outside ``[0, 2**32)``, which no index can hold, raises
+    ``ValueError``. A field shorter than ``n`` returns its first whole-field
+    occurrence, which is the smallest on the tie key.
     """
     n = index.ngram_order
     if config.ngram_order != n:
         raise ValueError(f"config ngram_order {config.ngram_order} does not match index ngram_order {n}")
     if len(field) == 0:
         raise ValueError("field must be non-empty")
+    try:
+        field = array("I", field)
+    except OverflowError:
+        raise ValueError("field token ids must be integers in [0, 2**32)") from None
     if len(field) < n:
         return _whole_field_span(field, index)
 
     tokens, starts = index.tokens, index.starts
+    end = len(field)
     best = None  # (doc_ref, corpus_start, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
-    for base, piece in _pieces(field):
-        end = len(piece)
-        for j, (refs, offsets) in enumerate(index.probe(piece)):
-            if end - j < best_len:
-                break  # no span starting here or later in the piece can be longer
-            before = piece[j - 1] if j else None  # equals no token: a piece start is left-maximal
-            for ref, off in zip(refs, offsets):
-                i = starts[ref] + off
-                if off and tokens[i - 1] == before:
-                    continue  # not left-maximal: the same span starts further left
-                stop = min(starts[ref + 1] - i, end - j)
-                if stop < best_len or tokens[i : i + best_len] != piece[j : j + best_len]:
-                    continue  # too little room, or the first best_len tokens differ
-                length = best_len
-                while length < stop and tokens[i + length] == piece[j + length]:
-                    length += 1
-                if length > best_len or best is None or (ref, off, base + j) < best:
-                    best, best_len = (ref, off, base + j), length
+    for j, (refs, offsets) in enumerate(index.probe(field)):
+        if end - j < best_len:
+            break  # no span starting here or later in the field can be longer
+        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
+        for ref, off in zip(refs, offsets):
+            i = starts[ref] + off
+            if off and tokens[i - 1] == before:
+                continue  # not left-maximal: the same span starts further left
+            stop = min(starts[ref + 1] - i, end - j)
+            if stop < best_len or tokens[i : i + best_len] != field[j : j + best_len]:
+                continue  # too little room, or the first best_len tokens differ
+            length = best_len
+            while length < stop and tokens[i + length] == field[j + length]:
+                length += 1
+            if length > best_len or best is None or (ref, off, j) < best:
+                best, best_len = (ref, off, j), length
     return None if best is None else MatchSpan(*best, best_len)
 
 
-def _pieces(field: Sequence[int]) -> list[tuple[int, array]]:
-    # The field as (field offset, array("I")) runs between the tokens that no
-    # index holds (below 0, or 2**32 and above). Such a token matches nothing,
-    # so no span crosses it, and a piece start is left-maximal like the field start.
-    try:
-        return [(0, array("I", field))]
-    except OverflowError:
-        pass
-    pieces, start = [], 0
-    for holdable, run in groupby(field, lambda token: 0 <= token <= _MAX_U32):
-        run = list(run)
-        if holdable:
-            pieces.append((start, array("I", run)))
-        start += len(run)
-    return pieces
-
-
-def _whole_field_span(field: Sequence[int], index: NGramIndex) -> MatchSpan | None:
+def _whole_field_span(field: array, index: NGramIndex) -> MatchSpan | None:
     # The first exact whole-field occurrence in the packed token buffer, in
     # (doc_ref, corpus_start) order; linear in corpus size, only reached for
     # fields shorter than the n-gram order. The buffer is searched through a
     # byte view, not copied; the view is released on return, so the array can
     # still grow.
-    try:
-        needle = array("I", field).tobytes()
-    except OverflowError:  # a token id no index holds
-        return None
-    search = re.compile(re.escape(needle)).search
+    search = re.compile(re.escape(field.tobytes())).search
     starts, k = index.starts, len(field)
     with memoryview(index.tokens) as view, view.cast("B") as haystack:
         hit = search(haystack)

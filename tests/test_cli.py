@@ -19,8 +19,12 @@ from contamkit.corpus_io import (
 from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
 
-from helpers import longest_common_span, make_example, random_tokens
+from helpers import make_example, random_tokens
 from test_injector import _synth_stream
+
+
+# what every reader says of a token list holding an id outside [0, 2**32)
+TOKEN_IDS = "must be a list of token ids (integers in [0, 2**32))"
 
 
 def _write_testset_file(path, examples):
@@ -181,10 +185,9 @@ def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
     assert not kept.exists()
 
 
-def test_decontam_scores_a_field_holding_a_token_no_index_holds_as_the_oracle_does(tmp_path, capsys):
+def test_decontam_refuses_a_field_holding_a_token_no_index_holds(tmp_path, capsys):
     rng = random.Random(6)
     docs = [random_tokens(rng, 40, 10**6) for _ in range(3)]
-    # 2**32 splits the source; its longer span comes after the split
     source = docs[0][:10] + [2**32] + docs[1][3:18]
     target = docs[2][:9] + [2**32]
     corpus_path, testset_path = tmp_path / "corpus.jsonl", tmp_path / "testset.jsonl"
@@ -192,18 +195,9 @@ def test_decontam_scores_a_field_holding_a_token_no_index_holds_as_the_oracle_do
     _write_testset_file(testset_path, [make_example("ex0", source, target)])
     scores_path = tmp_path / "scores.jsonl"
     argv = ["decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), "--scores-out", str(scores_path)]
-    assert main(argv) == 3  # the target's 9 of 10 tokens are above 0.7
-    record = json.loads(scores_path.read_text())
-    for side, field in (("source", source), ("target", target)):
-        span = longest_common_span(field, docs, 8)
-        assert record[f"s_{side}"] == span.length / len(field)
-        assert record[f"longest_{side}"] == {
-            "doc_id": f"d{span.doc_ref}",
-            "corpus_start": span.corpus_start,
-            "example_start": span.example_start,
-            "length": span.length,
-        }
-    assert record["longest_source"]["example_start"] == 11
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {testset_path}:1: field 'source_tokens' {TOKEN_IDS}\n"
+    assert not scores_path.exists()
 
 
 def test_inject_plan_fills_an_exactly_full_split_pair_window(tmp_path, capsys):
@@ -397,7 +391,8 @@ def test_index_on_token_id_beyond_32_bits_exits_two(tmp_path, capsys):
     corpus_path = tmp_path / "corpus.jsonl"
     write_corpus([CorpusDocument("wide", [1, 2, 2**32, 3] * 4)], corpus_path)
     assert main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "c.ctkx")]) == 2
-    _assert_one_error_line(capsys, "'wide'")
+    assert capsys.readouterr().err == f"error: {corpus_path}:1: field 'tokens' {TOKEN_IDS}\n"
+    assert not (tmp_path / "c.ctkx").exists()
 
 
 def test_decontam_with_index_of_other_ngram_exits_two(tmp_path, capsys):
@@ -610,10 +605,11 @@ def test_inject_apply_names_the_schedule_behind_a_schedule_fault(tmp_path, capsy
     stream_path = tmp_path / "stream.jsonl"
     write_stream(_synth_stream(100, 64), stream_path)
     first = read_schedule(plan_path).entries[0]
+    first_violation = "the first: entry count 7 != examples x copies x arity = 6"
     cases = (
-        (first, f"schedule targets (step {first.step}, slot {first.slot}) twice"),
-        (dataclasses.replace(first, step=100), f"schedule entry out of stream bounds: (step 100, slot {first.slot})"),
-        (dataclasses.replace(first, slot=64), f"schedule entry out of stream bounds: (step {first.step}, slot 64)"),
+        (first, f"schedule check: 4 violation(s), {first_violation}"),
+        (dataclasses.replace(first, step=100), f"schedule check: 3 violation(s), {first_violation}"),
+        (dataclasses.replace(first, slot=64), f"schedule check: 4 violation(s), {first_violation}"),
     )
     for extra, message in cases:
         schedule = read_schedule(plan_path)
@@ -625,6 +621,42 @@ def test_inject_apply_names_the_schedule_behind_a_schedule_fault(tmp_path, capsy
                      "--out", str(tmp_path / "out.jsonl")]) == 2
         assert capsys.readouterr().err == f"error: {bad}: {message}\n"
         assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_inject_apply_refuses_a_schedule_that_inject_verify_flags(tmp_path, capsys):
+    # a hand-edited 3-entry plan: cap 1, every entry moved to step 0, outside the late window
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    testset_path.write_text("".join(testset_path.read_text().splitlines(keepends=True)[:3]))
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "full_prompted", "--temporal", "late",
+        "--copies", "1", "--steps", "4", "--batch-size", "4", "--cap", "0.75", "--out", str(plan_path),
+    ]) == 0
+    schedule = read_schedule(plan_path)
+    assert (schedule.window_start, schedule.window_end, schedule.cap) == (3, 4, 3)
+    schedule.cap = 1
+    schedule.entries[:] = [dataclasses.replace(e, step=0) for e in schedule.entries]
+    write_schedule(schedule, plan_path)
+    capsys.readouterr()
+    assert main(["inject", "verify", "--schedule", str(plan_path)]) == 1
+    assert capsys.readouterr().out.startswith("schedule check: 5 violation(s)")
+    stream_path, out = tmp_path / "stream.jsonl", tmp_path / "out.jsonl"
+    write_stream(_synth_stream(4, 4), stream_path)
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path), "--out", str(out)]) == 2
+    first = "header cap 1 does not match config cap 3"
+    assert capsys.readouterr().err == f"error: {plan_path}: schedule check: 5 violation(s), the first: {first}\n"
+    assert not out.exists()
+
+
+def test_inject_apply_refuses_a_stream_token_id_beyond_32_bits(tmp_path, capsys):
+    plan_path = _apply_plan(tmp_path)
+    stream = _synth_stream(100, 64)
+    stream.steps[1][3].tokens.append(2**32)  # line 64 + 4
+    stream_path, out = tmp_path / "stream.jsonl", tmp_path / "out.jsonl"
+    write_stream(stream, stream_path)
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {stream_path}:68: field 'tokens' {TOKEN_IDS}\n"
+    assert not out.exists()
 
 
 def test_inject_apply_require_parallel_names_the_stream_step_and_slot(tmp_path, capsys):
@@ -667,6 +699,21 @@ def test_report_names_both_files_when_they_share_no_key(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {base}, {base} vs {clean}, {clean}: impact tables share no (condition, lang_pair) keys\n"
     )
+
+
+def test_report_gap_refusal_prints_no_table_first(tmp_path, capsys):
+    # one pair under two test sets gives two impact cells with one gap key
+    records = tmp_path / "records.jsonl"
+    records.write_text("".join(
+        json.dumps({"system_id": "s", "lang_pair": "en-de", "testset_id": testset, "bleu": 30.0}) + "\n"
+        for testset in ("wmt23", "wmt22")
+    ))
+    assert main(["report", "--baseline", str(records), "--contaminated", str(records),
+                 "--clean-set", str(records), str(records)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"error: {records}, {records} vs {records}, {records}: "
+        "duplicate contaminated-set cell for (None, 'en-de')\n"
+    ))
 
 
 def test_inject_plan_names_the_testset_and_example_of_an_unnamed_language(tmp_path, capsys):

@@ -89,7 +89,8 @@ def test_malformed_record_names_shard_line_and_field(tmp_path):
 def test_bad_token_type_rejected(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"doc_id":"d0","tokens":[1,-2]}\n')
-    with pytest.raises(CorpusFormatError, match="non-negative"):
+    message = r"bad\.jsonl:1: field 'tokens' must be a list of token ids \(integers in \[0, 2\*\*32\)\)$"
+    with pytest.raises(CorpusFormatError, match=message):
         list(read_corpus(path))
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -16,6 +17,7 @@ from contamkit.injector import (
     CounterRng,
     PromptTemplate,
     ScheduleEntry,
+    ScheduleError,
     StreamShapeError,
     Temporal,
     TemplateError,
@@ -464,9 +466,10 @@ def _copy_index_skipped(schedule):
     return ["ex0: copy indexes [0, 2] do not cover 0..1"]
 
 
-@pytest.mark.parametrize("damage", [
-    _cap_too_high, _window_past_the_end, _slot_past_the_batch, _slot_taken_twice, _copy_index_skipped,
-])
+DAMAGES = [_cap_too_high, _window_past_the_end, _slot_past_the_batch, _slot_taken_twice, _copy_index_skipped]
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
 def test_verify_flags_each_damaged_header_or_entry(damage):
     schedule = plan_schedule(
         _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2), CONFIG
@@ -474,6 +477,25 @@ def test_verify_flags_each_damaged_header_or_entry(damage):
     assert (schedule.window_start, schedule.cap) == (900, 3)
     expected = damage(schedule)
     assert verify_schedule(schedule).violations == expected
+
+
+@pytest.mark.parametrize("damage", DAMAGES)
+def test_apply_batches_refuses_each_schedule_verify_flags_before_pulling_a_batch(damage):
+    schedule = plan_schedule(
+        _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2), CONFIG
+    )
+    (violation,) = damage(schedule)
+    pulled = []
+
+    def source():
+        for batch in _synth_stream(1000, 64).steps:
+            pulled.append(batch)
+            yield batch
+
+    with pytest.raises(ScheduleError) as err:
+        next(apply_batches(source(), schedule))
+    assert str(err.value) == f"schedule check: 1 violation(s), the first: {violation}"
+    assert pulled == []
 
 
 def _move_one_half(schedule, to_step):
@@ -560,7 +582,7 @@ def test_apply_empty_schedule_is_identity():
         ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1),
         CONFIG,
     )
-    schedule.entries.clear()
+    schedule = dataclasses.replace(schedule, example_count=0, entries=[])
     stream = _synth_stream(1000, 64)
     assert apply_schedule(stream, schedule) == stream
 
@@ -626,7 +648,8 @@ def test_apply_refuses_a_slot_past_the_batch_on_a_step_the_stream_reaches():
         _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1), config
     )
     e = schedule.entries[0] = dataclasses.replace(schedule.entries[0], slot=10)
-    with pytest.raises(ValueError, match=rf"^schedule entry out of stream bounds: \(step {e.step}, slot 10\)$"):
+    message = rf"^schedule check: 1 violation\(s\), the first: entry at step {e.step} has slot 10 outside batch of 10$"
+    with pytest.raises(ValueError, match=message):
         apply_schedule(_synth_stream(20, 10), schedule)
 
 
@@ -695,22 +718,27 @@ def test_apply_batches_checks_targets_before_and_after_the_stream():
     )
     first = schedule.entries[0]
     schedule.entries.append(first)
-    with pytest.raises(ValueError, match=rf"targets \(step {first.step}, slot {first.slot}\) twice"):
+    message = r"3 violation\(s\), the first: entry count 3 != examples x copies x arity = 2"
+    with pytest.raises(ValueError, match=message):
         next(apply_batches(iter(()), schedule))
 
     schedule.entries[-1] = dataclasses.replace(first, step=1000)
-    with pytest.raises(ValueError, match=r"out of stream bounds: \(step 1000, slot"):
+    with pytest.raises(ValueError, match=message):
         next(apply_batches(_synth_stream(1000, 64).steps, schedule))
 
 
-@pytest.mark.parametrize("change, message", [
-    (dict(step=-1), r"schedule entry out of stream bounds: \(step -1, slot \d+\)"),
-    (dict(step=1000), r"schedule entry out of stream bounds: \(step 1000, slot \d+\)"),
-    (dict(slot=-1), r"schedule entry out of stream bounds: \(step \d+, slot -1\)"),
-    (dict(slot=64), r"schedule entry out of stream bounds: \(step \d+, slot 64\)"),
-    ({}, r"schedule targets \(step \d+, slot \d+\) twice"),
+# an appended entry breaks the entry count and its copy's parts besides its own fault
+REFUSAL = r"schedule check: 3 violation\(s\), the first: entry count 3 != examples x copies x arity = 2"
+
+
+@pytest.mark.parametrize("change, message, flagged", [
+    (dict(step=-1), REFUSAL, r"entry \(ex0, copy 1, whole\) at step -1 outside window \[900, 920\)"),
+    (dict(step=1000), REFUSAL, r"entry \(ex0, copy 1, whole\) at step 1000 outside window \[900, 920\)"),
+    (dict(slot=-1), REFUSAL, r"entry at step \d+ has slot -1 outside batch of 64"),
+    (dict(slot=64), REFUSAL, r"entry at step \d+ has slot 64 outside batch of 64"),
+    ({}, REFUSAL, r"slot collision at \(step \d+, slot \d+\)"),
 ])
-def test_apply_batches_refuses_a_faulty_schedule_before_pulling_a_batch(change, message):
+def test_apply_batches_refuses_a_faulty_schedule_before_pulling_a_batch(change, message, flagged):
     schedule = plan_schedule(
         _examples(1),
         ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2),
@@ -727,3 +755,5 @@ def test_apply_batches_refuses_a_faulty_schedule_before_pulling_a_batch(change, 
     with pytest.raises(ValueError, match=f"^{message}$"):
         next(apply_batches(source(), schedule))
     assert pulled == []
+    # the count and the first violation are the same for every case; verify names each fault
+    assert any(re.fullmatch(flagged, v) for v in verify_schedule(schedule).violations)

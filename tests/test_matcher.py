@@ -259,16 +259,11 @@ def test_longest_span_equals_longest_of_all_spans(bits, data):
     # the longest of all maximal spans, found by the DP oracle. Fields of 1-40
     # tokens cover the whole-field scan below n; a 2-5 token vocabulary repeats
     # grams, so one diagonal carries several spans and equal-length ties are
-    # common, and 4-bit fingerprints make most candidates collisions. A few
-    # tokens that no index holds split the field into pieces searched on
-    # their own.
+    # common, and 4-bit fingerprints make most candidates collisions.
     vocab = data.draw(st.integers(min_value=2, max_value=5))
     tokens = st.integers(min_value=0, max_value=vocab - 1)
     docs = data.draw(st.lists(st.lists(tokens, max_size=60), min_size=1, max_size=4))
     field = data.draw(st.lists(tokens, min_size=1, max_size=40))
-    wild = st.tuples(st.integers(min_value=0, max_value=40), st.sampled_from([-1, 2**32, 2**40]))
-    for at, token in data.draw(st.lists(wild, max_size=3)):
-        field.insert(at, token)
     assert longest_span(field, index_of(docs, bits=bits), CFG) == longest_common_span(field, docs, 8)
 
 
@@ -295,13 +290,14 @@ def test_longest_span_tie_at_one_corpus_position_goes_to_the_smaller_field_start
     assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
 
 
-def test_longest_span_tie_across_a_split_goes_to_the_smaller_field_start():
-    # 2**32 splits the field; the piece after it restarts its own offsets at
-    # 0, but the tie is decided on field offsets
-    a = list(range(100, 108))
-    index = index_of([[1] + a + [2]])
-    field = [3] + a + [2**32] + a
-    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
+@pytest.mark.parametrize("token", [-1, 2**32, 2**40])
+@pytest.mark.parametrize("length", [3, 12])
+def test_longest_span_refuses_a_token_id_no_index_holds(token, length):
+    # every reader refuses such an id first; a direct caller gets a ValueError,
+    # on the whole-field search below n and on the n-gram walk alike
+    field = [1] * (length - 1) + [token]
+    with pytest.raises(ValueError, match=r"^field token ids must be integers in \[0, 2\*\*32\)$"):
+        longest_span(field, index_of([[1] * 20]), CFG)
 
 
 def test_longest_span_of_a_short_field_is_its_first_hit_across_documents():

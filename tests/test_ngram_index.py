@@ -139,6 +139,13 @@ def test_offsets_beyond_32_bits_are_a_capacity_error():
         build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
 
 
+@pytest.mark.parametrize("token", [-1, 2**32])
+def test_token_id_outside_32_bits_is_a_capacity_error(token):
+    # the readers refuse such an id first; this guards documents built in memory
+    with pytest.raises(IndexCapacityError, match=r"^doc 'wide': a token id exceeds 32 bits$"):
+        build_index([CorpusDocument("wide", [1, 2, token, 3] * 4)], ScanConfig())
+
+
 @pytest.mark.parametrize("bits", [64, 4])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
