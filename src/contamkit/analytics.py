@@ -164,13 +164,29 @@ class GapCell:
         return self.delta_contaminated_set - self.delta_clean_set
 
 
+def _one_per_pair(cells: Iterable[ImpactCell], side: str) -> dict:
+    """Index cells by (condition, lang_pair), refusing a pair held under two test sets."""
+    table = {}
+    for cell in cells:
+        key = (cell.condition, cell.lang_pair)
+        if key in table:
+            raise ValueError(
+                f"{side} cells hold {cell.lang_pair} under test sets {table[key].testset_id!r} and "
+                f"{cell.testset_id!r}; a gap takes one test set per pair"
+            )
+        table[key] = cell
+    return table
+
+
 def testset_gap(
     contaminated_set: Iterable[ImpactCell],
     clean_set: Iterable[ImpactCell],
 ) -> list[GapCell]:
-    """Per-pair gap between two impact tables sharing (condition, lang_pair)."""
-    contaminated = _keyed(contaminated_set, attrgetter("condition", "lang_pair"), "contaminated-set cell")
-    clean = _keyed(clean_set, attrgetter("condition", "lang_pair"), "clean-set cell")
+    """Per-pair gap between two impact tables sharing (condition, lang_pair).
+
+    Each table must hold a pair under one test set only."""
+    contaminated = _one_per_pair(contaminated_set, "contaminated-set")
+    clean = _one_per_pair(clean_set, "clean-set")
     shared = [k for k in contaminated if k in clean]
     if not shared:
         raise ValueError("impact tables share no (condition, lang_pair) keys")
@@ -229,7 +245,8 @@ _DIRECTION_TITLES = (
 
 
 def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
-    """Render impact cells as direction-blocked aligned text or as JSON."""
+    """Render impact cells as direction-blocked aligned text, one row per
+    (pair, test set), or as JSON."""
     if fmt == "json":
         payload = [
             {**vars(c), "condition": None if c.condition is None else vars(c.condition), "delta": c.delta, "pct": c.pct}
@@ -239,11 +256,12 @@ def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
     lines = []
-    header = f"{'pair':<10} {'baseline':>9} {'contam':>9} {'delta':>8} {'pct':>8}"
+    width = max([len("testset"), *(len(c.testset_id) for c in cells)])
+    header = f"{'pair':<10} {'testset':<{width}} {'baseline':>9} {'contam':>9} {'delta':>8} {'pct':>8}"
     for group, title in _DIRECTION_TITLES:
         members = sorted(
             (c for c in cells if direction_of(c.lang_pair) == group),
-            key=lambda c: c.lang_pair,
+            key=attrgetter("lang_pair", "testset_id"),
         )
         if not members:
             continue
@@ -252,7 +270,8 @@ def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
         for c in members:
             pct = f"{c.pct:8.2f}" if c.pct is not None else "     n/a"
             lines.append(
-                f"{c.lang_pair:<10} {c.baseline_bleu:9.2f} {c.contaminated_bleu:9.2f} {c.delta:8.2f} {pct}"
+                f"{c.lang_pair:<10} {c.testset_id:<{width}} {c.baseline_bleu:9.2f} {c.contaminated_bleu:9.2f} "
+                f"{c.delta:8.2f} {pct}"
             )
         lines.append("")
     return "\n".join(lines).rstrip("\n") + "\n"

@@ -17,11 +17,13 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
   slot-minor.
 
 Every JSON-lines record (here, and schedules and eval records) is read by
-:func:`from_record`: every field is checked against its dataclass annotation
-(``int`` means non-negative; ``list[int]`` is a token list, each id in
-``[0, 2**32)``; ``float`` admits an int; none admits a bool) and
-``__post_init__``, and ``path:line`` and the field are named. Token ids are
-32-bit in every format, so no reader yields one that an index cannot hold.
+:func:`from_record`, or by :func:`record_values` where a reader keeps the
+values and not the object (schedule entries): every field is checked
+against its dataclass annotation (``int`` means non-negative; ``list[int]``
+is a token list, each id in ``[0, 2**32)``; ``float`` admits an int; none
+admits a bool) and ``__post_init__``, and ``path:line`` and the field are
+named. Token ids are 32-bit in every format, so no reader yields one that an
+index cannot hold.
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
@@ -196,12 +198,24 @@ def _field_plan(cls) -> tuple:
 
 
 def from_record(cls, record: dict, where: str, *, defaults: bool = True, **given):
-    """Build dataclass ``cls`` from the JSON object ``record`` read at ``where``.
+    """Build dataclass ``cls`` from the JSON object ``record`` read at ``where``,
+    from the values of :func:`record_values`; a ``ValueError`` from
+    ``__post_init__`` raises :class:`CorpusFormatError`."""
+    args = record_values(cls, record, where, defaults, given)
+    try:
+        return cls(*args)
+    except ValueError as e:
+        raise CorpusFormatError(f"{where}: {e}") from e
 
-    Fields in ``given`` are taken as they are; the others are read from
+
+def record_values(cls, record: dict, where: str, defaults: bool = True, given: dict | None = None) -> list:
+    """The field values of dataclass ``cls``, in field order, from the JSON
+    object ``record`` read at ``where``.
+
+    Fields in the dict ``given`` are taken as they are; the others are read from
     ``record`` and checked against their annotation, and may be absent when
-    they have a default value and ``defaults`` is true. A failed check, or a
-    ``ValueError`` from ``__post_init__``, raises :class:`CorpusFormatError`.
+    they have a default value and ``defaults`` is true. A failed check raises
+    :class:`CorpusFormatError`.
     """
     args = []  # positional: a dataclass builds faster from them than from keywords
     for name, test, what, default, nested in _field_plan(cls):
@@ -218,10 +232,7 @@ def from_record(cls, record: dict, where: str, *, defaults: bool = True, **given
         else:
             value = default
         args.append(value)
-    try:
-        return cls(*args)
-    except ValueError as e:
-        raise CorpusFormatError(f"{where}: {e}") from e
+    return args
 
 
 @contextmanager

@@ -34,25 +34,23 @@ the step of an earlier placed half instead, which moves, without a draw, to
 the first step that has room and does not hold its own copy. Plans are
 therefore a pure function of (examples, condition, config, template) and
 serialize byte-identically across runs.
+
+A schedule holds its entries as columns (:class:`ScheduleEntries`): about
+59 B per entry, where one frozen object per entry took 503 B.
 """
 
 import math
-from dataclasses import dataclass
+from array import array
+from collections import Counter
+from dataclasses import dataclass, fields
 from enum import Enum
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .corpus_io import (
-    CATEGORY_CONTAMINATION,
-    CATEGORY_PARALLEL,
-    BatchStream,
-    CorpusDocument,
-    CorpusFormatError,
-    SignedInt,
-    TestExample,
-    from_record,
-    read_json_lines,
-    write_json_lines,
+    CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, SignedInt, TestExample,
+    from_record, read_json_lines, record_values, write_json_lines,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
@@ -170,18 +168,8 @@ class TrainingConfig:
 
 
 DEFAULT_LANGUAGE_NAMES = {
-    "en": "English",
-    "de": "German",
-    "ru": "Russian",
-    "cs": "Czech",
-    "uk": "Ukrainian",
-    "he": "Hebrew",
-    "ja": "Japanese",
-    "zh": "Chinese",
-    "ar": "Arabic",
-    "ace": "Acehnese",
-    "wo": "Wolof",
-    "yo": "Yoruba",
+    "en": "English", "de": "German", "ru": "Russian", "cs": "Czech", "uk": "Ukrainian", "he": "Hebrew",
+    "ja": "Japanese", "zh": "Chinese", "ar": "Arabic", "ace": "Acehnese", "wo": "Wolof", "yo": "Yoruba",
 }
 
 
@@ -263,9 +251,44 @@ class ScheduleEntry:
     lang: str
 
 
+class ScheduleEntries(Sequence[ScheduleEntry]):
+    """A schedule's entries, read-only, built from ``rows`` of field values, as
+    one column per :class:`ScheduleEntry` field in field order: ``step``, ``slot``
+    and ``copy_index`` are 64-bit int arrays, and the string columns share one
+    object per distinct string. Indexing and iteration give :class:`ScheduleEntry` values."""
+
+    def __init__(self, rows: Iterable[Sequence] = ()):
+        self.columns = step, slot, example_id, copy_index, part, text, lang = (
+            array("q"), array("q"), [], array("q"), [], [], [])
+        intern = {}.setdefault  # one object per distinct string
+        for s, t, e, c, p, r, g in rows:
+            step.append(s)
+            slot.append(t)
+            example_id.append(intern(e, e))
+            copy_index.append(c)
+            part.append(intern(p, p))
+            text.append(intern(r, r))
+            lang.append(intern(g, g))
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        return ScheduleEntry(*(column[i] for column in self.columns))
+
+    def __iter__(self) -> Iterator[ScheduleEntry]:
+        return map(ScheduleEntry, *self.columns)
+
+    def __eq__(self, other):
+        return list(self) == list(other) if isinstance(other, Sequence) else NotImplemented
+
+
 @dataclass
 class InjectionSchedule:
-    """A fully resolved injection plan plus the header that reproduces it."""
+    """A fully resolved injection plan plus the header that reproduces it. ``entries``
+    may be any sequence of :class:`ScheduleEntry`, converted once to :class:`ScheduleEntries`."""
 
     condition: ContaminationCondition
     config: TrainingConfig
@@ -274,8 +297,12 @@ class InjectionSchedule:
     window_end: int  # exclusive
     template_names: dict[str, str]
     example_count: int
-    entries: list[ScheduleEntry]
+    entries: Sequence[ScheduleEntry]
     generator_version: str = GENERATOR_VERSION
+
+    def __post_init__(self):
+        if not isinstance(self.entries, ScheduleEntries):
+            self.entries = ScheduleEntries(vars(e).values() for e in self.entries)
 
     @property
     def branch_step(self) -> int:
@@ -306,20 +333,14 @@ def _window(condition: ContaminationCondition, config: TrainingConfig, units: in
         end = min(start + max(base, needed), steps)
     width = end - start
     if width < groups:
-        raise CapacityError(
-            f"{condition.mode.value} needs a window of at least {groups} steps, window has {width}",
-            required=groups,
-            available=width,
-        )
+        message = f"{condition.mode.value} needs a window of at least {groups} steps, window has {width}"
+        raise CapacityError(message, required=groups, available=width)
     entries = units * condition.arity
     available = width * per_step * size
     if entries > available:
-        raise CapacityError(
-            f"plan needs {entries} injection slots but the window provides {available} "
-            f"({width} steps x cap {cap})",
-            required=entries,
-            available=available,
-        )
+        message = f"plan needs {entries} injection slots but the window provides {available} "
+        message += f"({width} steps x cap {cap})"
+        raise CapacityError(message, required=entries, available=available)
     return start, end
 
 
@@ -359,12 +380,9 @@ def plan_schedule(
         raise ValueError("examples must be non-empty")
     cap = config.replace_cap()
     if cap < 1:
-        raise CapacityError(
-            f"replacement cap is 0 for batch_size {config.batch_size} and "
-            f"max_replace_frac {config.max_replace_frac}",
-            required=1,
-            available=0,
-        )
+        message = f"replacement cap is 0 for batch_size {config.batch_size} and "
+        message += f"max_replace_frac {config.max_replace_frac}"
+        raise CapacityError(message, required=1, available=0)
     # each example's rendered documents, split into the groups of its mode's layout
     grouped: dict[str, list[list[RenderedDoc]]] = {}
     for ex in examples:
@@ -406,32 +424,16 @@ def plan_schedule(
                 taken.append(step)
                 by_step.setdefault(step, []).extend([(example_id, copy, doc) for doc in group])
 
-    entries: list[ScheduleEntry] = []
-    for step in sorted(by_step):
-        placed = by_step[step]
-        slots = _sample_slots(rng, config.batch_size, len(placed))
-        for (example_id, copy, doc), slot in zip(placed, slots):
-            entries.append(
-                ScheduleEntry(
-                    step=step,
-                    slot=slot,
-                    example_id=example_id,
-                    copy_index=copy,
-                    part=doc.part,
-                    rendered_text=doc.text,
-                    lang=doc.lang,
-                )
-            )
-    entries.sort(key=lambda e: (e.step, e.slot))
+    def rows():  # in (step, slot) order
+        for step in sorted(by_step):
+            placed = by_step[step]
+            slots = _sample_slots(rng, config.batch_size, len(placed))
+            yield from sorted((step, slot, example_id, copy, doc.part, doc.text, doc.lang)
+                              for (example_id, copy, doc), slot in zip(placed, slots))
+
     return InjectionSchedule(
-        condition=condition,
-        config=config,
-        cap=cap,
-        window_start=window[0],
-        window_end=window[1],
-        template_names=dict(template.names),
-        example_count=len(examples),
-        entries=entries,
+        condition=condition, config=config, cap=cap, window_start=window[0], window_end=window[1],
+        template_names=dict(template.names), example_count=len(examples), entries=ScheduleEntries(rows()),
     )
 
 
@@ -443,24 +445,22 @@ def write_schedule(schedule: InjectionSchedule, path) -> int:
     the schedule's own fields, plus branch_step and entry_count), then one
     JSON line per entry."""
     own = {key: value for key, value in vars(schedule).items() if key not in ("condition", "config", "entries")}
-    header = {
-        "kind": "injection-schedule",
-        **vars(schedule.condition),
-        **vars(schedule.config),
-        **own,
-        "branch_step": schedule.branch_step,
-        "entry_count": len(schedule.entries),
-    }
-    write_json_lines(path, chain([header], map(vars, schedule.entries)), sort_keys=True)
+    header = {"kind": "injection-schedule", **vars(schedule.condition), **vars(schedule.config), **own,
+              "branch_step": schedule.branch_step, "entry_count": len(schedule.entries)}
+    names = [f.name for f in fields(ScheduleEntry)]
+    rows = (dict(zip(names, row)) for row in zip(*schedule.entries.columns))  # builds no ScheduleEntry
+    write_json_lines(path, chain([header], rows), sort_keys=True)
     return len(schedule.entries)
 
 
 def read_schedule(path) -> InjectionSchedule:
     """Read a plan written by :func:`write_schedule`.
 
-    Every header field is required. Raises :class:`CorpusFormatError` naming
-    the line and field of a malformed header or entry, and the file when it
-    does not hold the header's ``entry_count`` entries (a cut-short plan).
+    Every header field is required. Each entry line's checked values go
+    straight into the columns; no :class:`ScheduleEntry` is built. Raises
+    :class:`CorpusFormatError` naming the line and field of a malformed header
+    or entry, and the file when it does not hold the header's ``entry_count``
+    entries (a cut-short plan).
     """
     records = read_json_lines(path)
     where, header = next(records, (path, None))
@@ -477,9 +477,9 @@ def read_schedule(path) -> InjectionSchedule:
         InjectionSchedule, header, where, defaults=False,
         condition=from_record(ContaminationCondition, header, where, defaults=False),
         config=from_record(TrainingConfig, header, where, defaults=False),
-        entries=[],
+        entries=(),
     )
-    schedule.entries.extend(from_record(ScheduleEntry, r, where) for where, r in records)
+    schedule.entries = ScheduleEntries(record_values(ScheduleEntry, r, where) for where, r in records)
     if len(schedule.entries) != entry_count:
         raise CorpusFormatError(f"{path}: header says {entry_count} entries, file has {len(schedule.entries)}")
     return schedule
@@ -537,18 +537,17 @@ def apply_batches(
     violations = verify_schedule(schedule).violations
     if violations:
         raise ScheduleError(f"schedule check: {len(violations)} violation(s), the first: {violations[0]}")
-    targets: dict[int, dict[int, ScheduleEntry]] = {}
-    for e in schedule.entries:
-        targets.setdefault(e.step, {})[e.slot] = e
+    targets: dict[int, dict[int, int]] = {}  # step -> slot -> entry index
+    for i, (step, slot) in enumerate(zip(*schedule.entries.columns[:2])):
+        targets.setdefault(step, {})[slot] = i
     steps = 0
     for step, batch in enumerate(batches):
         if len(batch) != config.batch_size:
-            raise StreamShapeError(
-                f"stream batch_size {len(batch)} does not match schedule batch_size {config.batch_size}"
-            )
+            message = f"stream batch_size {len(batch)} does not match schedule batch_size {config.batch_size}"
+            raise StreamShapeError(message)
         batch = list(batch)
-        for slot, e in targets.pop(step, {}).items():
-            incumbent = batch[slot]
+        for slot, i in targets.pop(step, {}).items():
+            e, incumbent = schedule.entries[i], batch[slot]
             if require_parallel_slots and incumbent.category != CATEGORY_PARALLEL:
                 raise StreamShapeError(
                     f"(step {step}, slot {slot}): incumbent is {incumbent.category!r}, "
@@ -587,7 +586,11 @@ class ScheduleReport:
 
 
 def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None = None) -> ScheduleReport:
-    """Re-check cap, window, arity, co-location, and separation invariants."""
+    """Re-check cap, window, arity, co-location, and separation invariants.
+
+    Each check runs in bulk over the entry columns; only a failed one walks the entries for its
+    messages: in entry order for windows, slots and collisions, then per step, then per sorted copy.
+    """
     config = config or schedule.config
     condition = schedule.condition
     violations: list[str] = []
@@ -595,66 +598,63 @@ def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None =
     expected_cap = config.replace_cap()
     if schedule.cap != expected_cap:
         violations.append(f"header cap {schedule.cap} does not match config cap {expected_cap}")
-    if not 0 <= schedule.window_start < schedule.window_end <= config.total_steps:
-        violations.append(
-            f"window [{schedule.window_start}, {schedule.window_end}) outside training range "
-            f"[0, {config.total_steps})"
-        )
+    start, end = schedule.window_start, schedule.window_end
+    if not 0 <= start < end <= config.total_steps:
+        violations.append(f"window [{start}, {end}) outside training range [0, {config.total_steps})")
 
+    entries = schedule.entries
+    step, slot, example_id, copy_index, part = entries.columns[:5]
     expected_entries = schedule.example_count * condition.copies * condition.arity
-    if len(schedule.entries) != expected_entries:
-        violations.append(
-            f"entry count {len(schedule.entries)} != examples x copies x arity = {expected_entries}"
-        )
+    if len(entries) != expected_entries:
+        violations.append(f"entry count {len(entries)} != examples x copies x arity = {expected_entries}")
 
-    per_step: dict[int, int] = {}
-    seen_slots: set[tuple[int, int]] = set()
-    parts: dict[tuple[str, int], list[ScheduleEntry]] = {}
-    for e in schedule.entries:
-        per_step[e.step] = per_step.get(e.step, 0) + 1
-        if not schedule.window_start <= e.step < schedule.window_end:
-            violations.append(
-                f"entry ({e.example_id}, copy {e.copy_index}, {e.part}) at step {e.step} "
-                f"outside window [{schedule.window_start}, {schedule.window_end})"
-            )
-        if not 0 <= e.slot < config.batch_size:
-            violations.append(f"entry at step {e.step} has slot {e.slot} outside batch of {config.batch_size}")
-        key = (e.step, e.slot)
-        if key in seen_slots:
-            violations.append(f"slot collision at (step {e.step}, slot {e.slot})")
-        seen_slots.add(key)
-        parts.setdefault((e.example_id, e.copy_index), []).append(e)
+    if step and (min(step) < start or max(step) >= end or min(slot) < 0 or max(slot) >= config.batch_size
+                 or len(set(zip(step, slot))) < len(step)):
+        seen_slots: set[tuple[int, int]] = set()
+        for e in entries:
+            if not start <= e.step < end:
+                violations.append(f"entry ({e.example_id}, copy {e.copy_index}, {e.part}) at step {e.step} "
+                                  f"outside window [{start}, {end})")
+            if not 0 <= e.slot < config.batch_size:
+                violations.append(f"entry at step {e.step} has slot {e.slot} outside batch of {config.batch_size}")
+            if (e.step, e.slot) in seen_slots:
+                violations.append(f"slot collision at (step {e.step}, slot {e.slot})")
+            seen_slots.add((e.step, e.slot))
 
-    for step, count in sorted(per_step.items()):
-        if count > schedule.cap:
-            violations.append(f"step {step} has {count} injected entries, cap is {schedule.cap}")
+    per_step = Counter(step)
+    violations.extend(
+        f"step {s} has {count} injected entries, cap is {schedule.cap}"
+        for s, count in sorted(per_step.items()) if count > schedule.cap
+    )
 
     layout = MODE_LAYOUT[condition.mode]
     expected = sorted(part for group in layout for part in group)
-    for (example_id, copy), group in sorted(parts.items()):
-        have = sorted(e.part for e in group)
-        if have != expected:
-            violations.append(f"({example_id}, copy {copy}) has parts {have}, expected {expected}")
-            continue
-        # a copy takes one step per layout group: more steps pull a group
-        # apart, fewer put two groups in one step
-        steps = len({e.step for e in group})
-        if steps > len(layout):
-            violations.append(f"({example_id}, copy {copy}): batched halves are not in the same step")
-        elif steps < len(layout):
-            violations.append(f"({example_id}, copy {copy}): split halves share a step")
+    units = len(set(zip(example_id, copy_index)))
+    # Each copy has the expected (distinct) parts when none is unexpected or repeated
+    # and no copy falls short. Every layout has one group or one part per group, so
+    # each copy takes one step per group when (copy, step) pairs number copies x groups.
+    # Copies cover 0..copies-1 when all lie in that range and number examples x copies.
+    if step and not (
+        set(part) <= set(expected)
+        and len(set(zip(example_id, copy_index, part))) == units * len(expected) == len(step)
+        and len(set(zip(example_id, copy_index, step))) == units * len(layout)
+        and min(copy_index) >= 0 and max(copy_index) < condition.copies
+        and units == len(set(example_id)) * condition.copies
+    ):
+        copies_seen: dict[str, list[int]] = {}
+        # one sort groups each (example_id, copy), with its parts in order
+        for (ex, copy), group in groupby(sorted(zip(example_id, copy_index, part, step)), itemgetter(0, 1)):
+            copies_seen.setdefault(ex, []).append(copy)
+            _, _, have, steps = map(list, zip(*group))
+            if have != expected:
+                violations.append(f"({ex}, copy {copy}) has parts {have}, expected {expected}")
+            elif len(set(steps)) > len(layout):
+                violations.append(f"({ex}, copy {copy}): batched halves are not in the same step")
+            elif len(set(steps)) < len(layout):
+                violations.append(f"({ex}, copy {copy}): split halves share a step")
+        violations.extend(
+            f"{ex}: copy indexes {seen} do not cover 0..{condition.copies - 1}"
+            for ex, seen in copies_seen.items() if seen != list(range(condition.copies))
+        )
 
-    copies_seen: dict[str, set[int]] = {}
-    for example_id, copy in parts:
-        copies_seen.setdefault(example_id, set()).add(copy)
-    for example_id, seen in sorted(copies_seen.items()):
-        if seen != set(range(condition.copies)):
-            violations.append(
-                f"{example_id}: copy indexes {sorted(seen)} do not cover 0..{condition.copies - 1}"
-            )
-
-    return ScheduleReport(
-        entry_count=len(schedule.entries),
-        steps_used=len(per_step),
-        violations=violations,
-    )
+    return ScheduleReport(entry_count=len(entries), steps_used=len(per_step), violations=violations)

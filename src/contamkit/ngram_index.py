@@ -249,7 +249,7 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         try:
             index.tokens.extend(array("I", tokens))
         except OverflowError:
-            raise IndexCapacityError(f"doc {doc.doc_id!r}: a token id exceeds 32 bits") from None
+            raise IndexCapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
         for lo in range(0, count, _ROLL_CHUNK):
             chunk = tokens[lo : lo + _ROLL_CHUNK + n - 1]

@@ -2,7 +2,7 @@
 
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
-counting.
+counting, and schedule invariants one entry at a time.
 """
 
 import math
@@ -11,6 +11,7 @@ import random
 import numpy as np
 
 from contamkit.corpus_io import CorpusDocument, TestExample
+from contamkit.injector import MODE_LAYOUT, ScheduleReport
 from contamkit.matcher import MatchSpan
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
@@ -79,6 +80,66 @@ def longest_common_span(field, docs, n) -> MatchSpan | None:
         return None
     neg_length, ref, i, j = min(spans)
     return MatchSpan(ref, i, j, -neg_length)
+
+
+def verify_schedule_per_entry(schedule, config=None) -> ScheduleReport:
+    """``verify_schedule`` one :class:`ScheduleEntry` at a time: every entry is
+    checked and filed in a dict of entry lists per ``(example_id, copy)``, with
+    no bulk test over the columns. Same report, same violations in the same order."""
+    config = config or schedule.config
+    condition = schedule.condition
+    violations = []
+    expected_cap = config.replace_cap()
+    if schedule.cap != expected_cap:
+        violations.append(f"header cap {schedule.cap} does not match config cap {expected_cap}")
+    if not 0 <= schedule.window_start < schedule.window_end <= config.total_steps:
+        violations.append(
+            f"window [{schedule.window_start}, {schedule.window_end}) outside training range "
+            f"[0, {config.total_steps})"
+        )
+    expected_entries = schedule.example_count * condition.copies * condition.arity
+    if len(schedule.entries) != expected_entries:
+        violations.append(f"entry count {len(schedule.entries)} != examples x copies x arity = {expected_entries}")
+
+    per_step = {}
+    seen_slots = set()
+    parts = {}
+    for e in schedule.entries:
+        per_step[e.step] = per_step.get(e.step, 0) + 1
+        if not schedule.window_start <= e.step < schedule.window_end:
+            violations.append(
+                f"entry ({e.example_id}, copy {e.copy_index}, {e.part}) at step {e.step} "
+                f"outside window [{schedule.window_start}, {schedule.window_end})"
+            )
+        if not 0 <= e.slot < config.batch_size:
+            violations.append(f"entry at step {e.step} has slot {e.slot} outside batch of {config.batch_size}")
+        if (e.step, e.slot) in seen_slots:
+            violations.append(f"slot collision at (step {e.step}, slot {e.slot})")
+        seen_slots.add((e.step, e.slot))
+        parts.setdefault((e.example_id, e.copy_index), []).append(e)
+    for step, count in sorted(per_step.items()):
+        if count > schedule.cap:
+            violations.append(f"step {step} has {count} injected entries, cap is {schedule.cap}")
+
+    layout = MODE_LAYOUT[condition.mode]
+    expected = sorted(part for group in layout for part in group)
+    for (example_id, copy), group in sorted(parts.items()):
+        have = sorted(e.part for e in group)
+        if have != expected:
+            violations.append(f"({example_id}, copy {copy}) has parts {have}, expected {expected}")
+            continue
+        steps = len({e.step for e in group})
+        if steps > len(layout):
+            violations.append(f"({example_id}, copy {copy}): batched halves are not in the same step")
+        elif steps < len(layout):
+            violations.append(f"({example_id}, copy {copy}): split halves share a step")
+    copies_seen = {}
+    for example_id, copy in parts:
+        copies_seen.setdefault(example_id, set()).add(copy)
+    for example_id, seen in sorted(copies_seen.items()):
+        if seen != set(range(condition.copies)):
+            violations.append(f"{example_id}: copy indexes {sorted(seen)} do not cover 0..{condition.copies - 1}")
+    return ScheduleReport(entry_count=len(schedule.entries), steps_used=len(per_step), violations=violations)
 
 
 def brute_bleu(hypotheses, references, max_order=4) -> float:

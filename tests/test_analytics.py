@@ -250,12 +250,17 @@ def test_duplicate_keys_are_named_with_their_side():
         impact_table([one, two], [one, two])
     assert str(err.value) == "duplicate baseline record for ('de-en', 't')"
     cell = _impact("en-de", 1.0, 2.0, condition=None)
+    other = _impact("en-de", 1.0, 2.0, condition=None, testset="flores")
     with pytest.raises(ValueError) as err:
-        analytics.testset_gap([cell, cell], [cell])
-    assert str(err.value) == "duplicate contaminated-set cell for (None, 'en-de')"
+        analytics.testset_gap([cell, other], [cell])
+    assert str(err.value) == (
+        "contaminated-set cells hold en-de under test sets 't' and 'flores'; a gap takes one test set per pair"
+    )
     with pytest.raises(ValueError) as err:
-        analytics.testset_gap([cell], [cell, cell])
-    assert str(err.value) == "duplicate clean-set cell for (None, 'en-de')"
+        analytics.testset_gap([cell], [other, cell])
+    assert str(err.value) == (
+        "clean-set cells hold en-de under test sets 'flores' and 't'; a gap takes one test set per pair"
+    )
 
 
 def test_gap_empty_intersection_is_error():

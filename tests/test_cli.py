@@ -613,7 +613,7 @@ def test_inject_apply_names_the_schedule_behind_a_schedule_fault(tmp_path, capsy
     )
     for extra, message in cases:
         schedule = read_schedule(plan_path)
-        schedule.entries.append(extra)
+        schedule = dataclasses.replace(schedule, entries=[*schedule.entries, extra])
         bad = tmp_path / "bad_plan.jsonl"
         write_schedule(schedule, bad)
         capsys.readouterr()
@@ -635,7 +635,7 @@ def test_inject_apply_refuses_a_schedule_that_inject_verify_flags(tmp_path, caps
     schedule = read_schedule(plan_path)
     assert (schedule.window_start, schedule.window_end, schedule.cap) == (3, 4, 3)
     schedule.cap = 1
-    schedule.entries[:] = [dataclasses.replace(e, step=0) for e in schedule.entries]
+    schedule = dataclasses.replace(schedule, entries=[dataclasses.replace(e, step=0) for e in schedule.entries])
     write_schedule(schedule, plan_path)
     capsys.readouterr()
     assert main(["inject", "verify", "--schedule", str(plan_path)]) == 1
@@ -711,9 +711,25 @@ def test_report_gap_refusal_prints_no_table_first(tmp_path, capsys):
     assert main(["report", "--baseline", str(records), "--contaminated", str(records),
                  "--clean-set", str(records), str(records)]) == 2
     assert capsys.readouterr() == ("", (
-        f"error: {records}, {records} vs {records}, {records}: "
-        "duplicate contaminated-set cell for (None, 'en-de')\n"
+        f"error: {records}, {records} vs {records}, {records}: contaminated-set cells hold en-de "
+        "under test sets 'wmt23' and 'wmt22'; a gap takes one test set per pair\n"
     ))
+
+
+def test_report_text_table_tells_two_test_sets_of_one_pair_apart(tmp_path, capsys):
+    base, cont = tmp_path / "base.jsonl", tmp_path / "cont.jsonl"
+    for path, bleu in ((base, 30.0), (cont, 33.0)):
+        path.write_text("".join(
+            json.dumps({"system_id": "s", "lang_pair": "en-de", "testset_id": testset, "bleu": bleu + shift}) + "\n"
+            for testset, shift in (("wmt23", 0.0), ("flores200", 1.0))
+        ))
+    assert main(["report", "--baseline", str(base), "--contaminated", str(cont)]) == 0
+    assert capsys.readouterr().out == (
+        "En->X\n"
+        "pair       testset    baseline    contam    delta      pct\n"
+        "en-de      flores200     31.00     34.00     3.00     9.68\n"
+        "en-de      wmt23         30.00     33.00     3.00    10.00\n"
+    )
 
 
 def test_inject_plan_names_the_testset_and_example_of_an_unnamed_language(tmp_path, capsys):

@@ -5,6 +5,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from contamkit.corpus_io import BatchStream, CorpusDocument
 from contamkit.injector import (
@@ -32,7 +33,7 @@ from contamkit.injector import (
 )
 from contamkit.corpus_io import TestExample
 
-from helpers import make_example
+from helpers import make_example, verify_schedule_per_entry
 
 DIEGO = TestExample(
     example_id="diego",
@@ -407,8 +408,9 @@ def test_verify_flags_window_violation():
         ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 5),
         CONFIG,
     )
-    e = schedule.entries[0]
-    schedule.entries[0] = ScheduleEntry(10, e.slot, e.example_id, e.copy_index, e.part, e.rendered_text, e.lang)
+    e, *rest = schedule.entries
+    moved = ScheduleEntry(10, e.slot, e.example_id, e.copy_index, e.part, e.rendered_text, e.lang)
+    schedule = dataclasses.replace(schedule, entries=[moved, *rest])
     report = verify_schedule(schedule)
     assert not report.ok
     assert sum("outside window" in v for v in report.violations) == 1
@@ -422,8 +424,10 @@ def test_verify_flags_cap_violation():
         CONFIG,
     )
     step = schedule.entries[0].step
-    for i, e in enumerate(schedule.entries):
-        schedule.entries[i] = ScheduleEntry(step, i, e.example_id, e.copy_index, e.part, e.rendered_text, e.lang)
+    schedule = dataclasses.replace(schedule, entries=[
+        ScheduleEntry(step, i, e.example_id, e.copy_index, e.part, e.rendered_text, e.lang)
+        for i, e in enumerate(schedule.entries)
+    ])
     report = verify_schedule(schedule)
     assert any("cap" in v for v in report.violations)
 
@@ -434,36 +438,44 @@ def test_verify_flags_missing_half():
         ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.MIDDLE, 2),
         CONFIG,
     )
-    schedule.entries.pop()
+    schedule = dataclasses.replace(schedule, entries=schedule.entries[:-1])
     report = verify_schedule(schedule)
     assert any("entry count" in v for v in report.violations)
     assert any("parts" in v for v in report.violations)
 
 
+# each damage returns the damaged schedule and the violations verify must report
+
+
 def _cap_too_high(schedule):
-    schedule.cap += 1
-    return ["header cap 4 does not match config cap 3"]
+    return dataclasses.replace(schedule, cap=schedule.cap + 1), ["header cap 4 does not match config cap 3"]
 
 
 def _window_past_the_end(schedule):
-    schedule.window_end = 1001
-    return ["window [900, 1001) outside training range [0, 1000)"]
+    return dataclasses.replace(schedule, window_end=1001), ["window [900, 1001) outside training range [0, 1000)"]
 
 
 def _slot_past_the_batch(schedule):
-    e = schedule.entries[0] = dataclasses.replace(schedule.entries[0], slot=64)
-    return [f"entry at step {e.step} has slot 64 outside batch of 64"]
+    e, *rest = schedule.entries
+    e = dataclasses.replace(e, slot=64)
+    return (
+        dataclasses.replace(schedule, entries=[e, *rest]),
+        [f"entry at step {e.step} has slot 64 outside batch of 64"],
+    )
 
 
 def _slot_taken_twice(schedule):
-    first = schedule.entries[0]
-    schedule.entries[1] = dataclasses.replace(schedule.entries[1], step=first.step, slot=first.slot)
-    return [f"slot collision at (step {first.step}, slot {first.slot})"]
+    first, second, *rest = schedule.entries
+    second = dataclasses.replace(second, step=first.step, slot=first.slot)
+    return (
+        dataclasses.replace(schedule, entries=[first, second, *rest]),
+        [f"slot collision at (step {first.step}, slot {first.slot})"],
+    )
 
 
 def _copy_index_skipped(schedule):
-    schedule.entries[:] = [dataclasses.replace(e, copy_index=2) if e.copy_index == 1 else e for e in schedule.entries]
-    return ["ex0: copy indexes [0, 2] do not cover 0..1"]
+    entries = [dataclasses.replace(e, copy_index=2) if e.copy_index == 1 else e for e in schedule.entries]
+    return dataclasses.replace(schedule, entries=entries), ["ex0: copy indexes [0, 2] do not cover 0..1"]
 
 
 DAMAGES = [_cap_too_high, _window_past_the_end, _slot_past_the_batch, _slot_taken_twice, _copy_index_skipped]
@@ -475,8 +487,9 @@ def test_verify_flags_each_damaged_header_or_entry(damage):
         _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2), CONFIG
     )
     assert (schedule.window_start, schedule.cap) == (900, 3)
-    expected = damage(schedule)
+    schedule, expected = damage(schedule)
     assert verify_schedule(schedule).violations == expected
+    assert verify_schedule(schedule) == verify_schedule_per_entry(schedule)  # the seed cases of the oracle test below
 
 
 @pytest.mark.parametrize("damage", DAMAGES)
@@ -484,7 +497,7 @@ def test_apply_batches_refuses_each_schedule_verify_flags_before_pulling_a_batch
     schedule = plan_schedule(
         _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2), CONFIG
     )
-    (violation,) = damage(schedule)
+    schedule, (violation,) = damage(schedule)
     pulled = []
 
     def source():
@@ -500,7 +513,8 @@ def test_apply_batches_refuses_each_schedule_verify_flags_before_pulling_a_batch
 
 def _move_one_half(schedule, to_step):
     """Move the second half of the first copy whose ``to_step(first)`` step has
-    room under the cap to that step's first free slot; returns the copy's key."""
+    room under the cap to that step's first free slot; returns the damaged
+    schedule and the copy's key."""
     load = {}
     for e in schedule.entries:
         load[e.step] = load.get(e.step, 0) + 1
@@ -514,8 +528,9 @@ def _move_one_half(schedule, to_step):
         step = to_step(first[key])
         if step != e.step and load.get(step, 0) < schedule.cap:
             slot = next(s for s in range(schedule.config.batch_size) if (step, s) not in used)
-            schedule.entries[i] = dataclasses.replace(e, step=step, slot=slot)
-            return key
+            entries = list(schedule.entries)
+            entries[i] = dataclasses.replace(e, step=step, slot=slot)
+            return dataclasses.replace(schedule, entries=entries), key
     raise AssertionError("no copy can be moved")
 
 
@@ -526,7 +541,9 @@ def test_verify_flags_batched_half_in_another_step():
         CONFIG,
     )
     steps = range(schedule.window_start, schedule.window_end)
-    example_id, copy = _move_one_half(schedule, lambda e: steps[(e.step - schedule.window_start + 1) % len(steps)])
+    schedule, (example_id, copy) = _move_one_half(
+        schedule, lambda e: steps[(e.step - schedule.window_start + 1) % len(steps)]
+    )
     assert verify_schedule(schedule).violations == [
         f"({example_id}, copy {copy}): batched halves are not in the same step"
     ]
@@ -538,8 +555,73 @@ def test_verify_flags_split_halves_in_one_step():
         ContaminationCondition(ContaminationMode.SPLIT_PAIR, Temporal.MIDDLE, 4),
         CONFIG,
     )
-    example_id, copy = _move_one_half(schedule, lambda e: e.step)
+    schedule, (example_id, copy) = _move_one_half(schedule, lambda e: e.step)
     assert verify_schedule(schedule).violations == [f"({example_id}, copy {copy}): split halves share a step"]
+
+
+SMALL = TrainingConfig(total_steps=100, batch_size=8, max_replace_frac=0.5)  # cap 4, late window [90, 96) at most
+PARTS = (PART_WHOLE, PART_SOURCE_HALF, PART_TARGET_HALF)
+
+
+def _damage(data, schedule, entries):
+    """Apply one drawn damage to ``entries`` (a list, edited in place); returns the schedule header to use."""
+    kind = data.draw(st.sampled_from(
+        ["step", "slot", "duplicate", "drop", "append", "copy", "part", "same_step", "cap"]
+    ), label="damage")
+    if kind == "cap":
+        return dataclasses.replace(schedule, cap=schedule.cap + data.draw(st.sampled_from([-1, 1])))
+    if kind == "append" or not entries:
+        entries.append(ScheduleEntry(
+            step=data.draw(st.integers(schedule.window_start, schedule.window_end - 1)),
+            slot=data.draw(st.integers(0, SMALL.batch_size - 1)),
+            example_id=data.draw(st.sampled_from(["ex0", "ex1", "ghost"])),
+            copy_index=data.draw(st.integers(0, schedule.condition.copies)),
+            part=data.draw(st.sampled_from(PARTS)),
+            rendered_text="appended",
+            lang="de-en",
+        ))
+        return schedule
+    i = data.draw(st.integers(0, len(entries) - 1), label="entry")
+    e = entries[i]
+    if kind == "step":
+        step = data.draw(st.sampled_from([schedule.window_start - 1, schedule.window_end, -1, SMALL.total_steps]))
+        entries[i] = dataclasses.replace(e, step=step)
+    elif kind == "slot":
+        entries[i] = dataclasses.replace(e, slot=data.draw(st.sampled_from([-1, SMALL.batch_size, 50])))
+    elif kind == "duplicate":
+        entries.insert(data.draw(st.integers(0, len(entries))), e)
+    elif kind == "drop":
+        del entries[i]
+    elif kind == "copy":
+        entries[i] = dataclasses.replace(e, copy_index=data.draw(st.integers(-1, schedule.condition.copies + 1)))
+    elif kind == "part":
+        entries[i] = dataclasses.replace(e, part=data.draw(st.sampled_from([*PARTS, "bogus"])))
+    else:  # same_step: put the entry on the step of another half of its copy (of any entry when it has none)
+        unit = (e.example_id, e.copy_index)
+        others = [o for j, o in enumerate(entries) if j != i and (o.example_id, o.copy_index) == unit]
+        other = data.draw(st.sampled_from(others or entries))
+        entries[i] = dataclasses.replace(e, step=other.step, slot=data.draw(st.integers(0, SMALL.batch_size - 1)))
+    return schedule
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_verify_matches_the_per_entry_oracle_on_damaged_plans(data):
+    # small plans of every mode with up to three damages: the same report, each violation in the same order
+    condition = ContaminationCondition(
+        data.draw(st.sampled_from(list(ContaminationMode)), label="mode"),
+        data.draw(st.sampled_from(list(Temporal)), label="temporal"),
+        data.draw(st.integers(1, 3), label="copies"),
+    )
+    config = dataclasses.replace(SMALL, seed=data.draw(st.integers(0, 2**16), label="seed"))
+    schedule = plan_schedule(_examples(data.draw(st.integers(1, 3), label="examples")), condition, config)
+    entries = list(schedule.entries)
+    for _ in range(data.draw(st.integers(0, 3), label="damages")):
+        schedule = _damage(data, schedule, entries)
+    schedule = dataclasses.replace(schedule, entries=entries)
+    report = verify_schedule(schedule)
+    assert report == verify_schedule_per_entry(schedule)
+    assert list(schedule.entries) == entries
 
 
 # -- application --------------------------------------------------------------------
@@ -647,7 +729,9 @@ def test_apply_refuses_a_slot_past_the_batch_on_a_step_the_stream_reaches():
     schedule = plan_schedule(
         _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 1), config
     )
-    e = schedule.entries[0] = dataclasses.replace(schedule.entries[0], slot=10)
+    e, *rest = schedule.entries
+    e = dataclasses.replace(e, slot=10)
+    schedule = dataclasses.replace(schedule, entries=[e, *rest])
     message = rf"^schedule check: 1 violation\(s\), the first: entry at step {e.step} has slot 10 outside batch of 10$"
     with pytest.raises(ValueError, match=message):
         apply_schedule(_synth_stream(20, 10), schedule)
@@ -717,12 +801,12 @@ def test_apply_batches_checks_targets_before_and_after_the_stream():
         CONFIG,
     )
     first = schedule.entries[0]
-    schedule.entries.append(first)
+    schedule = dataclasses.replace(schedule, entries=[*schedule.entries, first])
     message = r"3 violation\(s\), the first: entry count 3 != examples x copies x arity = 2"
     with pytest.raises(ValueError, match=message):
         next(apply_batches(iter(()), schedule))
 
-    schedule.entries[-1] = dataclasses.replace(first, step=1000)
+    schedule = dataclasses.replace(schedule, entries=[*schedule.entries[:-1], dataclasses.replace(first, step=1000)])
     with pytest.raises(ValueError, match=message):
         next(apply_batches(_synth_stream(1000, 64).steps, schedule))
 
@@ -744,7 +828,9 @@ def test_apply_batches_refuses_a_faulty_schedule_before_pulling_a_batch(change, 
         ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 2),
         CONFIG,
     )
-    schedule.entries.append(dataclasses.replace(schedule.entries[0], **change))
+    schedule = dataclasses.replace(
+        schedule, entries=[*schedule.entries, dataclasses.replace(schedule.entries[0], **change)]
+    )
     pulled = []
 
     def source():

@@ -142,7 +142,7 @@ def test_offsets_beyond_32_bits_are_a_capacity_error():
 @pytest.mark.parametrize("token", [-1, 2**32])
 def test_token_id_outside_32_bits_is_a_capacity_error(token):
     # the readers refuse such an id first; this guards documents built in memory
-    with pytest.raises(IndexCapacityError, match=r"^doc 'wide': a token id exceeds 32 bits$"):
+    with pytest.raises(IndexCapacityError, match=r"^doc 'wide': token ids must be integers in \[0, 2\*\*32\)$"):
         build_index([CorpusDocument("wide", [1, 2, token, 3] * 4)], ScanConfig())
 
 

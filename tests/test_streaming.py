@@ -1,4 +1,5 @@
-"""Peak-memory soak checks: corpus reading, index building and stream application must stay bounded."""
+"""Peak-memory soak checks: corpus reading, index building, stream application
+and schedule verification must stay bounded."""
 
 import json
 import random
@@ -10,7 +11,7 @@ from contamkit.cli import main
 from contamkit.corpus_io import CorpusDocument, example_to_record, write_corpus
 from contamkit.injector import read_schedule
 
-from helpers import make_example
+from helpers import make_example, random_tokens
 
 DOCS_PER_SHARD = 20_000
 SHARDS = 3
@@ -155,3 +156,27 @@ def test_index_peak_rss_stays_bounded(tmp_path):
     assert code == 0
     assert lines == [f"indexed {INDEX_DOCS} docs, 1000000 postings -> {index_path}"]
     assert peak_mb < INDEX_RSS_CEILING_MB, f"peak RSS {peak_mb:.0f} MB exceeds {INDEX_RSS_CEILING_MB} MB ceiling"
+
+
+PLAN_EXAMPLES = 1_000
+PLAN_COPIES = 100  # 100,000 entries
+VERIFY_RSS_CEILING_MB = 58  # half the 116 MB that one frozen object per entry peaked at
+
+
+def test_inject_verify_peak_rss_stays_bounded(tmp_path):
+    rng = random.Random(11)
+    testset_path = tmp_path / "testset.jsonl"
+    with open(testset_path, "w", encoding="utf-8") as f:
+        for i in range(PLAN_EXAMPLES):
+            example = make_example(f"ex{i:04d}", random_tokens(rng, 12, 50_000), random_tokens(rng, 12, 50_000))
+            f.write(json.dumps(example_to_record(example)) + "\n")
+    plan_path = tmp_path / "plan.jsonl"
+    assert main([
+        "inject", "plan", "--testset", str(testset_path), "--mode", "full_prompted", "--temporal", "late",
+        "--copies", str(PLAN_COPIES), "--steps", "155000", "--batch-size", "512", "--out", str(plan_path),
+    ]) == 0
+
+    lines, code, peak_mb = _run_measured("-m", "contamkit.cli", "inject", "verify", "--schedule", str(plan_path))
+    assert code == 0
+    assert len(lines) == 1 and lines[0].startswith(f"schedule check: ok ({PLAN_EXAMPLES * PLAN_COPIES} entries over ")
+    assert peak_mb < VERIFY_RSS_CEILING_MB, f"peak RSS {peak_mb:.0f} MB exceeds {VERIFY_RSS_CEILING_MB} MB ceiling"
