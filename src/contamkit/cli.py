@@ -3,9 +3,10 @@
 Subcommands:
 
 * ``contamkit index`` — build and save an n-gram index from a corpus.
-* ``contamkit decontam`` — scan a test set against a corpus or prebuilt
-  index, write the kept examples and a report. Exits 0 when everything is
-  clean and 3 when any contamination was found, so CI can gate on it.
+* ``contamkit decontam`` — scan a test set against an index that
+  ``contamkit index`` wrote, at the n that index was built with; write the
+  kept examples and a report. Exits 0 when everything is clean and 3 when
+  any contamination was found, so CI can gate on it.
 * ``contamkit inject plan|apply|verify`` — plan contamination injection,
   apply a plan to a batch stream, re-check a plan's invariants.
 * ``contamkit bleu`` — score a hypothesis file against a reference file.
@@ -35,34 +36,22 @@ from .corpus_io import (
 from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
 
 
-def _index_from_args(args) -> NGramIndex:
-    if getattr(args, "index", None):
-        index = NGramIndex.load(args.index)
-        if index.ngram_order != args.ngram:
-            raise ValueError(f"{args.index}: index was built with n={index.ngram_order}, requested n={args.ngram}")
-        return index
-    if getattr(args, "corpus", None):
-        config = ScanConfig(ngram_order=args.ngram)
-        return build_index(read_corpus(args.corpus, args.corpus_format), config)
-    raise ValueError("one of --index or --corpus is required")
-
-
 def _cmd_index(args) -> int:
-    index = _index_from_args(args)
+    if not args.corpus:  # read_corpus("") would read the shards of the current directory
+        raise ValueError("--corpus must name a corpus file or shard directory")
+    index = build_index(read_corpus(args.corpus, args.corpus_format), ScanConfig(ngram_order=args.ngram))
     index.save(args.out)
     print(f"indexed {index.doc_count} docs, {index.posting_count} postings -> {args.out}")
     return 0
 
 
 def _cmd_decontam(args) -> int:
-    config = ScanConfig(ngram_order=args.ngram, threshold=args.threshold)
-    index = _index_from_args(args)
+    index = NGramIndex.load(args.index)
+    config = ScanConfig(ngram_order=index.ngram_order, threshold=args.threshold)
     testset = read_testset(args.testset)
     try:
         kept, report = decontam.decontaminate(testset, index, config)
     except IndexError:
-        if not args.index:
-            raise
         # a damaged doc ref or offset reads past the indexed documents; it can never fake a match
         message = "a posting points outside the indexed documents; rebuild the index"
         raise CorpusFormatError(f"{args.index}: {message}") from None
@@ -216,12 +205,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
-    p = sub.add_parser("decontam", help="scan a test set and drop contaminated examples")
+    p = sub.add_parser("decontam", help="scan a test set against a prebuilt index and drop contaminated examples")
     p.add_argument("--testset", required=True)
-    p.add_argument("--index", help="prebuilt index file")
-    p.add_argument("--corpus", help="corpus to index on the fly")
-    p.add_argument("--corpus-format", default=FORMAT_JSONL, choices=CORPUS_FORMATS)
-    p.add_argument("--ngram", type=int, default=ScanConfig.ngram_order)
+    p.add_argument("--index", required=True, help="index file written by `contamkit index`; its n is the scan's n")
     p.add_argument("--threshold", type=float, default=ScanConfig.threshold)
     p.add_argument("--out", help="file for the kept examples")
     p.add_argument("--scores-out", help="file for the per-example score dump")

@@ -54,6 +54,7 @@ import sys
 from array import array
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, NewType, Sequence, get_args
 
@@ -179,18 +180,19 @@ _KINDS = {
 @functools.cache
 def _field_plan(cls) -> tuple:
     """``(name, test, what, default, nested)`` per field of dataclass ``cls``:
-    ``X | None`` also admits null, a ``str`` Enum reads as ``str``, a
-    dataclass as a nested object; other types have no test and must be given."""
+    ``X | None`` also admits null, a ``str`` Enum admits one of its values, a
+    dataclass reads as a nested object; other types have no test and must be given."""
     plan = []
     for f in fields(cls):
         kind = f.type
         optional = type(None) in get_args(kind)
         if optional:
             (kind,) = set(get_args(kind)) - {type(None)}
-        if isinstance(kind, type) and issubclass(kind, str):
-            kind = str
         nested = kind if is_dataclass(kind) else None
         test, what = (lambda v: type(v) is dict, "an object") if nested else _KINDS.get(kind, (None, None))
+        if isinstance(kind, type) and issubclass(kind, Enum):
+            values = tuple(member.value for member in kind)
+            test, what = (lambda v, values=values: v in values), f"one of {values}"
         if optional:
             test, what = (lambda v, test=test: v is None or test(v)), f"{what} or null"
         plan.append((f.name, test, what, f.default, nested))
@@ -437,7 +439,7 @@ def write_doc_table(f, docs: Iterable[tuple[str, Sequence[int]]], path) -> int:
     written, so they stream through one at a time; only a file that cannot
     seek back (a pipe) holds them all first, to learn the count.
     Raises :class:`CorpusFormatError` naming ``path`` and the document when a
-    token id does not fit 32 bits or an id cannot be written as UTF-8.
+    token id is outside ``[0, 2**32)`` or an id cannot be written as UTF-8.
     """
     f.write(_BINARY_MAGIC)
     if f.seekable():
@@ -457,7 +459,7 @@ def write_doc_table(f, docs: Iterable[tuple[str, Sequence[int]]], path) -> int:
             f.write(struct.pack("<I", len(tokens)))
             write_array(f, tokens)
     except OverflowError:
-        raise CorpusFormatError(f"{path}: doc {doc_id!r}: token id exceeds 32-bit storage") from None
+        raise CorpusFormatError(f"{path}: doc {doc_id!r}: token ids must be integers in [0, 2**32)") from None
     except UnicodeEncodeError as e:
         raise CorpusFormatError(f"{path}: doc #{count - 1}: {e}") from None
     if count_at is not None:

@@ -161,11 +161,12 @@ def render_report(report: DecontamReport, fmt: str = "text") -> str:
             lines.append(f"    {pair:<10} {shown}")
     lines.append("")
     lines.append(f"  combined-score histogram (bin width {report.bin_width:g})")
+    last = len(report.histogram) - 1
     for i, count in enumerate(report.histogram):
         lo = i * report.bin_width
-        hi = min(1.0, lo + report.bin_width)
-        if count:
-            lines.append(f"    [{lo:.2f}, {hi:.2f}{']' if i == len(report.histogram) - 1 else ')'}  {count}")
+        if count:  # the last bin holds every score up to 1, whatever the width
+            hi = "1.00]" if i == last else f"{lo + report.bin_width:.2f})"
+            lines.append(f"    [{lo:.2f}, {hi}  {count}")
     if not any(report.histogram):
         lines.append("    (empty)")
     return "\n".join(lines) + "\n"

@@ -2,15 +2,20 @@ import dataclasses
 import json
 import os
 import random
+import shlex
 import stat
 import struct
 import threading
+from pathlib import Path
 
-from contamkit import decontam, metrics
+import pytest
+
+from contamkit import decontam, matcher, metrics
 from contamkit.cli import build_parser, main
 from contamkit.corpus_io import (
     CorpusDocument,
     example_to_record,
+    read_corpus,
     read_stream,
     read_testset,
     write_corpus,
@@ -18,6 +23,7 @@ from contamkit.corpus_io import (
 )
 from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
+from contamkit.ngram_index import ScanConfig, build_index
 
 from helpers import make_example, random_tokens
 from test_injector import _synth_stream
@@ -50,10 +56,19 @@ def _corpus_and_testset(tmp_path, planted):
     return corpus_path, testset_path
 
 
+def _index(corpus_path, *flags):
+    """Run `contamkit index` over ``corpus_path`` and return the path of the index it saved."""
+    index_path = corpus_path.with_suffix(".ctkx")
+    assert main(["index", "--corpus", str(corpus_path), *flags, "--out", str(index_path)]) == 0
+    return index_path
+
+
 def test_decontam_exit_zero_when_clean(tmp_path, capsys):
     corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    index_path = _index(corpus_path)
+    capsys.readouterr()
     code = main([
-        "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path),
+        "decontam", "--testset", str(testset_path), "--index", str(index_path),
         "--out", str(tmp_path / "kept.jsonl"),
     ])
     assert code == 0
@@ -64,7 +79,7 @@ def test_decontam_exit_zero_when_clean(tmp_path, capsys):
 def test_decontam_exit_three_when_contaminated(tmp_path, capsys):
     corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
     code = main([
-        "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path),
+        "decontam", "--testset", str(testset_path), "--index", str(_index(corpus_path)),
         "--out", str(tmp_path / "kept.jsonl"),
         "--scores-out", str(tmp_path / "scores.jsonl"),
         "--report-out", str(tmp_path / "report.json"),
@@ -85,11 +100,12 @@ def test_decontam_lower_threshold_removes_a_superset(tmp_path, capsys):
     corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
     partial = read_testset(testset_path)[1].source_tokens[:12]  # 60% of ex1's source field
     corpus_path.write_text(corpus_path.read_text() + json.dumps({"doc_id": "partial", "tokens": partial}) + "\n")
+    index_path = _index(corpus_path)
     removed = {}
     for flags in ([], ["--threshold", "0.5"]):
         report_path = tmp_path / "report.json"
         assert main([
-            "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), *flags,
+            "decontam", "--testset", str(testset_path), "--index", str(index_path), *flags,
             "--report-format", "json", "--report-out", str(report_path),
         ]) == 3
         removed[tuple(flags)] = json.loads(report_path.read_text())["removed_ids"]
@@ -116,7 +132,7 @@ def test_decontam_scores_each_example_once(tmp_path, capsys, monkeypatch):
     score_example = decontam.score_example
     monkeypatch.setattr(decontam, "score_example", counting)
     code = main([
-        "decontam", "--testset", str(testset_path), "--corpus", str(corpus_path),
+        "decontam", "--testset", str(testset_path), "--index", str(_index(corpus_path)),
         "--scores-out", str(tmp_path / "scores.jsonl"),
     ])
     assert code == 3
@@ -179,7 +195,7 @@ def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
     bad.write_bytes(data)
     capsys.readouterr()
     kept = tmp_path / "kept.jsonl"
-    code = main(["decontam", "--testset", str(testset_path), "--index", str(bad), "--ngram", "3", "--out", str(kept)])
+    code = main(["decontam", "--testset", str(testset_path), "--index", str(bad), "--out", str(kept)])
     assert code == 2
     _assert_one_error_line(capsys, "bad.ctkx: a posting points outside the indexed documents; rebuild the index")
     assert not kept.exists()
@@ -194,7 +210,9 @@ def test_decontam_refuses_a_field_holding_a_token_no_index_holds(tmp_path, capsy
     write_corpus([CorpusDocument(f"d{i}", doc) for i, doc in enumerate(docs)], corpus_path)
     _write_testset_file(testset_path, [make_example("ex0", source, target)])
     scores_path = tmp_path / "scores.jsonl"
-    argv = ["decontam", "--testset", str(testset_path), "--corpus", str(corpus_path), "--scores-out", str(scores_path)]
+    argv = ["decontam", "--testset", str(testset_path), "--index", str(_index(corpus_path)),
+            "--scores-out", str(scores_path)]
+    capsys.readouterr()
     assert main(argv) == 2
     assert capsys.readouterr().err == f"error: {testset_path}:1: field 'source_tokens' {TOKEN_IDS}\n"
     assert not scores_path.exists()
@@ -395,19 +413,83 @@ def test_index_on_token_id_beyond_32_bits_exits_two(tmp_path, capsys):
     assert not (tmp_path / "c.ctkx").exists()
 
 
+def _assert_usage_error(capsys, argv, message):
+    """``argv`` is refused by argparse: exit 2, usage on stderr, nothing on stdout."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: contamkit ")
+    assert err.splitlines()[-1].endswith(f": error: {message}")
+
+
 def test_decontam_with_index_of_other_ngram_exits_two(tmp_path, capsys):
     corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=True)
-    index_path = tmp_path / "corpus.ctkx"
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
-    capsys.readouterr()
-    assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path), "--ngram", "5"]) == 2
-    _assert_one_error_line(capsys, "built with n=8, requested n=5")
+    index_path = _index(corpus_path)
+    for flags in (["--ngram", "5"], ["--corpus", str(corpus_path)]):
+        argv = ["decontam", "--testset", str(testset_path), "--index", str(index_path), *flags]
+        _assert_usage_error(capsys, argv, f"unrecognized arguments: {' '.join(flags)}")
 
 
 def test_decontam_without_index_or_corpus_exits_two(tmp_path, capsys):
-    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
-    assert main(["decontam", "--testset", str(testset_path)]) == 2
-    _assert_one_error_line(capsys, "one of --index or --corpus is required")
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    for flags in ([], ["--corpus", str(corpus_path)]):
+        argv = ["decontam", "--testset", str(testset_path), *flags]
+        _assert_usage_error(capsys, argv, "the following arguments are required: --index")
+
+
+def test_every_readme_command_parses(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("contamkit ")]
+    assert {argv[0] for argv in commands} == {"index", "decontam", "inject", "bleu", "report"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README command does not parse: contamkit {shlex.join(argv)}\n{capsys.readouterr().err}")
+
+
+def test_decontam_takes_n_from_the_index(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    examples = read_testset(testset_path)
+    # ex1's source shares a 6-token run with the corpus: a hit at n=5, not at the default n=8
+    partial = examples[1].source_tokens[2:8]
+    corpus_path.write_text(corpus_path.read_text() + json.dumps({"doc_id": "six", "tokens": partial}) + "\n")
+    scores_path = tmp_path / "scores.jsonl"
+    argv = ["decontam", "--testset", str(testset_path), "--index", str(_index(corpus_path, "--ngram", "5")),
+            "--scores-out", str(scores_path)]
+    assert main(argv) == 0
+    config = ScanConfig(ngram_order=5)
+    index = build_index(read_corpus(corpus_path), config)
+    expected_path = tmp_path / "expected.jsonl"
+    matcher.write_scores([(ex.example_id, matcher.score_example(ex, index, config)) for ex in examples],
+                         index, expected_path)
+    assert scores_path.read_bytes() == expected_path.read_bytes()
+    scores = [json.loads(line) for line in scores_path.read_text().splitlines()]
+    assert scores[1]["s_source"] == 0.3 and scores[1]["longest_source"]["doc_id"] == "six"
+
+
+def test_decontam_refuses_a_bad_threshold(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    index_path = _index(corpus_path)
+    for threshold in ("0", "1.5"):
+        capsys.readouterr()
+        assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path),
+                     "--threshold", threshold]) == 2
+        assert capsys.readouterr().err == "error: threshold must be in (0, 1]\n"
+
+
+def test_index_refuses_an_empty_corpus_path(tmp_path, capsys, monkeypatch):
+    # read_corpus("") would resolve to the current directory and read its shards
+    write_corpus([CorpusDocument("here", list(range(20)))], tmp_path / "here.jsonl")
+    monkeypatch.chdir(tmp_path)
+    before = sorted(os.listdir(tmp_path))
+    assert main(["index", "--corpus", "", "--out", str(tmp_path / "i.ctkx")]) == 2
+    _assert_one_error_line(capsys, "--corpus")
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 def test_report_with_bad_condition_exits_two(tmp_path, capsys):
@@ -585,12 +667,12 @@ def test_bleu_names_the_file_and_line_of_a_bad_reference(tmp_path, capsys):
 def test_deeply_nested_json_names_the_line(tmp_path, capsys):
     deep = tmp_path / "deep.jsonl"
     deep.write_text("[" * 100_000 + "\n")
-    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
     commands = (
         ["bleu", "--hyp", str(deep), "--ref", str(deep), "--tokens"],
         ["report", "--baseline", str(deep), "--contaminated", str(deep)],
         ["index", "--corpus", str(deep), "--out", str(tmp_path / "i.ctkx")],
-        ["decontam", "--testset", str(deep), "--corpus", str(tmp_path / "corpus.jsonl")],
+        ["decontam", "--testset", str(deep), "--index", str(_index(corpus_path))],
         ["inject", "verify", "--schedule", str(deep)],
     )
     for argv in commands:

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import random
@@ -21,6 +22,7 @@ from contamkit.corpus_io import (
     read_stream,
     read_testset,
     write_corpus,
+    write_doc_table,
     write_stream,
     write_testset,
 )
@@ -138,8 +140,18 @@ def test_binary_round_trip(tmp_path):
 
 
 def test_binary_rejects_oversized_token(tmp_path):
-    with pytest.raises(CorpusFormatError, match="32-bit"):
-        write_corpus(docs_from_tokens([[2**32]]), tmp_path / "c.ctk", fmt="ctk")
+    path = tmp_path / "c.ctk"
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: doc 'd0': {OUT_OF_RANGE}$"):
+        write_corpus(docs_from_tokens([[2**32]]), path, fmt="ctk")
+
+
+OUT_OF_RANGE = re.escape("token ids must be integers in [0, 2**32)")
+
+
+@pytest.mark.parametrize("token", [-1, 2**32])
+def test_write_doc_table_names_the_token_id_range(token):
+    with pytest.raises(CorpusFormatError, match=rf"^x\.ctk: doc 'neg': {OUT_OF_RANGE}$"):
+        write_doc_table(io.BytesIO(), [("neg", [1, token])], "x.ctk")
 
 
 def test_binary_bad_magic(tmp_path):

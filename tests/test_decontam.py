@@ -219,6 +219,15 @@ def test_empty_report_renders():
     assert "(0.0% removed)" in text
 
 
+@pytest.mark.parametrize("bin_width, last_bin", [(0.3, "[0.60, 1.00]"), (0.4, "[0.40, 1.00]"), (0.05, "[0.95, 1.00]")])
+def test_last_histogram_bin_closes_at_one(bin_width, last_bin):
+    rng = random.Random(6)
+    examples, corpus = _testset_with_plants(rng, total=4, planted_count=1)
+    _, report = decontaminate(examples, index_of(corpus), CFG, bin_width=bin_width)
+    assert report.histogram[-1] == 1  # the planted example scores 1.0
+    assert f"    {last_bin}  1\n" in render_report(report)
+
+
 def test_unknown_report_format_rejected():
     with pytest.raises(ValueError, match="format"):
         render_report(_headline_report(), "yaml")

@@ -55,6 +55,8 @@ def valid(tmp_path_factory):
     ]
     write_corpus(docs, d / "c.jsonl")
     write_corpus(docs, d / "c.ctk", fmt="ctk")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["index", "--corpus", str(d / "c.jsonl"), "--ngram", "3", "--out", str(d / "c.ctkx")]) == 0
     schedule = plan_schedule(
         examples,
         ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.UNIFORM, 2),
@@ -82,7 +84,7 @@ def _cut_at_line_end(data: bytes):
 def _commands(d, damaged):
     """The commands that read each format, with the exit codes they end with on valid input."""
     return {
-        "t.jsonl": [(["decontam", "--testset", damaged, "--corpus", str(d / "c.jsonl"), "--ngram", "3",
+        "t.jsonl": [(["decontam", "--testset", damaged, "--index", str(d / "c.ctkx"),
                       "--out", str(d / "kept.jsonl"), "--scores-out", str(d / "scores.jsonl"),
                       "--report-out", str(d / "report.txt")], (0, 3))],
         "c.jsonl": [(["index", "--corpus", damaged, "--ngram", "3", "--out", str(d / "i.ctkx")], (0,))],

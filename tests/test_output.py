@@ -96,6 +96,9 @@ def work(tmp_path):
     write_corpus([CorpusDocument("a", [50, 51, 52, 53, 54, 55, 56, 57, 58])], tmp_path / "c.jsonl")
     # the corpus holds ex2's source, so ex2 is removed and named in the report
     write_corpus([CorpusDocument("a", records[2]["source_tokens"] * 3)], tmp_path / "hit.jsonl")
+    for corpus, flags, out in (("c", [], "c.ctkx"), ("c", ["--ngram", "3"], "c3.ctkx"),
+                               ("hit", ["--ngram", "3"], "hit3.ctkx")):
+        assert main(["index", "--corpus", str(tmp_path / f"{corpus}.jsonl"), *flags, "--out", str(tmp_path / out)]) == 0
     _write_lines(tmp_path / "bad_c.jsonl", [
         {"doc_id": "a", "tokens": [1, 2, 3]}, {"doc_id": "b", "tokens": [4, 5, 6]}, {"doc_id": "x\ud800", "tokens": [7]},
     ])
@@ -120,14 +123,14 @@ FAILED_WRITES = {
     # name: (argv of a command that fails while it writes `out`, out, start of the error after `error: <out>`)
     "index": (lambda d: ["index", "--corpus", str(d / "bad_c.jsonl"), "--out", str(d / "i.ctkx")],
               "i.ctkx", ": doc #2: 'utf-8' codec can't encode"),
-    "decontam --out": (lambda d: ["decontam", "--testset", str(d / "bad_text.jsonl"), "--corpus", str(d / "c.jsonl"),
-                                  "--ngram", "3", "--out", str(d / "kept.jsonl")],
+    "decontam --out": (lambda d: ["decontam", "--testset", str(d / "bad_text.jsonl"), "--index", str(d / "c3.ctkx"),
+                                  "--out", str(d / "kept.jsonl")],
                        "kept.jsonl", ":3: 'utf-8' codec can't encode"),
-    "decontam --scores-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--corpus",
-                                         str(d / "c.jsonl"), "--ngram", "3", "--scores-out", str(d / "scores.jsonl")],
+    "decontam --scores-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--index",
+                                         str(d / "c3.ctkx"), "--scores-out", str(d / "scores.jsonl")],
                               "scores.jsonl", ":3: 'utf-8' codec can't encode"),
-    "decontam --report-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--corpus",
-                                         str(d / "hit.jsonl"), "--ngram", "3", "--report-format", "json",
+    "decontam --report-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--index",
+                                         str(d / "hit3.ctkx"), "--report-format", "json",
                                          "--report-out", str(d / "report.json")],
                               "report.json", ": 'utf-8' codec can't encode"),
     "inject plan": (lambda d: _plan(d, "bad_text.jsonl", "plan2.jsonl"), "plan2.jsonl", ":"),
@@ -168,13 +171,13 @@ def test_failed_writes_succeed_on_the_valid_inputs(work, capsys):
 
 DIRECTORY_ARGS = {
     "index --out": lambda d: ["index", "--corpus", str(d / "c.jsonl"), "--out", str(d)],
-    "decontam --testset": lambda d: ["decontam", "--testset", str(d), "--corpus", str(d / "c.jsonl")],
+    "decontam --testset": lambda d: ["decontam", "--testset", str(d), "--index", str(d / "c.ctkx")],
     "decontam --index": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--index", str(d)],
-    "decontam --out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--corpus", str(d / "c.jsonl"),
+    "decontam --out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--index", str(d / "c.ctkx"),
                                  "--out", str(d)],
-    "decontam --scores-out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--corpus", str(d / "c.jsonl"),
+    "decontam --scores-out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--index", str(d / "c.ctkx"),
                                         "--scores-out", str(d)],
-    "decontam --report-out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--corpus", str(d / "c.jsonl"),
+    "decontam --report-out": lambda d: ["decontam", "--testset", str(d / "t.jsonl"), "--index", str(d / "c.ctkx"),
                                         "--report-out", str(d)],
     "inject plan --testset": lambda d: _plan(d, ".", "plan2.jsonl"),
     "inject plan --out": lambda d: _plan(d, "t.jsonl", "."),

@@ -88,6 +88,9 @@ MISTYPED = [
     ("header", "entry_count", "3", "field 'entry_count' must be a non-negative integer"),
     ("header", "entry_count", -1, "field 'entry_count' must be a non-negative integer"),
     ("header", "kind", "plan", "not an injection schedule file"),
+    ("header", "mode", "bogus",
+     "field 'mode' must be one of ('full_prompted', 'source_only', 'target_only', 'split_pair', 'batched_pair')"),
+    ("header", "temporal", "bogus", "field 'temporal' must be one of ('early', 'middle', 'late', 'uniform')"),
 ]
 
 
@@ -163,10 +166,11 @@ EMPTY = [
 @pytest.mark.parametrize("command, name, message", EMPTY, ids=[command for command, _, _ in EMPTY])
 def test_empty_input_file_exits_two_naming_itself(files, capsys, command, name, message):
     write_corpus([CorpusDocument("d", [1, 2, 3])], files / "c.jsonl")
+    assert main(["index", "--corpus", str(files / "c.jsonl"), "--out", str(files / "c.ctkx")]) == 0
     for empty in ("t.jsonl", "hyp.txt", "ref.txt", "base.jsonl", "plan.jsonl"):
         (files / empty).write_text("")
     argv = {
-        "decontam": ["decontam", "--testset", str(files / "t.jsonl"), "--corpus", str(files / "c.jsonl")],
+        "decontam": ["decontam", "--testset", str(files / "t.jsonl"), "--index", str(files / "c.ctkx")],
         "inject-plan": _command("testset", files),
         "bleu": ["bleu", "--hyp", str(files / "hyp.txt"), "--ref", str(files / "ref.txt")],
         "report": _command("records", files),
