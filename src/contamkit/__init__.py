@@ -10,26 +10,15 @@ Three pipelines share one set of primitives:
 * impact measurement — corpus BLEU (:mod:`contamkit.metrics`) and the
   delta/gap/direction analytics built on it (:mod:`contamkit.analytics`).
 
-File formats and streaming I/O live in :mod:`contamkit.corpus_io`; the
-``contamkit`` console script in :mod:`contamkit.cli` wires everything up.
+File formats and streaming I/O live in :mod:`contamkit.corpus_io`, the
+condition vocabulary in :mod:`contamkit.conditions`; the ``contamkit``
+console script in :mod:`contamkit.cli` wires everything up.
+
+``import contamkit`` loads no submodule: each exported name is imported from
+its module on first use, so a program pays only for the modules it touches.
 """
 
-from .corpus_io import BatchStream, CorpusDocument, TestExample
-from .matcher import ContaminationScore, MatchSpan, score_example
-from .metrics import EvalRecord, corpus_bleu
-from .ngram_index import NGramIndex, ScanConfig, build_index
-from .decontam import ContaminationLabel, DecontamReport, classify, decontaminate
-from .injector import (
-    ContaminationCondition,
-    ContaminationMode,
-    InjectionSchedule,
-    Temporal,
-    TrainingConfig,
-    apply_schedule,
-    plan_schedule,
-    render,
-    verify_schedule,
-)
+import importlib
 
 __version__ = "0.1.0"
 
@@ -60,3 +49,27 @@ __all__ = [
     "verify_schedule",
     "__version__",
 ]
+
+# The module each exported name lives in; ``__getattr__`` imports it on first use.
+_EXPORTS = {
+    "corpus_io": ("BatchStream", "CorpusDocument", "TestExample"),
+    "matcher": ("ContaminationScore", "MatchSpan", "score_example"),
+    "metrics": ("EvalRecord", "corpus_bleu"),
+    "ngram_index": ("NGramIndex", "ScanConfig", "build_index"),
+    "decontam": ("ContaminationLabel", "DecontamReport", "classify", "decontaminate"),
+    "conditions": ("ContaminationCondition", "ContaminationMode", "Temporal", "TrainingConfig"),
+    "injector": ("InjectionSchedule", "apply_schedule", "plan_schedule", "render", "verify_schedule"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups find it without this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

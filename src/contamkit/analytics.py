@@ -21,7 +21,7 @@ from importlib import resources
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
-from .injector import ContaminationCondition
+from .conditions import ContaminationCondition
 from .metrics import EvalRecord, split_pair
 
 DIRECTION_EN_TO_X = "en_to_x"

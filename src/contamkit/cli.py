@@ -16,8 +16,12 @@ Subcommands:
 import argparse
 import inspect
 import sys
+from dataclasses import replace
 
-from . import analytics, decontam, injector, matcher, metrics
+# Each handler imports only the modules its subcommand runs; the parser reads
+# its choices and defaults from the modules imported here, never from the planner.
+from . import metrics
+from .conditions import CapacityError, ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
 from .corpus_io import (
     CORPUS_FORMATS,
     FORMAT_JSONL,
@@ -46,8 +50,11 @@ def _cmd_index(args) -> int:
 
 
 def _cmd_decontam(args) -> int:
+    from . import decontam, matcher
+
+    config = ScanConfig(threshold=args.threshold)  # refuse a bad threshold before reading the index
     index = NGramIndex.load(args.index)
-    config = ScanConfig(ngram_order=index.ngram_order, threshold=args.threshold)
+    config = replace(config, ngram_order=index.ngram_order)
     testset = read_testset(args.testset)
     try:
         kept, report = decontam.decontaminate(testset, index, config)
@@ -68,9 +75,11 @@ def _cmd_decontam(args) -> int:
 
 
 def _cmd_inject_plan(args) -> int:
+    from . import injector
+
     examples = read_testset(args.testset)
-    condition = injector.ContaminationCondition(mode=args.mode, temporal=args.temporal, copies=args.copies)
-    config = injector.TrainingConfig(
+    condition = ContaminationCondition(mode=args.mode, temporal=args.temporal, copies=args.copies)
+    config = TrainingConfig(
         total_steps=args.steps,
         batch_size=args.batch_size,
         max_replace_frac=args.cap,
@@ -91,6 +100,8 @@ def _cmd_inject_plan(args) -> int:
 
 
 def _cmd_inject_apply(args) -> int:
+    from . import injector
+
     schedule = injector.read_schedule(args.schedule)
     batches = injector.apply_batches(
         iter_batches(args.stream), schedule, require_parallel_slots=args.require_parallel
@@ -106,6 +117,8 @@ def _cmd_inject_apply(args) -> int:
 
 
 def _cmd_inject_verify(args) -> int:
+    from . import injector
+
     schedule = injector.read_schedule(args.schedule)
     report = injector.verify_schedule(schedule)
     print(report.summary(), end="")
@@ -155,7 +168,9 @@ def _read_records(path) -> list[metrics.EvalRecord]:
     return list(records.values())
 
 
-def _impact_table(baseline, contaminated, condition) -> analytics.ImpactTable:
+def _impact_table(baseline, contaminated, condition):
+    from . import analytics
+
     base, cont = _read_records(baseline), _read_records(contaminated)
     try:
         return analytics.impact_table(base, cont, condition)
@@ -163,17 +178,19 @@ def _impact_table(baseline, contaminated, condition) -> analytics.ImpactTable:
         raise ValueError(f"{baseline}, {contaminated}: {e}") from None
 
 
-def _parse_condition(text: str | None) -> injector.ContaminationCondition | None:
+def _parse_condition(text: str | None) -> ContaminationCondition | None:
     if not text:
         return None
     try:
         temporal, mode, copies = text.split(",")
-        return injector.ContaminationCondition(mode=mode.strip(), temporal=temporal.strip(), copies=int(copies))
+        return ContaminationCondition(mode=mode.strip(), temporal=temporal.strip(), copies=int(copies))
     except ValueError as e:
         raise ValueError(f"cannot parse condition {text!r} (expected 'temporal,mode,copies'): {e}") from e
 
 
 def _cmd_report(args) -> int:
+    from . import analytics
+
     condition = _parse_condition(args.condition)
     table = _impact_table(args.baseline, args.contaminated, condition)
     text = analytics.render_impact(table.cells, args.format)
@@ -220,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = inject_sub.add_parser("plan", help="expand a condition into a schedule")
     p.add_argument("--testset", required=True)
-    p.add_argument("--mode", required=True, choices=[m.value for m in injector.ContaminationMode])
-    p.add_argument("--temporal", required=True, choices=[t.value for t in injector.Temporal])
+    p.add_argument("--mode", required=True, choices=[m.value for m in ContaminationMode])
+    p.add_argument("--temporal", required=True, choices=[t.value for t in Temporal])
     p.add_argument("--copies", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--batch-size", type=int, required=True)
-    p.add_argument("--seed", type=int, default=injector.TrainingConfig.seed)
-    p.add_argument("--window-frac", type=float, default=injector.TrainingConfig.window_frac)
-    p.add_argument("--cap", type=float, default=injector.TrainingConfig.max_replace_frac,
+    p.add_argument("--seed", type=int, default=TrainingConfig.seed)
+    p.add_argument("--window-frac", type=float, default=TrainingConfig.window_frac)
+    p.add_argument("--cap", type=float, default=TrainingConfig.max_replace_frac,
                    help="max replaced fraction of a batch")
     p.add_argument("--strict-cap", action="store_true", help="keep the replaced fraction strictly below --cap")
     p.add_argument("--out", required=True)
@@ -271,7 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, injector.CapacityError, IndexCapacityError) as e:
+    except (ValueError, OSError, CapacityError, IndexCapacityError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -9,10 +9,11 @@ way it appears at test time, with English language names prepended::
 ``source_only`` / ``target_only`` emit the bare field text with no
 formatting. ``split_pair`` and ``batched_pair`` emit both bare texts as two
 separate unpaired documents; batched halves land in the same training step
-while split halves land in different steps. ``MODE_LAYOUT`` is the one place
-that says which documents a mode renders and which of them share a step; the
-renderer, the planner's window, capacity and placement, and the verifier all
-read it.
+while split halves land in different steps. ``MODE_LAYOUT`` (in
+:mod:`contamkit.conditions`, with the modes, windows and training dimensions)
+is the one place that says which documents a mode renders and which of them
+share a step; the renderer, the planner's window, capacity and placement, and
+the verifier all read it.
 
 A plan places ``examples x copies`` rendered copies into a training stream
 under a temporal condition: ``early`` / ``middle`` / ``late`` windows start
@@ -43,32 +44,22 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
-from enum import Enum
 from itertools import chain, groupby
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
+from .conditions import (
+    MODE_LAYOUT, UNIFORM_RANGE_FRAC, WINDOW_START_FRAC, CapacityError, ContaminationCondition, ContaminationMode,
+    Temporal, TrainingConfig,
+)
 from .corpus_io import (
-    CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, SignedInt, TestExample,
+    CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, TestExample,
     from_record, read_json_lines, record_values, write_json_lines,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
 
-PART_WHOLE = "whole"
-PART_SOURCE_HALF = "source_half"
-PART_TARGET_HALF = "target_half"
-
 _MASK64 = (1 << 64) - 1
-
-
-class CapacityError(RuntimeError):
-    """The plan needs more injection slots than the window provides."""
-
-    def __init__(self, message: str, required: int | None = None, available: int | None = None):
-        super().__init__(message)
-        self.required = required
-        self.available = available
 
 
 class TemplateError(ValueError):
@@ -84,87 +75,6 @@ class StreamShapeError(ValueError):
 class ScheduleError(ValueError):
     """A schedule that :func:`verify_schedule` flags; the message gives the
     violation count and the first violation."""
-
-
-class ContaminationMode(str, Enum):
-    FULL_PROMPTED = "full_prompted"
-    SOURCE_ONLY = "source_only"
-    TARGET_ONLY = "target_only"
-    SPLIT_PAIR = "split_pair"
-    BATCHED_PAIR = "batched_pair"
-
-
-# The parts each copy of an example is rendered into, in render order, as
-# groups: the documents of a group share one step, and each group of a copy
-# takes a step of its own.
-MODE_LAYOUT: dict[ContaminationMode, tuple[tuple[str, ...], ...]] = {
-    ContaminationMode.FULL_PROMPTED: ((PART_WHOLE,),),
-    ContaminationMode.SOURCE_ONLY: ((PART_WHOLE,),),
-    ContaminationMode.TARGET_ONLY: ((PART_WHOLE,),),
-    ContaminationMode.SPLIT_PAIR: ((PART_SOURCE_HALF,), (PART_TARGET_HALF,)),
-    ContaminationMode.BATCHED_PAIR: ((PART_SOURCE_HALF, PART_TARGET_HALF),),
-}
-
-
-class Temporal(str, Enum):
-    EARLY = "early"
-    MIDDLE = "middle"
-    LATE = "late"
-    UNIFORM = "uniform"
-
-
-WINDOW_START_FRAC = {Temporal.EARLY: 0.30, Temporal.MIDDLE: 0.60, Temporal.LATE: 0.90}
-UNIFORM_RANGE_FRAC = (0.30, 0.90)
-
-
-@dataclass(frozen=True)
-class ContaminationCondition:
-    """One cell of the condition matrix: how, when, and how often to inject."""
-
-    mode: ContaminationMode
-    temporal: Temporal
-    copies: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "mode", ContaminationMode(self.mode))
-        object.__setattr__(self, "temporal", Temporal(self.temporal))
-        if self.copies < 1:
-            raise ValueError("copies must be >= 1")
-
-    @property
-    def arity(self) -> int:
-        """Documents per copy."""
-        return sum(map(len, MODE_LAYOUT[self.mode]))
-
-
-@dataclass(frozen=True)
-class TrainingConfig:
-    """Stream dimensions and injection limits for planning."""
-
-    total_steps: int
-    batch_size: int
-    max_replace_frac: float = 0.05
-    window_frac: float = 0.02
-    seed: SignedInt = 0
-    strict_cap: bool = False
-
-    def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0 < self.max_replace_frac < 1:
-            raise ValueError("max_replace_frac must be in (0, 1)")
-        if not 0 < self.window_frac <= 1:
-            raise ValueError("window_frac must be in (0, 1]")
-
-    def replace_cap(self) -> int:
-        """Max injected documents per batch."""
-        exact = self.max_replace_frac * self.batch_size
-        cap = int(math.floor(exact + 1e-9))
-        if self.strict_cap and abs(cap - exact) < 1e-9:
-            cap -= 1
-        return cap
 
 
 DEFAULT_LANGUAGE_NAMES = {

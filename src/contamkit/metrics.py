@@ -21,6 +21,7 @@ the geometric mean, so identical hypothesis/reference lists score exactly
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 from .corpus_io import TestExample, group_by_pair
@@ -55,7 +56,7 @@ def split_pair(lang_pair: str) -> tuple[str, str]:
 
 
 def _ngram_counts(tokens: Sequence, order: int) -> Counter:
-    return Counter(tuple(tokens[i : i + order]) for i in range(len(tokens) - order + 1))
+    return Counter(zip(*[tokens[i:] for i in range(order)]))
 
 
 def corpus_bleu(
@@ -84,13 +85,11 @@ def corpus_bleu(
     for hyp, ref in zip(hypotheses, references):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for k in range(1, max_order + 1):
+        for k in range(1, min(max_order, len(hyp)) + 1):  # a shorter hypothesis has no k-grams
             hyp_counts = _ngram_counts(hyp, k)
-            if not hyp_counts:
-                continue
             ref_counts = _ngram_counts(ref, k)
-            total[k - 1] += sum(hyp_counts.values())
-            matched[k - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+            total[k - 1] += len(hyp) - k + 1
+            matched[k - 1] += sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
 
     if hyp_len == 0:
         return 0.0

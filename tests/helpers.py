@@ -7,6 +7,7 @@ counting, and schedule invariants one entry at a time.
 
 import math
 import random
+from collections import Counter
 
 import numpy as np
 
@@ -168,6 +169,43 @@ def brute_bleu(hypotheses, references, max_order=4) -> float:
         orders_used += 1
     if orders_used == 0:
         return 0.0
+    brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
+    return 100.0 * brevity * math.exp(log_sum / orders_used)
+
+
+def counter_bleu(hypotheses, references, max_order=4, smoothing="none") -> float:
+    """BLEU with one Counter of sliced tuples per segment and order, clipped
+    gram by gram: the implementation the one-pass ``corpus_bleu`` replaced,
+    kept as its exact-equality oracle."""
+    matched = [0] * max_order
+    total = [0] * max_order
+    hyp_len = 0
+    ref_len = 0
+    for hyp, ref in zip(hypotheses, references):
+        hyp_len += len(hyp)
+        ref_len += len(ref)
+        for k in range(1, max_order + 1):
+            hyp_counts = Counter(tuple(hyp[i : i + k]) for i in range(len(hyp) - k + 1))
+            if not hyp_counts:
+                continue
+            ref_counts = Counter(tuple(ref[i : i + k]) for i in range(len(ref) - k + 1))
+            total[k - 1] += sum(hyp_counts.values())
+            matched[k - 1] += sum(min(c, ref_counts[g]) for g, c in hyp_counts.items())
+    if hyp_len == 0:
+        return 0.0
+    log_sum = 0.0
+    orders_used = 0
+    for k in range(max_order):
+        m, t = matched[k], total[k]
+        if smoothing == "add_one" and k > 0:
+            m += 1
+            t += 1
+        if t == 0:
+            continue
+        if m == 0:
+            return 0.0
+        log_sum += math.log(m / t)
+        orders_used += 1
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     return 100.0 * brevity * math.exp(log_sum / orders_used)
 

@@ -482,6 +482,15 @@ def test_decontam_refuses_a_bad_threshold(tmp_path, capsys):
         assert capsys.readouterr().err == "error: threshold must be in (0, 1]\n"
 
 
+def test_decontam_refuses_a_bad_threshold_before_reading_the_index(tmp_path, capsys):
+    _, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    index_path = tmp_path / "bad.ctkx"
+    index_path.write_text("junk")
+    assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path),
+                 "--threshold", "0"]) == 2
+    assert capsys.readouterr().err == "error: threshold must be in (0, 1]\n"
+
+
 def test_index_refuses_an_empty_corpus_path(tmp_path, capsys, monkeypatch):
     # read_corpus("") would resolve to the current directory and read its shards
     write_corpus([CorpusDocument("here", list(range(20)))], tmp_path / "here.jsonl")

@@ -7,11 +7,9 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from contamkit.conditions import PART_SOURCE_HALF, PART_TARGET_HALF, PART_WHOLE
 from contamkit.corpus_io import BatchStream, CorpusDocument
 from contamkit.injector import (
-    PART_SOURCE_HALF,
-    PART_TARGET_HALF,
-    PART_WHOLE,
     CapacityError,
     ContaminationCondition,
     ContaminationMode,

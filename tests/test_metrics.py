@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from contamkit.metrics import EvalRecord, corpus_bleu, score_system, whitespace_tokens
 
-from helpers import brute_bleu, make_example
+from helpers import brute_bleu, counter_bleu, make_example
 
 
 def test_identity_scores_exactly_one_hundred():
@@ -104,6 +104,20 @@ def test_brute_force_equivalence_property(data):
         st.lists(st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=10), min_size=count, max_size=count)
     )
     assert corpus_bleu(hyps, refs) == pytest.approx(brute_bleu(hyps, refs), abs=1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_one_pass_counting_equals_the_per_gram_oracle_exactly(data):
+    # short hypotheses (down to empty) against orders up to 6, so some orders have no k-grams
+    max_order = data.draw(st.integers(min_value=1, max_value=6))
+    smoothing = data.draw(st.sampled_from(["none", "add_one"]))
+    count = data.draw(st.integers(min_value=1, max_value=4))
+    token = st.integers(min_value=0, max_value=3)
+    hyps = data.draw(st.lists(st.lists(token, max_size=9), min_size=count, max_size=count))
+    refs = data.draw(st.lists(st.lists(token, min_size=1, max_size=9), min_size=count, max_size=count))
+    expected = counter_bleu(hyps, refs, max_order=max_order, smoothing=smoothing)
+    assert corpus_bleu(hyps, refs, max_order=max_order, smoothing=smoothing) == expected
 
 
 # -- score_system ---------------------------------------------------------------

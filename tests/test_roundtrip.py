@@ -13,12 +13,9 @@ schedule's window.
 
 from hypothesis import given, settings, strategies as st
 
+from contamkit.conditions import MODE_LAYOUT, PART_SOURCE_HALF, PART_TARGET_HALF, PART_WHOLE
 from contamkit.decontam import ContaminationLabel, classify, decontaminate
 from contamkit.injector import (
-    MODE_LAYOUT,
-    PART_SOURCE_HALF,
-    PART_TARGET_HALF,
-    PART_WHOLE,
     ContaminationCondition,
     ContaminationMode,
     Temporal,
