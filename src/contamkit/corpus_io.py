@@ -30,8 +30,7 @@ Readers stream one record at a time and never materialize a whole shard;
 filename order). Batch streams are read one step at a time by
 :func:`iter_batches` and written from any iterable of batches by
 :func:`write_batches`, so a stream of any length passes through in memory
-bounded by one batch; ``read_stream`` and ``write_stream`` are the
-whole-stream forms built on them.
+bounded by one batch.
 
 Every text file is read through :func:`read_lines`, which names undecodable
 bytes as ``path:line`` like any other malformed record, and every JSON line
@@ -141,15 +140,6 @@ class BatchStream:
 
     batch_size: int
     steps: list[list[CorpusDocument]] = field(default_factory=list)
-
-    def validate(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        for step, batch in enumerate(self.steps):
-            if len(batch) != self.batch_size:
-                raise ValueError(
-                    f"step {step}: batch has {len(batch)} slots, expected {self.batch_size}"
-                )
 
 
 @dataclass(slots=True)
@@ -535,12 +525,6 @@ def group_by_pair(examples: Iterable[TestExample]) -> dict[str, list[TestExample
     return groups
 
 
-def write_stream(stream: BatchStream, path) -> int:
-    """Write a batch stream as (step, slot, doc) records; returns slot count."""
-    stream.validate()
-    return write_batches(stream.steps, path)
-
-
 def write_batches(batches: Iterable[Sequence[CorpusDocument]], path) -> int:
     """Write batches in order as (step, slot, doc) records; returns slot count.
 
@@ -587,9 +571,3 @@ def iter_batches(path) -> Iterator[list[CorpusDocument]]:
     if current:
         check_size(str(path))
         yield current
-
-
-def read_stream(path) -> BatchStream:
-    """Read a whole batch stream into memory (see :func:`iter_batches`)."""
-    steps = list(iter_batches(path))
-    return BatchStream(batch_size=len(steps[0]) if steps else 0, steps=steps)

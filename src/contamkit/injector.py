@@ -271,12 +271,15 @@ def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], boo
 
 
 def _sample_slots(rng: CounterRng, batch_size: int, k: int) -> list[int]:
-    # partial Fisher-Yates: k distinct slots, uniform over the batch
-    slots = list(range(batch_size))
+    # partial Fisher-Yates: k distinct slots, uniform over the batch; ``moved``
+    # holds only the positions a swap has changed, so memory follows k, not the batch
+    moved: dict[int, int] = {}
+    slots = []
     for i in range(k):
         j = i + rng.below(batch_size - i)
-        slots[i], slots[j] = slots[j], slots[i]
-    return slots[:k]
+        slots.append(moved.get(j, j))
+        moved[j] = moved.get(i, i)
+    return slots
 
 
 def plan_schedule(

@@ -78,8 +78,10 @@ def corpus_bleu(
         if len(ref) == 0:
             raise ValueError(f"reference segment {i} is empty")
 
-    matched = [0] * max_order
-    total = [0] * max_order
+    # no hypothesis has a k-gram for k past the longest one, so only shorter orders are counted
+    orders = min(max_order, max(map(len, hypotheses)))
+    matched = [0] * orders
+    total = [0] * orders
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
@@ -94,8 +96,9 @@ def corpus_bleu(
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
-    orders_used = 0
-    for k in range(max_order):
+    # under add_one each uncounted order scores (0+1)/(0+1), adding log 1 = 0 and one to the mean
+    orders_used = max_order - orders if smoothing == "add_one" else 0
+    for k in range(orders):
         m, t = matched[k], total[k]
         if smoothing == "add_one" and k > 0:
             m += 1

@@ -114,6 +114,8 @@ class NGramIndex:
     def __init__(self, ngram_order: int, fingerprint_bits: int = 64):
         if ngram_order < 1:
             raise ValueError("ngram_order must be >= 1")
+        if ngram_order > _MAX_U32:  # the index header holds n in a u32
+            raise ValueError("ngram_order must be < 2**32")
         if not 1 <= fingerprint_bits <= 64:
             raise ValueError("fingerprint_bits must be in [1, 64]")
         self.ngram_order = ngram_order

@@ -210,6 +210,17 @@ def counter_bleu(hypotheses, references, max_order=4, smoothing="none") -> float
     return 100.0 * brevity * math.exp(log_sum / orders_used)
 
 
+def array_sample_slots(rng, batch_size, k) -> list[int]:
+    """Partial Fisher-Yates over a list of the whole batch: the implementation
+    the ``injector._sample_slots`` that stores only moved positions replaced,
+    kept as its exact-equality oracle."""
+    slots = list(range(batch_size))
+    for i in range(k):
+        j = i + rng.below(batch_size - i)
+        slots[i], slots[j] = slots[j], slots[i]
+    return slots[:k]
+
+
 def docs_from_tokens(token_lists, category="monolingual", lang="") -> list[CorpusDocument]:
     return [
         CorpusDocument(doc_id=f"d{i}", tokens=list(tokens), category=category, lang=lang)

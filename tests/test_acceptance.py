@@ -19,7 +19,7 @@ from contamkit.analytics import (
     load_table,
     table_records,
 )
-from contamkit.corpus_io import BatchStream, CorpusDocument, read_stream, write_stream
+from contamkit.corpus_io import BatchStream, CorpusDocument, iter_batches, write_batches
 from contamkit.decontam import ContaminationLabel, classify, decontaminate
 from contamkit.injector import (
     ContaminationCondition,
@@ -345,7 +345,7 @@ def test_criterion_8_stream_application(tmp_path):
 
     # file I/O round trip is bit-exact
     first, second = tmp_path / "out1.jsonl", tmp_path / "out2.jsonl"
-    write_stream(out, first)
-    write_stream(read_stream(first), second)
+    write_batches(out.steps, first)
+    write_batches(iter_batches(first), second)
     assert first.read_bytes() == second.read_bytes()
     _passed(8, "stream application and bit-exact round trip")

@@ -15,11 +15,11 @@ from contamkit.cli import build_parser, main
 from contamkit.corpus_io import (
     CorpusDocument,
     example_to_record,
+    iter_batches,
     read_corpus,
-    read_stream,
     read_testset,
     write_corpus,
-    write_stream,
+    write_batches,
 )
 from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
@@ -292,16 +292,16 @@ def test_inject_plan_verify_apply_pipeline(tmp_path, capsys):
     assert "violation" in capsys.readouterr().out
 
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(_synth_stream(1000, 64), stream_path)
+    write_batches(_synth_stream(1000, 64).steps, stream_path)
     out_path = tmp_path / "out.jsonl"
     assert main([
         "inject", "apply", "--stream", str(stream_path),
         "--schedule", str(plan_path), "--out", str(out_path),
     ]) == 0
-    before = read_stream(stream_path)
-    after = read_stream(out_path)
+    before = list(iter_batches(stream_path))
+    after = list(iter_batches(out_path))
     changed = sum(
-        before.steps[s][i] != after.steps[s][i]
+        before[s][i] != after[s][i]
         for s in range(1000)
         for i in range(64)
     )
@@ -491,6 +491,14 @@ def test_decontam_refuses_a_bad_threshold_before_reading_the_index(tmp_path, cap
     assert capsys.readouterr().err == "error: threshold must be in (0, 1]\n"
 
 
+def test_index_refuses_an_ngram_order_its_header_cannot_hold(tmp_path, capsys):
+    corpus_path, _ = _corpus_and_testset(tmp_path, planted=False)
+    capsys.readouterr()
+    assert main(["index", "--corpus", str(corpus_path), "--ngram", str(2**32), "--out", str(tmp_path / "i.ctkx")]) == 2
+    assert capsys.readouterr() == ("", "error: ngram_order must be < 2**32\n")
+    assert not (tmp_path / "i.ctkx").exists()
+
+
 def test_index_refuses_an_empty_corpus_path(tmp_path, capsys, monkeypatch):
     # read_corpus("") would resolve to the current directory and read its shards
     write_corpus([CorpusDocument("here", list(range(20)))], tmp_path / "here.jsonl")
@@ -553,7 +561,7 @@ def test_failed_inject_apply_exits_two_and_leaves_out_alone(tmp_path, capsys):
     )
     for name, stream, flags, message in cases:
         stream_path = tmp_path / name
-        write_stream(stream, stream_path)
+        write_batches(stream.steps, stream_path)
         for existing in (None, b"previous output\n"):
             out_path = tmp_path / "out.jsonl"
             if existing is not None:
@@ -577,12 +585,12 @@ def test_inject_apply_replaces_existing_out(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream = _synth_stream(100, 64)
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(stream, stream_path)
+    write_batches(stream.steps, stream_path)
     out_path = tmp_path / "out.jsonl"
     out_path.write_text("previous output\n")
     assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
                  "--out", str(out_path)]) == 0
-    assert read_stream(out_path) == apply_schedule(stream, read_schedule(plan_path))
+    assert list(iter_batches(out_path)) == apply_schedule(stream, read_schedule(plan_path)).steps
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -591,7 +599,7 @@ def test_inject_apply_writes_a_special_file_in_place(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream = _synth_stream(100, 64)
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(stream, stream_path)
+    write_batches(stream.steps, stream_path)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     received = []
@@ -602,14 +610,14 @@ def test_inject_apply_writes_a_special_file_in_place(tmp_path, capsys):
     reader.join(timeout=30)
     assert not reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode)
     expected = tmp_path / "expected.jsonl"
-    write_stream(apply_schedule(stream, read_schedule(plan_path)), expected)
+    write_batches(apply_schedule(stream, read_schedule(plan_path)).steps, expected)
     assert received == [expected.read_bytes()]
 
 
 def test_inject_apply_on_undecodable_stream_names_the_line(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(_synth_stream(100, 64), stream_path)
+    write_batches(_synth_stream(100, 64).steps, stream_path)
     data = bytearray(stream_path.read_bytes())
     third = data.index(b"\n", data.index(b"\n") + 1) + 1
     data[third + 3] = 0xFF
@@ -624,7 +632,7 @@ def test_inject_apply_on_undecodable_stream_names_the_line(tmp_path, capsys):
 def test_inject_verify_and_apply_reject_mistyped_schedule_fields(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(_synth_stream(100, 64), stream_path)
+    write_batches(_synth_stream(100, 64).steps, stream_path)
     lines = [json.loads(line) for line in plan_path.read_text().splitlines()]
     cases = (
         (2, "slot", "4", "bad.jsonl:3: field 'slot' must be a non-negative integer"),
@@ -694,7 +702,7 @@ def test_deeply_nested_json_names_the_line(tmp_path, capsys):
 def test_inject_apply_names_the_schedule_behind_a_schedule_fault(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream_path = tmp_path / "stream.jsonl"
-    write_stream(_synth_stream(100, 64), stream_path)
+    write_batches(_synth_stream(100, 64).steps, stream_path)
     first = read_schedule(plan_path).entries[0]
     first_violation = "the first: entry count 7 != examples x copies x arity = 6"
     cases = (
@@ -732,7 +740,7 @@ def test_inject_apply_refuses_a_schedule_that_inject_verify_flags(tmp_path, caps
     assert main(["inject", "verify", "--schedule", str(plan_path)]) == 1
     assert capsys.readouterr().out.startswith("schedule check: 5 violation(s)")
     stream_path, out = tmp_path / "stream.jsonl", tmp_path / "out.jsonl"
-    write_stream(_synth_stream(4, 4), stream_path)
+    write_batches(_synth_stream(4, 4).steps, stream_path)
     assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path), "--out", str(out)]) == 2
     first = "header cap 1 does not match config cap 3"
     assert capsys.readouterr().err == f"error: {plan_path}: schedule check: 5 violation(s), the first: {first}\n"
@@ -744,7 +752,7 @@ def test_inject_apply_refuses_a_stream_token_id_beyond_32_bits(tmp_path, capsys)
     stream = _synth_stream(100, 64)
     stream.steps[1][3].tokens.append(2**32)  # line 64 + 4
     stream_path, out = tmp_path / "stream.jsonl", tmp_path / "out.jsonl"
-    write_stream(stream, stream_path)
+    write_batches(stream.steps, stream_path)
     assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {stream_path}:68: field 'tokens' {TOKEN_IDS}\n"
     assert not out.exists()
@@ -753,7 +761,7 @@ def test_inject_apply_refuses_a_stream_token_id_beyond_32_bits(tmp_path, capsys)
 def test_inject_apply_require_parallel_names_the_stream_step_and_slot(tmp_path, capsys):
     plan_path = _apply_plan(tmp_path)
     stream_path = tmp_path / "mono.jsonl"
-    write_stream(_synth_stream(100, 64), stream_path)  # only slot 0 of each batch is parallel
+    write_batches(_synth_stream(100, 64).steps, stream_path)  # only slot 0 of each batch is parallel
     refused = next(e for e in read_schedule(plan_path).entries if e.slot != 0)
     capsys.readouterr()
     assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),

@@ -19,11 +19,10 @@ from contamkit.corpus_io import (
     iter_batches,
     read_corpus,
     read_json_lines,
-    read_stream,
     read_testset,
     write_corpus,
     write_doc_table,
-    write_stream,
+    write_batches,
     write_testset,
 )
 
@@ -367,7 +366,7 @@ def _stream(steps, batch, seed=0):
 
 def test_stream_records_carry_step_slot_coordinates(tmp_path):
     path = tmp_path / "s.jsonl"
-    write_stream(_stream(2, 4), path)
+    write_batches(_stream(2, 4).steps, path)
     records = [json.loads(line) for line in path.read_text().splitlines()]
     assert len(records) == 8
     assert [(r["step"], r["slot"]) for r in records] == [(s, i) for s in range(2) for i in range(4)]
@@ -376,37 +375,25 @@ def test_stream_records_carry_step_slot_coordinates(tmp_path):
 def test_stream_round_trip_is_exact(tmp_path):
     stream = _stream(50, 7, seed=3)
     path = tmp_path / "s.jsonl"
-    write_stream(stream, path)
-    assert read_stream(path) == stream
-
-
-def test_write_rejects_wrong_slot_count():
-    stream = _stream(4, 4)
-    stream.steps[2] = stream.steps[2][:3]
-    with pytest.raises(ValueError, match="step 2"):
-        write_stream(stream, "/dev/null")
-
-
-def test_write_rejects_a_stream_without_slots():
-    with pytest.raises(ValueError, match="batch_size must be >= 1"):
-        write_stream(BatchStream(0, []), "/dev/null")
+    write_batches(stream.steps, path)
+    assert list(iter_batches(path)) == stream.steps
 
 
 def test_read_rejects_short_step(tmp_path):
     stream = _stream(3, 4)
     path = tmp_path / "s.jsonl"
-    write_stream(stream, path)
+    write_batches(stream.steps, path)
     lines = path.read_text().splitlines()
     del lines[5]  # drop (step 1, slot 1)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(CorpusFormatError, match=r"expected \(step 1, slot 1\)"):
-        read_stream(path)
+        list(iter_batches(path))
 
 
 def test_iter_batches_yields_each_step_before_reading_the_next(tmp_path):
     stream = _stream(3, 4)
     path = tmp_path / "s.jsonl"
-    write_stream(stream, path)
+    write_batches(stream.steps, path)
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5] + ["not json"]) + "\n")  # step 1 breaks at its second record
     batches = iter_batches(path)
@@ -417,7 +404,7 @@ def test_iter_batches_yields_each_step_before_reading_the_next(tmp_path):
 
 def test_iter_batches_refuses_a_stream_that_starts_past_step_zero(tmp_path):
     path = tmp_path / "s.jsonl"
-    write_stream(_stream(3, 4), path)
+    write_batches(_stream(3, 4).steps, path)
     path.write_text("\n".join(path.read_text().splitlines()[4:]) + "\n")  # step 0 is missing
     message = rf"^{re.escape(str(path))}:1: expected \(step 0, slot 0\), got \(1, 0\)$"
     with pytest.raises(CorpusFormatError, match=message):
@@ -427,7 +414,7 @@ def test_iter_batches_refuses_a_stream_that_starts_past_step_zero(tmp_path):
 def test_iter_batches_rejects_a_short_last_step(tmp_path):
     stream = _stream(3, 4)
     path = tmp_path / "s.jsonl"
-    write_stream(stream, path)
+    write_batches(stream.steps, path)
     path.write_text("\n".join(path.read_text().splitlines()[:-1]) + "\n")
     with pytest.raises(CorpusFormatError, match=r"s.jsonl: step 2 has 3 slots, expected 4"):
         list(iter_batches(path))

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,7 @@ from contamkit.injector import (
     Temporal,
     TemplateError,
     TrainingConfig,
+    _sample_slots,
     apply_batches,
     apply_schedule,
     plan_schedule,
@@ -31,7 +33,7 @@ from contamkit.injector import (
 )
 from contamkit.corpus_io import TestExample
 
-from helpers import make_example, verify_schedule_per_entry
+from helpers import array_sample_slots, make_example, verify_schedule_per_entry
 
 DIEGO = TestExample(
     example_id="diego",
@@ -128,6 +130,31 @@ def test_counter_rng_is_reproducible_and_bounded():
     values = [rng.below(10) for _ in range(1000)]
     assert set(values) <= set(range(10))
     assert len(set(values)) == 10
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**64 - 1), st.data())
+def test_sampled_slots_equal_a_shuffle_of_the_whole_batch(batch_size, seed, data):
+    k = data.draw(st.integers(min_value=0, max_value=batch_size))
+    rng, oracle = CounterRng(seed), CounterRng(seed)
+    assert _sample_slots(rng, batch_size, k) == array_sample_slots(oracle, batch_size, k)
+    assert rng.counter == oracle.counter
+
+
+def test_planning_memory_follows_the_entries_not_the_batch_size():
+    # 100 entries over a 20-step window of a million-slot batch
+    config = TrainingConfig(total_steps=200, batch_size=10**6, seed=3)
+    condition = ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 10)
+    examples = _examples(10)
+    tracemalloc.start()
+    try:
+        schedule = plan_schedule(examples, condition, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.entries) == 100
+    # a list of every slot of one batch would take over 8 MB
+    assert peak < 1_000_000, f"planning traced a peak of {peak} bytes"
 
 
 # -- planning ---------------------------------------------------------------------

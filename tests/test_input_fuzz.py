@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.cli import main
-from contamkit.corpus_io import CorpusDocument, example_to_record, read_stream, write_corpus, write_stream
+from contamkit.corpus_io import CorpusDocument, example_to_record, iter_batches, write_batches, write_corpus
 from contamkit.injector import (
     ContaminationCondition,
     ContaminationMode,
@@ -63,7 +63,7 @@ def valid(tmp_path_factory):
         TrainingConfig(total_steps=STEPS, batch_size=BATCH, max_replace_frac=0.25, seed=5),
     )
     write_schedule(schedule, d / "plan.jsonl")
-    write_stream(_synth_stream(STEPS, BATCH, seed=2), d / "s.jsonl")
+    write_batches(_synth_stream(STEPS, BATCH, seed=2).steps, d / "s.jsonl")
     for name, bleu in (("base.jsonl", 30.5), ("cont.jsonl", 33.0)):
         _write_lines(d / name, [
             {"system_id": name[0], "lang_pair": pair, "testset_id": "t", "bleu": bleu, "segment_count": 4}
@@ -130,5 +130,5 @@ def test_damaged_input_runs_cleanly_or_exits_two(valid, name, data):
         assert all(line.startswith("warning: ") for line in lines), lines
         assert written == sorted(Path(a).name for a in argv if Path(a).name in OUTPUTS), written
         if argv[:2] == ["inject", "apply"]:
-            docs = [doc for batch in read_stream(d / "out.jsonl").steps for doc in batch]
+            docs = [doc for batch in iter_batches(d / "out.jsonl") for doc in batch]
             assert sum(doc.category == "contamination" for doc in docs) == entries

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import contamkit
-from contamkit.corpus_io import CorpusDocument, write_corpus, write_stream, write_testset
+from contamkit.corpus_io import CorpusDocument, write_batches, write_corpus, write_testset
 
 from helpers import make_example, random_tokens
 from test_injector import _synth_stream
@@ -42,7 +42,7 @@ def loaded(tmp_path_factory) -> dict[str, set[str]]:
     examples = [make_example(f"ex{i}", random_tokens(rng, 12, 500), random_tokens(rng, 12, 500)) for i in range(4)]
     write_testset(examples, d / "t.jsonl")
     write_corpus([CorpusDocument(f"d{i}", random_tokens(rng, 40, 500)) for i in range(6)], d / "c.jsonl")
-    write_stream(_synth_stream(20, 8), d / "s.jsonl")
+    write_batches(_synth_stream(20, 8).steps, d / "s.jsonl")
     (d / "hyp.txt").write_text("a b c d\ne f\n")
     (d / "ref.txt").write_text("a b c e\ne f g\n")
     for name, bleu in (("base", 20.0), ("cont", 25.0)):

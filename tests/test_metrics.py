@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -109,15 +110,32 @@ def test_brute_force_equivalence_property(data):
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_one_pass_counting_equals_the_per_gram_oracle_exactly(data):
-    # short hypotheses (down to empty) against orders up to 6, so some orders have no k-grams
-    max_order = data.draw(st.integers(min_value=1, max_value=6))
+    # hypotheses (down to empty) both shorter and longer than orders up to 40, so some orders have no k-grams
+    max_order = data.draw(st.integers(min_value=1, max_value=40))
     smoothing = data.draw(st.sampled_from(["none", "add_one"]))
     count = data.draw(st.integers(min_value=1, max_value=4))
     token = st.integers(min_value=0, max_value=3)
-    hyps = data.draw(st.lists(st.lists(token, max_size=9), min_size=count, max_size=count))
-    refs = data.draw(st.lists(st.lists(token, min_size=1, max_size=9), min_size=count, max_size=count))
+    hyps = data.draw(st.lists(st.lists(token, max_size=45), min_size=count, max_size=count))
+    refs = data.draw(st.lists(st.lists(token, min_size=1, max_size=45), min_size=count, max_size=count))
     expected = counter_bleu(hyps, refs, max_order=max_order, smoothing=smoothing)
     assert corpus_bleu(hyps, refs, max_order=max_order, smoothing=smoothing) == expected
+
+
+def test_bleu_memory_follows_the_longest_hypothesis_not_max_order():
+    hyp, ref = [1, 2, 3], [1, 2, 9, 3]
+    tracemalloc.start()
+    try:
+        plain = corpus_bleu([hyp], [ref], max_order=10**6)
+        smoothed = corpus_bleu([hyp], [ref], max_order=10**6, smoothing="add_one")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plain == 0.0  # the one 3-gram does not match
+    # add_one: precisions 3/3, 2/3 and 1/2, then (0+1)/(0+1) for each of the other orders
+    log_mean = (math.log(2 / 3) + math.log(1 / 2)) / 10**6
+    assert smoothed == pytest.approx(100 * math.exp(1 - 4 / 3) * math.exp(log_mean))
+    # two count lists of a million orders would take 16 MB
+    assert peak < 1_000_000, f"scoring traced a peak of {peak} bytes"
 
 
 # -- score_system ---------------------------------------------------------------

@@ -44,6 +44,7 @@ def test_config_validation():
 
 @pytest.mark.parametrize("n, bits, message", [
     (0, 64, "ngram_order must be >= 1"),
+    (2**32, 64, r"ngram_order must be < 2\*\*32"),
     (8, 0, r"fingerprint_bits must be in \[1, 64\]"),
     (8, 65, r"fingerprint_bits must be in \[1, 64\]"),
 ])

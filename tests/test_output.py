@@ -17,9 +17,9 @@ from contamkit.corpus_io import (
     CorpusFormatError,
     example_to_record,
     output_file,
+    write_batches,
     write_corpus,
     write_json_lines,
-    write_stream,
 )
 
 from helpers import make_example
@@ -105,7 +105,7 @@ def work(tmp_path):
     assert main(["inject", "plan", "--testset", str(tmp_path / "t.jsonl"), "--mode", "full_prompted",
                  "--temporal", "late", "--copies", "1", "--steps", str(STEPS), "--batch-size", str(BATCH),
                  "--out", str(tmp_path / "plan.jsonl")]) == 0
-    write_stream(_synth_stream(STEPS, BATCH), tmp_path / "s.jsonl")
+    write_batches(_synth_stream(STEPS, BATCH).steps, tmp_path / "s.jsonl")
     lines = (tmp_path / "s.jsonl").read_text().splitlines()
     record = json.loads(lines[2])
     record["doc"]["doc_id"] = "d\ud800"

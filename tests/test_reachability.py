@@ -1,8 +1,8 @@
 """Every definition in the package is reached from the package itself.
 
 A top-level function or class under ``src/contamkit`` must be named
-somewhere else in the package (called, imported or read as an attribute),
-be exported through an ``__all__``, or be imported by the acceptance tests.
+somewhere else in the package (called, imported or read as an attribute)
+or be exported through an ``__all__``.
 A method must be called somewhere in the package, and a property read there.
 Code that only other tests call does not belong in the package. Dunder
 methods are called by Python itself and are not checked.
@@ -16,13 +16,15 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contamkit"
-ACCEPTANCE = Path(__file__).resolve().parent / "test_acceptance.py"
 
 # definitions reached from no caller in the package yet, each kept on purpose
 EXCEPTIONS = {
     "metrics.score_system": "to be wired into the bleu subcommand, with the paper-table reports",
     "analytics.box_stats": "to be wired into the report subcommand, with the paper-table reports",
     "corpus_io.write_corpus": "the only writer of the ctk corpus format",
+    "analytics.direction_group": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
+    "analytics.load_table": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
+    "analytics.table_records": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
 }
 
 
@@ -87,9 +89,8 @@ def test_every_package_definition_is_reached_from_the_package():
     called = set().union(*map(_called_methods, trees.values()))
     shadowing = set().union(*map(_dataclass_fields, trees.values()))
     exported = set().union(*map(_exported, trees.values()))
-    imported = {node.name for node in ast.walk(ast.parse(ACCEPTANCE.read_text())) if isinstance(node, ast.alias)}
     reached = {
-        "top": named | exported | imported,
+        "top": named | exported,
         "method": called,
         "property": named - shadowing,
     }

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.cli import main
-from contamkit.corpus_io import CorpusDocument, example_to_record, write_corpus, write_stream
+from contamkit.corpus_io import CorpusDocument, example_to_record, write_batches, write_corpus
 from contamkit.injector import (
     ContaminationCondition,
     ContaminationMode,
@@ -49,7 +49,7 @@ def work(tmp_path_factory):
         TrainingConfig(total_steps=STEPS, batch_size=BATCH, max_replace_frac=0.25, seed=5),
     )
     write_schedule(schedule, d / "plan.jsonl")
-    write_stream(_synth_stream(STEPS, BATCH, seed=2), d / "s.jsonl")
+    write_batches(_synth_stream(STEPS, BATCH, seed=2).steps, d / "s.jsonl")
     for name, system, bleu in (("base.jsonl", "b", 30.5), ("cont.jsonl", "c", 33.0)):
         (d / name).write_text("".join(
             json.dumps({"system_id": system, "lang_pair": pair, "testset_id": "t", "bleu": bleu, "segment_count": 4})

@@ -16,10 +16,10 @@ from contamkit.corpus_io import (
     DuplicateIdError,
     example_to_record,
     from_record,
+    iter_batches,
     read_corpus,
-    read_stream,
+    write_batches,
     write_corpus,
-    write_stream,
 )
 from contamkit.injector import GENERATOR_VERSION, read_schedule
 from contamkit.metrics import EvalRecord
@@ -45,7 +45,7 @@ def files(tmp_path):
         "--temporal", "late", "--copies", "1", "--steps", str(STEPS), "--batch-size", str(BATCH),
         "--out", str(tmp_path / "plan.jsonl"),
     ]) == 0
-    write_stream(_synth_stream(STEPS, BATCH), tmp_path / "s.jsonl")
+    write_batches(_synth_stream(STEPS, BATCH).steps, tmp_path / "s.jsonl")
     _write_lines(tmp_path / "base.jsonl", [
         {"system_id": "b", "lang_pair": "en-de", "testset_id": "t", "bleu": 30.5, "segment_count": 4},
     ])
@@ -131,7 +131,7 @@ def test_negative_seed_round_trips_through_plan_verify_apply(files, capsys):
     assert main(["inject", "verify", "--schedule", str(plan)]) == 0
     assert main(["inject", "apply", "--stream", str(files / "s.jsonl"), "--schedule", str(plan),
                  "--out", str(files / "out.jsonl")]) == 0
-    assert len(read_stream(files / "out.jsonl").steps) == STEPS
+    assert len(list(iter_batches(files / "out.jsonl"))) == STEPS
 
 
 @pytest.mark.parametrize("key", ["strict_cap", "generator_version"])

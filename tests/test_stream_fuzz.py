@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.cli import main
-from contamkit.corpus_io import read_stream, write_stream
+from contamkit.corpus_io import iter_batches, write_batches
 from contamkit.injector import (
     ContaminationCondition,
     ContaminationMode,
@@ -42,7 +42,7 @@ def valid(tmp_path_factory):
     plan_path = work / "plan.jsonl"
     write_schedule(schedule, plan_path)
     stream_path = work / "stream.jsonl"
-    write_stream(_synth_stream(STEPS, BATCH, seed=2), stream_path)
+    write_batches(_synth_stream(STEPS, BATCH, seed=2).steps, stream_path)
     return work, plan_path, stream_path.read_bytes()
 
 
@@ -80,8 +80,8 @@ def test_damaged_stream_applies_cleanly_or_exits_two(valid, data):
     files = sorted(p.name for p in work.iterdir())
     if code == 0:
         assert stderr.getvalue() == ""
-        out = read_stream(out_path)
-        assert out.batch_size == BATCH and len(out.steps) == STEPS
+        out = list(iter_batches(out_path))
+        assert len(out) == STEPS and {len(batch) for batch in out} == {BATCH}
         assert files == ["damaged.jsonl", "out.jsonl", "plan.jsonl", "stream.jsonl"]
     else:
         assert code == 2
