@@ -8,7 +8,9 @@ Three pipelines share one set of primitives:
 * controlled injection — deterministic, condition-controlled plans for placing
   rendered test examples into training batch streams (:mod:`contamkit.injector`);
 * impact measurement — corpus BLEU (:mod:`contamkit.metrics`) and the
-  delta/gap/direction analytics built on it (:mod:`contamkit.analytics`).
+  per-pair delta and test-set gap tables that ``contamkit report`` prints
+  from evaluation records (:mod:`contamkit.analytics`). The package ships
+  no score tables of its own.
 
 File formats and streaming I/O live in :mod:`contamkit.corpus_io`, the
 condition vocabulary in :mod:`contamkit.conditions`; the ``contamkit``

@@ -1,23 +1,18 @@
 """Contamination-impact aggregates over BLEU evaluation records.
 
 Given baseline and contaminated score tables this module computes per-pair
-deltas and percent improvements, box-plot statistics, translation-direction
-groupings (En->X, X->En, X->Y), and gaps between improvements on
-contaminated vs clean test sets.
+deltas and percent improvements, the translation direction of a pair
+(En->X, X->En, X->Y), and gaps between improvements on contaminated vs
+clean test sets. :func:`render_impact` and :func:`render_gaps` print them
+for the ``report`` subcommand.
 
 Percent improvement always uses the uncontaminated baseline as denominator
 and is flagged undefined (``None``) when the baseline is 0 rather than
-clamped. Quartiles use linear interpolation between order statistics (the
-"inclusive" rule).
-
-Reference score tables ship with the package as versioned JSON fixtures; see
-:func:`load_table` and :func:`table_records`.
+clamped.
 """
 
 import json
-import statistics
 from dataclasses import dataclass
-from importlib import resources
 from operator import attrgetter
 from typing import Callable, Iterable, Sequence
 
@@ -94,35 +89,6 @@ def impact_table(
     )
 
 
-@dataclass(frozen=True)
-class BoxStats:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    mean: float
-
-
-def box_stats(values: Sequence[float]) -> BoxStats:
-    """Five-number summary plus mean; quartiles by linear interpolation."""
-    if not values:
-        raise ValueError("box_stats needs at least one value")
-    data = sorted(values)
-    if len(data) == 1:
-        q1 = median = q3 = data[0]
-    else:
-        q1, median, q3 = statistics.quantiles(data, n=4, method="inclusive")
-    return BoxStats(
-        minimum=data[0],
-        q1=q1,
-        median=median,
-        q3=q3,
-        maximum=data[-1],
-        mean=statistics.fmean(data),
-    )
-
-
 def direction_of(lang_pair: str) -> str:
     """Direction group of a "src-tgt" pair string."""
     src, tgt = split_pair(lang_pair)
@@ -131,19 +97,6 @@ def direction_of(lang_pair: str) -> str:
     if tgt == "en":
         return DIRECTION_X_TO_EN
     return DIRECTION_X_TO_Y
-
-
-def direction_group(cells: Iterable[ImpactCell]) -> dict[str, float]:
-    """Mean percent improvement per direction group; absent groups are absent.
-
-    Cells with an undefined pct (zero baseline) are skipped.
-    """
-    sums: dict[str, list[float]] = {}
-    for cell in cells:
-        if cell.pct is None:
-            continue
-        sums.setdefault(direction_of(cell.lang_pair), []).append(cell.pct)
-    return {group: statistics.fmean(vals) for group, vals in sums.items()}
 
 
 @dataclass(frozen=True)
@@ -198,40 +151,6 @@ def testset_gap(
             delta_clean_set=clean[(condition, pair)].delta,
         )
         for condition, pair in shared
-    ]
-
-
-# -- packaged reference tables ------------------------------------------------
-
-
-def load_table(name: str) -> dict:
-    """Load a packaged reference score table (e.g. ``bleu_wmt23.json``)."""
-    with resources.files("contamkit.data").joinpath(name).open(encoding="utf-8") as f:
-        return json.load(f)
-
-
-def table_records(
-    table: dict,
-    model: str,
-    temporal: str,
-    copies: int | str,
-    variant: str,
-) -> list[EvalRecord]:
-    """Flatten one (model, temporal, copies, variant) slice into EvalRecords.
-
-    Segment counts are not part of the reference tables; records carry 1.
-    """
-    block = table["scores"][model][temporal][str(copies)]
-    system_id = f"{model}/{variant}/{temporal}/{copies}"
-    return [
-        EvalRecord(
-            system_id=system_id,
-            lang_pair=pair,
-            testset_id=table["testset_id"],
-            bleu=values[variant],
-            segment_count=1,
-        )
-        for pair, values in sorted(block.items())
     ]
 
 

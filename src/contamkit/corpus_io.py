@@ -517,14 +517,6 @@ def write_testset(examples: Iterable[TestExample], path) -> int:
     return write_json_lines(path, map(example_to_record, examples))
 
 
-def group_by_pair(examples: Iterable[TestExample]) -> dict[str, list[TestExample]]:
-    """Group examples by their "src-tgt" pair string, preserving order."""
-    groups: dict[str, list[TestExample]] = {}
-    for ex in examples:
-        groups.setdefault(ex.pair, []).append(ex)
-    return groups
-
-
 def write_batches(batches: Iterable[Sequence[CorpusDocument]], path) -> int:
     """Write batches in order as (step, slot, doc) records; returns slot count.
 

@@ -7,8 +7,9 @@ over all segments before precisions are taken (corpus aggregation), and a
 single reference per segment is assumed.
 
 Tokens are whatever hashable units the caller provides — integer ids in the
-pipeline, words from :func:`whitespace_tokens` for plain-text fixtures — so
-the module stays tokenizer-agnostic.
+pipeline, words from :func:`whitespace_tokens` for the plain-text files of the
+``bleu`` subcommand — so the module stays tokenizer-agnostic.
+:class:`EvalRecord` is one BLEU cell as the ``report`` subcommand reads it.
 
 With ``smoothing="none"`` (the default) any zero precision zeroes the score;
 ``smoothing="add_one"`` adds one to the matched and total counts of every
@@ -22,9 +23,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Mapping, Sequence
-
-from .corpus_io import TestExample, group_by_pair
+from typing import Sequence
 
 SMOOTHING_MODES = ("none", "add_one")
 
@@ -119,41 +118,3 @@ def whitespace_tokens(text: str) -> list[str]:
     """Whitespace-splitting adapter for scoring plain-text fixtures."""
     return text.split()
 
-
-def score_system(
-    outputs: Mapping[str, Sequence],
-    testset: Sequence[TestExample],
-    system_id: str,
-    testset_id: str = "default",
-    max_order: int = 4,
-    smoothing: str = "none",
-) -> list[EvalRecord]:
-    """Group a test set by language pair and BLEU-score each group.
-
-    ``outputs`` maps example_id to the hypothesis token sequence. Every
-    example must have a hypothesis; the error lists any that are missing.
-    Records are sorted by lang_pair, so the result is order-invariant.
-    """
-    missing = [ex.example_id for ex in testset if ex.example_id not in outputs]
-    if missing:
-        raise ValueError(f"missing hypotheses for {len(missing)} example(s): {', '.join(sorted(missing))}")
-    groups = group_by_pair(testset)
-    records = []
-    for pair in sorted(groups):
-        members = groups[pair]
-        bleu = corpus_bleu(
-            [list(outputs[ex.example_id]) for ex in members],
-            [ex.target_tokens for ex in members],
-            max_order=max_order,
-            smoothing=smoothing,
-        )
-        records.append(
-            EvalRecord(
-                system_id=system_id,
-                lang_pair=pair,
-                testset_id=testset_id,
-                bleu=bleu,
-                segment_count=len(members),
-            )
-        )
-    return records

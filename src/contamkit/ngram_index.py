@@ -121,18 +121,11 @@ class NGramIndex:
         self.ngram_order = ngram_order
         self.fingerprint_bits = fingerprint_bits
         self._doc_ids: list[str] = []
-        self._seen_ids: set[str] = set()  # only to refuse a repeated doc id
         self.tokens = array("I")
         self.starts = array("Q", [0])
         self._fps = array("Q")
         self._refs = array("I")
         self._offsets = array("I")
-
-    def _add_doc_id(self, doc_id: str):
-        if doc_id in self._seen_ids:
-            raise DuplicateIdError(f"duplicate doc_id {doc_id!r}")
-        self._seen_ids.add(doc_id)
-        self._doc_ids.append(doc_id)
 
     # -- queries -----------------------------------------------------------
 
@@ -208,13 +201,15 @@ class NGramIndex:
                 index = cls(n, bits)
             except ValueError as e:
                 raise CorpusFormatError(f"{path}: {e}") from e
+            seen = set()  # only to refuse a repeated doc id; the index does not keep it
             for ref, (doc_id, tokens) in enumerate(read_doc_table(f, path)):
-                try:
-                    index._add_doc_id(doc_id)
-                except DuplicateIdError as e:
-                    raise CorpusFormatError(f"{path}: doc #{ref}: {e}") from None
+                if doc_id in seen:
+                    raise CorpusFormatError(f"{path}: doc #{ref}: duplicate doc_id {doc_id!r}")
+                seen.add(doc_id)
+                index._doc_ids.append(doc_id)
                 index.tokens.extend(tokens)
                 index.starts.append(len(index.tokens))
+            del seen  # freed before the posting arrays are read
             if f.tell() != _HEADER.size + table_bytes:
                 raise CorpusFormatError(f"{path}: doc table size differs from its header")
             index._fps = read_array(f, "Q", posting_count, path, "fingerprints")
@@ -242,8 +237,12 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     # as parallel arrays in document order then offset order
     buckets = [(array("Q"), array("I"), array("I")) for _ in range(1 << bucket_bits)]
     add_fp, add_ref, add_offset = ([bucket[i].append for bucket in buckets] for i in range(3))
+    seen = set()  # only to refuse a repeated doc id; the index does not keep it
     for ref, doc in enumerate(corpus):
-        index._add_doc_id(doc.doc_id)
+        if doc.doc_id in seen:
+            raise DuplicateIdError(f"duplicate doc_id {doc.doc_id!r}")
+        seen.add(doc.doc_id)
+        index._doc_ids.append(doc.doc_id)
         tokens = doc.tokens
         count = max(0, len(tokens) - n + 1)
         if ref > _MAX_U32 or count > _MAX_U32 + 1:
@@ -260,7 +259,7 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
                 add_fp[b](h)
                 add_ref[b](ref)
                 add_offset[b](offset)
-    del add_fp, add_ref, add_offset  # they too hold the buckets
+    del add_fp, add_ref, add_offset, seen  # the appenders hold the buckets too
     # buckets in ascending order, each sorted stably, are the global order
     for b, (fps, refs, offsets) in enumerate(buckets):
         buckets[b] = None  # each bucket is freed once it has been copied out

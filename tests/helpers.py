@@ -2,19 +2,27 @@
 
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
-counting, and schedule invariants one entry at a time.
+counting, and schedule invariants one entry at a time. The paper's
+reference score tables are test data under ``tests/data``, read here.
 """
 
+import json
 import math
 import random
+import statistics
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 
+from contamkit.analytics import direction_of
 from contamkit.corpus_io import CorpusDocument, TestExample
 from contamkit.injector import MODE_LAYOUT, ScheduleReport
 from contamkit.matcher import MatchSpan
+from contamkit.metrics import EvalRecord
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def lcs_substring_length(a, b) -> int:
@@ -251,3 +259,34 @@ def random_tokens(rng: random.Random, length, vocab) -> list[int]:
 def plant(field, segment, at) -> None:
     """Overwrite field[at:at+len(segment)] with segment, in place."""
     field[at : at + len(segment)] = segment
+
+
+# -- the paper's reference score tables (tests/data) ------------------------------
+
+
+def load_table(name: str) -> dict:
+    """A reference score table of the paper, e.g. ``bleu_wmt23.json``."""
+    return json.loads((DATA / name).read_text(encoding="utf-8"))
+
+
+def table_records(table: dict, model: str, temporal: str, copies: int | str, variant: str) -> list[EvalRecord]:
+    """One (model, temporal, copies, variant) slice of a table as EvalRecords.
+
+    Segment counts are not part of the tables; records carry 1.
+    """
+    block = table["scores"][model][temporal][str(copies)]
+    system_id = f"{model}/{variant}/{temporal}/{copies}"
+    return [
+        EvalRecord(system_id, pair, table["testset_id"], values[variant], segment_count=1)
+        for pair, values in sorted(block.items())
+    ]
+
+
+def direction_group(cells) -> dict[str, float]:
+    """Mean percent improvement of impact cells per direction group; absent
+    groups are absent, and cells with an undefined pct (zero baseline) are skipped."""
+    pcts: dict[str, list[float]] = {}
+    for cell in cells:
+        if cell.pct is not None:
+            pcts.setdefault(direction_of(cell.lang_pair), []).append(cell.pct)
+    return {group: statistics.fmean(values) for group, values in pcts.items()}

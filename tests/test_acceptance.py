@@ -13,12 +13,7 @@ import time
 import pytest
 
 from contamkit import analytics
-from contamkit.analytics import (
-    direction_group,
-    impact_table,
-    load_table,
-    table_records,
-)
+from contamkit.analytics import impact_table
 from contamkit.corpus_io import BatchStream, CorpusDocument, iter_batches, write_batches
 from contamkit.decontam import ContaminationLabel, classify, decontaminate
 from contamkit.injector import (
@@ -38,10 +33,13 @@ from contamkit.ngram_index import ScanConfig, build_index
 from helpers import (
     brute_bleu,
     best_overlap,
+    direction_group,
     index_of,
+    load_table,
     make_example,
     plant,
     random_tokens,
+    table_records,
 )
 
 CFG = ScanConfig()  # n=8, threshold 0.7

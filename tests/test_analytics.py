@@ -1,26 +1,14 @@
 import json
-import random
 import statistics
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from contamkit.analytics import (
-    BoxStats,
-    GapCell,
-    ImpactCell,
-    box_stats,
-    direction_group,
-    direction_of,
-    impact_table,
-    load_table,
-    render_gaps,
-    render_impact,
-    table_records,
-)
+from contamkit.analytics import GapCell, ImpactCell, direction_of, impact_table, render_gaps, render_impact
 from contamkit import analytics
 from contamkit.injector import ContaminationCondition, ContaminationMode, Temporal
 from contamkit.metrics import EvalRecord
+
+from helpers import direction_group, load_table, table_records
 
 
 def _record(pair, bleu, system="sys", testset="t"):
@@ -105,44 +93,6 @@ def test_impact_scale_equivariance():
     assert scaled.pct == pytest.approx(cell.pct, abs=1e-12)
 
 
-# -- box_stats ----------------------------------------------------------------------
-
-
-def test_box_stats_constant_list():
-    assert box_stats([5, 5, 5]) == BoxStats(5, 5, 5, 5, 5, 5)
-
-
-def test_box_stats_linear_interpolation():
-    stats = box_stats([1, 2, 3, 4])
-    assert stats.median == 2.5
-    assert stats.q1 == 1.75
-    assert stats.q3 == 3.25
-    assert stats.mean == 2.5
-    assert (stats.minimum, stats.maximum) == (1, 4)
-
-
-def test_box_stats_ordering_invariant_on_randoms():
-    rng = random.Random(0)
-    deltas = [rng.gauss(0, 5) for _ in range(1000)]
-    stats = box_stats(deltas)
-    assert stats.minimum <= stats.q1 <= stats.median <= stats.q3 <= stats.maximum
-    assert stats.minimum <= stats.mean <= stats.maximum
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=50), st.randoms())
-def test_box_stats_permutation_invariant(values, rng):
-    stats = box_stats(values)
-    shuffled = list(values)
-    rng.shuffle(shuffled)
-    assert box_stats(shuffled) == stats
-
-
-def test_box_stats_empty_rejected():
-    with pytest.raises(ValueError):
-        box_stats([])
-
-
 # -- direction grouping ---------------------------------------------------------------
 
 
@@ -196,6 +146,23 @@ def test_mean_delta_ordering_full_above_partial_for_every_copy_count():
                 means[variant] = statistics.fmean(c.delta for c in cells)
             assert means["full_prompted"] > means["source_only"], (model, copies)
             assert means["full_prompted"] > means["target_only"], (model, copies)
+
+
+def test_contamination_inflates_bleu_about_2_5_times_more_at_8b_than_at_1b():
+    """The paper's headline: the mean late full-prompted delta of the 8B model
+    over that of the 1B model is 1.9, 2.4 and 2.8 at 1, 10 and 100 copies."""
+    table = load_table("bleu_wmt23.json")
+
+    def mean_delta(model, copies):
+        cells = impact_table(
+            table_records(table, model, "late", copies, "baseline"),
+            table_records(table, model, "late", copies, "full_prompted"),
+        ).cells
+        return statistics.fmean(c.delta for c in cells)
+
+    ratios = [mean_delta("8b", copies) / mean_delta("1b", copies) for copies in (1, 10, 100)]
+    assert [round(r, 1) for r in ratios] == [1.9, 2.4, 2.8]
+    assert ratios == sorted(ratios)
 
 
 # -- testset gaps -----------------------------------------------------------------------

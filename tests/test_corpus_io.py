@@ -15,7 +15,6 @@ from contamkit.corpus_io import (
     CorpusFormatError,
     DuplicateIdError,
     TestExample,
-    group_by_pair,
     iter_batches,
     read_corpus,
     read_json_lines,
@@ -326,7 +325,7 @@ def test_same_langs_rejected():
         TestExample("e", "en", "en", "a", "b", [1], [2])
 
 
-def test_fixture_of_twenty_examples_groups_by_pair(tmp_path):
+def test_fixture_of_twenty_examples_round_trips(tmp_path):
     path = tmp_path / "t.jsonl"
     with open(path, "w") as f:
         for i in range(20):
@@ -334,10 +333,6 @@ def test_fixture_of_twenty_examples_groups_by_pair(tmp_path):
             f.write(json.dumps(_example_record(i, pair)) + "\n")
     examples = read_testset(path)
     assert len(examples) == 20
-    groups = group_by_pair(examples)
-    assert sorted(groups) == ["de-en", "en-cs"]
-    assert len(groups["de-en"]) == 10
-    assert len(groups["en-cs"]) == 10
     write_testset(examples, tmp_path / "copy.jsonl")
     assert read_testset(tmp_path / "copy.jsonl") == examples
 

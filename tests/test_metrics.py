@@ -5,9 +5,9 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from contamkit.metrics import EvalRecord, corpus_bleu, score_system, whitespace_tokens
+from contamkit.metrics import EvalRecord, corpus_bleu, whitespace_tokens
 
-from helpers import brute_bleu, counter_bleu, make_example
+from helpers import brute_bleu, counter_bleu
 
 
 def test_identity_scores_exactly_one_hundred():
@@ -136,42 +136,6 @@ def test_bleu_memory_follows_the_longest_hypothesis_not_max_order():
     assert smoothed == pytest.approx(100 * math.exp(1 - 4 / 3) * math.exp(log_mean))
     # two count lists of a million orders would take 16 MB
     assert peak < 1_000_000, f"scoring traced a peak of {peak} bytes"
-
-
-# -- score_system ---------------------------------------------------------------
-
-
-def _two_pair_testset():
-    return [
-        make_example("a0", [1, 2, 3], [4, 5, 6, 7], pair=("de", "en")),
-        make_example("a1", [8, 9], [10, 11, 12], pair=("de", "en")),
-        make_example("b0", [1, 2], [13, 14, 15], pair=("en", "cs")),
-    ]
-
-
-def test_score_system_groups_by_pair():
-    testset = _two_pair_testset()
-    outputs = {ex.example_id: ex.target_tokens for ex in testset}
-    records = score_system(outputs, testset, system_id="perfect", testset_id="tiny")
-    assert [r.lang_pair for r in records] == ["de-en", "en-cs"]
-    assert all(r.bleu == 100.0 for r in records)
-    assert [r.segment_count for r in records] == [2, 1]
-    assert records[0].system_id == "perfect"
-    assert records[0].testset_id == "tiny"
-
-
-def test_score_system_is_order_invariant():
-    testset = _two_pair_testset()
-    outputs = {"a0": [4, 5, 9, 9], "a1": [10, 11], "b0": [13, 15, 14]}
-    records = score_system(outputs, testset, "sys")
-    shuffled = score_system(outputs, list(reversed(testset)), "sys")
-    assert records == shuffled
-
-
-def test_score_system_missing_hypotheses_listed():
-    testset = _two_pair_testset()
-    with pytest.raises(ValueError, match="a1.*b0"):
-        score_system({"a0": [1]}, testset, "sys")
 
 
 def test_eval_record_validation():

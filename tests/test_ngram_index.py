@@ -1,6 +1,8 @@
 import hashlib
 import itertools
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -130,8 +132,33 @@ def test_token_at_spot_checks_against_source():
 
 def test_duplicate_doc_id_rejected():
     docs = [CorpusDocument("same", [1] * 8), CorpusDocument("same", [2] * 8)]
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match="^duplicate doc_id 'same'$"):
         build_index(docs, ScanConfig())
+
+
+def _kept_bytes(make):
+    """``(object, bytes still allocated after make() returned it)``."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        made = make()
+        return made, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_an_index_keeps_no_set_of_its_doc_ids(tmp_path):
+    # one token per doc and no postings: a doc costs a list slot, a start offset and a token,
+    # about 20 B; a set of the ids kept to refuse a repeat would add over 50 B more
+    count = 20_000
+    docs = [CorpusDocument(f"doc{i}", [i % 7]) for i in range(count)]
+    built, kept = _kept_bytes(lambda: build_index(docs, ScanConfig()))
+    assert kept < 32 * count, f"a built index of {count} docs keeps {kept} bytes"
+    built.save(tmp_path / "i.ctkx")
+    del built
+    loaded, kept = _kept_bytes(lambda: NGramIndex.load(tmp_path / "i.ctkx"))
+    ids = sum(sys.getsizeof(loaded.doc_id(ref)) for ref in range(count))  # a loaded index owns its id strings
+    assert kept - ids < 32 * count, f"a loaded index of {count} docs keeps {kept - ids} bytes beyond its ids"
 
 
 def test_offsets_beyond_32_bits_are_a_capacity_error():

@@ -4,8 +4,9 @@ A top-level function or class under ``src/contamkit`` must be named
 somewhere else in the package (called, imported or read as an attribute)
 or be exported through an ``__all__``.
 A method must be called somewhere in the package, and a property read there.
-Code that only other tests call does not belong in the package. Dunder
-methods are called by Python itself and are not checked.
+Code that only other tests call does not belong in the package, and neither
+does data: the package holds Python modules only. Dunder methods are called
+by Python itself and are not checked.
 
 Names are matched by spelling, so a property that shares its name with a
 dataclass field anywhere in the package would count as read whenever that
@@ -19,12 +20,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contamkit"
 
 # definitions reached from no caller in the package yet, each kept on purpose
 EXCEPTIONS = {
-    "metrics.score_system": "to be wired into the bleu subcommand, with the paper-table reports",
-    "analytics.box_stats": "to be wired into the report subcommand, with the paper-table reports",
     "corpus_io.write_corpus": "the only writer of the ctk corpus format",
-    "analytics.direction_group": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
-    "analytics.load_table": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
-    "analytics.table_records": "criterion 7's paper tables; to be wired into `report` (ROADMAP item 5)",
 }
 
 
@@ -102,3 +98,9 @@ def test_every_package_definition_is_reached_from_the_package():
         and name not in reached[kind]
     }
     assert unreached == set(EXCEPTIONS)
+
+
+def test_the_package_holds_python_modules_only():
+    files = [path for path in PACKAGE.rglob("*") if path.is_file() and "__pycache__" not in path.parts]
+    assert files
+    assert [str(path.relative_to(PACKAGE)) for path in files if path.suffix != ".py"] == []
