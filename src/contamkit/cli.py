@@ -14,13 +14,12 @@ Subcommands:
 """
 
 import argparse
-import inspect
 import sys
 from dataclasses import replace
 
 # Each handler imports only the modules its subcommand runs; the parser reads
-# its choices and defaults from the modules imported here, never from the planner.
-from . import metrics
+# its choices and defaults from the modules imported here, never from the
+# planner or the metrics.
 from .conditions import CapacityError, ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
 from .corpus_io import (
     CORPUS_FORMATS,
@@ -126,6 +125,8 @@ def _cmd_inject_verify(args) -> int:
 
 
 def _read_segments(path, as_tokens: bool) -> list[list]:
+    from . import metrics
+
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
     segments = []
     for where, line in read_lines(path):
@@ -141,6 +142,8 @@ def _read_segments(path, as_tokens: bool) -> list[list]:
 
 
 def _cmd_bleu(args) -> int:
+    from . import metrics
+
     hyps = _read_segments(args.hyp, args.tokens)
     refs = _read_segments(args.ref, args.tokens)
     if len(hyps) != len(refs):
@@ -155,7 +158,9 @@ def _cmd_bleu(args) -> int:
     return 0
 
 
-def _read_records(path) -> list[metrics.EvalRecord]:
+def _read_records(path) -> list:
+    from . import metrics
+
     records = {}
     for where, r in read_json_lines(path):
         record = from_record(metrics.EvalRecord, {"testset_id": "default", "segment_count": 1, **r}, where)
@@ -265,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bleu", help="corpus BLEU of a hypothesis file vs a reference file")
     p.add_argument("--hyp", required=True)
     p.add_argument("--ref", required=True)
-    bleu_defaults = inspect.signature(metrics.corpus_bleu).parameters
-    p.add_argument("--smoothing", default=bleu_defaults["smoothing"].default, choices=metrics.SMOOTHING_MODES)
-    p.add_argument("--max-order", type=int, default=bleu_defaults["max_order"].default)
+    # metrics.corpus_bleu's defaults and metrics.SMOOTHING_MODES, which a test
+    # holds these to, written out so that a launch need not import metrics
+    p.add_argument("--smoothing", default="none", choices=("none", "add_one"))
+    p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--tokens", action="store_true",
                    help="lines are JSON token arrays instead of whitespace-split text")
     p.set_defaults(func=_cmd_bleu)

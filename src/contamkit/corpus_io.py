@@ -22,22 +22,28 @@ values and not the object (schedule entries): every field is checked
 against its dataclass annotation (``int`` means non-negative; ``list[int]``
 is a token list, each id in ``[0, 2**32)``; ``float`` admits an int; none
 admits a bool) and ``__post_init__``, and ``path:line`` and the field are
-named. Token ids are 32-bit in every format, so no reader yields one that an
-index cannot hold.
+named; a stream line in the writer's exact form is checked by its pattern
+instead (below). Token ids are 32-bit in every format, so no reader yields one
+that an index cannot hold.
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
 filename order). Batch streams are read one step at a time by
 :func:`iter_batches` and written from any iterable of batches by
 :func:`write_batches`, so a stream of any length passes through in memory
-bounded by one batch.
+bounded by one batch. A stream line already in the exact form
+:func:`write_batches` writes is checked by one full-line pattern and its
+document is carried as that text (:class:`EncodedDocument`), to be written
+back unchanged; any other line is parsed and checked field by field and
+written back in that form. So every line is checked, and reading and
+writing a stream gives the same bytes either way.
 
 Every text file is read through :func:`read_lines`, which names undecodable
 bytes as ``path:line`` like any other malformed record, and every JSON line
-is parsed by :func:`parse_json`. Every file contamkit writes goes through
-:func:`output_file`: a temporary file beside the target replaces it only
-when the whole output is written, so a failed write leaves an existing
-output untouched and no partial one behind.
+that is decoded is decoded by :func:`parse_json`. Every file contamkit
+writes goes through :func:`output_file`: a temporary file beside the target
+replaces it only when the whole output is written, so a failed write leaves
+an existing output untouched and no partial one behind.
 Documents are plain dataclasses and safe to hand between threads once read;
 writers assume a single owner per output file.
 """
@@ -149,6 +155,31 @@ class StreamRecord:
     step: int
     slot: int
     doc: CorpusDocument
+
+
+@dataclass(slots=True)
+class EncodedDocument:
+    """A stream document held as the JSON text :func:`write_batches` writes
+    for it, as :func:`iter_batches` read it from a line of that exact form."""
+
+    category: str
+    encoded: str
+
+
+# A JSON string's contents as json.dumps(ensure_ascii=False) writes them: any
+# character but '"', '\\' and C0 controls as is, '"', '\\' and \b \f \n \r \t
+# escaped by letter, every other control as a lowercase \u00XX. The body is a
+# run of plain characters then (escape, run) pairs, so a match never backtracks.
+_STRING = r'[^"\\\x00-\x1f]*(?:\\(?:["\\bfnrt]|u00(?:0[0-7bef]|1[0-9a-f]))[^"\\\x00-\x1f]*)*'
+_NUMBER = "(?:0|[1-9][0-9]{0,8})"  # at most 9 digits: a token id below 2**32 without a range test
+# A stream line exactly as write_batches writes it: the groups are step, slot,
+# the document's JSON text and its category. Compiled where a stream is read,
+# so that a launch that reads none does not pay for it.
+_STREAM_LINE = (
+    f'{{"step": ({_NUMBER}), "slot": ({_NUMBER}), "doc": '
+    f'({{"doc_id": "(?!"){_STRING}", "tokens": \\[(?:{_NUMBER}(?:, {_NUMBER})*)?\\], '
+    f'"category": "({"|".join(map(re.escape, CATEGORIES))})", "lang": "{_STRING}"(?:, "text": "{_STRING}")?}})}}\n?'
+)
 
 
 # The JSON test of each field annotation :func:`from_record` reads, and what
@@ -288,6 +319,16 @@ def parse_json(line: str, where: str):
         raise CorpusFormatError(f"{where}: invalid JSON ({e.msg})") from e
     except RecursionError:
         raise CorpusFormatError(f"{where}: invalid JSON (nested too deeply)") from None
+    except ValueError:  # the one other refusal: an integer longer than the interpreter converts
+        raise CorpusFormatError(f"{where}: invalid JSON (an integer of more than "
+                                f"{sys.get_int_max_str_digits()} digits)") from None
+
+
+def _parse_object(line: str, where: str) -> dict:
+    record = parse_json(line, where)
+    if not isinstance(record, dict):
+        raise CorpusFormatError(f"{where}: record must be a JSON object")
+    return record
 
 
 def read_json_lines(path) -> Iterator[tuple[str, dict]]:
@@ -297,12 +338,8 @@ def read_json_lines(path) -> Iterator[tuple[str, dict]]:
     not valid JSON or not a JSON object.
     """
     for where, line in read_lines(path):
-        if not line.strip():
-            continue
-        record = parse_json(line, where)
-        if not isinstance(record, dict):
-            raise CorpusFormatError(f"{where}: record must be a JSON object")
-        yield where, record
+        if line.strip():
+            yield where, _parse_object(line, where)
 
 
 def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> int:
@@ -312,11 +349,18 @@ def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> 
     :class:`CorpusFormatError` naming the path and line.
     """
     encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
+    return _write_lines(path, map(encode, records))
+
+
+def _write_lines(path, lines: Iterable[str]) -> int:
+    """Write each of ``lines`` and a newline through :func:`output_file`; returns
+    the line count. A line that cannot be written as UTF-8 raises
+    :class:`CorpusFormatError` naming the path and line."""
     count = 0
     with output_file(path) as f:
         try:
-            for count, record in enumerate(records, start=1):
-                f.write(encode(record))
+            for count, line in enumerate(lines, start=1):
+                f.write(line)
                 f.write("\n")
         except UnicodeEncodeError as e:
             raise CorpusFormatError(f"{path}:{count}: {e}") from None
@@ -517,31 +561,38 @@ def write_testset(examples: Iterable[TestExample], path) -> int:
     return write_json_lines(path, map(example_to_record, examples))
 
 
-def write_batches(batches: Iterable[Sequence[CorpusDocument]], path) -> int:
+def write_batches(batches: Iterable[Sequence[CorpusDocument | EncodedDocument]], path) -> int:
     """Write batches in order as (step, slot, doc) records; returns slot count.
 
-    Batches are consumed one at a time, so a generator is written in memory
-    bounded by one batch. Batch sizes are not checked here.
+    A :class:`CorpusDocument` is encoded; an :class:`EncodedDocument` is
+    written as the text it holds, which is that encoding. Batches are consumed
+    one at a time, so a generator is written in memory bounded by one batch.
+    Batch sizes are not checked here.
     """
-    return write_json_lines(path, (
-        {"step": step, "slot": slot, "doc": doc_to_record(doc)}
+    encode = json.JSONEncoder(ensure_ascii=False).encode
+    return _write_lines(path, (
+        f'{{"step": {step}, "slot": {slot}, "doc": '
+        f'{doc.encoded if type(doc) is EncodedDocument else encode(doc_to_record(doc))}}}'
         for step, batch in enumerate(batches)
         for slot, doc in enumerate(batch)
     ))
 
 
-def iter_batches(path) -> Iterator[list[CorpusDocument]]:
+def iter_batches(path) -> Iterator[list[CorpusDocument | EncodedDocument]]:
     """Yield a batch stream file one step at a time, checking slot coverage.
 
-    Records must arrive step-major, slot-minor, starting at (0, 0). The batch
-    size is taken from step 0; every step must then cover slots
-    ``0..batch_size-1`` exactly once. A step is yielded once the first record
-    of the next step (or the end of the file) shows it complete, so only one
-    batch is held at a time. An empty file yields nothing.
+    A line in the exact form :func:`write_batches` writes is valid by that
+    form and yields an :class:`EncodedDocument` of its document's text; any
+    other line is parsed and checked as a :class:`StreamRecord` and yields
+    its :class:`CorpusDocument`. Records must arrive step-major, slot-minor,
+    starting at (0, 0). The batch size is taken from step 0; every step must
+    then cover slots ``0..batch_size-1`` exactly once. A step is yielded once
+    the first record of the next step (or the end of the file) shows it
+    complete, so only one batch is held at a time. An empty file yields nothing.
     """
     step = 0
     batch_size = None
-    current: list[CorpusDocument] = []
+    current: list[CorpusDocument | EncodedDocument] = []
 
     def check_size(where: str):
         nonlocal batch_size
@@ -550,16 +601,25 @@ def iter_batches(path) -> Iterator[list[CorpusDocument]]:
         elif len(current) != batch_size:
             raise CorpusFormatError(f"{where}: step {step} has {len(current)} slots, expected {batch_size}")
 
-    for where, record in read_json_lines(path):
-        r = from_record(StreamRecord, record, where)
-        if current and r.step == step + 1 and r.slot == 0:
+    match = re.compile(_STREAM_LINE).fullmatch
+    for where, line in read_lines(path):
+        m = match(line)
+        if m:
+            at_step, at_slot, encoded, category = m.groups()
+            at_step, at_slot, doc = int(at_step), int(at_slot), EncodedDocument(category, encoded)
+        elif line.strip():
+            r = from_record(StreamRecord, _parse_object(line, where), where)
+            at_step, at_slot, doc = r.step, r.slot, r.doc
+        else:
+            continue
+        if current and at_step == step + 1 and at_slot == 0:
             check_size(where)
             yield current
             current = []
             step += 1
-        if r.step != step or r.slot != len(current):
-            raise CorpusFormatError(f"{where}: expected (step {step}, slot {len(current)}), got ({r.step}, {r.slot})")
-        current.append(r.doc)
+        if at_step != step or at_slot != len(current):
+            raise CorpusFormatError(f"{where}: expected (step {step}, slot {len(current)}), got ({at_step}, {at_slot})")
+        current.append(doc)
     if current:
         check_size(str(path))
         yield current

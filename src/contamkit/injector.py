@@ -44,8 +44,8 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import chain, groupby
-from operator import itemgetter
+from itertools import chain, groupby, islice
+from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .conditions import (
@@ -521,8 +521,9 @@ def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None =
     if len(entries) != expected_entries:
         violations.append(f"entry count {len(entries)} != examples x copies x arity = {expected_entries}")
 
+    # with every slot inside the batch, step * batch_size + slot keys a (step, slot) pair
     if step and (min(step) < start or max(step) >= end or min(slot) < 0 or max(slot) >= config.batch_size
-                 or len(set(zip(step, slot))) < len(step)):
+                 or _distinct(s * config.batch_size + t for s, t in zip(step, slot)) < len(step)):
         seen_slots: set[tuple[int, int]] = set()
         for e in entries:
             if not start <= e.step < end:
@@ -542,18 +543,7 @@ def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None =
 
     layout = MODE_LAYOUT[condition.mode]
     expected = sorted(part for group in layout for part in group)
-    units = len(set(zip(example_id, copy_index)))
-    # Each copy has the expected (distinct) parts when none is unexpected or repeated
-    # and no copy falls short. Every layout has one group or one part per group, so
-    # each copy takes one step per group when (copy, step) pairs number copies x groups.
-    # Copies cover 0..copies-1 when all lie in that range and number examples x copies.
-    if step and not (
-        set(part) <= set(expected)
-        and len(set(zip(example_id, copy_index, part))) == units * len(expected) == len(step)
-        and len(set(zip(example_id, copy_index, step))) == units * len(layout)
-        and min(copy_index) >= 0 and max(copy_index) < condition.copies
-        and units == len(set(example_id)) * condition.copies
-    ):
+    if step and not _copies_hold(step, example_id, copy_index, part, condition.copies, layout, expected):
         copies_seen: dict[str, list[int]] = {}
         # one sort groups each (example_id, copy), with its parts in order
         for (ex, copy), group in groupby(sorted(zip(example_id, copy_index, part, step)), itemgetter(0, 1)):
@@ -571,3 +561,36 @@ def verify_schedule(schedule: InjectionSchedule, config: TrainingConfig | None =
         )
 
     return ScheduleReport(entry_count=len(entries), steps_used=len(per_step), violations=violations)
+
+
+def _copies_hold(step, example_id, copy_index, part, copies: int, layout, expected: list[str]) -> bool:
+    """Whether the entry columns hold ``copies`` copies of every example, each
+    with every part of ``expected`` once and one step per group of ``layout``.
+
+    A copy is keyed by one integer, its example's number times ``copies`` plus
+    its copy index; a (copy, part) pair by that key times the part count plus
+    the part's number, and a (step, copy) pair by the step times the copy count
+    plus the copy's key. Each test counts the distinct values of one sorted run
+    of such integers; step-major keys come nearly sorted from a plan in step order.
+    """
+    numbers = {e: i for i, e in enumerate(dict.fromkeys(example_id))}
+    part_numbers = {p: i for i, p in enumerate(expected)}
+    units = len(numbers) * copies
+    # With copy indexes in 0..copies-1, copy keys lie in [0, units), so when no
+    # (copy, part) pair repeats and they number units x parts, every copy is
+    # there with all its parts. Every
+    # layout has one group or one part per group, so each copy takes one step
+    # per group when (step, copy) pairs number units x groups.
+    if not (set(part) <= part_numbers.keys() and min(copy_index) >= 0 and max(copy_index) < copies
+            and units * len(expected) == len(step)):
+        return False
+    keys = array("q", (numbers[e] * copies + c for e, c in zip(example_id, copy_index)))
+    return (_distinct(k * len(expected) + part_numbers[p] for k, p in zip(keys, part)) == len(step)
+            and _distinct(s * units + k for k, s in zip(keys, step)) == units * len(layout))
+
+
+def _distinct(keys: Iterable[int]) -> int:
+    """How many distinct integers ``keys`` holds: one sort, then a count of the
+    places where the sorted run changes value."""
+    run = sorted(keys)
+    return len(run) and 1 + sum(map(ne, run, islice(run, 1, None)))

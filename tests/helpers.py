@@ -2,8 +2,9 @@
 
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
-counting, and schedule invariants one entry at a time. The paper's
-reference score tables are test data under ``tests/data``, read here.
+counting, schedule invariants one entry at a time, and batch streams one
+decoded record at a time. The paper's reference score tables are test data
+under ``tests/data``, read here.
 """
 
 import json
@@ -16,7 +17,10 @@ from pathlib import Path
 import numpy as np
 
 from contamkit.analytics import direction_of
-from contamkit.corpus_io import CorpusDocument, TestExample
+from contamkit.corpus_io import (
+    CorpusDocument, CorpusFormatError, EncodedDocument, StreamRecord, TestExample, doc_to_record, from_record,
+    read_json_lines, write_json_lines,
+)
 from contamkit.injector import MODE_LAYOUT, ScheduleReport
 from contamkit.matcher import MatchSpan
 from contamkit.metrics import EvalRecord
@@ -227,6 +231,51 @@ def array_sample_slots(rng, batch_size, k) -> list[int]:
         j = i + rng.below(batch_size - i)
         slots[i], slots[j] = slots[j], slots[i]
     return slots[:k]
+
+
+def decode_batches(path):
+    """``iter_batches`` decoding every line into a :class:`CorpusDocument`: the
+    reader the line pattern replaced, kept as its exact-equality oracle (same
+    checks, same errors, in the same order)."""
+    step = 0
+    batch_size = None
+    current = []
+
+    def check_size(where):
+        nonlocal batch_size
+        if batch_size is None:
+            batch_size = len(current)
+        elif len(current) != batch_size:
+            raise CorpusFormatError(f"{where}: step {step} has {len(current)} slots, expected {batch_size}")
+
+    for where, record in read_json_lines(path):
+        r = from_record(StreamRecord, record, where)
+        if current and r.step == step + 1 and r.slot == 0:
+            check_size(where)
+            yield current
+            current = []
+            step += 1
+        if r.step != step or r.slot != len(current):
+            raise CorpusFormatError(f"{where}: expected (step {step}, slot {len(current)}), got ({r.step}, {r.slot})")
+        current.append(r.doc)
+    if current:
+        check_size(str(path))
+        yield current
+
+
+def encode_batches(batches, path) -> int:
+    """``write_batches`` encoding every document as one JSON object per record:
+    the writer the line pass replaced, kept as its exact-equality oracle."""
+    return write_json_lines(path, (
+        {"step": step, "slot": slot, "doc": doc_to_record(doc)}
+        for step, batch in enumerate(batches)
+        for slot, doc in enumerate(batch)
+    ))
+
+
+def encoded(doc: CorpusDocument) -> EncodedDocument:
+    """The item ``iter_batches`` yields for ``doc`` written by ``write_batches``."""
+    return EncodedDocument(doc.category, json.dumps(doc_to_record(doc), ensure_ascii=False))
 
 
 def docs_from_tokens(token_lists, category="monolingual", lang="") -> list[CorpusDocument]:

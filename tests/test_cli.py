@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import os
 import random
@@ -25,7 +26,7 @@ from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
 from contamkit.ngram_index import ScanConfig, build_index
 
-from helpers import make_example, random_tokens
+from helpers import decode_batches, make_example, random_tokens
 from test_injector import _synth_stream
 
 
@@ -590,7 +591,7 @@ def test_inject_apply_replaces_existing_out(tmp_path, capsys):
     out_path.write_text("previous output\n")
     assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
                  "--out", str(out_path)]) == 0
-    assert list(iter_batches(out_path)) == apply_schedule(stream, read_schedule(plan_path)).steps
+    assert list(decode_batches(out_path)) == apply_schedule(stream, read_schedule(plan_path)).steps
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
@@ -859,10 +860,11 @@ def test_index_to_a_fifo_names_the_path(tmp_path, capsys):
     )
 
 
-def test_bleu_defaults_are_those_of_corpus_bleu(monkeypatch):
-    def corpus_bleu(hypotheses, references, max_order=3, smoothing="add_one"):
-        raise AssertionError("not called")
-
-    monkeypatch.setattr(metrics, "corpus_bleu", corpus_bleu)
+def test_bleu_defaults_are_those_of_corpus_bleu(capsys):
+    # the parser writes them out, so that a launch need not import metrics; this holds them equal
+    defaults = inspect.signature(corpus_bleu).parameters
     args = build_parser().parse_args(["bleu", "--hyp", "h.txt", "--ref", "r.txt"])
-    assert (args.max_order, args.smoothing) == (3, "add_one")
+    assert (args.max_order, args.smoothing) == (defaults["max_order"].default, defaults["smoothing"].default)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["bleu", "--help"])
+    assert f"--smoothing {{{','.join(metrics.SMOOTHING_MODES)}}}" in capsys.readouterr().out

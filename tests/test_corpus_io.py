@@ -25,7 +25,7 @@ from contamkit.corpus_io import (
     write_testset,
 )
 
-from helpers import docs_from_tokens
+from helpers import decode_batches, docs_from_tokens, encoded
 
 
 # -- corpus jsonl -------------------------------------------------------------
@@ -371,7 +371,10 @@ def test_stream_round_trip_is_exact(tmp_path):
     stream = _stream(50, 7, seed=3)
     path = tmp_path / "s.jsonl"
     write_batches(stream.steps, path)
-    assert list(iter_batches(path)) == stream.steps
+    assert list(decode_batches(path)) == stream.steps
+    copy = tmp_path / "copy.jsonl"
+    write_batches(iter_batches(path), copy)
+    assert copy.read_bytes() == path.read_bytes()
 
 
 def test_read_rejects_short_step(tmp_path):
@@ -392,7 +395,7 @@ def test_iter_batches_yields_each_step_before_reading_the_next(tmp_path):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(lines[:5] + ["not json"]) + "\n")  # step 1 breaks at its second record
     batches = iter_batches(path)
-    assert next(batches) == stream.steps[0]
+    assert next(batches) == [encoded(doc) for doc in stream.steps[0]]
     with pytest.raises(CorpusFormatError, match=r"s.jsonl:6: invalid JSON"):
         next(batches)
 

@@ -649,6 +649,26 @@ def test_verify_matches_the_per_entry_oracle_on_damaged_plans(data):
     assert list(schedule.entries) == entries
 
 
+def test_verify_memory_follows_integer_keys_not_tuples(tmp_path):
+    # a read 100,000-entry plan (1,000 examples x 100 copies at 155,000 x 512); its columns hold
+    # about 5.9 MB, and sets of (step, slot) and (example, copy, ...) tuples added a 14.6 MB peak
+    path = tmp_path / "plan.jsonl"
+    condition = ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 100)
+    write_schedule(plan_schedule(_examples(1000), condition, TrainingConfig(total_steps=155_000, batch_size=512)),
+                   path)
+    schedule = read_schedule(path)
+    tracemalloc.start()
+    try:
+        held, _ = tracemalloc.get_traced_memory()
+        report = verify_schedule(schedule)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.entry_count == 100_000
+    assert peak - held < 7_000_000, f"verify traced {peak - held} bytes over what it started with"
+    assert report == verify_schedule_per_entry(schedule)
+
+
 # -- application --------------------------------------------------------------------
 
 

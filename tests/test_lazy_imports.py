@@ -67,6 +67,11 @@ def test_detection_and_scoring_load_no_planner_or_analytics(loaded, op):
     assert not loaded[op] & {"contamkit.injector", "contamkit.analytics"}
 
 
+@pytest.mark.parametrize("op", ["index", "decontam", "inject apply"])
+def test_launches_that_score_no_bleu_load_no_metrics(loaded, op):
+    assert "contamkit.metrics" not in loaded[op]
+
+
 def test_decontam_loads_the_matcher_and_index_loads_neither_it_nor_decontam(loaded):
     assert {"contamkit.matcher", "contamkit.decontam"} <= loaded["decontam"]
     assert not loaded["index"] & {"contamkit.matcher", "contamkit.decontam"}

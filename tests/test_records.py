@@ -7,6 +7,7 @@ file makes the CLI exit 2 with one `error: path:line: field '<name>' must be
 
 import json
 import re
+import sys
 
 import pytest
 
@@ -104,6 +105,32 @@ def test_mistyped_field_exits_two_naming_path_line_and_field(files, capsys, kind
     assert main(_command(kind, files)) == 2
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: {path}:1: {message}"]
+
+
+# (file, 0-based line, field) holding an integer too long for the interpreter to convert
+OVERLONG = [
+    ("corpus", "c.jsonl", 1, "tokens"),
+    ("testset", "t.jsonl", 1, "source_tokens"),
+    ("header", "plan.jsonl", 2, "slot"),
+    ("stream", "s.jsonl", 2, "slot"),
+    ("records", "base.jsonl", 0, "segment_count"),
+]
+
+
+@pytest.mark.parametrize("kind, name, line, key", OVERLONG, ids=[kind for kind, *_ in OVERLONG])
+def test_integer_too_long_to_convert_names_the_line(files, capsys, kind, name, line, key):
+    write_corpus([CorpusDocument(f"d{i}", [1, 2, 3]) for i in range(3)], files / "c.jsonl")
+    path = files / name
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    records[line][key] = [123456789] if key.endswith("tokens") else 123456789
+    _write_lines(path, records)
+    path.write_text(path.read_text().replace("123456789", "9" * 5000))
+    argv = {"corpus": ["index", "--corpus", str(path), "--out", str(files / "c.ctkx")]}.get(kind) or _command(kind, files)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {path}:{line + 1}: invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
+    ]
 
 
 def test_report_on_unparseable_lang_pair_names_the_line(files, capsys):
