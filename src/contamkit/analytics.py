@@ -14,7 +14,7 @@ clamped.
 import json
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .conditions import ContaminationCondition
 from .metrics import EvalRecord, split_pair
@@ -52,17 +52,6 @@ class ImpactTable:
     missing_contaminated: tuple[tuple[str, str], ...]
 
 
-def _keyed(items: Iterable, key: Callable, what: str) -> dict:
-    """Index items by ``key(item)``, refusing a key seen twice."""
-    table = {}
-    for item in items:
-        k = key(item)
-        if k in table:
-            raise ValueError(f"duplicate {what} for {k}")
-        table[k] = item
-    return table
-
-
 def impact_table(
     baseline: Iterable[EvalRecord],
     contaminated: Iterable[EvalRecord],
@@ -70,11 +59,12 @@ def impact_table(
 ) -> ImpactTable:
     """Join two record sets on (lang_pair, testset_id) and compute deltas.
 
+    A key repeated on one side keeps its last record; ``report``'s reader refuses one.
     Keys present on only one side are reported in the result, never silently
     dropped. An empty intersection is an error.
     """
-    base = _keyed(baseline, attrgetter("lang_pair", "testset_id"), "baseline record")
-    cont = _keyed(contaminated, attrgetter("lang_pair", "testset_id"), "contaminated record")
+    base = {(r.lang_pair, r.testset_id): r for r in baseline}
+    cont = {(r.lang_pair, r.testset_id): r for r in contaminated}
     shared = [k for k in base if k in cont]
     if not shared:
         raise ValueError("baseline and contaminated records share no (lang_pair, testset) keys")

@@ -129,11 +129,12 @@ def _read_segments(path, as_tokens: bool) -> list[list]:
 
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
     segments = []
-    for where, line in read_lines(path):
+    for lineno, line in read_lines(path):
         line = line.rstrip("\n")
         if not as_tokens:
             segments.append(metrics.whitespace_tokens(line))
             continue
+        where = f"{path}:{lineno}"
         tokens = parse_json(line, where)
         if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
             raise CorpusFormatError(f"{where}: segment must be a JSON array of scalar tokens")

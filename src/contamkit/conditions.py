@@ -89,10 +89,11 @@ class TrainingConfig:
     strict_cap: bool = False
 
     def __post_init__(self):
-        if self.total_steps < 1:
-            raise ValueError("total_steps must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        for name in ("total_steps", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+            if getattr(self, name) > 1 << 63:  # so every step and slot fits a 64-bit schedule column
+                raise ValueError(f"{name} must be <= 2**63")
         if not 0 < self.max_replace_frac < 1:
             raise ValueError("max_replace_frac must be in (0, 1)")
         if not 0 < self.window_frac <= 1:

@@ -8,9 +8,9 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
   ``""``. Rendered contamination documents may carry an extra ``"text"`` field
   with the raw text they were rendered from.
 * Corpus binary (``ctk``): magic ``CTK1``, u32 doc count, then per document
-  u32 id length, id bytes, u32 token count, u32 tokens. This is the compact
-  format for the n-gram scanner's hot path; it carries ids and tokens only
-  (category/lang come back as defaults on read).
+  u32 id length, id bytes, u32 token count, u32 tokens: ids and tokens only
+  (category/lang come back as defaults on read). contamkit reads ``ctk``
+  corpora and writes the layout only as an index's doc table.
 * Test-set JSON-lines: one :class:`TestExample` per line.
 * Batch-stream JSON-lines: one :class:`StreamRecord` per line,
   ``{"step": int, "slot": int, "doc": <document>}``, step-major then
@@ -86,6 +86,7 @@ class DuplicateIdError(ValueError):
 
 # annotates an integer field that may be negative (an ``int`` field may not)
 SignedInt = NewType("SignedInt", int)
+Int64 = NewType("Int64", int)  # annotates a non-negative integer field kept in a signed 64-bit array column
 
 
 @dataclass
@@ -187,6 +188,7 @@ _STREAM_LINE = (
 _KINDS = {
     int: (lambda v: type(v) is int and v >= 0, "a non-negative integer"),
     SignedInt: (lambda v: type(v) is int, "an integer"),
+    Int64: (lambda v: type(v) is int and 0 <= v < 1 << 63, "a non-negative integer below 2**63"),
     float: (lambda v: type(v) is int or type(v) is float, "a number"),
     bool: (lambda v: type(v) is bool, "a boolean"),
     str: (lambda v: type(v) is str, "a string"),
@@ -285,16 +287,15 @@ def output_file(path, mode: str = "w"):
         raise
 
 
-def read_lines(path) -> Iterator[tuple[str, str]]:
-    """Yield ``("path:line", line)`` for every line of a UTF-8 text file, newline kept.
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """Yield ``(line number, line)`` for every line of a UTF-8 text file, newline kept.
 
     Raises :class:`CorpusFormatError` naming the line and column of the first
     byte that is not UTF-8.
     """
     try:
         with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, start=1):
-                yield f"{path}:{lineno}", line
+            yield from enumerate(f, start=1)
     except UnicodeDecodeError:
         raise CorpusFormatError(_undecodable_line(path)) from None
 
@@ -337,8 +338,9 @@ def read_json_lines(path) -> Iterator[tuple[str, dict]]:
     Raises :class:`CorpusFormatError` naming the line when it is not UTF-8,
     not valid JSON or not a JSON object.
     """
-    for where, line in read_lines(path):
+    for lineno, line in read_lines(path):
         if line.strip():
+            where = f"{path}:{lineno}"
             yield where, _parse_object(line, where)
 
 
@@ -466,42 +468,22 @@ def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
         yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
 
 
-def write_doc_table(f, docs: Iterable[tuple[str, Sequence[int]]], path) -> int:
-    """Write ``(doc_id, tokens)`` pairs as one ``CTK1`` doc table; returns the document count.
-
-    The count in the table's header is patched in once the documents are
-    written, so they stream through one at a time; only a file that cannot
-    seek back (a pipe) holds them all first, to learn the count.
-    Raises :class:`CorpusFormatError` naming ``path`` and the document when a
-    token id is outside ``[0, 2**32)`` or an id cannot be written as UTF-8.
+def write_doc_table(f, doc_ids: Sequence[str], tokens: array, starts: Sequence[int], path) -> None:
+    """Write an index's documents as one ``CTK1`` doc table to the binary file ``f``,
+    which ``path`` names: document ``r`` is ``doc_ids[r]`` with ``tokens[starts[r]:starts[r + 1]]``.
+    An id that cannot be written as UTF-8 raises :class:`CorpusFormatError` naming ``path`` and the document.
     """
     f.write(_BINARY_MAGIC)
-    if f.seekable():
-        count_at = f.tell()
-        f.write(struct.pack("<I", 0))
-    else:
-        count_at = None
-        docs = list(docs)
-        f.write(struct.pack("<I", len(docs)))
-    count = 0
-    try:
-        for count, (doc_id, tokens) in enumerate(docs, 1):
-            tokens = array("I", tokens)
+    f.write(struct.pack("<I", len(doc_ids)))
+    for r, doc_id in enumerate(doc_ids):
+        try:
             id_bytes = doc_id.encode("utf-8")
-            f.write(struct.pack("<I", len(id_bytes)))
-            f.write(id_bytes)
-            f.write(struct.pack("<I", len(tokens)))
-            write_array(f, tokens)
-    except OverflowError:
-        raise CorpusFormatError(f"{path}: doc {doc_id!r}: token ids must be integers in [0, 2**32)") from None
-    except UnicodeEncodeError as e:
-        raise CorpusFormatError(f"{path}: doc #{count - 1}: {e}") from None
-    if count_at is not None:
-        end = f.tell()
-        f.seek(count_at)
-        f.write(struct.pack("<I", count))
-        f.seek(end)
-    return count
+        except UnicodeEncodeError as e:
+            raise CorpusFormatError(f"{path}: doc #{r}: {e}") from None
+        f.write(struct.pack("<I", len(id_bytes)))
+        f.write(id_bytes)
+        f.write(struct.pack("<I", starts[r + 1] - starts[r]))
+        write_array(f, tokens[starts[r] : starts[r + 1]])
 
 
 def write_array(f, values: array) -> None:
@@ -526,16 +508,6 @@ def _read_exact(f, size: int, path, what: str) -> bytes:
     if len(data) != size:
         raise CorpusFormatError(f"{path}: truncated while reading {what}")
     return data
-
-
-def write_corpus(docs: Iterable[CorpusDocument], path, fmt: str = FORMAT_JSONL) -> int:
-    """Write documents to a single shard; returns the document count."""
-    if fmt == FORMAT_JSONL:
-        return write_json_lines(path, map(doc_to_record, docs))
-    if fmt == FORMAT_BINARY:
-        with output_file(path, "wb") as f:
-            return write_doc_table(f, ((doc.doc_id, doc.tokens) for doc in docs), path)
-    raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
 
 
 def example_to_record(ex: TestExample) -> dict:
@@ -594,32 +566,35 @@ def iter_batches(path) -> Iterator[list[CorpusDocument | EncodedDocument]]:
     batch_size = None
     current: list[CorpusDocument | EncodedDocument] = []
 
-    def check_size(where: str):
+    def check_size(lineno: int | None):  # None: the end of the file
         nonlocal batch_size
         if batch_size is None:
             batch_size = len(current)
         elif len(current) != batch_size:
+            where = path if lineno is None else f"{path}:{lineno}"
             raise CorpusFormatError(f"{where}: step {step} has {len(current)} slots, expected {batch_size}")
 
     match = re.compile(_STREAM_LINE).fullmatch
-    for where, line in read_lines(path):
+    for lineno, line in read_lines(path):
         m = match(line)
         if m:
             at_step, at_slot, encoded, category = m.groups()
             at_step, at_slot, doc = int(at_step), int(at_slot), EncodedDocument(category, encoded)
         elif line.strip():
+            where = f"{path}:{lineno}"
             r = from_record(StreamRecord, _parse_object(line, where), where)
             at_step, at_slot, doc = r.step, r.slot, r.doc
         else:
             continue
         if current and at_step == step + 1 and at_slot == 0:
-            check_size(where)
+            check_size(lineno)
             yield current
             current = []
             step += 1
         if at_step != step or at_slot != len(current):
-            raise CorpusFormatError(f"{where}: expected (step {step}, slot {len(current)}), got ({at_step}, {at_slot})")
+            raise CorpusFormatError(f"{path}:{lineno}: expected (step {step}, slot {len(current)}), "
+                                    f"got ({at_step}, {at_slot})")
         current.append(doc)
     if current:
-        check_size(str(path))
+        check_size(None)
         yield current

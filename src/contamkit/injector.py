@@ -53,8 +53,8 @@ from .conditions import (
     Temporal, TrainingConfig,
 )
 from .corpus_io import (
-    CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, TestExample,
-    from_record, read_json_lines, record_values, write_json_lines,
+    CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, EncodedDocument,
+    Int64, TestExample, from_record, read_json_lines, record_values, write_json_lines,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
@@ -152,10 +152,10 @@ class CounterRng:
 
 @dataclass(frozen=True)
 class ScheduleEntry:
-    step: int
-    slot: int
+    step: Int64
+    slot: Int64
     example_id: str
-    copy_index: int
+    copy_index: Int64
     part: str
     rendered_text: str
     lang: str
@@ -427,11 +427,11 @@ def apply_schedule(
 
 
 def apply_batches(
-    batches: Iterable[Sequence[CorpusDocument]],
+    batches: Iterable[Sequence[CorpusDocument | EncodedDocument]],
     schedule: InjectionSchedule,
     tokenizer: Callable[[str], list[int]] | None = None,
     require_parallel_slots: bool = False,
-) -> Iterator[list[CorpusDocument]]:
+) -> Iterator[list[CorpusDocument | EncodedDocument]]:
     """Yield each batch of a stream with its scheduled slots substituted.
 
     One merge pass: batches are read one at a time and each is yielded, as
@@ -444,7 +444,7 @@ def apply_batches(
     :class:`ScheduleError` for a fault of the schedule alone and
     :class:`StreamShapeError` for one of the stream (both are
     ``ValueError``). Arguments and replacement documents are as in
-    :func:`apply_schedule`.
+    :func:`apply_schedule`, and a batch may also hold :class:`EncodedDocument` values.
     """
     config = schedule.config
     violations = verify_schedule(schedule).violations

@@ -167,13 +167,11 @@ class NGramIndex:
         The header is written last, so the file must be seekable: a FIFO or
         pipe is refused with an ``OSError`` naming it.
         """
-        tokens, starts = self.tokens, self.starts
         with output_file(path, "wb") as f:
             if not f.seekable():
                 raise OSError(f"{path}: not seekable; an index can only be written to a regular file")
             f.seek(_HEADER.size)
-            docs = ((doc_id, tokens[starts[r] : starts[r + 1]]) for r, doc_id in enumerate(self._doc_ids))
-            write_doc_table(f, docs, path)
+            write_doc_table(f, self._doc_ids, self.tokens, self.starts, path)
             table_bytes = f.tell() - _HEADER.size
             for values in (self._fps, self._refs, self._offsets):
                 write_array(f, values)

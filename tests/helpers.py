@@ -3,14 +3,17 @@
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
 counting, schedule invariants one entry at a time, and batch streams one
-decoded record at a time. The paper's reference score tables are test data
-under ``tests/data``, read here.
+decoded record at a time. A ``ctk`` corpus is written by an encoder of its
+own (:func:`write_corpus`, with ``struct``), so the package's doc-table
+reader is tested against bytes that no package code produced. The paper's
+reference score tables are test data under ``tests/data``, read here.
 """
 
 import json
 import math
 import random
 import statistics
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -276,6 +279,25 @@ def encode_batches(batches, path) -> int:
 def encoded(doc: CorpusDocument) -> EncodedDocument:
     """The item ``iter_batches`` yields for ``doc`` written by ``write_batches``."""
     return EncodedDocument(doc.category, json.dumps(doc_to_record(doc), ensure_ascii=False))
+
+
+def write_corpus(docs, path, fmt: str = "jsonl") -> int:
+    """Write documents to one corpus shard; returns the document count.
+
+    ``jsonl`` goes through ``write_json_lines``. ``ctk`` is encoded here:
+    magic ``CTK1``, u32 doc count, then per document u32 id length, the UTF-8
+    id, u32 token count and u32 tokens, all little-endian.
+    """
+    if fmt == "jsonl":
+        return write_json_lines(path, map(doc_to_record, docs))
+    assert fmt == "ctk", fmt
+    body = []
+    for doc in docs:
+        doc_id = doc.doc_id.encode("utf-8")
+        body.append(struct.pack(f"<I{len(doc_id)}sI{len(doc.tokens)}I",
+                                len(doc_id), doc_id, len(doc.tokens), *doc.tokens))
+    Path(path).write_bytes(b"CTK1" + struct.pack("<I", len(body)) + b"".join(body))
+    return len(body)
 
 
 def docs_from_tokens(token_lists, category="monolingual", lang="") -> list[CorpusDocument]:

@@ -69,11 +69,6 @@ def test_impact_empty_intersection_is_error():
         impact_table([_record("de-en", 10.0)], [_record("en-uk", 9.0)])
 
 
-def test_impact_duplicate_key_is_error():
-    with pytest.raises(ValueError, match="duplicate"):
-        impact_table([_record("de-en", 10.0), _record("de-en", 11.0)], [_record("de-en", 9.0)])
-
-
 def test_impact_antisymmetry():
     table = load_table("bleu_wmt23.json")
     baseline = table_records(table, "1b", "late", 10, "baseline")
@@ -209,13 +204,6 @@ def test_gap_fixture_late_100_en_de():
 
 
 def test_duplicate_keys_are_named_with_their_side():
-    one, two = _record("de-en", 10.0), _record("de-en", 11.0)
-    with pytest.raises(ValueError) as err:
-        impact_table([one], [one, two])
-    assert str(err.value) == "duplicate contaminated record for ('de-en', 't')"
-    with pytest.raises(ValueError) as err:
-        impact_table([one, two], [one, two])
-    assert str(err.value) == "duplicate baseline record for ('de-en', 't')"
     cell = _impact("en-de", 1.0, 2.0, condition=None)
     other = _impact("en-de", 1.0, 2.0, condition=None, testset="flores")
     with pytest.raises(ValueError) as err:

@@ -19,14 +19,13 @@ from contamkit.corpus_io import (
     iter_batches,
     read_corpus,
     read_testset,
-    write_corpus,
     write_batches,
 )
 from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
-from contamkit.ngram_index import ScanConfig, build_index
+from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
-from helpers import decode_batches, make_example, random_tokens
+from helpers import decode_batches, make_example, random_tokens, write_corpus
 from test_injector import _synth_stream
 
 
@@ -412,6 +411,25 @@ def test_index_on_token_id_beyond_32_bits_exits_two(tmp_path, capsys):
     assert main(["index", "--corpus", str(corpus_path), "--out", str(tmp_path / "c.ctkx")]) == 2
     assert capsys.readouterr().err == f"error: {corpus_path}:1: field 'tokens' {TOKEN_IDS}\n"
     assert not (tmp_path / "c.ctkx").exists()
+
+
+def test_index_of_a_corpus_is_the_same_from_jsonl_and_ctk(tmp_path, capsys):
+    # the ctk file comes from the tests' own encoder, so the two readers are held to each other
+    top = 2**32 - 1
+    docs = [
+        CorpusDocument("déjà-vu", [5, top, 7, 5, top, 7, 0]),
+        CorpusDocument("空", []),
+        CorpusDocument("Ωmega", [top] * 4 + [0, 1]),
+    ]
+    write_corpus(docs, tmp_path / "from_jsonl.jsonl")
+    write_corpus(docs, tmp_path / "from_ctk.ctk", fmt="ctk")
+    from_jsonl = _index(tmp_path / "from_jsonl.jsonl", "--ngram", "3")
+    from_ctk = _index(tmp_path / "from_ctk.ctk", "--corpus-format", "ctk", "--ngram", "3")
+    assert from_jsonl.read_bytes() == from_ctk.read_bytes()
+    index = NGramIndex.load(from_ctk)
+    assert [index.doc_id(r) for r in range(index.doc_count)] == [doc.doc_id for doc in docs]
+    assert index.tokens.tolist() == [t for doc in docs for t in doc.tokens]
+    assert index.posting_count == 5 + 0 + 4
 
 
 def _assert_usage_error(capsys, argv, message):

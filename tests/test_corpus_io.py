@@ -1,10 +1,8 @@
-import io
 import json
 import os
 import random
 import re
 import threading
-import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -19,13 +17,11 @@ from contamkit.corpus_io import (
     read_corpus,
     read_json_lines,
     read_testset,
-    write_corpus,
-    write_doc_table,
     write_batches,
     write_testset,
 )
 
-from helpers import decode_batches, docs_from_tokens, encoded
+from helpers import decode_batches, docs_from_tokens, encoded, write_corpus
 
 
 # -- corpus jsonl -------------------------------------------------------------
@@ -137,21 +133,6 @@ def test_binary_round_trip(tmp_path):
     assert list(read_corpus(path, fmt="ctk")) == docs
 
 
-def test_binary_rejects_oversized_token(tmp_path):
-    path = tmp_path / "c.ctk"
-    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: doc 'd0': {OUT_OF_RANGE}$"):
-        write_corpus(docs_from_tokens([[2**32]]), path, fmt="ctk")
-
-
-OUT_OF_RANGE = re.escape("token ids must be integers in [0, 2**32)")
-
-
-@pytest.mark.parametrize("token", [-1, 2**32])
-def test_write_doc_table_names_the_token_id_range(token):
-    with pytest.raises(CorpusFormatError, match=rf"^x\.ctk: doc 'neg': {OUT_OF_RANGE}$"):
-        write_doc_table(io.BytesIO(), [("neg", [1, token])], "x.ctk")
-
-
 def test_binary_bad_magic(tmp_path):
     path = tmp_path / "c.ctk"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
@@ -219,47 +200,9 @@ def test_binary_shard_reads_from_a_pipe(tmp_path):
     assert not writer.is_alive()
 
 
-def test_binary_write_streams_a_generator_of_documents(tmp_path):
-    def docs():
-        for i in range(10_000):
-            yield CorpusDocument(f"d{i}", [(i * 7919 + j * 97) % 50_000 for j in range(50)])
-
-    path = tmp_path / "c.ctk"
-    tracemalloc.start()
-    try:
-        assert write_corpus(docs(), path, fmt="ctk") == 10_000
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # holding the documents would take about 22 MB
-    assert peak < 2_000_000, f"writing traced a peak of {peak} bytes"
-    assert all(a == b for a, b in zip(read_corpus(path, fmt="ctk"), docs(), strict=True))
-
-
-def test_binary_write_to_a_pipe_equals_the_file_write(tmp_path):
-    docs = docs_from_tokens([[1, 2, 3], [], [7]])
-    path = tmp_path / "c.ctk"
-    write_corpus(docs, path, fmt="ctk")
-    fifo = tmp_path / "fifo.ctk"
-    os.mkfifo(fifo)
-    got = []
-    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
-    reader.start()
-    assert write_corpus(iter(docs), fifo, fmt="ctk") == 3
-    reader.join(timeout=30)
-    assert not reader.is_alive()
-    assert got == [path.read_bytes()]
-
-
 def test_unknown_format_rejected(tmp_path):
     with pytest.raises(ValueError, match="format"):
         list(read_corpus(tmp_path / "c.x", fmt="parquet"))
-
-
-def test_write_corpus_refuses_an_unknown_format(tmp_path):
-    with pytest.raises(ValueError, match="unknown corpus format 'parquet'"):
-        write_corpus([CorpusDocument("a", [1])], tmp_path / "c.x", fmt="parquet")
-    assert not (tmp_path / "c.x").exists()
 
 
 # -- test sets ----------------------------------------------------------------

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.cli import main
-from contamkit.corpus_io import CorpusDocument, example_to_record, iter_batches, write_batches, write_corpus
+from contamkit.corpus_io import CorpusDocument, example_to_record, iter_batches, write_batches
 from contamkit.injector import (
     ContaminationCondition,
     ContaminationMode,
@@ -29,7 +29,7 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import make_example
+from helpers import make_example, write_corpus
 from test_injector import _synth_stream
 from test_stream_fuzz import _overwrite, _truncate
 

@@ -16,9 +16,9 @@ from pathlib import Path
 import pytest
 
 import contamkit
-from contamkit.corpus_io import CorpusDocument, write_batches, write_corpus, write_testset
+from contamkit.corpus_io import CorpusDocument, write_batches, write_testset
 
-from helpers import make_example, random_tokens
+from helpers import make_example, random_tokens, write_corpus
 from test_injector import _synth_stream
 
 SRC = str(Path(contamkit.__file__).resolve().parents[1])

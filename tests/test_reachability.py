@@ -9,19 +9,14 @@ does data: the package holds Python modules only. Dunder methods are called
 by Python itself and are not checked.
 
 Names are matched by spelling, so a property that shares its name with a
-dataclass field anywhere in the package would count as read whenever that
-field is read. Such a property must be listed in ``EXCEPTIONS`` with a reason.
+dataclass field anywhere in the package cannot be told from that field: such
+a property counts as unreached, and takes a name of its own.
 """
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contamkit"
-
-# definitions reached from no caller in the package yet, each kept on purpose
-EXCEPTIONS = {
-    "corpus_io.write_corpus": "the only writer of the ctk corpus format",
-}
 
 
 def _decorated(node, name: str) -> bool:
@@ -97,7 +92,7 @@ def test_every_package_definition_is_reached_from_the_package():
         if not (name.startswith("__") and name.endswith("__"))
         and name not in reached[kind]
     }
-    assert unreached == set(EXCEPTIONS)
+    assert unreached == set()
 
 
 def test_the_package_holds_python_modules_only():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.cli import main
-from contamkit.corpus_io import CorpusDocument, example_to_record, write_batches, write_corpus
+from contamkit.corpus_io import CorpusDocument, example_to_record, write_batches
 from contamkit.injector import (
     ContaminationCondition,
     ContaminationMode,
@@ -25,7 +25,7 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import make_example
+from helpers import make_example, write_corpus
 from test_injector import _synth_stream
 
 STEPS = 8

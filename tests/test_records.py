@@ -7,6 +7,7 @@ file makes the CLI exit 2 with one `error: path:line: field '<name>' must be
 
 import json
 import re
+import subprocess
 import sys
 
 import pytest
@@ -20,13 +21,13 @@ from contamkit.corpus_io import (
     iter_batches,
     read_corpus,
     write_batches,
-    write_corpus,
 )
 from contamkit.injector import GENERATOR_VERSION, read_schedule
 from contamkit.metrics import EvalRecord
 
-from helpers import make_example
+from helpers import make_example, write_corpus
 from test_injector import _synth_stream
+from test_lazy_imports import ENV
 
 STEPS = 100
 BATCH = 64
@@ -131,6 +132,41 @@ def test_integer_too_long_to_convert_names_the_line(files, capsys, kind, name, l
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}:{line + 1}: invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
     ]
+
+
+@pytest.mark.parametrize("flag, name", [("--steps", "total_steps"), ("--batch-size", "batch_size")])
+def test_inject_plan_refuses_a_dimension_past_2_63(files, flag, name):
+    # run in a child with a timeout: a batch size past 2**64 once sent the slot draw into an endless loop
+    argv = _command("testset", files)
+    argv[argv.index(flag) + 1] = str(10**20)
+    result = subprocess.run([sys.executable, "-m", "contamkit.cli", *argv], env=ENV, capture_output=True, text=True,
+                            timeout=60)
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {name} must be <= 2**63\n")
+
+
+def test_inject_plan_of_2_63_steps_and_slots_plans_and_verifies(files, capsys):
+    argv = _command("testset", files)
+    argv[argv.index("--steps") + 1] = argv[argv.index("--batch-size") + 1] = str(2**63)
+    assert main(argv) == 0
+    assert main(["inject", "verify", "--schedule", str(files / "plan2.jsonl")]) == 0
+    assert "schedule check: ok (3 entries over " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key", ["step", "slot", "copy_index"])
+def test_schedule_entry_integer_past_64_bit_columns_names_the_line(files, capsys, key):
+    path = files / "plan.jsonl"
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    records[1][key] = 2**63 - 1  # the largest a column holds: read, then flagged by the check
+    _write_lines(path, records)
+    assert main(_command("header", files)) == 1
+    records[1][key] = 2**63
+    _write_lines(path, records)
+    for kind in ("header", "stream"):  # inject verify, inject apply
+        capsys.readouterr()
+        assert main(_command(kind, files)) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}:2: field '{key}' must be a non-negative integer below 2**63"
+        ]
 
 
 def test_report_on_unparseable_lang_pair_names_the_line(files, capsys):

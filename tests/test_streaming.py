@@ -8,10 +8,10 @@ import sys
 import textwrap
 
 from contamkit.cli import main
-from contamkit.corpus_io import CorpusDocument, example_to_record, write_corpus
+from contamkit.corpus_io import CorpusDocument, example_to_record
 from contamkit.injector import read_schedule
 
-from helpers import make_example, random_tokens
+from helpers import make_example, random_tokens, write_corpus
 
 DOCS_PER_SHARD = 20_000
 SHARDS = 3
