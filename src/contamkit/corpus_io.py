@@ -10,7 +10,9 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
 * Corpus binary (``ctk``): magic ``CTK1``, u32 doc count, then per document
   u32 id length, id bytes, u32 token count, u32 tokens: ids and tokens only
   (category/lang come back as defaults on read). contamkit reads ``ctk``
-  corpora and writes the layout only as an index's doc table.
+  corpora and never writes one. An index file has a layout of its own
+  (:mod:`contamkit.ngram_index`): whole arrays, which :func:`write_array`
+  writes and :func:`read_array` reads.
 * Test-set JSON-lines: one :class:`TestExample` per line.
 * Batch-stream JSON-lines: one :class:`StreamRecord` per line,
   ``{"step": int, "slot": int, "doc": <document>}``, step-major then
@@ -54,7 +56,6 @@ import math
 import os
 import re
 import stat
-import struct
 import sys
 from array import array
 from contextlib import contextmanager
@@ -438,52 +439,34 @@ def _read_binary_shard(shard: Path) -> Iterator[tuple[str, CorpusDocument]]:
 
 
 def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
-    """Read one ``CTK1`` doc table from the binary file ``f``, which ``path`` names.
+    """Read the ``CTK1`` documents of the ``ctk`` corpus shard ``f``, which ``path`` names.
 
     Yields ``(doc_id, tokens)`` with tokens as an ``array("I")``; leaves
-    ``f`` just past the table.
+    ``f`` just past the last document.
     """
     magic = f.read(4)
     if magic != _BINARY_MAGIC:
         raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-    (count,) = struct.unpack("<I", _read_exact(f, 4, path, "doc count"))
+    count = read_array(f, "I", 1, path, "doc count")[0]
     # A length is checked against the bytes left before it is read, so a
     # damaged one cannot ask for gigabytes; a pipe's length is unknown.
     st = os.fstat(f.fileno())
     left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else math.inf
     for i in range(count):
         where = f"doc #{i}"
-        (id_len,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} id length"))
+        id_len = read_array(f, "I", 1, path, f"{where} id length")[0]
         left -= 4 + id_len
         if left < 0:
             raise CorpusFormatError(f"{path}: truncated while reading {where} id")
         try:
-            doc_id = _read_exact(f, id_len, path, f"{where} id").decode("utf-8")
+            doc_id = str(read_array(f, "B", id_len, path, f"{where} id"), "utf-8")
         except UnicodeDecodeError as e:
             raise CorpusFormatError(f"{path}: {where} id is not UTF-8") from e
-        (n_tok,) = struct.unpack("<I", _read_exact(f, 4, path, f"{where} token count"))
+        n_tok = read_array(f, "I", 1, path, f"{where} token count")[0]
         left -= 4 + 4 * n_tok
         if left < 0:
             raise CorpusFormatError(f"{path}: truncated while reading {where} tokens")
         yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
-
-
-def write_doc_table(f, doc_ids: Sequence[str], tokens: array, starts: Sequence[int], path) -> None:
-    """Write an index's documents as one ``CTK1`` doc table to the binary file ``f``,
-    which ``path`` names: document ``r`` is ``doc_ids[r]`` with ``tokens[starts[r]:starts[r + 1]]``.
-    An id that cannot be written as UTF-8 raises :class:`CorpusFormatError` naming ``path`` and the document.
-    """
-    f.write(_BINARY_MAGIC)
-    f.write(struct.pack("<I", len(doc_ids)))
-    for r, doc_id in enumerate(doc_ids):
-        try:
-            id_bytes = doc_id.encode("utf-8")
-        except UnicodeEncodeError as e:
-            raise CorpusFormatError(f"{path}: doc #{r}: {e}") from None
-        f.write(struct.pack("<I", len(id_bytes)))
-        f.write(id_bytes)
-        f.write(struct.pack("<I", starts[r + 1] - starts[r]))
-        write_array(f, tokens[starts[r] : starts[r + 1]])
 
 
 def write_array(f, values: array) -> None:
@@ -495,19 +478,14 @@ def write_array(f, values: array) -> None:
 
 
 def read_array(f, typecode: str, count: int, path, what: str) -> array:
-    """Read ``count`` little-endian items of ``typecode`` written by :func:`write_array`."""
-    values = array(typecode)
-    values.frombytes(_read_exact(f, count * values.itemsize, path, what))
+    """Read ``count`` little-endian items of ``typecode`` written by :func:`write_array`,
+    straight into the array: no copy of the section is held beside it."""
+    values = array(typecode, [0]) * count
+    if f.readinto(values) != count * values.itemsize:
+        raise CorpusFormatError(f"{path}: truncated while reading {what}")
     if _SWAP:
         values.byteswap()
     return values
-
-
-def _read_exact(f, size: int, path, what: str) -> bytes:
-    data = f.read(size)
-    if len(data) != size:
-        raise CorpusFormatError(f"{path}: truncated while reading {what}")
-    return data
 
 
 def example_to_record(ex: TestExample) -> dict:

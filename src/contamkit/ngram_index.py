@@ -28,34 +28,38 @@ appends each posting to one of ``2**min(6, bits)`` buckets chosen by the top
 bits of its fingerprint, as parallel arrays. It then sorts the buckets one at
 a time, in ascending order, and appends each to the index arrays, which gives
 the global order exactly. Building 1M postings peaks at about 46 B per
-posting above the interpreter, where sorting every posting at once took 155.
+posting above the interpreter.
 
-File layout (version 2, little-endian): a 32-byte header — magic ``CTKX``,
+File layout (version 3, little-endian): a 32-byte header — magic ``CTKX``,
 u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
-doc-table bytes — then the doc table in the ``CTK1`` corpus layout (ids and
-tokens, see :mod:`contamkit.corpus_io`), then the posting arrays whole: u64
-fingerprints, u32 doc refs, u32 offsets. The header fixes the file size, so
-a short file is rejected before any parsing. Version 1 files are refused;
-rebuild them.
+doc count — then the index's arrays whole, in this order: u64 fingerprints,
+u32 doc refs, u32 offsets, u32 document lengths, u32 id byte lengths, u32
+tokens, and last the UTF-8 doc ids back to back. So every numeric section
+starts at a multiple of its item size, and the file is written front to
+back. The header bounds the file size and the two length arrays fix it, so
+a damaged count or length is refused before the tokens are read. Versions 1
+and 2 are refused; rebuild them.
 """
 
 import os
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, islice, pairwise
+from operator import sub
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
-from .corpus_io import output_file, read_array, read_doc_table, write_array, write_doc_table
+from .corpus_io import output_file, read_array, write_array
 
 FINGERPRINT_BASE = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _INDEX_MAGIC = b"CTKX"
-_INDEX_VERSION = 2
+_INDEX_VERSION = 3
 _HEADER = Struct("<4sIIIQQ")
 _POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
+_DOC_BYTES = 8  # u32 document length + u32 id byte length
 _MAX_U32 = (1 << 32) - 1
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 _ROLL_CHUNK = 1 << 14  # the build fingerprints at most this many grams of a document at once
@@ -162,23 +166,25 @@ class NGramIndex:
     # -- persistence -------------------------------------------------------
 
     def save(self, path):
-        """Write the index to a single file, bit-exact across platforms.
+        """Write the index to a single file, bit-exact across platforms, one section after another.
 
-        The header is written last, so the file must be seekable: a FIFO or
-        pipe is refused with an ``OSError`` naming it.
+        An id that cannot be written as UTF-8 raises :class:`CorpusFormatError`
+        naming ``path`` and the document, before anything is written.
         """
+        ids = []
+        for ref, doc_id in enumerate(self._doc_ids):
+            try:
+                ids.append(doc_id.encode("utf-8"))
+            except UnicodeEncodeError as e:
+                raise CorpusFormatError(f"{path}: doc #{ref}: {e}") from None
+        lengths = array("I", map(sub, islice(self.starts, 1, None), self.starts))
         with output_file(path, "wb") as f:
-            if not f.seekable():
-                raise OSError(f"{path}: not seekable; an index can only be written to a regular file")
-            f.seek(_HEADER.size)
-            write_doc_table(f, self._doc_ids, self.tokens, self.starts, path)
-            table_bytes = f.tell() - _HEADER.size
-            for values in (self._fps, self._refs, self._offsets):
-                write_array(f, values)
-            f.seek(0)
             f.write(_HEADER.pack(
-                _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, table_bytes
+                _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, self.doc_count
             ))
+            for values in (self._fps, self._refs, self._offsets, lengths, array("I", map(len, ids)), self.tokens):
+                write_array(f, values)
+            f.writelines(ids)
 
     @classmethod
     def load(cls, path) -> "NGramIndex":
@@ -189,30 +195,39 @@ class NGramIndex:
                 raise CorpusFormatError(f"{path}: bad magic {header[:4]!r}, expected {_INDEX_MAGIC!r}")
             if len(header) < _HEADER.size:
                 raise CorpusFormatError(f"{path}: truncated while reading the header")
-            _, version, n, bits, posting_count, table_bytes = _HEADER.unpack(header)
+            _, version, n, bits, posting_count, doc_count = _HEADER.unpack(header)
             if version != _INDEX_VERSION:
                 raise CorpusFormatError(f"{path}: not a version {_INDEX_VERSION} index; rebuild the index")
-            size = _HEADER.size + table_bytes + _POSTING_BYTES * posting_count
-            if os.fstat(f.fileno()).st_size != size:
-                raise CorpusFormatError(f"{path}: file size differs from the {size} bytes its header describes")
+            file_size = os.fstat(f.fileno()).st_size
+            size = _HEADER.size + _POSTING_BYTES * posting_count + _DOC_BYTES * doc_count
+            if size > file_size:
+                raise CorpusFormatError(f"{path}: file size is less than the {size} bytes its header describes")
             try:
                 index = cls(n, bits)
             except ValueError as e:
                 raise CorpusFormatError(f"{path}: {e}") from e
-            seen = set()  # only to refuse a repeated doc id; the index does not keep it
-            for ref, (doc_id, tokens) in enumerate(read_doc_table(f, path)):
-                if doc_id in seen:
-                    raise CorpusFormatError(f"{path}: doc #{ref}: duplicate doc_id {doc_id!r}")
-                seen.add(doc_id)
-                index._doc_ids.append(doc_id)
-                index.tokens.extend(tokens)
-                index.starts.append(len(index.tokens))
-            del seen  # freed before the posting arrays are read
-            if f.tell() != _HEADER.size + table_bytes:
-                raise CorpusFormatError(f"{path}: doc table size differs from its header")
             index._fps = read_array(f, "Q", posting_count, path, "fingerprints")
             index._refs = read_array(f, "I", posting_count, path, "doc refs")
             index._offsets = read_array(f, "I", posting_count, path, "offsets")
+            lengths = read_array(f, "I", doc_count, path, "document lengths")
+            id_lengths = read_array(f, "I", doc_count, path, "id lengths")
+            token_count, id_bytes = sum(lengths), sum(id_lengths)
+            size += 4 * token_count + id_bytes
+            if size != file_size:
+                raise CorpusFormatError(f"{path}: file size differs from the {size} bytes its header and lengths describe")
+            index.tokens = read_array(f, "I", token_count, path, "tokens")
+            index.starts = array("Q", accumulate(lengths, initial=0))
+            ids = memoryview(read_array(f, "B", id_bytes, path, "doc ids"))
+        seen = set()  # only to refuse a repeated doc id; the index does not keep it
+        for ref, (start, end) in enumerate(pairwise(accumulate(id_lengths, initial=0))):
+            try:
+                doc_id = str(ids[start:end], "utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusFormatError(f"{path}: doc #{ref} id is not UTF-8") from e
+            if doc_id in seen:
+                raise CorpusFormatError(f"{path}: doc #{ref}: duplicate doc_id {doc_id!r}")
+            seen.add(doc_id)
+            index._doc_ids.append(doc_id)
         return index
 
 
@@ -223,9 +238,9 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     in the doc table. Postings are gathered into flat buckets by the top bits
     of their fingerprint and each bucket is sorted on its own, so the build
     never holds a Python object per posting of the whole corpus: it peaks at
-    about 46 B per posting above the interpreter (sorting every posting at
-    once took 155). A document is fingerprinted at most ``_ROLL_CHUNK``
-    grams at a time, so a long one adds no memory per gram either.
+    about 46 B per posting above the interpreter. A document is fingerprinted
+    at most ``_ROLL_CHUNK`` grams at a time, so a long one adds no memory per
+    gram either.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
@@ -242,9 +257,9 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         seen.add(doc.doc_id)
         index._doc_ids.append(doc.doc_id)
         tokens = doc.tokens
+        if ref > _MAX_U32 or len(tokens) > _MAX_U32:  # the length bounds the offsets too
+            raise IndexCapacityError(f"doc {doc.doc_id!r}: its doc ref or length exceeds 32 bits")
         count = max(0, len(tokens) - n + 1)
-        if ref > _MAX_U32 or count > _MAX_U32 + 1:
-            raise IndexCapacityError(f"doc {doc.doc_id!r}: its doc ref or offsets exceed 32 bits")
         try:
             index.tokens.extend(array("I", tokens))
         except OverflowError:

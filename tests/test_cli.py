@@ -165,11 +165,9 @@ def test_decontam_on_index_with_repeated_doc_id_names_the_file_and_doc(tmp_path,
     index_path = tmp_path / "corpus.ctkx"
     assert main(["index", "--corpus", str(corpus_path), "--out", str(index_path)]) == 0
     data = bytearray(index_path.read_bytes())
-    # 32-byte index header, doc table magic and count, doc #0 (id length,
-    # id, token count, tokens), then doc #1's id length and its id
-    at = 32 + 8 + (4 + 1 + 4 + 4 * 10) + 4
-    assert data[at : at + 1] == b"b"
-    data[at : at + 1] = b"a"
+    # the ids come last, back to back: "a" then "b"
+    assert data[-2:] == b"ab"
+    data[-1:] = b"a"
     index_path.write_bytes(data)
     capsys.readouterr()
     assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path)]) == 2
@@ -185,14 +183,19 @@ def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
     index_path = tmp_path / "corpus.ctkx"
     assert main(["index", "--corpus", str(corpus_path), "--ngram", "3", "--out", str(index_path)]) == 0
     data = bytearray(index_path.read_bytes())
-    # the 32-byte header holds the posting count and doc-table size; the doc
-    # refs follow the table and the u64 fingerprints
-    postings, table_bytes = struct.unpack_from("<QQ", data, 16)
-    refs_at = 32 + table_bytes + 8 * postings
+    # the 32-byte header holds the posting count and the doc count; the u32
+    # doc refs follow the u64 fingerprints
+    postings, doc_count = struct.unpack_from("<QQ", data, 16)
+    assert doc_count == 5
+    refs_at, refs_end = 32 + 8 * postings, 32 + 12 * postings
+    refs = NGramIndex.load(index_path)._refs
     for k in range(postings):
-        data[refs_at + 4 * k + 1] = 1  # doc ref k + 256: past the 5 documents
+        data[refs_at + 4 * k + 1] = 1  # each doc ref + 256: past the 5 documents
     bad = tmp_path / "bad.ctkx"
     bad.write_bytes(data)
+    unchanged = index_path.read_bytes()
+    assert data[:refs_at] == unchanged[:refs_at] and data[refs_end:] == unchanged[refs_end:]
+    assert NGramIndex.load(bad)._refs.tolist() == [ref + 256 for ref in refs]
     capsys.readouterr()
     kept = tmp_path / "kept.jsonl"
     code = main(["decontam", "--testset", str(testset_path), "--index", str(bad), "--out", str(kept)])
@@ -870,12 +873,15 @@ def test_index_to_a_fifo_names_the_path(tmp_path, capsys):
     received = []
     reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
     reader.start()
-    assert main(["index", "--corpus", str(corpus_path), "--out", str(fifo)]) == 2
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(fifo)]) == 0
     reader.join(timeout=30)
-    assert not reader.is_alive() and received == [b""]
-    assert capsys.readouterr().err == (
-        f"error: {fifo}: not seekable; an index can only be written to a regular file\n"
-    )
+    assert not reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode)
+    out = capsys.readouterr().out
+    assert out.endswith(f" -> {fifo}\n")
+    regular = tmp_path / "regular.ctkx"
+    assert main(["index", "--corpus", str(corpus_path), "--out", str(regular)]) == 0
+    assert capsys.readouterr().out == out.replace(str(fifo), str(regular))
+    assert received == [regular.read_bytes()]
 
 
 def test_bleu_defaults_are_those_of_corpus_bleu(capsys):

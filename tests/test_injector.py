@@ -517,6 +517,29 @@ def test_verify_flags_each_damaged_header_or_entry(damage):
     assert verify_schedule(schedule) == verify_schedule_per_entry(schedule)  # the seed cases of the oracle test below
 
 
+def test_verify_work_follows_the_entries_not_the_header_copies():
+    # 3 entries under a header of 10**7 copies: the uncovered copies are
+    # reported without a list of every copy index the header names
+    schedule = plan_schedule(
+        _examples(1), ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 3), CONFIG
+    )
+    copies = 10**7
+    schedule = dataclasses.replace(
+        schedule, condition=ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, copies)
+    )
+    tracemalloc.start()
+    try:
+        violations = verify_schedule(schedule).violations
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert violations == [
+        f"entry count 3 != examples x copies x arity = {copies}",
+        f"ex0: copy indexes [0, 1, 2] do not cover 0..{copies - 1}",
+    ]
+    assert peak < 1 << 20, f"verify of 3 entries peaked at {peak} bytes"
+
+
 @pytest.mark.parametrize("damage", DAMAGES)
 def test_apply_batches_refuses_each_schedule_verify_flags_before_pulling_a_batch(damage):
     schedule = plan_schedule(

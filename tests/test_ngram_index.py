@@ -167,6 +167,23 @@ def test_offsets_beyond_32_bits_are_a_capacity_error():
         build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
 
 
+class _Tokens:
+    """A document of 2**32 tokens that are never read: only its length is asked for."""
+
+    def __len__(self):
+        return 2**32
+
+    def __getitem__(self, key):  # also what iterating it calls
+        raise AssertionError("the build read a token of a document it must refuse")
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_a_document_longer_than_a_u32_length_is_a_capacity_error(n):
+    # its length cannot be written in the file, whatever the n-gram order
+    with pytest.raises(IndexCapacityError, match=r"^doc 'huge': its doc ref or length exceeds 32 bits$"):
+        build_index([CorpusDocument("huge", _Tokens())], ScanConfig(n))
+
+
 @pytest.mark.parametrize("token", [-1, 2**32])
 def test_token_id_outside_32_bits_is_a_capacity_error(token):
     # the readers refuse such an id first; this guards documents built in memory
@@ -238,34 +255,62 @@ def test_every_strict_prefix_of_an_index_file_is_rejected(tmp_path):
     assert NGramIndex.load(path).posting_count == 3 * 5
 
 
+def _lengths_at(data) -> int:
+    """Where the document lengths of an index file start: after the 32-byte header and 16 bytes per posting."""
+    return ngram_index._HEADER.size + 16 * ngram_index._HEADER.unpack_from(data)[4]
+
+
 def test_doc_table_length_past_the_end_of_file_is_truncation(tmp_path):
-    # a damaged length is refused before it is read, however large it claims to be
+    # a damaged document or id length is refused before the tokens are read, however large it claims to be
     path = tmp_path / "full.ctkx"
     index_of([[1] * 20]).save(path)  # doc id "d0"
-    table = 32 + 8  # header, then the doc table's magic and count
-    for offset, what in ((table, "doc #0 id"), (table + 4 + 2, "doc #0 tokens")):
-        data = bytearray(path.read_bytes())
-        data[offset + 3] = 0xFF
+    data = path.read_bytes()
+    lengths = _lengths_at(data)
+    assert data[lengths : lengths + 8] == bytes([20, 0, 0, 0, 2, 0, 0, 0])  # 20 tokens, a 2-byte id
+    for offset, grown in ((lengths, 4 * 0xFF000000), (lengths + 4, 0xFF000000)):
+        damaged = bytearray(data)
+        damaged[offset + 3] = 0xFF
         bad = tmp_path / "bad.ctkx"
-        bad.write_bytes(bytes(data))
-        with pytest.raises(CorpusFormatError, match=f"bad.ctkx: truncated while reading {what}$"):
+        bad.write_bytes(bytes(damaged))
+        size = len(data) + grown
+        with pytest.raises(CorpusFormatError,
+                           match=f"bad.ctkx: file size differs from the {size} bytes its header and lengths describe$"):
             NGramIndex.load(bad)
+
+
+@pytest.mark.parametrize("field", ["posting count", "doc count", "document length", "id length"])
+def test_a_damaged_count_or_length_allocates_nothing(tmp_path, field):
+    path = tmp_path / "x.ctkx"
+    index_of([[1] * 20, [2] * 30]).save(path)
+    data = bytearray(path.read_bytes())
+    lengths = _lengths_at(data)
+    at, width = {"posting count": (16, 8), "doc count": (24, 8),
+                 "document length": (lengths + 4, 4), "id length": (lengths + 8 + 4, 4)}[field]
+    data[at : at + width] = b"\xff" * width
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusFormatError, match=r"x\.ctkx: file size "):
+            NGramIndex.load(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, f"a damaged {field} allocated {peak} bytes"
 
 
 def test_load_rejects_other_format_versions(tmp_path):
     path = tmp_path / "x.ctkx"
     index_of([[1] * 20]).save(path)
-    data = bytearray(path.read_bytes())
-    data[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(data)
-    with pytest.raises(CorpusFormatError, match="rebuild the index"):
-        NGramIndex.load(path)
+    for version in (1, 2, 4):
+        _with_header(path, version=lambda v: version)
+        with pytest.raises(CorpusFormatError, match=r"x.ctkx: not a version 3 index; rebuild the index$"):
+            NGramIndex.load(path)
 
 
 def _with_header(path, **changes):
     """Apply ``changes`` (field name -> function of the old value) to the header of the index file at ``path``."""
     data = bytearray(path.read_bytes())
-    names = ("magic", "version", "n", "bits", "posting_count", "table_bytes")
+    names = ("magic", "version", "n", "bits", "posting_count", "doc_count")
     header = dict(zip(names, ngram_index._HEADER.unpack_from(data)))
     header.update((name, change(header[name])) for name, change in changes.items())
     ngram_index._HEADER.pack_into(data, 0, *header.values())
@@ -281,31 +326,38 @@ def test_load_names_the_file_of_a_header_with_n_zero(tmp_path):
 
 
 def test_load_refuses_a_doc_table_size_that_differs_from_the_header(tmp_path):
-    # one posting fewer and 16 table bytes more: the file size still matches the header
+    # the header and the lengths describe the file exactly: one token more in
+    # a document length, or 4 bytes more at the end of the file, is refused
     path = tmp_path / "x.ctkx"
     index_of([[1] * 20]).save(path)
-    _with_header(path, posting_count=lambda c: c - 1, table_bytes=lambda b: b + 16)
-    with pytest.raises(CorpusFormatError, match=r"x.ctkx: doc table size differs from its header$"):
-        NGramIndex.load(path)
+    data = path.read_bytes()
+    longer = bytearray(data)
+    longer[_lengths_at(data)] += 1
+    for damaged, size in ((longer, len(data) + 4), (data + bytes(4), len(data))):
+        path.write_bytes(damaged)
+        with pytest.raises(CorpusFormatError,
+                           match=f"x.ctkx: file size differs from the {size} bytes its header and lengths describe$"):
+            NGramIndex.load(path)
 
 
-# sha256 of the .ctkx file of _golden_corpus() for each (n, fingerprint_bits),
-# recorded from the build that sorted every posting of the corpus at once: the
-# bucketed build must write the same bytes, also when fewer than six
-# fingerprint bits leave fewer bucket bits (bits 5 and 1)
+# sha256 of the version 3 .ctkx file of _golden_corpus() for each (n,
+# fingerprint_bits). Each file loads to the same arrays and ids as the version 2
+# file of the same corpus, whose digests were recorded from a build that sorted
+# every posting at once; so the bucketed build writes the global posting order,
+# also when fewer than six fingerprint bits leave fewer bucket bits (bits 5 and 1)
 INDEX_DIGESTS = {
-    (1, 64): "eb15d6c00e4dc9f474f998e41d79c0fd6731df2ac4c9b3261db65c6399a047e2",
-    (1, 8): "94c20b1577e17c6f40d7b495018918a1382226fcd8ba650bb6edc37a271c8edf",
-    (1, 5): "3284947e08634a6044c5274cc3777b59a05e8f59ec5ebed1bba934946c429111",
-    (1, 1): "26a0560b31a23f4519790349280ecd3e7d624c7e1c8c967d020a932cfdf5f9da",
-    (3, 64): "8d2dfc8ec7e5197f8739d0e8c5dbc6b811de188366a8a9feab8638a981fbc862",
-    (3, 8): "ed2f5426c8e70160362e1ed6258ffd912aaeda13f2f31bcce251aeeafe42f302",
-    (3, 5): "9a7f0b011bde2b6d5e1d847b5e8e4bdfce130503c4b89acac03e45a5de35eba8",
-    (3, 1): "929e0b4766df7eeec217a6aec4377750afc7e51dd6a127a6b9c650ae2908894c",
-    (8, 64): "76bcb14e45c75d5855a8077afc6ea0058ad386c748c372dcb6ab42328e11a459",
-    (8, 8): "2efb04e7f9bbc2f3699a9d59af4710c3e4b5ce6e45e3c5f9da70f2c37542cf83",
-    (8, 5): "e50e13ca68d9f3970d508a4563bb772f8f997b806bc70226611c0eec2f8e7315",
-    (8, 1): "a50442589b2a20699ec542f2be5afb811eedf517b0943fd4d29458e483217e35",
+    (1, 64): "1bcaaa4052ffc1c48e13e4fe90f6e3b08b16a0912331c8adfcbd7ae90b164574",
+    (1, 8): "38e4ff63003bd928ae9516c5201aa942451ea6ffb7d2f155bf41a25e6789a3c7",
+    (1, 5): "cba684c15bd90fcd6b7bf2b8d558eda17fa95c69f05183399941173ac5956475",
+    (1, 1): "089c8c33d6790a173a6237cd3c40779a308bac40a26f377338cec177413b5a22",
+    (3, 64): "573080e9cbc9c4150c2b78e4bd0f68c9b08b46dbd5a9e311a784720adda394dd",
+    (3, 8): "858e7e903711ebd405dc9dea657ae354819310cecaa34b5bffe28fef799e3b28",
+    (3, 5): "b52f21311a277da3e0e4ede1a09c7842fd15285d1d5909e5e9506b668fca7d6d",
+    (3, 1): "24387f47669197d741a6fc106e26f1cf90bf27047f77d8060d2f65cd07508c16",
+    (8, 64): "85bad4b39191dae69712336970c34306d5343aa339e9b184eeeadc54bc947523",
+    (8, 8): "6712248967e155a5b0023426b98c7d7ae80b006f24307904c447a258d715525a",
+    (8, 5): "6f3becef9d707fd7478185fcd1f613455ac85fe4b24d89a517219c6c614f0520",
+    (8, 1): "7577e87975ae03389bebe49be3aaf42d0efdde666abb5161df7b0ff0ce2182f5",
 }
 
 

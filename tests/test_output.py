@@ -8,7 +8,6 @@ or an output is one `error:` line and exit 2, not a traceback.
 """
 
 import json
-from array import array
 
 import pytest
 
@@ -19,9 +18,9 @@ from contamkit.corpus_io import (
     example_to_record,
     output_file,
     write_batches,
-    write_doc_table,
     write_json_lines,
 )
+from contamkit.ngram_index import ScanConfig, build_index
 
 from helpers import make_example, write_corpus
 from test_injector import _synth_stream
@@ -74,11 +73,11 @@ def test_write_json_lines_names_the_line_it_cannot_encode(tmp_path):
     assert _listing(tmp_path) == []
 
 
-def test_write_doc_table_names_the_doc_it_cannot_encode(tmp_path):
+def test_index_save_names_the_doc_it_cannot_encode(tmp_path):
     path = tmp_path / "c.ctkx"
+    index = build_index([CorpusDocument("a", [1]), CorpusDocument("x\ud800", [2])], ScanConfig(1))
     with pytest.raises(CorpusFormatError, match=r"c\.ctkx: doc #1: 'utf-8' codec can't encode"):
-        with output_file(path, "wb") as f:
-            write_doc_table(f, ["a", "x\ud800"], array("I", [1, 2]), array("Q", [0, 1, 2]), path)
+        index.save(path)
     assert _listing(tmp_path) == []
 
 
