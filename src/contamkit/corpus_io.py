@@ -24,9 +24,10 @@ values and not the object (schedule entries): every field is checked
 against its dataclass annotation (``int`` means non-negative; ``list[int]``
 is a token list, each id in ``[0, 2**32)``; ``float`` admits an int; none
 admits a bool) and ``__post_init__``, and ``path:line`` and the field are
-named; a stream line in the writer's exact form is checked by its pattern
-instead (below). Token ids are 32-bit in every format, so no reader yields one
-that an index cannot hold.
+named; a stream line (below) or a schedule entry line
+(:func:`contamkit.injector.read_schedule`) in its writer's exact form is
+checked by its pattern instead, to the same values. Token ids are 32-bit in
+every format, so no reader yields one that an index cannot hold.
 
 Readers stream one record at a time and never materialize a whole shard;
 ``read_corpus`` additionally accepts a directory of shards (read in sorted
@@ -345,13 +346,13 @@ def read_json_lines(path) -> Iterator[tuple[str, dict]]:
             yield where, _parse_object(line, where)
 
 
-def write_json_lines(path, records: Iterable[dict], sort_keys: bool = False) -> int:
+def write_json_lines(path, records: Iterable[dict]) -> int:
     """Write one JSON object per line through :func:`output_file`; returns the line count.
 
     A value that cannot be written as UTF-8 (a lone surrogate) raises
     :class:`CorpusFormatError` naming the path and line.
     """
-    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=sort_keys).encode
+    encode = json.JSONEncoder(ensure_ascii=False).encode
     return _write_lines(path, map(encode, records))
 
 
@@ -449,9 +450,10 @@ def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
         raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
     count = read_array(f, "I", 1, path, "doc count")[0]
     # A length is checked against the bytes left before it is read, so a
-    # damaged one cannot ask for gigabytes; a pipe's length is unknown.
+    # damaged one cannot ask for gigabytes; a pipe's length is unknown, so it is read in chunks.
     st = os.fstat(f.fileno())
     left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else math.inf
+    read = _read_chunks if left == math.inf else read_array
     for i in range(count):
         where = f"doc #{i}"
         id_len = read_array(f, "I", 1, path, f"{where} id length")[0]
@@ -459,14 +461,23 @@ def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
         if left < 0:
             raise CorpusFormatError(f"{path}: truncated while reading {where} id")
         try:
-            doc_id = str(read_array(f, "B", id_len, path, f"{where} id"), "utf-8")
+            doc_id = str(read(f, "B", id_len, path, f"{where} id"), "utf-8")
         except UnicodeDecodeError as e:
             raise CorpusFormatError(f"{path}: {where} id is not UTF-8") from e
         n_tok = read_array(f, "I", 1, path, f"{where} token count")[0]
         left -= 4 + 4 * n_tok
         if left < 0:
             raise CorpusFormatError(f"{path}: truncated while reading {where} tokens")
-        yield doc_id, read_array(f, "I", n_tok, path, f"{where} tokens")
+        yield doc_id, read(f, "I", n_tok, path, f"{where} tokens")
+
+
+def _read_chunks(f, typecode: str, count: int, path, what: str) -> array:
+    """:func:`read_array` in chunks of 65,536 items, for a file of unknown size
+    (a pipe): a damaged ``count`` allocates only what arrives before the end."""
+    values = array(typecode)
+    while len(values) < count:
+        values += read_array(f, typecode, min(count - len(values), 1 << 16), path, what)
+    return values
 
 
 def write_array(f, values: array) -> None:

@@ -40,10 +40,13 @@ A schedule holds its entries as columns (:class:`ScheduleEntries`), not one
 object per entry: about 59 B per entry.
 """
 
+import functools
+import json
 import math
+import re
 from array import array
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from itertools import chain, groupby, islice
 from operator import itemgetter, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
@@ -54,12 +57,19 @@ from .conditions import (
 )
 from .corpus_io import (
     CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, EncodedDocument,
-    Int64, TestExample, from_record, read_json_lines, record_values, write_json_lines,
+    Int64, TestExample, _parse_object, _write_lines, from_record, read_lines, record_values,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
 
 _MASK64 = (1 << 64) - 1
+
+_INT64 = "(0|[1-9][0-9]{0,17})"  # at most 18 digits: below 2**63 without a range test
+_PLAIN = r'"([^"\\\x00-\x1f]*)"'  # a JSON string with no escapes: its text is its value
+# An entry line exactly as write_schedule writes it, its string fields (but the
+# rendered text, kept raw and decoded apart) with no escapes.
+_SCHEDULE_LINE = (f'{{"copy_index": {_INT64}, "example_id": {_PLAIN}, "lang": {_PLAIN}, "part": {_PLAIN}, '
+                  f'"rendered_text": "(.*)", "slot": {_INT64}, "step": {_INT64}}}\n?')
 
 
 class TemplateError(ValueError):
@@ -356,29 +366,38 @@ def plan_schedule(
 def write_schedule(schedule: InjectionSchedule, path) -> int:
     """Write a plan: one JSON header line (the condition's, the config's and
     the schedule's own fields, plus branch_step and entry_count), then one
-    JSON line per entry."""
+    line per entry, keys sorted, from one template: each distinct string is
+    encoded once, and every line is what ``json.dumps(entry, ensure_ascii=False,
+    sort_keys=True)`` gives."""
     own = {key: value for key, value in vars(schedule).items() if key not in ("condition", "config", "entries")}
     header = {"kind": "injection-schedule", **vars(schedule.condition), **vars(schedule.config), **own,
               "branch_step": schedule.branch_step, "entry_count": len(schedule.entries)}
-    names = [f.name for f in fields(ScheduleEntry)]
-    rows = (dict(zip(names, row)) for row in zip(*schedule.entries.columns))  # builds no ScheduleEntry
-    write_json_lines(path, chain([header], rows), sort_keys=True)
+    _, _, example_id, _, part, text, lang = columns = schedule.entries.columns
+    quote = {s: json.dumps(s, ensure_ascii=False) for s in {*example_id, *part, *text, *lang}}
+    lines = (f'{{"copy_index": {c}, "example_id": {quote[e]}, "lang": {quote[g]}, "part": {quote[p]}, '
+             f'"rendered_text": {quote[r]}, "slot": {t}, "step": {s}}}' for s, t, e, c, p, r, g in zip(*columns))
+    _write_lines(path, chain([json.dumps(header, ensure_ascii=False, sort_keys=True)], lines))
     return len(schedule.entries)
 
 
 def read_schedule(path) -> InjectionSchedule:
     """Read a plan written by :func:`write_schedule`.
 
-    Every header field is required. Each entry line's checked values go
-    straight into the columns; no :class:`ScheduleEntry` is built. Raises
-    :class:`CorpusFormatError` naming the line and field of a malformed header
-    or entry, and the file when it does not hold the header's ``entry_count``
-    entries (a cut-short plan).
+    Every header field is required. An entry line in the exact form
+    :func:`write_schedule` writes is read by one full-line pattern (integers
+    of at most 18 digits, so below 2**63; ``example_id``, ``part`` and
+    ``lang`` without escapes; each distinct ``rendered_text`` decoded once);
+    any other line is decoded and checked field by field. Either way the
+    values go straight into the columns, the same values, and no
+    :class:`ScheduleEntry` is built. Raises :class:`CorpusFormatError` naming
+    the line and field of a malformed header or entry, and the file when it
+    does not hold the header's ``entry_count`` entries (a cut-short plan).
     """
-    records = read_json_lines(path)
-    where, header = next(records, (path, None))
+    lines = read_lines(path)
+    where, header = next(((f"{path}:{n}", line) for n, line in lines if line.strip()), (path, None))
     if header is None:
         raise CorpusFormatError(f"{path}: missing schedule header")
+    header = _parse_object(header, where)
     if header.get("kind") != "injection-schedule":
         raise CorpusFormatError(f"{where}: not an injection schedule file")
     if "entry_count" not in header:
@@ -392,10 +411,32 @@ def read_schedule(path) -> InjectionSchedule:
         config=from_record(TrainingConfig, header, where, defaults=False),
         entries=(),
     )
-    schedule.entries = ScheduleEntries(record_values(ScheduleEntry, r, where) for where, r in records)
+    match = re.compile(_SCHEDULE_LINE, re.S).fullmatch  # compiled here: a launch that reads no schedule skips it
+    decode = functools.cache(_string_value)
+
+    def rows():
+        for lineno, line in lines:
+            m = match(line)
+            if m and (text := decode(m[5])) is not None:
+                copy_index, example_id, lang, part, _, slot, step = m.groups()
+                yield int(step), int(slot), example_id, int(copy_index), part, text, lang
+            elif line.strip():
+                where = f"{path}:{lineno}"
+                yield record_values(ScheduleEntry, _parse_object(line, where), where)
+
+    schedule.entries = ScheduleEntries(rows())
     if len(schedule.entries) != entry_count:
         raise CorpusFormatError(f"{path}: header says {entry_count} entries, file has {len(schedule.entries)}")
     return schedule
+
+
+def _string_value(body: str) -> str | None:
+    """The value of the JSON string whose text between the quotes is ``body``, or
+    None when that is not a JSON string (an unescaped quote, a control character, a bad escape)."""
+    try:
+        return json.loads(f'"{body}"')
+    except ValueError:
+        return None
 
 
 # -- application and verification --------------------------------------------

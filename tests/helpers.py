@@ -2,11 +2,11 @@
 
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
-counting, schedule invariants one entry at a time, and batch streams one
-decoded record at a time. A ``ctk`` corpus is written by an encoder of its
-own (:func:`write_corpus`, with ``struct``), so the package's doc-table
-reader is tested against bytes that no package code produced. The paper's
-reference score tables are test data under ``tests/data``, read here.
+counting, schedule invariants one entry at a time, and batch streams and
+schedules one decoded record at a time. A ``ctk`` corpus is written by an
+encoder of its own (:func:`write_corpus`, with ``struct``), so the package's
+doc-table reader is tested against bytes that no package code produced. The
+paper's reference score tables are test data under ``tests/data``, read here.
 """
 
 import json
@@ -21,10 +21,13 @@ import numpy as np
 
 from contamkit.analytics import direction_of
 from contamkit.corpus_io import (
-    CorpusDocument, CorpusFormatError, EncodedDocument, StreamRecord, TestExample, doc_to_record, from_record,
-    read_json_lines, write_json_lines,
+    CorpusDocument, CorpusFormatError, EncodedDocument, StreamRecord, TestExample, _write_lines, doc_to_record,
+    from_record, read_json_lines, record_values, write_json_lines,
 )
-from contamkit.injector import MODE_LAYOUT, ScheduleReport
+from contamkit.injector import (
+    MODE_LAYOUT, ContaminationCondition, InjectionSchedule, ScheduleEntries, ScheduleEntry, ScheduleReport,
+    TrainingConfig,
+)
 from contamkit.matcher import MatchSpan
 from contamkit.metrics import EvalRecord
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
@@ -274,6 +277,50 @@ def encode_batches(batches, path) -> int:
         for step, batch in enumerate(batches)
         for slot, doc in enumerate(batch)
     ))
+
+
+def schedule_header(schedule) -> dict:
+    """The header record of a schedule file: the condition's, the config's and
+    the schedule's own fields, plus branch_step and entry_count."""
+    own = {key: value for key, value in vars(schedule).items() if key not in ("condition", "config", "entries")}
+    return {"kind": "injection-schedule", **vars(schedule.condition), **vars(schedule.config), **own,
+            "branch_step": schedule.branch_step, "entry_count": len(schedule.entries)}
+
+
+def encode_schedule(schedule, path) -> int:
+    """``write_schedule`` encoding the header and every entry as one JSON object
+    with sorted keys: the writer the entry-line template replaced, kept as its
+    exact-equality oracle."""
+    encode = json.JSONEncoder(ensure_ascii=False, sort_keys=True).encode
+    _write_lines(path, map(encode, [schedule_header(schedule), *(vars(e) for e in schedule.entries)]))
+    return len(schedule.entries)
+
+
+def decode_schedule(path) -> InjectionSchedule:
+    """``read_schedule`` decoding every line with ``json.loads`` and checking it
+    with ``record_values``: the reader the entry-line pattern replaced, kept as
+    its exact-equality oracle (same checks, same errors, in the same order)."""
+    records = read_json_lines(path)
+    where, header = next(records, (path, None))
+    if header is None:
+        raise CorpusFormatError(f"{path}: missing schedule header")
+    if header.get("kind") != "injection-schedule":
+        raise CorpusFormatError(f"{where}: not an injection schedule file")
+    if "entry_count" not in header:
+        raise CorpusFormatError(f"{where}: missing field 'entry_count'")
+    entry_count = header["entry_count"]
+    if type(entry_count) is not int or entry_count < 0:
+        raise CorpusFormatError(f"{where}: field 'entry_count' must be a non-negative integer")
+    schedule = from_record(
+        InjectionSchedule, header, where, defaults=False,
+        condition=from_record(ContaminationCondition, header, where, defaults=False),
+        config=from_record(TrainingConfig, header, where, defaults=False),
+        entries=(),
+    )
+    schedule.entries = ScheduleEntries(record_values(ScheduleEntry, r, where) for where, r in records)
+    if len(schedule.entries) != entry_count:
+        raise CorpusFormatError(f"{path}: header says {entry_count} entries, file has {len(schedule.entries)}")
+    return schedule
 
 
 def encoded(doc: CorpusDocument) -> EncodedDocument:

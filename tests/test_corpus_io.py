@@ -2,7 +2,9 @@ import json
 import os
 import random
 import re
+import struct
 import threading
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -198,6 +200,26 @@ def test_binary_shard_reads_from_a_pipe(tmp_path):
     assert list(read_corpus(fifo, fmt="ctk")) == docs
     writer.join(timeout=30)
     assert not writer.is_alive()
+
+
+def test_a_pipe_allocates_only_the_tokens_that_arrive(tmp_path):
+    # a pipe has no size to check a damaged count against before the read
+    data = b"CTK1" + struct.pack("<II1sII", 1, 1, b"a", 2**32 - 1, 7)  # 21 bytes: one token of 2**32 - 1
+    fifo = tmp_path / "fifo.ctk"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
+    writer.start()
+    tracemalloc.start()
+    try:
+        with pytest.raises(CorpusFormatError) as raised:
+            list(read_corpus(fifo, fmt="ctk"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert str(raised.value) == f"{fifo}: truncated while reading doc #0 tokens"
+    assert peak < 2 * 2**20, peak
 
 
 def test_unknown_format_rejected(tmp_path):
