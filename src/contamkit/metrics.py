@@ -14,9 +14,10 @@ pipeline, words from :func:`whitespace_tokens` for the plain-text files of the
 With ``smoothing="none"`` (the default) any zero precision zeroes the score;
 ``smoothing="add_one"`` adds one to the matched and total counts of every
 order above 1, which keeps tiny fixtures off the floor. Orders for which no
-hypothesis is long enough to have any n-grams are undefined and drop out of
-the geometric mean, so identical hypothesis/reference lists score exactly
-100 regardless of segment lengths.
+hypothesis is long enough to have any n-grams drop out of the geometric mean
+without smoothing, and score (0+1)/(0+1) = 1 under ``add_one``. Either way
+identical hypothesis/reference lists score exactly 100 regardless of segment
+lengths.
 """
 
 import math
@@ -95,23 +96,17 @@ def corpus_bleu(
     if hyp_len == 0:
         return 0.0
     log_sum = 0.0
-    # under add_one each uncounted order scores (0+1)/(0+1), adding log 1 = 0 and one to the mean
-    orders_used = max_order - orders if smoothing == "add_one" else 0
-    for k in range(orders):
+    for k in range(orders):  # the longest hypothesis has grams of every counted order, so t > 0
         m, t = matched[k], total[k]
         if smoothing == "add_one" and k > 0:
             m += 1
             t += 1
-        if t == 0:
-            # every hypothesis is shorter than k+1: the order is undefined and
-            # excluded from the mean (so identical inputs always score 100)
-            continue
         if m == 0:
             return 0.0
         log_sum += math.log(m / t)
-        orders_used += 1
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
-    return 100.0 * brevity * math.exp(log_sum / orders_used)
+    # under add_one each uncounted order scores (0+1)/(0+1), adding log 1 = 0 and one to the mean
+    return 100.0 * brevity * math.exp(log_sum / (max_order if smoothing == "add_one" else orders))
 
 
 def whitespace_tokens(text: str) -> list[str]:

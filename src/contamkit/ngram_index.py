@@ -62,7 +62,6 @@ _POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
 _DOC_BYTES = 8  # u32 document length + u32 id byte length
 _MAX_U32 = (1 << 32) - 1
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
-_ROLL_CHUNK = 1 << 14  # the build fingerprints at most this many grams of a document at once
 
 
 class IndexCapacityError(RuntimeError):
@@ -93,20 +92,21 @@ def fingerprint(tokens: Sequence[int], bits: int = 64) -> int:
     return h
 
 
-def gram_fingerprints(tokens: Sequence[int], n: int, bits: int = 64) -> list[int]:
+def gram_fingerprints(tokens: Sequence[int], n: int, bits: int = 64) -> Iterator[int]:
     """The fingerprint of every n-gram of ``tokens``, in offset order.
 
     One rolling pass: each fingerprint is the one before with the new token
     brought in and the old one dropped, which equals :func:`fingerprint` of
-    the gram. Empty when ``tokens`` is shorter than ``n``. The list costs
-    about 44 B per gram, so :func:`build_index` rolls a long document one
-    chunk at a time.
+    the gram. Yields nothing when ``tokens`` is shorter than ``n``. Each
+    fingerprint is yielded as the roll reaches it, so a pass holds only the
+    roll's state, and a caller that stops early rolls no further.
     """
     mask = (1 << bits) - 1
     shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
     h = fingerprint(tokens[: n - 1], bits)  # one token short: the first roll drops nothing
-    rolls = zip(tokens[n - 1 :], chain((0,), tokens))  # bring in new, drop old
-    return [h := (h * FINGERPRINT_BASE + new - old * shift_out) & mask for new, old in rolls]
+    for new, old in zip(islice(tokens, n - 1, None), chain((0,), tokens)):  # bring in new, drop old
+        h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
+        yield h
 
 
 class NGramIndex:
@@ -143,7 +143,8 @@ class NGramIndex:
         (:func:`gram_fingerprints`). They are NOT verified: under a
         fingerprint collision they hold postings of other n-grams too, so a
         caller must compare tokens before trusting a candidate. Lazy, so a
-        caller that stops early looks up no more grams.
+        caller that stops early neither fingerprints nor looks up the grams
+        it did not reach.
         """
         fps, refs, offsets = self._fps, self._refs, self._offsets
         size = len(fps)
@@ -238,9 +239,7 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     in the doc table. Postings are gathered into flat buckets by the top bits
     of their fingerprint and each bucket is sorted on its own, so the build
     never holds a Python object per posting of the whole corpus: it peaks at
-    about 46 B per posting above the interpreter. A document is fingerprinted
-    at most ``_ROLL_CHUNK`` grams at a time, so a long one adds no memory per
-    gram either.
+    about 46 B per posting above the interpreter.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
@@ -259,19 +258,16 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         tokens = doc.tokens
         if ref > _MAX_U32 or len(tokens) > _MAX_U32:  # the length bounds the offsets too
             raise IndexCapacityError(f"doc {doc.doc_id!r}: its doc ref or length exceeds 32 bits")
-        count = max(0, len(tokens) - n + 1)
         try:
             index.tokens.extend(array("I", tokens))
         except OverflowError:
             raise IndexCapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
-        for lo in range(0, count, _ROLL_CHUNK):
-            chunk = tokens[lo : lo + _ROLL_CHUNK + n - 1]
-            for offset, h in enumerate(gram_fingerprints(chunk, n, fingerprint_bits), lo):
-                b = h >> low_bits
-                add_fp[b](h)
-                add_ref[b](ref)
-                add_offset[b](offset)
+        for offset, h in enumerate(gram_fingerprints(tokens, n, fingerprint_bits)):
+            b = h >> low_bits
+            add_fp[b](h)
+            add_ref[b](ref)
+            add_offset[b](offset)
     del add_fp, add_ref, add_offset, seen  # the appenders hold the buckets too
     # buckets in ascending order, each sorted stably, are the global order
     for b, (fps, refs, offsets) in enumerate(buckets):

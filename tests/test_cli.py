@@ -159,7 +159,11 @@ def test_decontam_on_truncated_index_exits_two(tmp_path, capsys):
     _assert_one_error_line(capsys, "half.ctkx")
 
 
-def test_decontam_on_index_with_repeated_doc_id_names_the_file_and_doc(tmp_path, capsys):
+@pytest.mark.parametrize("last_id_byte,error", [
+    (b"a", "doc #1: duplicate doc_id 'a'"),
+    (b"\xff", "doc #1 id is not UTF-8"),
+], ids=["repeated", "not-utf8"])
+def test_decontam_on_index_with_a_bad_doc_id_names_the_file_and_doc(tmp_path, capsys, last_id_byte, error):
     corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
     write_corpus([CorpusDocument("a", list(range(10))), CorpusDocument("b", list(range(20)))], corpus_path)
     index_path = tmp_path / "corpus.ctkx"
@@ -167,11 +171,11 @@ def test_decontam_on_index_with_repeated_doc_id_names_the_file_and_doc(tmp_path,
     data = bytearray(index_path.read_bytes())
     # the ids come last, back to back: "a" then "b"
     assert data[-2:] == b"ab"
-    data[-1:] = b"a"
+    data[-1:] = last_id_byte
     index_path.write_bytes(data)
     capsys.readouterr()
     assert main(["decontam", "--testset", str(testset_path), "--index", str(index_path)]) == 2
-    assert capsys.readouterr().err == f"error: {index_path}: doc #1: duplicate doc_id 'a'\n"
+    assert capsys.readouterr().err == f"error: {index_path}: {error}\n"
 
 
 def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):

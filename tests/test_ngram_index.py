@@ -3,6 +3,7 @@ import itertools
 import random
 import sys
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -213,6 +214,19 @@ def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, data):
         assert [list(zip(refs, offsets)) for refs, offsets in entries] == [linear_scan(token_lists, g) for g in grams]
 
 
+def test_gram_fingerprints_rolls_lazily():
+    # as a list, a million fingerprints would take about 44 MB; the first one takes only the roll's state
+    tokens = array("I", range(1 << 20))
+    tracemalloc.start()
+    try:
+        first = next(iter(gram_fingerprints(tokens, 8)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert first == fingerprint(range(8))
+    assert peak < 1 << 20, f"the first fingerprint took {peak} bytes"
+
+
 # -- persistence and determinism ---------------------------------------------
 
 
@@ -383,12 +397,3 @@ def test_index_files_match_recorded_digests(tmp_path):
         for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1))
     }
     assert digests == INDEX_DIGESTS
-
-
-def test_index_files_match_recorded_digests_when_documents_roll_in_small_chunks(tmp_path, monkeypatch):
-    # chunks of 4 grams split most golden documents, and the roll restarts at each chunk
-    monkeypatch.setattr(ngram_index, "_ROLL_CHUNK", 4)
-    docs = _golden_corpus()
-    path = tmp_path / "i.ctkx"
-    for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1)):
-        assert _digest(build_index(docs, ScanConfig(n), bits), path) == INDEX_DIGESTS[(n, bits)]
