@@ -42,21 +42,19 @@ written back in that form. So every line is checked, and reading and
 writing a stream gives the same bytes either way.
 
 Every text file is read through :func:`read_lines`, which names undecodable
-bytes as ``path:line`` like any other malformed record, and every JSON line
-that is decoded is decoded by :func:`parse_json`. Every file contamkit
-writes goes through :func:`output_file`: a temporary file beside the target
-replaces it only when the whole output is written, so a failed write leaves
-an existing output untouched and no partial one behind.
+bytes as ``path:line`` like any other malformed record (``path`` alone in a
+pipe), and every JSON line that is decoded is decoded by :func:`parse_json`.
+Every file contamkit writes goes through :func:`output_file`: a temporary
+file beside the target replaces it only when the whole output is written, so
+a failed write leaves an existing output untouched and no partial one behind.
 Documents are plain dataclasses and safe to hand between threads once read;
 writers assume a single owner per output file.
 """
 
 import functools
 import json
-import math
 import os
 import re
-import stat
 import sys
 from array import array
 from contextlib import contextmanager
@@ -293,7 +291,7 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for every line of a UTF-8 text file, newline kept.
 
     Raises :class:`CorpusFormatError` naming the line and column of the first
-    byte that is not UTF-8.
+    byte that is not UTF-8, or only the file when it is not a regular file.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -304,13 +302,15 @@ def read_lines(path) -> Iterator[tuple[int, str]]:
 
 def _undecodable_line(path) -> str:
     # The reader decodes ahead of the line it yields, so its failure does not
-    # say where the bad byte is; find it, numbering lines as the reader does.
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        for lineno, line in enumerate(f, start=1):
-            bad = re.search("[\udc80-\udcff]", line)
-            if bad:
-                byte = ord(bad.group()) - 0xDC00
-                return f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x} at column {bad.start() + 1})"
+    # say where the bad byte is; find it, numbering lines as the reader does,
+    # in a regular file only: a pipe cannot be read again.
+    if os.path.isfile(path):
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            for lineno, line in enumerate(f, start=1):
+                bad = re.search("[\udc80-\udcff]", line)
+                if bad:
+                    byte = ord(bad.group()) - 0xDC00
+                    return f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x} at column {bad.start() + 1})"
     return f"{path}: not UTF-8"
 
 
@@ -432,48 +432,28 @@ def _read_jsonl_shard(shard: Path) -> Iterator[tuple[str, CorpusDocument]]:
 
 def _read_binary_shard(shard: Path) -> Iterator[tuple[str, CorpusDocument]]:
     with open(shard, "rb") as f:
-        for i, (doc_id, tokens) in enumerate(read_doc_table(f, shard)):
-            where = f"{shard}: doc #{i}"
-            yield where, from_record(CorpusDocument, {"doc_id": doc_id}, where, tokens=tokens.tolist())
+        magic = f.read(4)
+        if magic != _BINARY_MAGIC:
+            raise CorpusFormatError(f"{shard}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
+        count = read_array(f, "I", 1, shard, "doc count")[0]
+        for i in range(count):
+            doc = f"doc #{i}"
+            id_len = read_array(f, "I", 1, shard, f"{doc} id length")[0]
+            try:
+                doc_id = str(_read_chunks(f, "B", id_len, shard, f"{doc} id"), "utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusFormatError(f"{shard}: {doc} id is not UTF-8") from e
+            n_tok = read_array(f, "I", 1, shard, f"{doc} token count")[0]
+            tokens = _read_chunks(f, "I", n_tok, shard, f"{doc} tokens").tolist()
+            where = f"{shard}: {doc}"
+            yield where, from_record(CorpusDocument, {"doc_id": doc_id}, where, tokens=tokens)
         if f.read(1):
             raise CorpusFormatError(f"{shard}: trailing bytes after the last document")
 
 
-def read_doc_table(f, path) -> Iterator[tuple[str, array]]:
-    """Read the ``CTK1`` documents of the ``ctk`` corpus shard ``f``, which ``path`` names.
-
-    Yields ``(doc_id, tokens)`` with tokens as an ``array("I")``; leaves
-    ``f`` just past the last document.
-    """
-    magic = f.read(4)
-    if magic != _BINARY_MAGIC:
-        raise CorpusFormatError(f"{path}: bad magic {magic!r}, expected {_BINARY_MAGIC!r}")
-    count = read_array(f, "I", 1, path, "doc count")[0]
-    # A length is checked against the bytes left before it is read, so a
-    # damaged one cannot ask for gigabytes; a pipe's length is unknown, so it is read in chunks.
-    st = os.fstat(f.fileno())
-    left = st.st_size - f.tell() if stat.S_ISREG(st.st_mode) else math.inf
-    read = _read_chunks if left == math.inf else read_array
-    for i in range(count):
-        where = f"doc #{i}"
-        id_len = read_array(f, "I", 1, path, f"{where} id length")[0]
-        left -= 4 + id_len
-        if left < 0:
-            raise CorpusFormatError(f"{path}: truncated while reading {where} id")
-        try:
-            doc_id = str(read(f, "B", id_len, path, f"{where} id"), "utf-8")
-        except UnicodeDecodeError as e:
-            raise CorpusFormatError(f"{path}: {where} id is not UTF-8") from e
-        n_tok = read_array(f, "I", 1, path, f"{where} token count")[0]
-        left -= 4 + 4 * n_tok
-        if left < 0:
-            raise CorpusFormatError(f"{path}: truncated while reading {where} tokens")
-        yield doc_id, read(f, "I", n_tok, path, f"{where} tokens")
-
-
 def _read_chunks(f, typecode: str, count: int, path, what: str) -> array:
-    """:func:`read_array` in chunks of 65,536 items, for a file of unknown size
-    (a pipe): a damaged ``count`` allocates only what arrives before the end."""
+    """:func:`read_array` in chunks of 65,536 items, from any file: a damaged
+    ``count`` allocates at most one chunk beyond what the file or pipe holds."""
     values = array(typecode)
     while len(values) < count:
         values += read_array(f, typecode, min(count - len(values), 1 << 16), path, what)

@@ -37,11 +37,13 @@ u32 doc refs, u32 offsets, u32 document lengths, u32 id byte lengths, u32
 tokens, and last the UTF-8 doc ids back to back. So every numeric section
 starts at a multiple of its item size, and the file is written front to
 back. The header bounds the file size and the two length arrays fix it, so
-a damaged count or length is refused before the tokens are read. Versions 1
-and 2 are refused; rebuild them.
+a damaged count or length is refused before the tokens are read, and a file
+that is not regular (a pipe), which has no size, is refused. Versions 1 and
+2 are refused; rebuild them.
 """
 
 import os
+import stat
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -191,6 +193,9 @@ class NGramIndex:
     def load(cls, path) -> "NGramIndex":
         """Read an index written by :meth:`save`; raises :class:`CorpusFormatError` on any other file."""
         with open(path, "rb") as f:
+            st = os.fstat(f.fileno())
+            if not stat.S_ISREG(st.st_mode):
+                raise CorpusFormatError(f"{path}: not a regular file; an index is read by its size")
             header = f.read(_HEADER.size)
             if header[:4] != _INDEX_MAGIC:
                 raise CorpusFormatError(f"{path}: bad magic {header[:4]!r}, expected {_INDEX_MAGIC!r}")
@@ -199,7 +204,7 @@ class NGramIndex:
             _, version, n, bits, posting_count, doc_count = _HEADER.unpack(header)
             if version != _INDEX_VERSION:
                 raise CorpusFormatError(f"{path}: not a version {_INDEX_VERSION} index; rebuild the index")
-            file_size = os.fstat(f.fileno()).st_size
+            file_size = st.st_size
             size = _HEADER.size + _POSTING_BYTES * posting_count + _DOC_BYTES * doc_count
             if size > file_size:
                 raise CorpusFormatError(f"{path}: file size is less than the {size} bytes its header describes")

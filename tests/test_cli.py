@@ -6,6 +6,8 @@ import random
 import shlex
 import stat
 import struct
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -27,6 +29,7 @@ from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
 from helpers import decode_batches, make_example, random_tokens, write_corpus
 from test_injector import _synth_stream
+from test_lazy_imports import ENV
 
 
 # what every reader says of a token list holding an id outside [0, 2**32)
@@ -886,6 +889,50 @@ def test_index_to_a_fifo_names_the_path(tmp_path, capsys):
     assert main(["index", "--corpus", str(corpus_path), "--out", str(regular)]) == 0
     assert capsys.readouterr().out == out.replace(str(fifo), str(regular))
     assert received == [regular.read_bytes()]
+
+
+def _feed(fifo, data: bytes) -> threading.Thread:
+    """Start a thread that writes ``data`` into ``fifo``; a reader that stops early breaks the pipe, which it ignores."""
+    def write():
+        try:
+            fifo.write_bytes(data)
+        except BrokenPipeError:
+            pass
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    return writer
+
+
+def test_decontam_refuses_an_index_from_a_fifo_as_not_a_regular_file(tmp_path, capsys):
+    corpus_path, testset_path = _corpus_and_testset(tmp_path, planted=False)
+    index_path = _index(corpus_path)
+    fifo = tmp_path / "fifo.ctkx"
+    os.mkfifo(fifo)
+    writer = _feed(fifo, index_path.read_bytes())
+    capsys.readouterr()
+    assert main(["decontam", "--index", str(fifo), "--testset", str(testset_path)]) == 2
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert capsys.readouterr().err == f"error: {fifo}: not a regular file; an index is read by its size\n"
+
+
+def test_a_testset_fifo_with_a_bad_byte_names_the_file(tmp_path):
+    # run in a child with a timeout: locating the bad byte once opened the pipe again and waited for a writer for ever
+    rng = random.Random(0)
+    lines = []
+    while sum(map(len, lines)) < 128 * 1024:
+        ex = make_example(f"ex{len(lines)}", random_tokens(rng, 20, 10**6), random_tokens(rng, 20, 10**6))
+        lines.append(json.dumps(example_to_record(ex)).encode() + b"\n")
+    fifo = tmp_path / "testset.jsonl"
+    os.mkfifo(fifo)
+    writer = _feed(fifo, b"".join(lines) + b"\xff")
+    argv = ["inject", "plan", "--testset", str(fifo), "--mode", "full_prompted", "--temporal", "late",
+            "--copies", "1", "--steps", "100", "--batch-size", "64", "--out", str(tmp_path / "plan.jsonl")]
+    result = subprocess.run([sys.executable, "-m", "contamkit.cli", *argv], env=ENV, capture_output=True, text=True,
+                            timeout=30)
+    writer.join(timeout=30)
+    assert not writer.is_alive()
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {fifo}: not UTF-8\n")
 
 
 def test_bleu_defaults_are_those_of_corpus_bleu(capsys):

@@ -153,7 +153,7 @@ def test_binary_truncation_detected(tmp_path):
 
 @pytest.mark.parametrize("offset, what", [(8, "doc #0 id"), (8 + 4 + 2, "doc #0 tokens"), (36, "doc #1 tokens")])
 def test_binary_length_past_the_end_of_file_is_truncation(tmp_path, offset, what):
-    # a damaged length is refused before it is read, however large it claims to be
+    # a damaged length is refused once the file ends, however large it claims to be
     path = tmp_path / "c.ctk"
     write_corpus([CorpusDocument("d0", [1, 2, 3]), CorpusDocument("d1", [4])], path, fmt="ctk")
     data = bytearray(path.read_bytes())
@@ -202,23 +202,28 @@ def test_binary_shard_reads_from_a_pipe(tmp_path):
     assert not writer.is_alive()
 
 
-def test_a_pipe_allocates_only_the_tokens_that_arrive(tmp_path):
-    # a pipe has no size to check a damaged count against before the read
+@pytest.mark.parametrize("pipe", [True, False], ids=["fifo", "regular"])
+def test_a_pipe_allocates_only_the_tokens_that_arrive(tmp_path, pipe):
+    # a damaged count is read in chunks until the file ends, from a pipe (which has no size) and a regular file alike
     data = b"CTK1" + struct.pack("<II1sII", 1, 1, b"a", 2**32 - 1, 7)  # 21 bytes: one token of 2**32 - 1
-    fifo = tmp_path / "fifo.ctk"
-    os.mkfifo(fifo)
-    writer = threading.Thread(target=lambda: fifo.write_bytes(data), daemon=True)
-    writer.start()
+    path = tmp_path / "c.ctk"
+    if pipe:
+        os.mkfifo(path)
+        writer = threading.Thread(target=lambda: path.write_bytes(data), daemon=True)
+        writer.start()
+    else:
+        path.write_bytes(data)
     tracemalloc.start()
     try:
         with pytest.raises(CorpusFormatError) as raised:
-            list(read_corpus(fifo, fmt="ctk"))
+            list(read_corpus(path, fmt="ctk"))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    writer.join(timeout=30)
-    assert not writer.is_alive()
-    assert str(raised.value) == f"{fifo}: truncated while reading doc #0 tokens"
+    if pipe:
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+    assert str(raised.value) == f"{path}: truncated while reading doc #0 tokens"
     assert peak < 2 * 2**20, peak
 
 
