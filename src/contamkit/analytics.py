@@ -162,8 +162,6 @@ def render_impact(cells: Sequence[ImpactCell], fmt: str = "text") -> str:
             for c in cells
         ]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
     lines = []
     width = max([len("testset"), *(len(c.testset_id) for c in cells)])
     header = f"{'pair':<10} {'testset':<{width}} {'baseline':>9} {'contam':>9} {'delta':>8} {'pct':>8}"
@@ -191,8 +189,6 @@ def render_gaps(gaps: Sequence[GapCell], fmt: str = "text") -> str:
     if fmt == "json":
         payload = [{**{key: value for key, value in vars(g).items() if key != "condition"}, "gap": g.gap} for g in gaps]
         return json.dumps(payload, ensure_ascii=False, sort_keys=True)
-    if fmt != "text":
-        raise ValueError(f"unknown format {fmt!r}; expected 'text' or 'json'")
     lines = [f"{'pair':<10} {'d_contam':>9} {'d_clean':>9} {'gap':>8}"]
     for g in sorted(gaps, key=lambda g: g.lang_pair):
         lines.append(

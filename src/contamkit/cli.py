@@ -20,8 +20,9 @@ from dataclasses import replace
 # Each handler imports only the modules its subcommand runs; the parser reads
 # its choices and defaults from the modules imported here, never from the
 # planner or the metrics.
-from .conditions import CapacityError, ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
+from .conditions import ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
 from .corpus_io import (
+    _KINDS,
     CORPUS_FORMATS,
     FORMAT_JSONL,
     CorpusFormatError,
@@ -36,7 +37,7 @@ from .corpus_io import (
     write_testset,
     write_text,
 )
-from .ngram_index import IndexCapacityError, NGramIndex, ScanConfig, build_index
+from .ngram_index import NGramIndex, ScanConfig, build_index
 
 
 def _cmd_index(args) -> int:
@@ -125,19 +126,16 @@ def _cmd_inject_verify(args) -> int:
 
 
 def _read_segments(path, as_tokens: bool) -> list[list]:
-    from . import metrics
-
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
+    if not as_tokens:
+        return [line.split() for _, line in read_lines(path)]
+    is_tokens, what = _KINDS[list[int]]  # the rule of every token list in every format
     segments = []
     for lineno, line in read_lines(path):
-        line = line.rstrip("\n")
-        if not as_tokens:
-            segments.append(metrics.whitespace_tokens(line))
-            continue
         where = f"{path}:{lineno}"
         tokens = parse_json(line, where)
-        if not isinstance(tokens, list) or any(isinstance(t, (list, dict)) for t in tokens):
-            raise CorpusFormatError(f"{where}: segment must be a JSON array of scalar tokens")
+        if not is_tokens(tokens):
+            raise CorpusFormatError(f"{where}: segment must be {what}")
         segments.append(tokens)
     return segments
 
@@ -276,7 +274,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--smoothing", default="none", choices=("none", "add_one"))
     p.add_argument("--max-order", type=int, default=4)
     p.add_argument("--tokens", action="store_true",
-                   help="lines are JSON token arrays instead of whitespace-split text")
+                   help="each line is a JSON array of token ids (integers in [0, 2**32)) "
+                        "instead of whitespace-split text")
     p.set_defaults(func=_cmd_bleu)
 
     p = sub.add_parser("report", help="impact analytics from evaluation-record files")
@@ -295,7 +294,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, CapacityError, IndexCapacityError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -17,7 +17,7 @@ PART_SOURCE_HALF = "source_half"
 PART_TARGET_HALF = "target_half"
 
 
-class CapacityError(RuntimeError):
+class CapacityError(ValueError):
     """The plan needs more injection slots than the window provides."""
 
     def __init__(self, message: str, required: int | None = None, available: int | None = None):

@@ -413,8 +413,6 @@ def read_corpus(path, fmt: str = FORMAT_JSONL) -> Iterator[CorpusDocument]:
     shard), and field on malformed input and :class:`DuplicateIdError`,
     naming the same, on repeated doc_ids.
     """
-    if fmt not in CORPUS_FORMATS:
-        raise ValueError(f"unknown corpus format {fmt!r}; expected one of {CORPUS_FORMATS}")
     seen: set[str] = set()
     for shard in corpus_shards(path, fmt):
         reader = _read_jsonl_shard if fmt == FORMAT_JSONL else _read_binary_shard

@@ -135,8 +135,6 @@ def render_report(report: DecontamReport, fmt: str = "text") -> str:
     """Render a report as an aligned text document or as round-trippable JSON."""
     if fmt == "json":
         return report.to_json()
-    if fmt != "text":
-        raise ValueError(f"unknown report format {fmt!r}; expected 'text' or 'json'")
     pct = 100.0 * report.removed / report.total if report.total else 0.0
     lines = [
         "contamination report",

@@ -7,8 +7,8 @@ over all segments before precisions are taken (corpus aggregation), and a
 single reference per segment is assumed.
 
 Tokens are whatever hashable units the caller provides — integer ids in the
-pipeline, words from :func:`whitespace_tokens` for the plain-text files of the
-``bleu`` subcommand — so the module stays tokenizer-agnostic.
+pipeline, whitespace-split words for the plain-text files of the ``bleu``
+subcommand — so the module stays tokenizer-agnostic.
 :class:`EvalRecord` is one BLEU cell as the ``report`` subcommand reads it.
 
 With ``smoothing="none"`` (the default) any zero precision zeroes the score;
@@ -107,9 +107,3 @@ def corpus_bleu(
     brevity = 1.0 if hyp_len >= ref_len else math.exp(1.0 - ref_len / hyp_len)
     # under add_one each uncounted order scores (0+1)/(0+1), adding log 1 = 0 and one to the mean
     return 100.0 * brevity * math.exp(log_sum / (max_order if smoothing == "add_one" else orders))
-
-
-def whitespace_tokens(text: str) -> list[str]:
-    """Whitespace-splitting adapter for scoring plain-text fixtures."""
-    return text.split()
-

@@ -66,7 +66,7 @@ _MAX_U32 = (1 << 32) - 1
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 
 
-class IndexCapacityError(RuntimeError):
+class IndexCapacityError(ValueError):
     """The corpus exceeds what one index file can address; split the corpus into smaller shards."""
 
 

@@ -259,10 +259,3 @@ def test_render_gaps_json_leaves_the_condition_out():
     assert json.loads(render_gaps(gaps, "json")) == [
         {"lang_pair": "en-de", "delta_contaminated_set": 10.0, "delta_clean_set": 2.0, "gap": 8.0}
     ]
-
-
-def test_render_unknown_format_rejected():
-    with pytest.raises(ValueError):
-        render_impact([], "csv")
-    with pytest.raises(ValueError):
-        render_gaps([], "csv")

@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import random
 import shlex
 import stat
@@ -13,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import contamkit
 from contamkit import decontam, matcher, metrics
 from contamkit.cli import build_parser, main
 from contamkit.corpus_io import (
@@ -318,6 +321,39 @@ def test_inject_plan_verify_apply_pipeline(tmp_path, capsys):
     assert changed == len(schedule.entries)
 
 
+def _package_exceptions():
+    for info in pkgutil.iter_modules(contamkit.__path__):
+        module = importlib.import_module(f"contamkit.{info.name}")
+        for value in vars(module).values():
+            if isinstance(value, type) and issubclass(value, BaseException) and value.__module__ == module.__name__:
+                yield value
+
+
+def test_every_package_exception_is_a_value_error_that_main_reports(monkeypatch, capsys):
+    # main turns every refusal into one error line by catching ValueError and
+    # OSError alone, so a new exception class cannot be left out of its list
+    classes = set(_package_exceptions())
+    assert {"CapacityError", "IndexCapacityError", "CorpusFormatError"} <= {c.__name__ for c in classes}
+    for cls in classes:
+        assert issubclass(cls, ValueError), cls
+
+        def refuse(args, cls=cls):
+            raise cls("refused")
+
+        monkeypatch.setattr("contamkit.cli._cmd_inject_verify", refuse)
+        assert main(["inject", "verify", "--schedule", "s.jsonl"]) == 2, cls
+        assert capsys.readouterr().err == "error: refused\n", cls
+
+
+def test_main_lets_a_fault_of_the_program_through(monkeypatch):
+    def fail(args):
+        raise RuntimeError("a bug, not a refusal")
+
+    monkeypatch.setattr("contamkit.cli._cmd_inject_verify", fail)
+    with pytest.raises(RuntimeError):
+        main(["inject", "verify", "--schedule", "s.jsonl"])
+
+
 def test_inject_plan_capacity_error_exits_two(tmp_path, capsys):
     _, testset_path = _corpus_and_testset(tmp_path, planted=False)
     code = main([
@@ -555,15 +591,33 @@ def test_report_condition_with_two_faults_names_the_copies_count(tmp_path, capsy
 
 
 def test_bleu_tokens_line_not_a_json_array_exits_two_naming_the_line(tmp_path, capsys):
-    ref = tmp_path / "ref.jsonl"
-    ref.write_text("[1, 2]\n[3, 4]\n[5, 6]\n")
+    good = tmp_path / "good.jsonl"
+    good.write_text("[1, 2]\n[3, 4]\n[5, 6]\n")
     cases = (("not_json.jsonl", "not json"), ("object.jsonl", '{"x": 1}'), ("nested.jsonl", "[[1], 2]"),
              ("blank.jsonl", ""))
+    # a segment is a token list under the rule of every format: ids, not bools, floats, strings or null
+    cases += tuple((f"item{i}.jsonl", f"[{item}]")
+                   for i, item in enumerate(("true", "false", "1.0", "null", '"1"', "-1", "4294967296")))
     for name, bad in cases:
-        hyp = tmp_path / name
-        hyp.write_text(f"[1, 2]\n{bad}\n[5, 6]\n")
-        assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--tokens"]) == 2
-        _assert_one_error_line(capsys, f"{name}:2:")
+        path = tmp_path / name
+        path.write_text(f"[1, 2]\n{bad}\n[5, 6]\n")
+        for hyp, ref in ((path, good), (good, path)):
+            assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref), "--tokens"]) == 2, (name, hyp)
+            _assert_one_error_line(capsys, f"{path}:2:")
+    path = tmp_path / "true.jsonl"
+    path.write_text("[true]\n")
+    (tmp_path / "one.jsonl").write_text("[1]\n")
+    assert main(["bleu", "--hyp", str(path), "--ref", str(tmp_path / "one.jsonl"), "--tokens"]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: segment {TOKEN_IDS}\n"
+
+
+def test_bleu_text_mode_splits_lines_on_whitespace(tmp_path, capsys):
+    hyp = tmp_path / "hyp.txt"
+    ref = tmp_path / "ref.txt"
+    hyp.write_text("  a  bc\td \n")
+    ref.write_text("a bc d\n")
+    assert main(["bleu", "--hyp", str(hyp), "--ref", str(ref)]) == 0
+    assert capsys.readouterr().out.startswith("BLEU = 100.0000")
 
 
 

@@ -1,14 +1,18 @@
+import io
 import json
 import os
 import random
 import re
 import struct
+import sys
 import threading
+from array import array
 import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
 
+from contamkit import corpus_io
 from contamkit.corpus_io import (
     BatchStream,
     CorpusDocument,
@@ -18,7 +22,9 @@ from contamkit.corpus_io import (
     iter_batches,
     read_corpus,
     read_json_lines,
+    read_array,
     read_testset,
+    write_array,
     write_batches,
     write_testset,
 )
@@ -227,9 +233,23 @@ def test_a_pipe_allocates_only_the_tokens_that_arrive(tmp_path, pipe):
     assert peak < 2 * 2**20, peak
 
 
-def test_unknown_format_rejected(tmp_path):
-    with pytest.raises(ValueError, match="format"):
-        list(read_corpus(tmp_path / "c.x", fmt="parquet"))
+# -- byte order -------------------------------------------------------------
+
+# the byte order opposite to this host's: what the other kind of host would hold in memory
+FOREIGN = ">" if sys.byteorder == "little" else "<"
+
+
+def test_a_swapping_host_writes_and_reads_little_endian_arrays(monkeypatch):
+    # a host whose native order is not the files' swaps on write and on read;
+    # on this host, swapping writes the bytes of the opposite order
+    monkeypatch.setattr(corpus_io, "_SWAP", True)
+    for typecode, fmt, items in (("I", "I", [0, 1, 0x01020304, 2**32 - 1]), ("Q", "Q", [0, 0x0102030405060708])):
+        values = array(typecode, items)
+        out = io.BytesIO()
+        write_array(out, values)
+        assert out.getvalue() == struct.pack(f"{FOREIGN}{len(items)}{fmt}", *items)
+        assert values.tolist() == items, "the caller's array is left as it was"
+        assert read_array(io.BytesIO(out.getvalue()), typecode, len(items), "a", "items").tolist() == items
 
 
 # -- test sets ----------------------------------------------------------------

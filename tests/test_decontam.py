@@ -226,8 +226,3 @@ def test_last_histogram_bin_closes_at_one(bin_width, last_bin):
     _, report = decontaminate(examples, index_of(corpus), CFG, bin_width=bin_width)
     assert report.histogram[-1] == 1  # the planted example scores 1.0
     assert f"    {last_bin}  1\n" in render_report(report)
-
-
-def test_unknown_report_format_rejected():
-    with pytest.raises(ValueError, match="format"):
-        render_report(_headline_report(), "yaml")

@@ -249,6 +249,21 @@ def test_save_is_deterministic_and_load_round_trips(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_save_and_load_round_trip_on_a_swapping_host(tmp_path, monkeypatch):
+    # every index section goes through write_array and read_array, which swap
+    # each item on a host whose native order is not the file's
+    from contamkit import corpus_io
+
+    rng = random.Random(10)
+    original = index_of([random_tokens(rng, rng.randrange(0, 40), 8) for _ in range(30)])
+    monkeypatch.setattr(corpus_io, "_SWAP", True)
+    original.save(tmp_path / "i.ctkx")
+    loaded = NGramIndex.load(tmp_path / "i.ctkx")
+    for name in ("tokens", "starts", "_fps", "_refs", "_offsets"):
+        assert getattr(loaded, name) == getattr(original, name), name
+    assert [loaded.doc_id(r) for r in range(loaded.doc_count)] == [original.doc_id(r) for r in range(original.doc_count)]
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "x.ctkx"
     path.write_bytes(b"WRNG" + b"\x00" * 24)
