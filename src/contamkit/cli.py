@@ -22,17 +22,16 @@ from dataclasses import replace
 # planner or the metrics.
 from .conditions import ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
 from .corpus_io import (
-    _KINDS,
     CORPUS_FORMATS,
     FORMAT_JSONL,
     CorpusFormatError,
     from_record,
     iter_batches,
-    parse_json,
     read_corpus,
     read_json_lines,
     read_lines,
     read_testset,
+    read_token_segments,
     write_batches,
     write_testset,
     write_text,
@@ -127,17 +126,7 @@ def _cmd_inject_verify(args) -> int:
 
 def _read_segments(path, as_tokens: bool) -> list[list]:
     # One segment per line, blank lines included, so hypotheses and references stay aligned.
-    if not as_tokens:
-        return [line.split() for _, line in read_lines(path)]
-    is_tokens, what = _KINDS[list[int]]  # the rule of every token list in every format
-    segments = []
-    for lineno, line in read_lines(path):
-        where = f"{path}:{lineno}"
-        tokens = parse_json(line, where)
-        if not is_tokens(tokens):
-            raise CorpusFormatError(f"{where}: segment must be {what}")
-        segments.append(tokens)
-    return segments
+    return read_token_segments(path) if as_tokens else [line.split() for _, line in read_lines(path)]
 
 
 def _cmd_bleu(args) -> int:

@@ -14,6 +14,8 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
   (:mod:`contamkit.ngram_index`): whole arrays, which :func:`write_array`
   writes and :func:`read_array` reads.
 * Test-set JSON-lines: one :class:`TestExample` per line.
+* Token segments: one JSON array of token ids per line, read by
+  :func:`read_token_segments` (``contamkit bleu --tokens``).
 * Batch-stream JSON-lines: one :class:`StreamRecord` per line,
   ``{"step": int, "slot": int, "doc": <document>}``, step-major then
   slot-minor.
@@ -344,6 +346,23 @@ def read_json_lines(path) -> Iterator[tuple[str, dict]]:
         if line.strip():
             where = f"{path}:{lineno}"
             yield where, _parse_object(line, where)
+
+
+def read_token_segments(path) -> list[list[int]]:
+    """One token list per line of ``path``, under the rule of every token list; blank lines are refused.
+
+    Raises :class:`CorpusFormatError` naming the line when it is not a JSON
+    array of token ids (integers in ``[0, 2**32)``).
+    """
+    is_tokens, what = _KINDS[list[int]]
+    segments = []
+    for lineno, line in read_lines(path):
+        where = f"{path}:{lineno}"
+        tokens = parse_json(line, where)
+        if not is_tokens(tokens):
+            raise CorpusFormatError(f"{where}: segment must be {what}")
+        segments.append(tokens)
+    return segments
 
 
 def write_json_lines(path, records: Iterable[dict]) -> int:

@@ -6,8 +6,8 @@ import re
 import struct
 import sys
 import threading
-from array import array
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, strategies as st
@@ -243,11 +243,11 @@ def test_a_swapping_host_writes_and_reads_little_endian_arrays(monkeypatch):
     # a host whose native order is not the files' swaps on write and on read;
     # on this host, swapping writes the bytes of the opposite order
     monkeypatch.setattr(corpus_io, "_SWAP", True)
-    for typecode, fmt, items in (("I", "I", [0, 1, 0x01020304, 2**32 - 1]), ("Q", "Q", [0, 0x0102030405060708])):
+    for typecode, items in (("I", [0, 1, 0x01020304, 2**32 - 1]), ("Q", [0, 0x0102030405060708])):
         values = array(typecode, items)
         out = io.BytesIO()
         write_array(out, values)
-        assert out.getvalue() == struct.pack(f"{FOREIGN}{len(items)}{fmt}", *items)
+        assert out.getvalue() == struct.pack(f"{FOREIGN}{len(items)}{typecode}", *items)
         assert values.tolist() == items, "the caller's array is left as it was"
         assert read_array(io.BytesIO(out.getvalue()), typecode, len(items), "a", "items").tolist() == items
 

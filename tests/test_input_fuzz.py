@@ -69,8 +69,8 @@ def valid(tmp_path_factory):
             {"system_id": name[0], "lang_pair": pair, "testset_id": "t", "bleu": bleu, "segment_count": 4}
             for pair in ("en-de", "de-en")
         ])
-    _write_lines(d / "hyp.jsonl", [[1, 2, 3, 4], [5, 6, 7], ["a", "b", "c", "d", "e"]])
-    _write_lines(d / "ref.jsonl", [[1, 2, 3, 4], [5, 6, 8], ["a", "b", "c", "d"]])
+    _write_lines(d / "hyp.jsonl", [[1, 2, 3, 4], [5, 6, 7], [10, 11, 12, 13, 14]])
+    _write_lines(d / "ref.jsonl", [[1, 2, 3, 4], [5, 6, 8], [10, 11, 12, 13]])
     good = {name: (d / name).read_bytes() for name in ("t.jsonl", "c.jsonl", "c.ctk", "plan.jsonl", "base.jsonl",
                                                       "hyp.jsonl")}
     return d, good, len(schedule.entries)
