@@ -27,6 +27,7 @@ from .corpus_io import (
     CorpusFormatError,
     from_record,
     iter_batches,
+    output_file,
     read_corpus,
     read_json_lines,
     read_lines,
@@ -34,7 +35,6 @@ from .corpus_io import (
     read_token_segments,
     write_batches,
     write_testset,
-    write_text,
 )
 from .ngram_index import NGramIndex, ScanConfig, build_index
 
@@ -67,7 +67,8 @@ def _cmd_decontam(args) -> int:
         matcher.write_scores(report.scores, index, args.scores_out)
     rendered = decontam.render_report(report, args.report_format)
     if args.report_out:
-        write_text(args.report_out, rendered)
+        with output_file(args.report_out) as f:
+            f.write(rendered)
     else:
         print(rendered, end="")
     return decontam.EXIT_CLEAN if report.removed == 0 else decontam.EXIT_CONTAMINATED

@@ -18,7 +18,8 @@ PART_TARGET_HALF = "target_half"
 
 
 class CapacityError(ValueError):
-    """The plan needs more injection slots than the window provides."""
+    """A plan needs more injection slots than its window provides, or a corpus
+    exceeds what one index file can address (split it into smaller shards)."""
 
     def __init__(self, message: str, required: int | None = None, available: int | None = None):
         super().__init__(message)

@@ -24,7 +24,10 @@ Every JSON-lines record (here, and schedules and eval records) is read by
 :func:`from_record`, or by :func:`record_values` where a reader keeps the
 values and not the object (schedule entries): every field is checked
 against its dataclass annotation (``int`` means non-negative; ``list[int]``
-is a token list, each id in ``[0, 2**32)``; ``float`` admits an int; none
+is a token list, each id in ``[0, 2**32)``; ``str``, and each key and value
+of ``dict[str, str]``, is text that UTF-8 can encode (:func:`is_text`), so
+an escaped lone surrogate such as ``"\\ud800"`` is refused while an escaped
+surrogate pair is one character and read; ``float`` admits an int; none
 admits a bool) and ``__post_init__``, and ``path:line`` and the field are
 named; a stream line (below) or a schedule entry line
 (:func:`contamkit.injector.read_schedule`) in its writer's exact form is
@@ -76,14 +79,11 @@ CATEGORIES = (CATEGORY_MONOLINGUAL, CATEGORY_PARALLEL, CATEGORY_CONTAMINATION)
 
 _BINARY_MAGIC = b"CTK1"
 _SWAP = sys.byteorder == "big"  # files are little-endian; arrays are native
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode (is_text)
 
 
 class CorpusFormatError(ValueError):
     """A record does not conform to its documented format."""
-
-
-class DuplicateIdError(ValueError):
-    """The same id occurs more than once where uniqueness is required."""
 
 
 # annotates an integer field that may be negative (an ``int`` field may not)
@@ -185,6 +185,11 @@ _STREAM_LINE = (
 )
 
 
+def is_text(v) -> bool:
+    """Whether ``v`` is a string UTF-8 can encode: a ``str`` holding no lone surrogate (JSON ``"\\ud800"``)."""
+    return type(v) is str and (v.isascii() or not _SURROGATE.search(v))
+
+
 # The JSON test of each field annotation :func:`from_record` reads, and what
 # its error says the value must be.
 _KINDS = {
@@ -193,12 +198,13 @@ _KINDS = {
     Int64: (lambda v: type(v) is int and 0 <= v < 1 << 63, "a non-negative integer below 2**63"),
     float: (lambda v: type(v) is int or type(v) is float, "a number"),
     bool: (lambda v: type(v) is bool, "a boolean"),
-    str: (lambda v: type(v) is str, "a string"),
+    str: (is_text, "a string UTF-8 can encode"),
     # every item exactly an int (so no bool) that 32 bits hold, as every token id in every format
     list[int]: (lambda v: type(v) is list
                 and (not v or ({*map(type, v)} == {int} and min(v) >= 0 and max(v) < 1 << 32)),
                 "a list of token ids (integers in [0, 2**32))"),
-    dict[str, str]: (lambda v: type(v) is dict and all(type(x) is str for x in v.values()), "an object of strings"),
+    dict[str, str]: (lambda v: type(v) is dict and all(is_text(k) and is_text(x) for k, x in v.items()),
+                     "an object of strings UTF-8 can encode"),
 }
 
 
@@ -270,7 +276,8 @@ def output_file(path, mode: str = "w"):
     replaces the target once the block ends without error; on any error it is
     removed and the target is left as it was. A target that exists but is not
     a regular file (a FIFO, ``/dev/stdout``) is written in place. Text modes
-    write UTF-8.
+    write UTF-8. An ``OSError`` naming no file (a full disk, a file-size limit)
+    is given ``path`` as its ``filename``, so its message names the output.
     """
     encoding = None if "b" in mode else "utf-8"
     if os.path.exists(path) and not os.path.isfile(path):
@@ -283,9 +290,11 @@ def output_file(path, mode: str = "w"):
         with open(tmp, mode, encoding=encoding) as f:
             yield f
         os.replace(tmp, target)
-    except BaseException:
+    except BaseException as e:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(e, OSError) and e.filename is None:
+            e.filename = os.fspath(path)
         raise
 
 
@@ -378,7 +387,8 @@ def write_json_lines(path, records: Iterable[dict]) -> int:
 def _write_lines(path, lines: Iterable[str]) -> int:
     """Write each of ``lines`` and a newline through :func:`output_file`; returns
     the line count. A line that cannot be written as UTF-8 raises
-    :class:`CorpusFormatError` naming the path and line."""
+    :class:`CorpusFormatError` naming the path and line: no reader yields such a
+    string (:func:`is_text`), but an API caller can build an object with one."""
     count = 0
     with output_file(path) as f:
         try:
@@ -388,16 +398,6 @@ def _write_lines(path, lines: Iterable[str]) -> int:
         except UnicodeEncodeError as e:
             raise CorpusFormatError(f"{path}:{count}: {e}") from None
     return count
-
-
-def write_text(path, text: str) -> None:
-    """Write ``text`` through :func:`output_file`; a character that cannot be
-    written as UTF-8 raises :class:`CorpusFormatError` naming the path."""
-    with output_file(path) as f:
-        try:
-            f.write(text)
-        except UnicodeEncodeError as e:
-            raise CorpusFormatError(f"{path}: {e}") from None
 
 
 def doc_to_record(doc: CorpusDocument) -> dict:
@@ -428,16 +428,15 @@ def read_corpus(path, fmt: str = FORMAT_JSONL) -> Iterator[CorpusDocument]:
     """Stream documents from a corpus file or shard directory.
 
     Yields documents in shard order then record order. Raises
-    :class:`CorpusFormatError` naming shard, line (``doc #i`` in a ``ctk``
-    shard), and field on malformed input and :class:`DuplicateIdError`,
-    naming the same, on repeated doc_ids.
+    :class:`CorpusFormatError` naming shard and line (``doc #i`` in a ``ctk``
+    shard) on a repeated doc_id, and the field too on a malformed record.
     """
     seen: set[str] = set()
     for shard in corpus_shards(path, fmt):
         reader = _read_jsonl_shard if fmt == FORMAT_JSONL else _read_binary_shard
         for where, doc in reader(shard):
             if doc.doc_id in seen:
-                raise DuplicateIdError(f"{where}: duplicate doc_id {doc.doc_id!r}")
+                raise CorpusFormatError(f"{where}: duplicate doc_id {doc.doc_id!r}")
             seen.add(doc.doc_id)
             yield doc
 
@@ -507,7 +506,7 @@ def read_testset(path) -> list[TestExample]:
     for where, record in read_json_lines(path):
         ex = from_record(TestExample, record, where)
         if ex.example_id in seen:
-            raise DuplicateIdError(f"{where}: duplicate example_id {ex.example_id!r}")
+            raise CorpusFormatError(f"{where}: duplicate example_id {ex.example_id!r}")
         seen.add(ex.example_id)
         examples.append(ex)
     if not examples:

@@ -57,7 +57,7 @@ from .conditions import (
 )
 from .corpus_io import (
     CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, EncodedDocument,
-    Int64, TestExample, _parse_object, _write_lines, from_record, read_lines, record_values,
+    Int64, TestExample, _parse_object, _write_lines, from_record, is_text, read_lines, record_values,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
@@ -387,7 +387,8 @@ def read_schedule(path) -> InjectionSchedule:
     :func:`write_schedule` writes is read by one full-line pattern (integers
     of at most 18 digits, so below 2**63; ``example_id``, ``part`` and
     ``lang`` without escapes; each distinct ``rendered_text`` decoded once);
-    any other line is decoded and checked field by field. Either way the
+    any other line, or one whose ``rendered_text`` is not text UTF-8 can
+    encode, is decoded and checked field by field. Either way the
     values go straight into the columns, the same values, and no
     :class:`ScheduleEntry` is built. Raises :class:`CorpusFormatError` naming
     the line and field of a malformed header or entry, and the file when it
@@ -432,11 +433,13 @@ def read_schedule(path) -> InjectionSchedule:
 
 def _string_value(body: str) -> str | None:
     """The value of the JSON string whose text between the quotes is ``body``, or
-    None when that is not a JSON string (an unescaped quote, a control character, a bad escape)."""
+    None when that is not a JSON string (an unescaped quote, a control character,
+    a bad escape) or its value is not text UTF-8 can encode (a lone surrogate)."""
     try:
-        return json.loads(f'"{body}"')
+        value = json.loads(f'"{body}"')
     except ValueError:
         return None
+    return value if is_text(value) else None
 
 
 # -- application and verification --------------------------------------------

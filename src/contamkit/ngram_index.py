@@ -52,8 +52,8 @@ from operator import sub
 from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
-from .corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
-from .corpus_io import output_file, read_array, write_array
+from .conditions import CapacityError
+from .corpus_io import CorpusDocument, CorpusFormatError, is_text, output_file, read_array, write_array
 
 FINGERPRINT_BASE = 0x100000001B3
 _MASK64 = (1 << 64) - 1
@@ -64,10 +64,6 @@ _POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
 _DOC_BYTES = 8  # u32 document length + u32 id byte length
 _MAX_U32 = (1 << 32) - 1
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
-
-
-class IndexCapacityError(ValueError):
-    """The corpus exceeds what one index file can address; split the corpus into smaller shards."""
 
 
 @dataclass(frozen=True)
@@ -171,15 +167,9 @@ class NGramIndex:
     def save(self, path):
         """Write the index to a single file, bit-exact across platforms, one section after another.
 
-        An id that cannot be written as UTF-8 raises :class:`CorpusFormatError`
-        naming ``path`` and the document, before anything is written.
+        Every doc id encodes as UTF-8: :func:`build_index` admits no other, and :meth:`load` decodes strictly.
         """
-        ids = []
-        for ref, doc_id in enumerate(self._doc_ids):
-            try:
-                ids.append(doc_id.encode("utf-8"))
-            except UnicodeEncodeError as e:
-                raise CorpusFormatError(f"{path}: doc #{ref}: {e}") from None
+        ids = [doc_id.encode("utf-8") for doc_id in self._doc_ids]
         lengths = array("I", map(sub, islice(self.starts, 1, None), self.starts))
         with output_file(path, "wb") as f:
             f.write(_HEADER.pack(
@@ -241,10 +231,12 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     """Index a document stream; deterministic for a given corpus order.
 
     Documents shorter than the n-gram order contribute no postings but stay
-    in the doc table. Postings are gathered into flat buckets by the top bits
-    of their fingerprint and each bucket is sorted on its own, so the build
-    never holds a Python object per posting of the whole corpus: it peaks at
-    about 46 B per posting above the interpreter.
+    in the doc table. A doc id that repeats or is not text UTF-8 can encode
+    (no reader yields one) raises :class:`CorpusFormatError`. Postings are
+    gathered into flat buckets by the top bits of their fingerprint and each
+    bucket is sorted on its own, so the build never holds a Python object
+    per posting of the whole corpus: it peaks at about 46 B per posting
+    above the interpreter.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
@@ -256,17 +248,19 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     add_fp, add_ref, add_offset = ([bucket[i].append for bucket in buckets] for i in range(3))
     seen = set()  # only to refuse a repeated doc id; the index does not keep it
     for ref, doc in enumerate(corpus):
+        if not is_text(doc.doc_id):
+            raise CorpusFormatError(f"doc {doc.doc_id!r}: doc_id must be a string UTF-8 can encode")
         if doc.doc_id in seen:
-            raise DuplicateIdError(f"duplicate doc_id {doc.doc_id!r}")
+            raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
         index._doc_ids.append(doc.doc_id)
         tokens = doc.tokens
         if ref > _MAX_U32 or len(tokens) > _MAX_U32:  # the length bounds the offsets too
-            raise IndexCapacityError(f"doc {doc.doc_id!r}: its doc ref or length exceeds 32 bits")
+            raise CapacityError(f"doc {doc.doc_id!r}: its doc ref or length exceeds 32 bits")
         try:
             index.tokens.extend(array("I", tokens))
         except OverflowError:
-            raise IndexCapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
+            raise CapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
         for offset, h in enumerate(gram_fingerprints(tokens, n, fingerprint_bits)):
             b = h >> low_bits

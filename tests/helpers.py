@@ -1,4 +1,4 @@
-"""Independent oracles and synthetic-data builders shared across tests.
+"""Independent oracles, synthetic-data builders and byte-damage strategies shared across tests.
 
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, BLEU by direct list-based n-gram
@@ -11,6 +11,7 @@ paper's reference score tables are test data under ``tests/data``, read here.
 
 import json
 import math
+import os
 import random
 import statistics
 import struct
@@ -18,11 +19,13 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+from hypothesis import strategies as st
 
+import contamkit
 from contamkit.analytics import direction_of
 from contamkit.corpus_io import (
-    CorpusDocument, CorpusFormatError, EncodedDocument, StreamRecord, TestExample, _write_lines, doc_to_record,
-    from_record, read_json_lines, record_values, write_json_lines,
+    BatchStream, CorpusDocument, CorpusFormatError, EncodedDocument, StreamRecord, TestExample, _write_lines,
+    doc_to_record, from_record, read_json_lines, record_values, write_json_lines,
 )
 from contamkit.injector import (
     MODE_LAYOUT, ContaminationCondition, InjectionSchedule, ScheduleEntries, ScheduleEntry, ScheduleReport,
@@ -33,6 +36,13 @@ from contamkit.metrics import EvalRecord
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
 DATA = Path(__file__).resolve().parent / "data"
+SRC = str(Path(contamkit.__file__).resolve().parents[1])
+# the environment of a child interpreter that imports this checkout's package
+ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+
+# every character class the encoder treats apart: quote, backslash, letter
+# escapes, other C0 controls, DEL, non-ASCII and astral characters
+_CHARS = st.one_of(st.sampled_from('"\\\b\f\n\r\t\x00\x0b\x1f\x7f/é€ 😀'), st.characters(codec="utf-8"))
 
 
 def lcs_substring_length(a, b) -> int:
@@ -374,6 +384,34 @@ def random_tokens(rng: random.Random, length, vocab) -> list[int]:
     return [rng.randrange(vocab) for _ in range(length)]
 
 
+def _synth_stream(total_steps, batch_size, parallel_slots=(), seed=0):
+    """Synthetic stream; (step, slot) pairs in parallel_slots plus slot 0 of
+    every batch get parallel-category documents."""
+    rng = random.Random(seed)
+    parallel = set(parallel_slots)
+    steps = []
+    for step in range(total_steps):
+        batch = []
+        for slot in range(batch_size):
+            is_parallel = (step, slot) in parallel or slot == 0
+            batch.append(
+                CorpusDocument(
+                    doc_id=f"doc-{step}-{slot}",
+                    tokens=[rng.randrange(500) for _ in range(4)],
+                    category="parallel" if is_parallel else "monolingual",
+                    lang="en",
+                )
+            )
+        steps.append(batch)
+    return BatchStream(batch_size=batch_size, steps=steps)
+
+
+def _escape_all(text: str) -> str:
+    """``text`` as a JSON string body of \\u escapes only (astral characters as surrogate pairs)."""
+    units = text.encode("utf-16-le")
+    return "".join(f"\\u{int.from_bytes(units[i:i + 2], 'little'):04x}" for i in range(0, len(units), 2))
+
+
 def plant(field, segment, at) -> None:
     """Overwrite field[at:at+len(segment)] with segment, in place."""
     field[at : at + len(segment)] = segment
@@ -408,3 +446,21 @@ def direction_group(cells) -> dict[str, float]:
         if cell.pct is not None:
             pcts.setdefault(direction_of(cell.lang_pair), []).append(cell.pct)
     return {group: statistics.fmean(values) for group, values in pcts.items()}
+
+
+# -- byte damage, as hypothesis strategies over a valid file's bytes ----------------
+
+
+def _truncate(data: bytes):
+    return st.integers(0, len(data) - 1).map(lambda k: data[:k])
+
+
+def _overwrite(data: bytes):
+    def apply(edits):
+        out = bytearray(data)
+        for pos, value in edits:
+            out[pos] = value
+        return bytes(out)
+
+    edit = st.tuples(st.integers(0, len(data) - 1), st.integers(0, 255))
+    return st.lists(edit, min_size=1, max_size=3).map(apply)

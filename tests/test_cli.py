@@ -30,9 +30,7 @@ from contamkit.injector import apply_schedule, read_schedule, write_schedule
 from contamkit.metrics import corpus_bleu
 from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
-from helpers import decode_batches, make_example, random_tokens, write_corpus
-from test_injector import _synth_stream
-from test_lazy_imports import ENV
+from helpers import ENV, _synth_stream, decode_batches, make_example, random_tokens, write_corpus
 
 
 # what every reader says of a token list holding an id outside [0, 2**32)
@@ -333,7 +331,7 @@ def test_every_package_exception_is_a_value_error_that_main_reports(monkeypatch,
     # main turns every refusal into one error line by catching ValueError and
     # OSError alone, so a new exception class cannot be left out of its list
     classes = set(_package_exceptions())
-    assert {"CapacityError", "IndexCapacityError", "CorpusFormatError"} <= {c.__name__ for c in classes}
+    assert {"CapacityError", "CorpusFormatError"} <= {c.__name__ for c in classes}
     for cls in classes:
         assert issubclass(cls, ValueError), cls
 

@@ -17,7 +17,6 @@ from contamkit.corpus_io import (
     BatchStream,
     CorpusDocument,
     CorpusFormatError,
-    DuplicateIdError,
     TestExample,
     iter_batches,
     read_corpus,
@@ -103,7 +102,7 @@ def test_duplicate_doc_id_rejected(tmp_path):
     write_corpus(docs_from_tokens([[1], [2]]), path)
     text = path.read_text()
     path.write_text(text + '{"doc_id":"d0","tokens":[3]}\n')
-    with pytest.raises(DuplicateIdError, match="d0"):
+    with pytest.raises(CorpusFormatError, match="d0"):
         list(read_corpus(path))
 
 
@@ -306,7 +305,7 @@ def test_read_testset_empty_tokens_rejected(tmp_path):
 def test_read_testset_duplicate_id_rejected(tmp_path):
     path = tmp_path / "t.jsonl"
     path.write_text(json.dumps(_example_record()) + "\n" + json.dumps(_example_record()) + "\n")
-    with pytest.raises(DuplicateIdError, match="ex0"):
+    with pytest.raises(CorpusFormatError, match="ex0"):
         read_testset(path)
 
 

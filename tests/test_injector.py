@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit.conditions import PART_SOURCE_HALF, PART_TARGET_HALF, PART_WHOLE
-from contamkit.corpus_io import BatchStream, CorpusDocument
+from contamkit.corpus_io import BatchStream
 from contamkit.injector import (
     CapacityError,
     ContaminationCondition,
@@ -33,7 +33,7 @@ from contamkit.injector import (
 )
 from contamkit.corpus_io import TestExample
 
-from helpers import array_sample_slots, make_example, verify_schedule_per_entry
+from helpers import _synth_stream, array_sample_slots, make_example, verify_schedule_per_entry
 
 DIEGO = TestExample(
     example_id="diego",
@@ -693,28 +693,6 @@ def test_verify_memory_follows_integer_keys_not_tuples(tmp_path):
 
 
 # -- application --------------------------------------------------------------------
-
-
-def _synth_stream(total_steps, batch_size, parallel_slots=(), seed=0):
-    """Synthetic stream; (step, slot) pairs in parallel_slots plus slot 0 of
-    every batch get parallel-category documents."""
-    rng = random.Random(seed)
-    parallel = set(parallel_slots)
-    steps = []
-    for step in range(total_steps):
-        batch = []
-        for slot in range(batch_size):
-            is_parallel = (step, slot) in parallel or slot == 0
-            batch.append(
-                CorpusDocument(
-                    doc_id=f"doc-{step}-{slot}",
-                    tokens=[rng.randrange(500) for _ in range(4)],
-                    category="parallel" if is_parallel else "monolingual",
-                    lang="en",
-                )
-            )
-        steps.append(batch)
-    return BatchStream(batch_size=batch_size, steps=steps)
 
 
 def _diff_slots(a: BatchStream, b: BatchStream):

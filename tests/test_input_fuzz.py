@@ -1,13 +1,13 @@
 """Fuzz the bytes of every input format through the command that reads it.
 
-A valid test set, jsonl or `ctk` corpus, schedule, eval-record file or
-`bleu --tokens` hypothesis file is truncated at a random byte or line end, or
-has one to three bytes overwritten (the batch stream has its own test in
-`test_stream_fuzz.py`). Whatever the damage, each command either ends with its
-normal exit code or exits 2 with exactly one `error:` line, which names one
-of the command's input files. The work directory never holds a `*.tmp`, a
-failed run leaves no output, and a successful apply writes exactly as many
-contamination documents as the undamaged plan has entries.
+A valid test set, jsonl or `ctk` corpus, schedule, batch stream, eval-record
+file or `bleu --tokens` hypothesis file is truncated at a random byte or line
+end, or has one to three bytes overwritten. Whatever the damage, each command
+either ends with its normal exit code or exits 2 with exactly one `error:`
+line, which names one of the command's input files. The work directory never
+holds a `*.tmp`, a failed run leaves no output, and a successful apply writes
+exactly `STEPS` batches of `BATCH` documents, as many of them contamination
+documents as the undamaged plan has entries.
 """
 
 import contextlib
@@ -29,9 +29,7 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import make_example, write_corpus
-from test_injector import _synth_stream
-from test_stream_fuzz import _overwrite, _truncate
+from helpers import _overwrite, _synth_stream, _truncate, make_example, write_corpus
 
 STEPS = 8
 BATCH = 8
@@ -71,8 +69,7 @@ def valid(tmp_path_factory):
         ])
     _write_lines(d / "hyp.jsonl", [[1, 2, 3, 4], [5, 6, 7], [10, 11, 12, 13, 14]])
     _write_lines(d / "ref.jsonl", [[1, 2, 3, 4], [5, 6, 8], [10, 11, 12, 13]])
-    good = {name: (d / name).read_bytes() for name in ("t.jsonl", "c.jsonl", "c.ctk", "plan.jsonl", "base.jsonl",
-                                                      "hyp.jsonl")}
+    good = {name: (d / name).read_bytes() for name in (*FORMATS, STREAM)}
     return d, good, len(schedule.entries)
 
 
@@ -97,16 +94,29 @@ def _commands(d, damaged):
         ],
         "base.jsonl": [(["report", "--baseline", damaged, "--contaminated", str(d / "cont.jsonl")], (0,))],
         "hyp.jsonl": [(["bleu", "--hyp", damaged, "--ref", str(d / "ref.jsonl"), "--tokens"], (0,))],
+        STREAM: [(["inject", "apply", "--stream", damaged, "--schedule", str(d / "plan.jsonl"),
+                   "--out", str(d / "out.jsonl")], (0,))],
     }
 
 
 FORMATS = ["t.jsonl", "c.jsonl", "c.ctk", "plan.jsonl", "base.jsonl", "hyp.jsonl"]
+STREAM = "s.jsonl"
 
 
 @pytest.mark.parametrize("name", FORMATS)
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_damaged_input_runs_cleanly_or_exits_two(valid, name, data):
+    _run_damaged(valid, name, data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_damaged_stream_applies_cleanly_or_exits_two(valid, data):
+    _run_damaged(valid, STREAM, data)
+
+
+def _run_damaged(valid, name, data):
     d, good, entries = valid
     damage = st.one_of(_truncate(good[name]), _cut_at_line_end(good[name]), _overwrite(good[name]))
     damaged_bytes = data.draw(damage, label="damaged")
@@ -130,5 +140,6 @@ def test_damaged_input_runs_cleanly_or_exits_two(valid, name, data):
         assert all(line.startswith("warning: ") for line in lines), lines
         assert written == sorted(Path(a).name for a in argv if Path(a).name in OUTPUTS), written
         if argv[:2] == ["inject", "apply"]:
-            docs = [doc for batch in iter_batches(d / "out.jsonl") for doc in batch]
-            assert sum(doc.category == "contamination" for doc in docs) == entries
+            out = list(iter_batches(d / "out.jsonl"))
+            assert len(out) == STEPS and {len(batch) for batch in out} == {BATCH}
+            assert sum(doc.category == "contamination" for batch in out for doc in batch) == entries

@@ -9,10 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from contamkit import ngram_index
-from contamkit.corpus_io import CorpusDocument, CorpusFormatError, DuplicateIdError
+from contamkit.conditions import CapacityError
+from contamkit.corpus_io import CorpusDocument, CorpusFormatError
 from contamkit.matcher import MatchSpan, longest_span
 from contamkit.ngram_index import (
-    IndexCapacityError,
     NGramIndex,
     ScanConfig,
     build_index,
@@ -133,8 +133,16 @@ def test_token_at_spot_checks_against_source():
 
 def test_duplicate_doc_id_rejected():
     docs = [CorpusDocument("same", [1] * 8), CorpusDocument("same", [2] * 8)]
-    with pytest.raises(DuplicateIdError, match="^duplicate doc_id 'same'$"):
+    with pytest.raises(CorpusFormatError, match="^duplicate doc_id 'same'$"):
         build_index(docs, ScanConfig())
+
+
+def test_build_index_refuses_a_doc_id_utf8_cannot_encode():
+    # the readers refuse such an id first; this guards documents built in memory, which save could not write
+    docs = [CorpusDocument("a", [1]), CorpusDocument("x\ud800", [2])]
+    with pytest.raises(CorpusFormatError, match=r"^doc 'x\\ud800': doc_id must be a string UTF-8 can encode$"):
+        build_index(docs, ScanConfig(1))
+    assert build_index([CorpusDocument("x\U0001f600", [2])], ScanConfig(1)).doc_id(0) == "x\U0001f600"
 
 
 def _kept_bytes(make):
@@ -164,7 +172,7 @@ def test_an_index_keeps_no_set_of_its_doc_ids(tmp_path):
 
 def test_offsets_beyond_32_bits_are_a_capacity_error():
     # 2**32 + 1 postings need offset 2**32; the build refuses the doc before reading its tokens
-    with pytest.raises(IndexCapacityError, match="'huge'"):
+    with pytest.raises(CapacityError, match="'huge'"):
         build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
 
 
@@ -181,14 +189,14 @@ class _Tokens:
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_a_document_longer_than_a_u32_length_is_a_capacity_error(n):
     # its length cannot be written in the file, whatever the n-gram order
-    with pytest.raises(IndexCapacityError, match=r"^doc 'huge': its doc ref or length exceeds 32 bits$"):
+    with pytest.raises(CapacityError, match=r"^doc 'huge': its doc ref or length exceeds 32 bits$"):
         build_index([CorpusDocument("huge", _Tokens())], ScanConfig(n))
 
 
 @pytest.mark.parametrize("token", [-1, 2**32])
 def test_token_id_outside_32_bits_is_a_capacity_error(token):
     # the readers refuse such an id first; this guards documents built in memory
-    with pytest.raises(IndexCapacityError, match=r"^doc 'wide': token ids must be integers in \[0, 2\*\*32\)$"):
+    with pytest.raises(CapacityError, match=r"^doc 'wide': token ids must be integers in \[0, 2\*\*32\)$"):
         build_index([CorpusDocument("wide", [1, 2, token, 3] * 4)], ScanConfig())
 
 

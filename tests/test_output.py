@@ -1,13 +1,18 @@
 """Every file contamkit writes goes through `corpus_io.output_file`.
 
 An output is written to a temporary file beside the target, which replaces
-the target only when the whole output is written. A command that fails after
-it started writing exits 2 with one `error:` line, leaves an existing target
-byte-unchanged and leaves no `*.tmp` behind. A directory given as an input
-or an output is one `error:` line and exit 2, not a traceback.
+the target only when the whole output is written. A command whose input is
+refused, or whose write fails part-way (here under a file-size limit), exits
+2 with one `error:` line naming the input or the output, leaves an existing
+target byte-unchanged and leaves no `*.tmp` behind. A directory given as an
+input or an output is one `error:` line and exit 2, not a traceback.
 """
 
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -20,10 +25,8 @@ from contamkit.corpus_io import (
     write_batches,
     write_json_lines,
 )
-from contamkit.ngram_index import ScanConfig, build_index
 
-from helpers import make_example, write_corpus
-from test_injector import _synth_stream
+from helpers import ENV, _synth_stream, make_example, write_corpus
 
 STEPS = 100
 BATCH = 64
@@ -73,20 +76,12 @@ def test_write_json_lines_names_the_line_it_cannot_encode(tmp_path):
     assert _listing(tmp_path) == []
 
 
-def test_index_save_names_the_doc_it_cannot_encode(tmp_path):
-    path = tmp_path / "c.ctkx"
-    index = build_index([CorpusDocument("a", [1]), CorpusDocument("x\ud800", [2])], ScanConfig(1))
-    with pytest.raises(CorpusFormatError, match=r"c\.ctkx: doc #1: 'utf-8' codec can't encode"):
-        index.save(path)
-    assert _listing(tmp_path) == []
-
-
 # -- the CLI -------------------------------------------------------------------
 
 
 @pytest.fixture
 def work(tmp_path):
-    """Valid inputs, and copies whose third record holds a lone surrogate (valid JSON, not writable as UTF-8)."""
+    """Valid inputs, and copies whose third record holds a lone surrogate (valid JSON, not text UTF-8 can encode)."""
     examples = [make_example(f"ex{i}", [i + 1, 7, 8, 9], [i + 2, 9, 9, 1]) for i in range(4)]
     records = [example_to_record(ex) for ex in examples]
     _write_lines(tmp_path / "t.jsonl", records)
@@ -120,31 +115,42 @@ def _plan(d, testset, out):
             "--copies", "1", "--steps", str(STEPS), "--batch-size", str(BATCH), "--out", str(d / out)]
 
 
-FAILED_WRITES = {
-    # name: (argv of a command that fails while it writes `out`, out, start of the error after `error: <out>`)
+WRITERS = {
+    # name: (argv of a command that writes `out` from an input whose third record holds a
+    # lone surrogate, out, that input, the field that holds it)
     "index": (lambda d: ["index", "--corpus", str(d / "bad_c.jsonl"), "--out", str(d / "i.ctkx")],
-              "i.ctkx", ": doc #2: 'utf-8' codec can't encode"),
+              "i.ctkx", "bad_c.jsonl", "doc_id"),
     "decontam --out": (lambda d: ["decontam", "--testset", str(d / "bad_text.jsonl"), "--index", str(d / "c3.ctkx"),
                                   "--out", str(d / "kept.jsonl")],
-                       "kept.jsonl", ":3: 'utf-8' codec can't encode"),
+                       "kept.jsonl", "bad_text.jsonl", "source_text"),
     "decontam --scores-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--index",
                                          str(d / "c3.ctkx"), "--scores-out", str(d / "scores.jsonl")],
-                              "scores.jsonl", ":3: 'utf-8' codec can't encode"),
+                              "scores.jsonl", "bad_id.jsonl", "example_id"),
     "decontam --report-out": (lambda d: ["decontam", "--testset", str(d / "bad_id.jsonl"), "--index",
                                          str(d / "hit3.ctkx"), "--report-format", "json",
                                          "--report-out", str(d / "report.json")],
-                              "report.json", ": 'utf-8' codec can't encode"),
-    "inject plan": (lambda d: _plan(d, "bad_text.jsonl", "plan2.jsonl"), "plan2.jsonl", ":"),
+                              "report.json", "bad_id.jsonl", "example_id"),
+    "inject plan": (lambda d: _plan(d, "bad_text.jsonl", "plan2.jsonl"), "plan2.jsonl", "bad_text.jsonl", "source_text"),
     "inject apply": (lambda d: ["inject", "apply", "--stream", str(d / "bad_s.jsonl"), "--schedule",
                                 str(d / "plan.jsonl"), "--out", str(d / "out.jsonl")],
-                     "out.jsonl", ":3: 'utf-8' codec can't encode"),
+                     "out.jsonl", "bad_s.jsonl", "doc_id"),
 }
+# each bad input and the valid one it was made from
+VALID = {"bad_c.jsonl": "c.jsonl", "bad_text.jsonl": "t.jsonl", "bad_id.jsonl": "t.jsonl", "bad_s.jsonl": "s.jsonl"}
 
 
-@pytest.mark.parametrize("name", sorted(FAILED_WRITES))
+def _valid_argv(d, name):
+    argv = WRITERS[name][0](d)
+    for bad, good in VALID.items():
+        argv = [a.replace(bad, good) for a in argv]
+    return argv
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
 @pytest.mark.parametrize("existing", [None, PREVIOUS], ids=["absent", "existing"])
 def test_failed_write_leaves_no_output_and_no_tmp(work, capsys, name, existing):
-    argv, out, message = FAILED_WRITES[name]
+    """The input is refused as it is read, naming its line and field, before any output is complete."""
+    argv, out, bad, field = WRITERS[name]
     out_path = work / out
     if existing is not None:
         out_path.write_bytes(existing)
@@ -152,22 +158,44 @@ def test_failed_write_leaves_no_output_and_no_tmp(work, capsys, name, existing):
     capsys.readouterr()
     assert main(argv(work)) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: {out_path}{message}"), err
-    assert "surrogates not allowed" in err[0]
+    assert err == [f"error: {work / bad}:3: field '{field}' must be a string UTF-8 can encode"]
     assert _listing(work) == before
     if existing is not None:
         assert out_path.read_bytes() == existing
 
 
 def test_failed_writes_succeed_on_the_valid_inputs(work, capsys):
-    """The commands above fail only because of the lone surrogate."""
-    swap = {"bad_c.jsonl": "c.jsonl", "bad_text.jsonl": "t.jsonl", "bad_id.jsonl": "t.jsonl", "bad_s.jsonl": "s.jsonl"}
-    for name, (argv, out, _) in FAILED_WRITES.items():
-        args = argv(work)
-        for bad, good in swap.items():
-            args = [a.replace(bad, good) for a in args]
-        assert main(args) in (0, 3), name
-        assert (work / out).exists(), name
+    """The commands above fail only because of the lone surrogate, and each output outgrows LIMIT."""
+    for name, (_, out, _, _) in WRITERS.items():
+        assert main(_valid_argv(work, name)) in (0, 3), name
+        assert (work / out).stat().st_size > LIMIT, name
+
+
+# A child that runs main under a file-size limit of LIMIT bytes, so a write past it fails with EFBIG
+LIMIT = 64
+UNDER_LIMIT = (
+    "import resource, signal, sys; sys.dont_write_bytecode = True; "
+    "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+    f"resource.setrlimit(resource.RLIMIT_FSIZE, ({LIMIT}, {LIMIT})); "
+    "from contamkit.cli import main; sys.exit(main(sys.argv[1:]))"
+)
+
+
+@pytest.mark.parametrize("name", sorted(WRITERS))
+@pytest.mark.parametrize("existing", [None, PREVIOUS], ids=["absent", "existing"])
+def test_write_cut_short_by_a_size_limit_names_the_output_and_leaves_no_tmp(work, name, existing):
+    out_path = work / WRITERS[name][1]
+    if existing is not None:
+        out_path.write_bytes(existing)
+    before = _listing(work)
+    result = subprocess.run([sys.executable, "-c", UNDER_LIMIT, *_valid_argv(work, name)], env=ENV,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2, result.stderr
+    efbig = OSError(errno.EFBIG, os.strerror(errno.EFBIG), str(out_path))
+    assert result.stderr.splitlines() == [f"error: {efbig}"]
+    assert _listing(work) == before
+    if existing is not None:
+        assert out_path.read_bytes() == existing
 
 
 DIRECTORY_ARGS = {

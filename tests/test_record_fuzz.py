@@ -25,8 +25,7 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import make_example, write_corpus
-from test_injector import _synth_stream
+from helpers import _synth_stream, make_example, write_corpus
 
 STEPS = 8
 BATCH = 8

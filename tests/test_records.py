@@ -15,7 +15,7 @@ import pytest
 from contamkit.cli import main
 from contamkit.corpus_io import (
     CorpusDocument,
-    DuplicateIdError,
+    CorpusFormatError,
     example_to_record,
     from_record,
     iter_batches,
@@ -25,9 +25,7 @@ from contamkit.corpus_io import (
 from contamkit.injector import GENERATOR_VERSION, read_schedule
 from contamkit.metrics import EvalRecord
 
-from helpers import make_example, write_corpus
-from test_injector import _synth_stream
-from test_lazy_imports import ENV
+from helpers import ENV, _synth_stream, make_example, write_corpus
 
 STEPS = 100
 BATCH = 64
@@ -72,21 +70,21 @@ def _command(kind, d):
 _FILE = {"testset": "t.jsonl", "header": "plan.jsonl", "stream": "s.jsonl", "records": "base.jsonl"}
 
 MISTYPED = [
-    ("records", "lang_pair", 5, "field 'lang_pair' must be a string"),
-    ("testset", "example_id", ["x"], "field 'example_id' must be a string"),
+    ("records", "lang_pair", 5, "field 'lang_pair' must be a string UTF-8 can encode"),
+    ("testset", "example_id", ["x"], "field 'example_id' must be a string UTF-8 can encode"),
     ("header", "copies", "2", "field 'copies' must be a non-negative integer"),
     ("header", "seed", "abc", "field 'seed' must be an integer"),
-    ("header", "template_names", [1], "field 'template_names' must be an object of strings"),
+    ("header", "template_names", [1], "field 'template_names' must be an object of strings UTF-8 can encode"),
     ("header", "window_frac", True, "field 'window_frac' must be a number"),
     ("records", "bleu", True, "field 'bleu' must be a number"),
-    ("records", "testset_id", 3, "field 'testset_id' must be a string"),
-    ("testset", "example_id", 5, "field 'example_id' must be a string"),
+    ("records", "testset_id", 3, "field 'testset_id' must be a string UTF-8 can encode"),
+    ("testset", "example_id", 5, "field 'example_id' must be a string UTF-8 can encode"),
     ("stream", "step", 0.0, "field 'step' must be a non-negative integer"),
     ("stream", "step", True, "field 'step' must be a non-negative integer"),
     ("header", "total_steps", "100", "field 'total_steps' must be a non-negative integer"),
     ("header", "max_replace_frac", "0.3", "field 'max_replace_frac' must be a number"),
     ("header", "strict_cap", "yes", "field 'strict_cap' must be a boolean"),
-    ("header", "generator_version", 5, "field 'generator_version' must be a string"),
+    ("header", "generator_version", 5, "field 'generator_version' must be a string UTF-8 can encode"),
     ("header", "entry_count", "3", "field 'entry_count' must be a non-negative integer"),
     ("header", "entry_count", -1, "field 'entry_count' must be a non-negative integer"),
     ("header", "kind", "plan", "not an injection schedule file"),
@@ -132,6 +130,94 @@ def test_integer_too_long_to_convert_names_the_line(files, capsys, kind, name, l
     assert capsys.readouterr().err.splitlines() == [
         f"error: {path}:{line + 1}: invalid JSON (an integer of more than {sys.get_int_max_str_digits()} digits)"
     ]
+
+
+def _lone(key):
+    """An edit that puts a lone surrogate, valid JSON but not text UTF-8 can encode, into the field ``key``."""
+    return lambda record: record.update({key: "x\ud800"})
+
+
+# (command, file, 0-based line, field, edit): a lone surrogate in each string field a reader reads
+LONE_SURROGATE = [
+    *(pytest.param("corpus", "c.jsonl", 1, key, _lone(key), id=f"corpus-{key}") for key in ("doc_id", "lang", "text")),
+    *(pytest.param("testset", "t.jsonl", 1, key, _lone(key), id=f"testset-{key}")
+      for key in ("example_id", "src_lang", "tgt_lang", "source_text", "target_text")),
+    pytest.param("decontam", "t.jsonl", 1, "example_id", _lone("example_id"), id="decontam-report-to-stdout"),
+    pytest.param("stream", "s.jsonl", 2, "doc_id", lambda r: r["doc"].update(doc_id="x\ud800"), id="stream-doc_id"),
+    pytest.param("stream", "s.jsonl", 2, "lang", lambda r: r["doc"].update(lang="x\ud800"), id="stream-lang"),
+    pytest.param("header", "plan.jsonl", 0, "template_names", lambda r: r["template_names"].update({"x\ud800": "X"}),
+                 id="header-template_names-key"),
+    pytest.param("header", "plan.jsonl", 0, "template_names", lambda r: r["template_names"].update(de="x\ud800"),
+                 id="header-template_names-value"),
+    pytest.param("header", "plan.jsonl", 0, "generator_version", _lone("generator_version"), id="header-generator_version"),
+    # an entry line that stays in the writer's exact form, read by its pattern
+    pytest.param("header", "plan.jsonl", 2, "rendered_text", _lone("rendered_text"), id="entry-rendered_text"),
+    *(pytest.param("records", "base.jsonl", 0, key, _lone(key), id=f"records-{key}")
+      for key in ("system_id", "lang_pair", "testset_id")),
+]
+
+
+def _commands(kind, d) -> list[list[str]]:
+    """The commands that read the file of ``kind``; a schedule is read by inject verify and inject apply."""
+    return {
+        "corpus": [["index", "--corpus", str(d / "c.jsonl"), "--ngram", "3", "--out", str(d / "i.ctkx")]],
+        "decontam": [["decontam", "--testset", str(d / "t.jsonl"), "--index", str(d / "c.ctkx"),
+                      "--report-format", "json"]],
+        "header": [_command("header", d), _command("stream", d)],
+    }.get(kind) or [_command(kind, d)]
+
+
+@pytest.mark.parametrize("kind, name, line, key, edit", LONE_SURROGATE)
+def test_lone_surrogate_exits_two_naming_path_line_and_field(files, capsys, kind, name, line, key, edit):
+    write_corpus([CorpusDocument(f"d{i}", [1, 2, 3, 4], lang="de", text="t") for i in range(3)], files / "c.jsonl")
+    assert main(["index", "--corpus", str(files / "c.jsonl"), "--ngram", "3", "--out", str(files / "c.ctkx")]) == 0
+    path = files / name
+    unedited = path.read_bytes()
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    _write_lines(path, records)
+    assert path.read_bytes() == unedited  # so the edited file differs from it in the edited field alone
+    edit(records[line])
+    _write_lines(path, records)
+    before = sorted(files.iterdir())
+    what = {"template_names": "an object of strings UTF-8 can encode",
+            "text": "a string UTF-8 can encode or null"}.get(key, "a string UTF-8 can encode")
+    for argv in _commands(kind, files):
+        capsys.readouterr()
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert (out, err.splitlines()) == ("", [f"error: {path}:{line + 1}: field '{key}' must be {what}"])
+        assert sorted(files.iterdir()) == before
+
+
+def test_an_escaped_surrogate_pair_is_read_by_every_reader(files, capsys):
+    # json.dumps escapes U+1F600 as the surrogate pair \ud83d\ude00, which decodes to that one character
+    emoji = "\U0001f600"
+    _write_lines(files / "c.jsonl", [{"doc_id": f"d{i}{emoji}", "tokens": [1, 2, 3, 4], "lang": emoji, "text": emoji}
+                                     for i in range(3)])
+    testset = [json.loads(text) for text in (files / "t.jsonl").read_text().splitlines()]
+    for record in testset:
+        for key in ("example_id", "source_text", "target_text"):
+            record[key] += emoji
+    _write_lines(files / "t.jsonl", testset)
+    plan = [json.loads(text) for text in (files / "plan.jsonl").read_text().splitlines()]
+    plan[0]["template_names"]["de"] += emoji
+    plan[2]["rendered_text"] += emoji  # the line keeps the writer's form, read by its pattern
+    _write_lines(files / "plan.jsonl", plan)
+    stream = [json.loads(text) for text in (files / "s.jsonl").read_text().splitlines()]
+    stream[2]["doc"].update(doc_id=emoji, lang=emoji)
+    _write_lines(files / "s.jsonl", stream)
+    for name in ("base.jsonl", "cont.jsonl"):
+        records = [json.loads(text) for text in (files / name).read_text().splitlines()]
+        _write_lines(files / name, [{**r, "system_id": emoji, "testset_id": emoji} for r in records])
+    assert "\\ud83d\\ude00" in (files / "plan.jsonl").read_text()
+    assert main(["index", "--corpus", str(files / "c.jsonl"), "--ngram", "3", "--out", str(files / "c.ctkx")]) == 0
+    assert main(["decontam", "--testset", str(files / "t.jsonl"), "--index", str(files / "c.ctkx")]) in (0, 3)
+    for kind in ("testset", "header", "stream", "records"):
+        assert main(_command(kind, files)) == 0, kind
+    assert capsys.readouterr().err == ""
+    out = [doc for batch in iter_batches(files / "out.jsonl") for doc in batch]
+    assert plan[2]["rendered_text"] in {json.loads(doc.encoded).get("text") for doc in out}
+    assert {"doc_id": emoji, "lang": emoji} in [{k: json.loads(doc.encoded)[k] for k in ("doc_id", "lang")} for doc in out]
 
 
 @pytest.mark.parametrize("flag, name", [("--steps", "total_steps"), ("--batch-size", "batch_size")])
@@ -255,14 +341,14 @@ def test_stream_that_skips_step_zero_names_its_first_line(files, capsys):
 def test_duplicate_doc_id_names_the_jsonl_line(tmp_path):
     path = tmp_path / "dup.jsonl"
     _write_lines(path, [{"doc_id": "a", "tokens": [1]}, {"doc_id": "b", "tokens": [2]}, {"doc_id": "a", "tokens": [3]}])
-    with pytest.raises(DuplicateIdError, match=rf"^{re.escape(str(path))}:3: duplicate doc_id 'a'$"):
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:3: duplicate doc_id 'a'$"):
         list(read_corpus(path))
 
 
 def test_ctk_shard_errors_name_the_doc(tmp_path):
     path = tmp_path / "dup.ctk"
     write_corpus([CorpusDocument("a", [1]), CorpusDocument("b", [2]), CorpusDocument("a", [3])], path, fmt="ctk")
-    with pytest.raises(DuplicateIdError, match=rf"^{re.escape(str(path))}: doc #2: duplicate doc_id 'a'$"):
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}: doc #2: duplicate doc_id 'a'$"):
         list(read_corpus(path, fmt="ctk"))
     # an empty id is refused as it is in a jsonl shard
     data = path.read_bytes()
@@ -282,7 +368,7 @@ def test_from_record_reads_each_annotation():
         ({"doc_id": "d", "tokens": [1, True]}, TOKEN_IDS),
         ({"doc_id": "d", "tokens": [1, 2.0]}, TOKEN_IDS),
         ({"doc_id": "d", "tokens": [1, 2**32]}, TOKEN_IDS),
-        ({"doc_id": "d", "tokens": [], "text": 3}, "f:1: field 'text' must be a string or null"),
+        ({"doc_id": "d", "tokens": [], "text": 3}, "f:1: field 'text' must be a string UTF-8 can encode or null"),
         ({"doc_id": "", "tokens": []}, "f:1: field 'doc_id' must be a non-empty string"),
         ({"doc_id": "d", "tokens": [], "category": "news"}, "f:1: field 'category' must be one of"),
     )

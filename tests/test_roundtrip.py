@@ -25,8 +25,7 @@ from contamkit.injector import (
 )
 from contamkit.ngram_index import ScanConfig, build_index
 
-from helpers import make_example
-from test_injector import _synth_stream
+from helpers import _synth_stream, make_example
 
 STEPS = 200
 BATCH = 16

@@ -28,8 +28,7 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import decode_schedule, encode_schedule, make_example, schedule_header
-from test_stream_lines import _CHARS, _escape_all
+from helpers import _CHARS, _escape_all, decode_schedule, encode_schedule, make_example, schedule_header
 
 SCHEDULE_LINE = re.compile(_SCHEDULE_LINE, re.S)
 _TEXT = st.text(_CHARS, max_size=6)

@@ -41,16 +41,12 @@ from contamkit.injector import (
     write_schedule,
 )
 
-from helpers import decode_batches, encode_batches, make_example
-from test_injector import _synth_stream
+from helpers import _CHARS, _escape_all, _synth_stream, decode_batches, encode_batches, make_example
 
 STEPS = 4
 BATCH = 4
 STREAM_LINE = re.compile(_STREAM_LINE)
 
-# every character class the encoder treats apart: quote, backslash, letter
-# escapes, other C0 controls, DEL, non-ASCII and astral characters
-_CHARS = st.one_of(st.sampled_from('"\\\b\f\n\r\t\x00\x0b\x1f\x7f/é€ 😀'), st.characters(codec="utf-8"))
 _TEXT = st.text(_CHARS, max_size=6)
 
 
@@ -103,12 +99,6 @@ def plan(tmp_path_factory):
         TrainingConfig(total_steps=STEPS, batch_size=BATCH, max_replace_frac=0.5, seed=5),
     ), path)
     return path
-
-
-def _escape_all(text: str) -> str:
-    """``text`` as a JSON string body of \\u escapes only (astral characters as surrogate pairs)."""
-    units = text.encode("utf-16-le")
-    return "".join(f"\\u{int.from_bytes(units[i:i + 2], 'little'):04x}" for i in range(0, len(units), 2))
 
 
 def _form(record: dict, form: str) -> str:
