@@ -276,24 +276,28 @@ def output_file(path, mode: str = "w"):
     replaces the target once the block ends without error; on any error it is
     removed and the target is left as it was. A target that exists but is not
     a regular file (a FIFO, ``/dev/stdout``) is written in place. Text modes
-    write UTF-8. An ``OSError`` naming no file (a full disk, a file-size limit)
-    is given ``path`` as its ``filename``, so its message names the output.
+    write UTF-8. An ``OSError`` naming no file (a full disk, a file-size limit,
+    a pipe whose reader has gone) is given ``path`` as its ``filename``, in
+    place or not, so its message names the output.
     """
     encoding = None if "b" in mode else "utf-8"
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, encoding=encoding) as f:
-            yield f
-        return
-    target = os.path.realpath(path)
-    tmp = f"{target}.{os.getpid()}.tmp"
     try:
-        with open(tmp, mode, encoding=encoding) as f:
-            yield f
-        os.replace(tmp, target)
-    except BaseException as e:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        if isinstance(e, OSError) and e.filename is None:
+        if os.path.exists(path) and not os.path.isfile(path):
+            with open(path, mode, encoding=encoding) as f:
+                yield f
+            return
+        target = os.path.realpath(path)
+        tmp = f"{target}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, mode, encoding=encoding) as f:
+                yield f
+            os.replace(tmp, target)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+            raise
+    except OSError as e:
+        if e.filename is None:
             e.filename = os.fspath(path)
         raise
 

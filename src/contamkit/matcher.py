@@ -7,15 +7,19 @@ fractions. Only that one span per field is searched for
 (:func:`longest_span`). One rolling fingerprint walks the field
 (:meth:`NGramIndex.probe`), so each n-gram's fingerprint follows from the
 one before in one step, and the grams are looked up in order of field
-offset. A fingerprint candidate that is left-maximal — at the
-start of the field or of its document, or preceded by unequal tokens — must
-then equal the field on its first ``L`` tokens, where ``L`` is the best
-length found so far, checked as one array-slice comparison; only past ``L``
-is it extended token by token. Every counted span is thus compared token by
-token, which makes the match exact at any fingerprint width. Branch and
-bound prunes the rest: the walk stops once fewer field tokens are left than
-the best length found, and a candidate with too little room to reach that
-length is not compared.
+offset. A candidate is a global position in the index's token array. One
+that is left-maximal — at the start of the field or of its document
+(:attr:`NGramIndex.doc_starts`, one set lookup), or preceded by unequal
+tokens — must then equal the field on its first ``L`` tokens, where ``L``
+is the best length found so far, checked as one array-slice comparison;
+only past ``L`` is it extended token by token. Every counted span is thus
+compared token by token, which makes the match exact at any fingerprint
+width. Branch and bound prunes the rest: the walk stops once fewer field
+tokens are left than the best length found, and a candidate with too
+little room in its document to reach that length is not extended. The
+document of a position is looked up (a bisection of the document starts)
+only for a candidate that passes the slice comparison, for its room, and
+once for the span reported.
 
 Token ids are compared raw: no normalization, no re-tokenization. They are
 32-bit, as in every index and every format :mod:`contamkit.corpus_io` reads,
@@ -79,10 +83,12 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     tokens left, and skips a candidate whose room
     ``min(document end - i, field end - j)`` is below ``L``. Both tests are
     strict, so a later span of length ``L`` still competes on the tie key
-    ``(doc_ref, corpus_start, example_start)``. The grams come from one
-    rolling probe of the field (:meth:`NGramIndex.probe`). A surviving
-    candidate is first compared on its ``L`` tokens as one slice,
-    ``tokens[i:i + L] == field[j:j + L]``, and only then extended token by
+    ``(doc_ref, corpus_start, example_start)``, which orders spans as the
+    global position ``i`` and then ``example_start`` do. The grams come
+    from one rolling probe of the field (:meth:`NGramIndex.probe`). A
+    left-maximal candidate is first compared on its ``L`` tokens as one
+    slice, ``tokens[i:i + L] == field[j:j + L]``; only one that passes has
+    its document looked up, for its room, and is then extended token by
     token past ``L``, so the result is exact at any fingerprint width. A
     token id outside ``[0, 2**32)``, which no index can hold, raises
     ``ValueError``. A field shorter than ``n`` returns its first whole-field
@@ -100,27 +106,33 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     if len(field) < n:
         return _whole_field_span(field, index)
 
-    tokens, starts = index.tokens, index.starts
+    tokens, starts, doc_starts = index.tokens, index.starts, index.doc_starts
     end = len(field)
-    best = None  # (doc_ref, corpus_start, example_start) of the span kept
+    best = None  # (corpus position, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
-    for j, (refs, offsets) in enumerate(index.probe(field)):
+    for j, positions in enumerate(index.probe(field)):
         if end - j < best_len:
             break  # no span starting here or later in the field can be longer
         before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
-        for ref, off in zip(refs, offsets):
-            i = starts[ref] + off
-            if off and tokens[i - 1] == before:
+        for i in positions:
+            # at i = 0, tokens[-1] is read, and 0 is a document start
+            if tokens[i - 1] == before and i not in doc_starts:
                 continue  # not left-maximal: the same span starts further left
-            stop = min(starts[ref + 1] - i, end - j)
-            if stop < best_len or tokens[i : i + best_len] != field[j : j + best_len]:
-                continue  # too little room, or the first best_len tokens differ
+            if tokens[i : i + best_len] != field[j : j + best_len]:
+                continue  # the first best_len tokens differ
+            stop = min(starts[bisect_right(starts, i)] - i, end - j)
+            if stop < best_len:
+                continue  # too little room in its document or the field
             length = best_len
             while length < stop and tokens[i + length] == field[j + length]:
                 length += 1
-            if length > best_len or best is None or (ref, off, j) < best:
-                best, best_len = (ref, off, j), length
-    return None if best is None else MatchSpan(*best, best_len)
+            if length > best_len or best is None or (i, j) < best:
+                best, best_len = (i, j), length
+    if best is None:
+        return None
+    i, j = best
+    ref = bisect_right(starts, i) - 1
+    return MatchSpan(ref, i - starts[ref], j, best_len)
 
 
 def _whole_field_span(field: array, index: NGramIndex) -> MatchSpan | None:

@@ -17,33 +17,42 @@ frequent on purpose, which is useful for exercising the verification path.
 
 An index is a handful of flat arrays: every document's tokens concatenated
 into one ``array("I")`` with ``array("Q")`` start offsets, and one posting per
-n-gram as parallel arrays — the fingerprints sorted ascending (``array("Q")``)
-beside the doc ref and token offset of each (``array("I")``). Postings with
-equal fingerprints stay in document order then offset order, so building
-twice from the same corpus yields identical arrays and identical files. A
-built index is immutable and safe to share across threads.
+n-gram as two parallel ``array("I")``: the gram's key and its global position
+in the token array. The key is the gram's fingerprint cut to 32 bits, that
+is its fingerprint at ``min(bits, 32)`` bits. It keeps the low bits, not the
+top ones: a one-token gram's fingerprint is the token itself, so its top 32
+bits are always 0, and at every order the last token of a gram barely
+reaches them. A 32-bit key leaves about postings ÷ 2**32 false candidates
+per lookup, which the matcher's token comparison rejects. Postings are
+sorted by (key, position), and the position rises with (document, offset),
+so building twice from the same corpus yields identical arrays and
+identical files. A built index is immutable and safe to share across
+threads.
 
 :func:`build_index` keeps memory flat too. While it reads the corpus it
-appends each posting to one of ``2**min(6, bits)`` buckets chosen by the top
-bits of its fingerprint, as parallel arrays. It then sorts the buckets one at
-a time, in ascending order, and appends each to the index arrays, which gives
-the global order exactly. Building 1M postings peaks at about 46 B per
+appends each posting, packed as one integer ``key << 32 | position``, to
+one of ``2**min(6, bits)`` ``array("Q")`` buckets chosen by the top bits of
+its key. It then sorts the buckets one at a time, in ascending order, and
+splits each into the two index arrays, which gives the global order
+exactly. ``contamkit index`` builds 1M postings peaking at about 29 B per
 posting above the interpreter.
 
-File layout (version 3, little-endian): a 32-byte header — magic ``CTKX``,
+File layout (version 4, little-endian): a 32-byte header — magic ``CTKX``,
 u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
-doc count — then the index's arrays whole, in this order: u64 fingerprints,
-u32 doc refs, u32 offsets, u32 document lengths, u32 id byte lengths, u32
-tokens, and last the UTF-8 doc ids back to back. So every numeric section
-starts at a multiple of its item size, and the file is written front to
-back. The header bounds the file size and the two length arrays fix it, so
-a damaged count or length is refused before the tokens are read, and a file
-that is not regular (a pipe), which has no size, is refused. Versions 1 and
-2 are refused; rebuild them.
+doc count — then the index's arrays whole, in this order: u32 keys, u32
+positions, u32 document lengths, u32 id byte lengths, u32 tokens, and last
+the UTF-8 doc ids back to back. So every numeric section starts at a
+multiple of its item size, and the file is written front to back. One index holds at most ``2**32 - 1`` tokens, so that every position
+fits its u32. The header bounds the file size and the two length arrays fix
+it, so a damaged count or length is refused before the tokens are read, and
+a file that is not regular (a pipe), which has no size, is refused. A
+position at or past the token count is refused at load, so no posting can
+point outside the documents. Versions 1 to 3 are refused; rebuild them.
 """
 
 import os
 import stat
+import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -58,12 +67,14 @@ from .corpus_io import CorpusDocument, CorpusFormatError, is_text, output_file, 
 FINGERPRINT_BASE = 0x100000001B3
 _MASK64 = (1 << 64) - 1
 _INDEX_MAGIC = b"CTKX"
-_INDEX_VERSION = 3
+_INDEX_VERSION = 4
 _HEADER = Struct("<4sIIIQQ")
-_POSTING_BYTES = 16  # u64 fingerprint + u32 doc ref + u32 offset
+_POSTING_BYTES = 8  # u32 key + u32 position
 _DOC_BYTES = 8  # u32 document length + u32 id byte length
 _MAX_U32 = (1 << 32) - 1
+_KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bits
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
+_HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
 
 
 @dataclass(frozen=True)
@@ -108,9 +119,11 @@ def gram_fingerprints(tokens: Sequence[int], n: int, bits: int = 64) -> Iterator
 
 
 class NGramIndex:
-    """Fingerprint-sorted postings from every corpus n-gram to its locations.
+    """Fingerprint-sorted postings from every corpus n-gram to its positions.
 
-    Document ``r`` is ``tokens[starts[r]:starts[r + 1]]``; treat both arrays as read-only.
+    Document ``r`` is ``tokens[starts[r]:starts[r + 1]]``, so position ``p``
+    lies in document ``bisect_right(starts, p) - 1``; treat both arrays as
+    read-only.
     """
 
     def __init__(self, ngram_order: int, fingerprint_bits: int = 64):
@@ -125,31 +138,41 @@ class NGramIndex:
         self._doc_ids: list[str] = []
         self.tokens = array("I")
         self.starts = array("Q", [0])
-        self._fps = array("Q")
-        self._refs = array("I")
-        self._offsets = array("I")
+        self._keys = array("I")
+        self._positions = array("I")
+        self._doc_starts = None  # built by doc_starts
 
     # -- queries -----------------------------------------------------------
 
-    def probe(self, field: Sequence[int]) -> Iterator[tuple[array, array]]:
+    def probe(self, field: Sequence[int]) -> Iterator[array]:
         """The fingerprint candidates of every n-gram of ``field``, in offset order.
 
-        Entry ``j`` is the ``(refs, offsets)`` of every posting whose
-        fingerprint equals that of ``field[j:j + n]``: parallel
-        ``array("I")`` slices, in document order then offset order, found
-        from one rolling fingerprint over the field
-        (:func:`gram_fingerprints`). They are NOT verified: under a
-        fingerprint collision they hold postings of other n-grams too, so a
-        caller must compare tokens before trusting a candidate. Lazy, so a
-        caller that stops early neither fingerprints nor looks up the grams
-        it did not reach.
+        Entry ``j`` is the global position of every posting whose key
+        equals that of ``field[j:j + n]``: an ``array("I")`` slice,
+        ascending, found from one rolling fingerprint over the field
+        (:func:`gram_fingerprints`). They are NOT verified: under a key
+        collision they hold postings of other n-grams too, so a caller must
+        compare tokens before trusting a candidate. Lazy, so a caller that
+        stops early neither fingerprints nor looks up the grams it did not
+        reach.
         """
-        fps, refs, offsets = self._fps, self._refs, self._offsets
-        size = len(fps)
-        for fp in gram_fingerprints(field, self.ngram_order, self.fingerprint_bits):
-            lo = bisect_left(fps, fp)
-            hi = bisect_right(fps, fp, lo) if lo < size and fps[lo] == fp else lo  # most grams have no posting
-            yield refs[lo:hi], offsets[lo:hi]
+        keys, positions = self._keys, self._positions
+        size = len(keys)
+        for key in gram_fingerprints(field, self.ngram_order, min(self.fingerprint_bits, _KEY_BITS)):
+            lo = bisect_left(keys, key)
+            hi = bisect_right(keys, key, lo) if lo < size and keys[lo] == key else lo  # most grams have no posting
+            yield positions[lo:hi]
+
+    @property
+    def doc_starts(self) -> frozenset[int]:
+        """The start of every document of at least ``n`` tokens: the document starts a posting can be at.
+
+        Built on first use, so an index that is only built and saved never holds it.
+        """
+        if self._doc_starts is None:
+            n = self.ngram_order
+            self._doc_starts = frozenset(start for start, end in pairwise(self.starts) if end - start >= n)
+        return self._doc_starts
 
     def doc_id(self, doc_ref: int) -> str:
         return self._doc_ids[doc_ref]
@@ -160,7 +183,7 @@ class NGramIndex:
 
     @property
     def posting_count(self) -> int:
-        return len(self._fps)
+        return len(self._positions)
 
     # -- persistence -------------------------------------------------------
 
@@ -175,7 +198,7 @@ class NGramIndex:
             f.write(_HEADER.pack(
                 _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, self.doc_count
             ))
-            for values in (self._fps, self._refs, self._offsets, lengths, array("I", map(len, ids)), self.tokens):
+            for values in (self._keys, self._positions, lengths, array("I", map(len, ids)), self.tokens):
                 write_array(f, values)
             f.writelines(ids)
 
@@ -202,15 +225,16 @@ class NGramIndex:
                 index = cls(n, bits)
             except ValueError as e:
                 raise CorpusFormatError(f"{path}: {e}") from e
-            index._fps = read_array(f, "Q", posting_count, path, "fingerprints")
-            index._refs = read_array(f, "I", posting_count, path, "doc refs")
-            index._offsets = read_array(f, "I", posting_count, path, "offsets")
+            index._keys = read_array(f, "I", posting_count, path, "keys")
+            index._positions = read_array(f, "I", posting_count, path, "positions")
             lengths = read_array(f, "I", doc_count, path, "document lengths")
             id_lengths = read_array(f, "I", doc_count, path, "id lengths")
             token_count, id_bytes = sum(lengths), sum(id_lengths)
             size += 4 * token_count + id_bytes
             if size != file_size:
                 raise CorpusFormatError(f"{path}: file size differs from the {size} bytes its header and lengths describe")
+            if posting_count and max(index._positions) >= token_count:
+                raise CorpusFormatError(f"{path}: a posting points outside the indexed documents; rebuild the index")
             index.tokens = read_array(f, "I", token_count, path, "tokens")
             index.starts = array("Q", accumulate(lengths, initial=0))
             ids = memoryview(read_array(f, "B", id_bytes, path, "doc ids"))
@@ -232,22 +256,28 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
 
     Documents shorter than the n-gram order contribute no postings but stay
     in the doc table. A doc id that repeats or is not text UTF-8 can encode
-    (no reader yields one) raises :class:`CorpusFormatError`. Postings are
-    gathered into flat buckets by the top bits of their fingerprint and each
-    bucket is sorted on its own, so the build never holds a Python object
-    per posting of the whole corpus: it peaks at about 46 B per posting
-    above the interpreter.
+    (no reader yields one) raises :class:`CorpusFormatError`; a document
+    that would take the index past ``2**32 - 1`` tokens raises
+    :class:`CapacityError` before its tokens are read. A posting's key is
+    its gram's fingerprint at ``min(fingerprint_bits, 32)`` bits, so a
+    ``fingerprint_bits`` above 32 no longer narrows the candidates, and a
+    narrower one (down to 1) makes collisions more frequent. Postings are
+    gathered into flat buckets by the top bits of their key, each packed as
+    one integer, and each bucket is sorted on its own, so the build never
+    holds a Python object per posting of the whole corpus: it peaks at about
+    13 B per posting (``tracemalloc``, 1M postings), 12 B of them kept.
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
-    bucket_bits = min(_BUCKET_BITS, fingerprint_bits)
-    low_bits = fingerprint_bits - bucket_bits
-    # bucket b holds the postings whose fingerprint starts with the bits of b,
-    # as parallel arrays in document order then offset order
-    buckets = [(array("Q"), array("I"), array("I")) for _ in range(1 << bucket_bits)]
-    add_fp, add_ref, add_offset = ([bucket[i].append for bucket in buckets] for i in range(3))
+    key_bits = min(fingerprint_bits, _KEY_BITS)
+    bucket_bits = min(_BUCKET_BITS, key_bits)
+    low_bits = key_bits - bucket_bits
+    # bucket b holds the postings whose key starts with the bits of b, each
+    # packed as key << 32 | position, in position order
+    buckets = [array("Q") for _ in range(1 << bucket_bits)]
+    add = [bucket.append for bucket in buckets]
     seen = set()  # only to refuse a repeated doc id; the index does not keep it
-    for ref, doc in enumerate(corpus):
+    for doc in corpus:
         if not is_text(doc.doc_id):
             raise CorpusFormatError(f"doc {doc.doc_id!r}: doc_id must be a string UTF-8 can encode")
         if doc.doc_id in seen:
@@ -255,24 +285,22 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         seen.add(doc.doc_id)
         index._doc_ids.append(doc.doc_id)
         tokens = doc.tokens
-        if ref > _MAX_U32 or len(tokens) > _MAX_U32:  # the length bounds the offsets too
-            raise CapacityError(f"doc {doc.doc_id!r}: its doc ref or length exceeds 32 bits")
+        start = len(index.tokens)
+        if start + len(tokens) > _MAX_U32:  # every position, and so every length, fits a u32
+            raise CapacityError(f"doc {doc.doc_id!r}: the index would hold more than 2**32 - 1 tokens")
         try:
             index.tokens.extend(array("I", tokens))
         except OverflowError:
             raise CapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
-        for offset, h in enumerate(gram_fingerprints(tokens, n, fingerprint_bits)):
-            b = h >> low_bits
-            add_fp[b](h)
-            add_ref[b](ref)
-            add_offset[b](offset)
-    del add_fp, add_ref, add_offset, seen  # the appenders hold the buckets too
-    # buckets in ascending order, each sorted stably, are the global order
-    for b, (fps, refs, offsets) in enumerate(buckets):
+        for position, key in enumerate(gram_fingerprints(tokens, n, key_bits), start):
+            add[key >> low_bits](key << 32 | position)
+    del add, seen  # the appenders hold the buckets too
+    # buckets in ascending order, each sorted, are the global (key, position) order
+    for b, bucket in enumerate(buckets):
         buckets[b] = None  # each bucket is freed once it has been copied out
-        order = sorted(range(len(fps)), key=fps.__getitem__)  # stable: ties keep document then offset order
-        index._fps.extend(map(fps.__getitem__, order))
-        index._refs.extend(map(refs.__getitem__, order))
-        index._offsets.extend(map(offsets.__getitem__, order))
+        words = array("I")  # each packed posting as its two native u32 words
+        words.frombytes(array("Q", sorted(bucket)).tobytes())
+        index._keys.extend(words[_HIGH_WORD::2])
+        index._positions.extend(words[1 - _HIGH_WORD :: 2])
     return index

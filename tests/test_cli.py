@@ -182,7 +182,7 @@ def test_decontam_on_index_with_a_bad_doc_id_names_the_file_and_doc(tmp_path, ca
     assert capsys.readouterr().err == f"error: {index_path}: {error}\n"
 
 
-def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
+def test_decontam_on_index_with_damaged_positions_exits_two(tmp_path, capsys):
     rng = random.Random(5)
     docs = [random_tokens(rng, 20, 50) for _ in range(5)]
     corpus_path, testset_path = tmp_path / "corpus.jsonl", tmp_path / "testset.jsonl"
@@ -192,18 +192,16 @@ def test_decontam_on_index_with_damaged_doc_refs_exits_two(tmp_path, capsys):
     assert main(["index", "--corpus", str(corpus_path), "--ngram", "3", "--out", str(index_path)]) == 0
     data = bytearray(index_path.read_bytes())
     # the 32-byte header holds the posting count and the doc count; the u32
-    # doc refs follow the u64 fingerprints
+    # positions follow the u32 keys
     postings, doc_count = struct.unpack_from("<QQ", data, 16)
     assert doc_count == 5
-    refs_at, refs_end = 32 + 8 * postings, 32 + 12 * postings
-    refs = NGramIndex.load(index_path)._refs
+    positions_at, positions_end = 32 + 4 * postings, 32 + 8 * postings
     for k in range(postings):
-        data[refs_at + 4 * k + 1] = 1  # each doc ref + 256: past the 5 documents
+        data[positions_at + 4 * k + 1] = 1  # each position + 256: past the 100 tokens
     bad = tmp_path / "bad.ctkx"
     bad.write_bytes(data)
     unchanged = index_path.read_bytes()
-    assert data[:refs_at] == unchanged[:refs_at] and data[refs_end:] == unchanged[refs_end:]
-    assert NGramIndex.load(bad)._refs.tolist() == [ref + 256 for ref in refs]
+    assert data[:positions_at] == unchanged[:positions_at] and data[positions_end:] == unchanged[positions_end:]
     capsys.readouterr()
     kept = tmp_path / "kept.jsonl"
     code = main(["decontam", "--testset", str(testset_path), "--index", str(bad), "--out", str(kept)])
@@ -693,6 +691,29 @@ def test_inject_apply_writes_a_special_file_in_place(tmp_path, capsys):
     expected = tmp_path / "expected.jsonl"
     write_batches(apply_schedule(stream, read_schedule(plan_path)).steps, expected)
     assert received == [expected.read_bytes()]
+
+
+def test_inject_apply_to_a_fifo_whose_reader_closes_early_names_the_path(tmp_path, capsys):
+    # the output is far larger than a pipe holds, so the write meets the closed end
+    plan_path = _apply_plan(tmp_path)
+    stream_path = tmp_path / "stream.jsonl"
+    write_batches(_synth_stream(100, 64).steps, stream_path)
+    assert stream_path.stat().st_size > 4 << 16
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+
+    def read_a_few_bytes():
+        with open(fifo, "rb", buffering=0) as f:
+            f.read(10)
+
+    reader = threading.Thread(target=read_a_few_bytes, daemon=True)
+    reader.start()
+    capsys.readouterr()
+    assert main(["inject", "apply", "--stream", str(stream_path), "--schedule", str(plan_path),
+                 "--out", str(fifo)]) == 2
+    reader.join(timeout=30)
+    assert not reader.is_alive() and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert capsys.readouterr().err == f"error: [Errno 32] Broken pipe: '{fifo}'\n"
 
 
 def test_inject_apply_on_undecodable_stream_names_the_line(tmp_path, capsys):

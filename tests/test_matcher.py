@@ -204,7 +204,7 @@ def test_score_matches_dp_oracle_when_at_least_n(data):
         assert (s, span) == (0.0, None)
 
 
-@pytest.mark.parametrize("bits", [64, 4])
+@pytest.mark.parametrize("bits", [64, 33, 32, 4])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_find_spans_equals_dp_oracle_union_over_documents(bits, data):
@@ -229,12 +229,18 @@ def test_find_spans_equals_dp_oracle_union_over_documents(bits, data):
     assert longest_span(field, index_of(docs, bits=bits), CFG) == want
 
 
-def test_span_at_document_start_after_a_document_ending_in_the_preceding_field_token():
-    # the token buffer holds doc 0's last token 9 right before doc 1, and 9
-    # also precedes the match in the field: the span must still start at 0
+@pytest.mark.parametrize("n", [1, 8])
+@pytest.mark.parametrize("empty_docs_between", [0, 2])
+def test_span_at_document_start_after_a_document_ending_in_the_preceding_field_token(n, empty_docs_between):
+    # the token buffer holds doc 0's last token 9 right before the matched
+    # document, and 9 also precedes the match in the field: the span must
+    # still start at 0. At n = 1 the 9 has a posting of its own; empty
+    # documents between give the matched document's start several refs.
     field = [9] + list(range(1, 13))
-    index = index_of([[4] * 10 + [9], list(range(1, 13)) + [7]])
-    assert longest_span(field, index, CFG) == MatchSpan(doc_ref=1, corpus_start=0, example_start=1, length=12)
+    ref = 1 + empty_docs_between
+    index = index_of([[4] * 10 + [9], *[[]] * empty_docs_between, list(range(1, 13)) + [7]], n=n)
+    want = MatchSpan(doc_ref=ref, corpus_start=0, example_start=1, length=12)
+    assert longest_span(field, index, ScanConfig(ngram_order=n)) == want
 
 
 def test_monotonicity_appending_tokens_never_decreases_score():
@@ -252,7 +258,7 @@ def test_monotonicity_appending_tokens_never_decreases_score():
 # -- longest-only search ---------------------------------------------------------
 
 
-@pytest.mark.parametrize("bits", [64, 4])
+@pytest.mark.parametrize("bits", [64, 33, 32, 4])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_longest_span_equals_longest_of_all_spans(bits, data):

@@ -24,7 +24,7 @@ from helpers import docs_from_tokens, index_of, random_tokens
 
 
 def linear_scan(token_lists, gram):
-    """Reference search: positions of gram by direct comparison."""
+    """Reference search: (doc ref, offset) of gram by direct comparison."""
     hits = []
     n = len(gram)
     for ref, tokens in enumerate(token_lists):
@@ -32,6 +32,11 @@ def linear_scan(token_lists, gram):
             if tokens[off : off + n] == list(gram):
                 hits.append((ref, off))
     return hits
+
+
+def positions_of(index, locations):
+    """The global positions of ``(doc ref, offset)`` locations, through the index's document starts."""
+    return [index.starts[ref] + off for ref, off in locations]
 
 
 def test_config_validation():
@@ -59,8 +64,8 @@ def test_index_refuses_an_order_or_width_it_cannot_hold(n, bits, message):
 def test_nine_token_doc_has_two_postings():
     index = index_of([[1, 2, 3, 4, 5, 6, 7, 8, 9]])
     assert index.posting_count == 2
-    assert list(zip(*next(index.probe([1, 2, 3, 4, 5, 6, 7, 8])))) == [(0, 0)]
-    assert list(zip(*next(index.probe([2, 3, 4, 5, 6, 7, 8, 9])))) == [(0, 1)]
+    assert next(index.probe([1, 2, 3, 4, 5, 6, 7, 8])).tolist() == positions_of(index, [(0, 0)])
+    assert next(index.probe([2, 3, 4, 5, 6, 7, 8, 9])).tolist() == positions_of(index, [(0, 1)])
 
 
 def test_short_doc_registered_but_unposted():
@@ -82,7 +87,7 @@ def test_posting_count_matches_counting_oracle():
 
 def test_absent_gram_returns_empty():
     index = index_of([[1] * 20])
-    assert list(zip(*next(index.probe([2] * 8)))) == []
+    assert next(index.probe([2] * 8)).tolist() == []
 
 
 def test_planted_gram_found_at_exactly_its_positions():
@@ -93,7 +98,7 @@ def test_planted_gram_found_at_exactly_its_positions():
     token_lists[2][0:8] = gram
     token_lists[4][52:60] = gram
     index = index_of(token_lists)
-    assert list(zip(*next(index.probe(gram)))) == [(0, 10), (2, 0), (4, 52)]
+    assert next(index.probe(gram)).tolist() == positions_of(index, [(0, 10), (2, 0), (4, 52)])
 
 
 def test_weakened_fingerprints_collide_but_queries_stay_exact():
@@ -107,7 +112,7 @@ def test_weakened_fingerprints_collide_but_queries_stay_exact():
             break
     index = index_of([gram_a, gram_b], bits=8)
     # the fingerprint lookup holds both grams; the span search keeps only the equal one
-    assert list(zip(*next(index.probe(gram_a)))) == [(0, 0), (1, 0)]
+    assert next(index.probe(gram_a)).tolist() == positions_of(index, [(0, 0), (1, 0)])
     assert longest_span(gram_a, index, ScanConfig()) == MatchSpan(doc_ref=0, corpus_start=0, example_start=0, length=8)
     assert longest_span(gram_b, index, ScanConfig()) == MatchSpan(doc_ref=1, corpus_start=0, example_start=0, length=8)
 
@@ -171,26 +176,41 @@ def test_an_index_keeps_no_set_of_its_doc_ids(tmp_path):
 
 
 def test_offsets_beyond_32_bits_are_a_capacity_error():
-    # 2**32 + 1 postings need offset 2**32; the build refuses the doc before reading its tokens
+    # 2**32 + 1 postings need position 2**32, past what a u32 position holds;
+    # the build refuses the doc before reading its tokens
     with pytest.raises(CapacityError, match="'huge'"):
         build_index([CorpusDocument("huge", range(2**32 + 8))], ScanConfig())
 
 
 class _Tokens:
-    """A document of 2**32 tokens that are never read: only its length is asked for."""
+    """A document of ``length`` tokens that are never read: only its length is asked for."""
+
+    def __init__(self, length=2**32):
+        self.length = length
 
     def __len__(self):
-        return 2**32
+        return self.length
 
     def __getitem__(self, key):  # also what iterating it calls
         raise AssertionError("the build read a token of a document it must refuse")
 
 
+_TOO_MANY_TOKENS = r"^doc 'huge': the index would hold more than 2\*\*32 - 1 tokens$"
+
+
 @pytest.mark.parametrize("n", [1, 2, 8])
 def test_a_document_longer_than_a_u32_length_is_a_capacity_error(n):
     # its length cannot be written in the file, whatever the n-gram order
-    with pytest.raises(CapacityError, match=r"^doc 'huge': its doc ref or length exceeds 32 bits$"):
+    with pytest.raises(CapacityError, match=_TOO_MANY_TOKENS):
         build_index([CorpusDocument("huge", _Tokens())], ScanConfig(n))
+
+
+def test_a_document_taking_the_index_past_2_to_the_32_tokens_is_a_capacity_error():
+    # each document fits a u32 length, but together they hold 2**32 tokens, one
+    # more than an index holds; the second doc's tokens are never read
+    first = CorpusDocument("small", [1, 2, 3])
+    with pytest.raises(CapacityError, match=_TOO_MANY_TOKENS):
+        build_index([first, CorpusDocument("huge", _Tokens(2**32 - 3))], ScanConfig())
 
 
 @pytest.mark.parametrize("token", [-1, 2**32])
@@ -218,8 +238,12 @@ def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, data):
     assert list(gram_fingerprints(field, n, bits)) == [fingerprint(gram, bits) for gram in grams]
     entries = list(index.probe(field))
     assert entries == [next(index.probe(gram)) for gram in grams]
-    if bits == 64:  # no collisions among grams this small: each entry is exactly the gram's postings
-        assert [list(zip(refs, offsets)) for refs, offsets in entries] == [linear_scan(token_lists, g) for g in grams]
+    if bits == 64:  # no collisions among grams this small: each entry is exactly the gram's postings,
+        # but for a gram holding -1 or 2**40, which a 32-bit key cannot tell from a token an index can hold
+        held = [all(0 <= t < 2**32 for t in g) for g in grams]
+        assert [entry.tolist() for entry, h in zip(entries, held) if h] == [
+            positions_of(index, linear_scan(token_lists, g)) for g, h in zip(grams, held) if h
+        ]
 
 
 def test_gram_fingerprints_rolls_lazily():
@@ -251,7 +275,7 @@ def test_save_is_deterministic_and_load_round_trips(tmp_path):
     assert loaded.ngram_order == original.ngram_order
     assert loaded.doc_count == original.doc_count
     assert loaded.posting_count == original.posting_count
-    for name in ("tokens", "starts", "_fps", "_refs", "_offsets"):
+    for name in ("tokens", "starts", "_keys", "_positions"):
         assert getattr(loaded, name) == getattr(original, name), name
     loaded.save(b)
     assert a.read_bytes() == b.read_bytes()
@@ -267,7 +291,7 @@ def test_save_and_load_round_trip_on_a_swapping_host(tmp_path, monkeypatch):
     monkeypatch.setattr(corpus_io, "_SWAP", True)
     original.save(tmp_path / "i.ctkx")
     loaded = NGramIndex.load(tmp_path / "i.ctkx")
-    for name in ("tokens", "starts", "_fps", "_refs", "_offsets"):
+    for name in ("tokens", "starts", "_keys", "_positions"):
         assert getattr(loaded, name) == getattr(original, name), name
     assert [loaded.doc_id(r) for r in range(loaded.doc_count)] == [original.doc_id(r) for r in range(original.doc_count)]
 
@@ -293,8 +317,8 @@ def test_every_strict_prefix_of_an_index_file_is_rejected(tmp_path):
 
 
 def _lengths_at(data) -> int:
-    """Where the document lengths of an index file start: after the 32-byte header and 16 bytes per posting."""
-    return ngram_index._HEADER.size + 16 * ngram_index._HEADER.unpack_from(data)[4]
+    """Where the document lengths of an index file start: after the 32-byte header and 8 bytes per posting."""
+    return ngram_index._HEADER.size + 8 * ngram_index._HEADER.unpack_from(data)[4]
 
 
 def test_doc_table_length_past_the_end_of_file_is_truncation(tmp_path):
@@ -338,10 +362,29 @@ def test_a_damaged_count_or_length_allocates_nothing(tmp_path, field):
 def test_load_rejects_other_format_versions(tmp_path):
     path = tmp_path / "x.ctkx"
     index_of([[1] * 20]).save(path)
-    for version in (1, 2, 4):
+    for version in (1, 2, 3, 5):
         _with_header(path, version=lambda v: version)
-        with pytest.raises(CorpusFormatError, match=r"x.ctkx: not a version 3 index; rebuild the index$"):
+        with pytest.raises(CorpusFormatError, match=r"x.ctkx: not a version 4 index; rebuild the index$"):
             NGramIndex.load(path)
+
+
+def test_load_refuses_a_position_outside_the_indexed_documents(tmp_path):
+    # the positions follow the 32-byte header and the u32 keys; the last token is position 19
+    path = tmp_path / "x.ctkx"
+    index_of([[1] * 20]).save(path)
+    data = bytearray(path.read_bytes())
+    postings = ngram_index._HEADER.unpack_from(data)[4]
+    last = ngram_index._HEADER.size + 4 * postings + 4 * (postings - 1)
+    assert data[last : last + 4] == (20 - 8).to_bytes(4, "little")
+    for position, loads in ((19, True), (20, False), (2**32 - 1, False)):
+        data[last : last + 4] = position.to_bytes(4, "little")
+        path.write_bytes(data)
+        if loads:
+            assert NGramIndex.load(path)._positions[-1] == position
+        else:
+            with pytest.raises(CorpusFormatError,
+                               match=r"x.ctkx: a posting points outside the indexed documents; rebuild the index$"):
+                NGramIndex.load(path)
 
 
 def _with_header(path, **changes):
@@ -377,24 +420,29 @@ def test_load_refuses_a_doc_table_size_that_differs_from_the_header(tmp_path):
             NGramIndex.load(path)
 
 
-# sha256 of the version 3 .ctkx file of _golden_corpus() for each (n,
-# fingerprint_bits). Each file loads to the same arrays and ids as the version 2
-# file of the same corpus, whose digests were recorded from a build that sorted
-# every posting at once; so the bucketed build writes the global posting order,
-# also when fewer than six fingerprint bits leave fewer bucket bits (bits 5 and 1)
+# sha256 of the version 4 .ctkx file of _golden_corpus() for each (n,
+# fingerprint_bits). Each was recorded after checking that the file holds the
+# postings of the version 3 file of the same corpus as (key, position): the v3
+# fingerprint cut to 32 bits and starts[doc ref] + offset, sorted, with the
+# lengths, tokens and ids byte for byte. The v3 digests had been checked the
+# same way against version 2, recorded from a build that sorted every posting
+# at once; so the bucketed build writes the global posting order, also when
+# fewer than six key bits leave fewer bucket bits (bits 5 and 1).
+# test_index_file_holds_each_gram_as_its_key_and_position checks the same
+# postings against fingerprints computed gram by gram.
 INDEX_DIGESTS = {
-    (1, 64): "1bcaaa4052ffc1c48e13e4fe90f6e3b08b16a0912331c8adfcbd7ae90b164574",
-    (1, 8): "38e4ff63003bd928ae9516c5201aa942451ea6ffb7d2f155bf41a25e6789a3c7",
-    (1, 5): "cba684c15bd90fcd6b7bf2b8d558eda17fa95c69f05183399941173ac5956475",
-    (1, 1): "089c8c33d6790a173a6237cd3c40779a308bac40a26f377338cec177413b5a22",
-    (3, 64): "573080e9cbc9c4150c2b78e4bd0f68c9b08b46dbd5a9e311a784720adda394dd",
-    (3, 8): "858e7e903711ebd405dc9dea657ae354819310cecaa34b5bffe28fef799e3b28",
-    (3, 5): "b52f21311a277da3e0e4ede1a09c7842fd15285d1d5909e5e9506b668fca7d6d",
-    (3, 1): "24387f47669197d741a6fc106e26f1cf90bf27047f77d8060d2f65cd07508c16",
-    (8, 64): "85bad4b39191dae69712336970c34306d5343aa339e9b184eeeadc54bc947523",
-    (8, 8): "6712248967e155a5b0023426b98c7d7ae80b006f24307904c447a258d715525a",
-    (8, 5): "6f3becef9d707fd7478185fcd1f613455ac85fe4b24d89a517219c6c614f0520",
-    (8, 1): "7577e87975ae03389bebe49be3aaf42d0efdde666abb5161df7b0ff0ce2182f5",
+    (1, 64): "5d2981b6e0f5369210c5094fde03bba0e9ca43f0ee1c52a8dd4e063e88c80a5f",
+    (1, 8): "789de188dab82c30c424503e0584b0197e0cecf84f46eeb1f5518b2e3bfa8e61",
+    (1, 5): "f67319e444c10efa0dbc27994a08f4fe8f0b5795b6b0e06ea76a3f15f1ee4799",
+    (1, 1): "aebbee9d367892dea4aa591f0f5c0be913f4b016d38c127348dc232bb944eab4",
+    (3, 64): "fa91e5c05f69e0aa385b990e4a418d09b032152d80e303a2ebd5d878406cf7ba",
+    (3, 8): "eab6ccaa1c2c56ff2520584c9931185cea2f483fc4609b3464c9e80f213ff1b5",
+    (3, 5): "308fa32dc7ed2681d0592652fe62549cef73d083c30700213141baf2d96f1f51",
+    (3, 1): "ee60de4fcd8adf57af0dfbab19f46baf318a213a2eb4267b7ccf92ac92777fb4",
+    (8, 64): "abd1d658ab68633ac56891286c82ba8f01a8f0826c64187351851eaa3ee86f88",
+    (8, 8): "3061d3e06feb6fe71825cf892a227af5aefa4bf69843972ba4595cb79ed78dbb",
+    (8, 5): "37b281444f57bd9ea88af2e8ab25681f4e366b1d012205597568b672f8da3c4b",
+    (8, 1): "e2d956b43472c9d674f4864bac52b8c583041ff8382ac31b6f7be8497cc1b1f4",
 }
 
 
@@ -420,3 +468,17 @@ def test_index_files_match_recorded_digests(tmp_path):
         for n, bits in itertools.product((1, 3, 8), (64, 8, 5, 1))
     }
     assert digests == INDEX_DIGESTS
+
+
+@pytest.mark.parametrize("n, bits", [*itertools.product((1, 3, 8), (64, 8, 5, 1)), (8, 33), (8, 32)])
+def test_index_file_holds_each_gram_as_its_key_and_position(tmp_path, n, bits):
+    # the key is the gram's fingerprint at min(bits, 32) bits, and postings are sorted by (key, position)
+    docs = _golden_corpus()
+    build_index(docs, ScanConfig(n), bits).save(tmp_path / "i.ctkx")
+    index = NGramIndex.load(tmp_path / "i.ctkx")
+    expected = sorted(
+        (fingerprint(doc.tokens[off : off + n], min(bits, 32)), index.starts[ref] + off)
+        for ref, doc in enumerate(docs)
+        for off in range(len(doc.tokens) - n + 1)
+    )
+    assert list(zip(index._keys, index._positions)) == expected
