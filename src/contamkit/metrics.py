@@ -6,6 +6,14 @@ orders 1..max_order, times the brevity penalty
 over all segments before precisions are taken (corpus aggregation), and a
 single reference per segment is assumed.
 
+Matches are clipped as Papineni et al. (2002) define them, each hypothesis
+gram counted at most as often as the reference has it. Per segment, the
+orders up to the first one at which no hypothesis gram repeats are clipped
+through a ``Counter`` of each side's grams. From that order on no gram can
+repeat (a repeated (k+1)-gram starts with a repeated k-gram), so the clipped
+matches are the size of the set intersection of hypothesis and reference
+grams. Both ways give the same counts, so the scores are the same floats.
+
 Tokens are whatever hashable units the caller provides — integer ids in the
 pipeline, whitespace-split words for the plain-text files of the ``bleu``
 subcommand — so the module stays tokenizer-agnostic.
@@ -55,10 +63,6 @@ def split_pair(lang_pair: str) -> tuple[str, str]:
     return src, tgt
 
 
-def _ngram_counts(tokens: Sequence, order: int) -> Counter:
-    return Counter(zip(*[tokens[i:] for i in range(order)]))
-
-
 def corpus_bleu(
     hypotheses: Sequence[Sequence],
     references: Sequence[Sequence],
@@ -85,13 +89,26 @@ def corpus_bleu(
     hyp_len = 0
     ref_len = 0
     for hyp, ref in zip(hypotheses, references):
-        hyp_len += len(hyp)
+        n = len(hyp)
+        hyp_len += n
         ref_len += len(ref)
-        for k in range(1, min(max_order, len(hyp)) + 1):  # a shorter hypothesis has no k-grams
-            hyp_counts = _ngram_counts(hyp, k)
-            ref_counts = _ngram_counts(ref, k)
-            total[k - 1] += len(hyp) - k + 1
-            matched[k - 1] += sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
+        distinct = False
+        for k in range(1, min(max_order, n) + 1):  # a shorter hypothesis has no k-grams
+            hyp_grams = zip(*[hyp[i:] for i in range(k)])
+            ref_grams = zip(*[ref[i:] for i in range(k)])
+            total[k - 1] += n - k + 1
+            # a gram that occurs once in the hypothesis clips to 1 if the reference has it, else to 0
+            if distinct:
+                matched[k - 1] += len(set(hyp_grams).intersection(ref_grams))
+                continue
+            hyp_counts = Counter(hyp_grams)
+            # a repeated (k+1)-gram starts with a repeated k-gram, so once no k-gram repeats none will
+            distinct = len(hyp_counts) == n - k + 1
+            if distinct:
+                matched[k - 1] += len(hyp_counts.keys() & ref_grams)
+            else:
+                ref_counts = Counter(ref_grams)
+                matched[k - 1] += sum(map(min, hyp_counts.values(), map(ref_counts.get, hyp_counts, repeat(0))))
 
     if hyp_len == 0:
         return 0.0

@@ -263,9 +263,13 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     ``fingerprint_bits`` above 32 no longer narrows the candidates, and a
     narrower one (down to 1) makes collisions more frequent. Postings are
     gathered into flat buckets by the top bits of their key, each packed as
-    one integer, and each bucket is sorted on its own, so the build never
-    holds a Python object per posting of the whole corpus: it peaks at about
-    13 B per posting (``tracemalloc``, 1M postings), 12 B of them kept.
+    one integer, and each bucket is sorted on its own. At n >= 3 the keys
+    spread over the buckets, so the build never holds a Python object per
+    posting of the whole corpus: it peaks at about 13-14 B per posting
+    (``tracemalloc``, 1M postings), 12 B of them kept. At n <= 2 the top key
+    bits are 0 for vocabularies below about 150k tokens, every posting lands
+    in one bucket, and sorting it holds an int per posting: about 61 B per
+    posting (2,000 x 100 tokens, vocabulary 32,000).
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order

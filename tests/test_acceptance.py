@@ -31,6 +31,7 @@ from contamkit.metrics import corpus_bleu
 from contamkit.ngram_index import ScanConfig, build_index
 
 from helpers import (
+    ENV,
     brute_bleu,
     best_overlap,
     direction_group,
@@ -218,11 +219,10 @@ def test_criterion_5_determinism(tmp_path):
     for run, hash_seed in enumerate(("1", "31337")):
         plan = tmp_path / f"plan{run}.jsonl"
         index = tmp_path / f"index{run}.ctkx"
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
         subprocess.run(
             [sys.executable, "-c", script, str(plan), str(index)],
             check=True,
-            env=env,
+            env=dict(ENV, PYTHONHASHSEED=hash_seed),
         )
         outputs.append((plan.read_bytes(), index.read_bytes()))
     assert outputs[0][0] == outputs[1][0], "schedule files differ across independent runs"

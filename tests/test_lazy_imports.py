@@ -7,22 +7,16 @@ which then reports the ``contamkit`` submodules it holds.
 
 import importlib
 import json
-import os
 import random
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 import contamkit
 from contamkit.corpus_io import CorpusDocument, write_batches, write_testset
 
-from helpers import make_example, random_tokens, write_corpus
-from test_injector import _synth_stream
-
-SRC = str(Path(contamkit.__file__).resolve().parents[1])
-ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+from helpers import ENV, _synth_stream, make_example, random_tokens, write_corpus
 
 REPORT_MODULES = "print(json.dumps(sorted(m for m in sys.modules if m.startswith('contamkit'))))"
 RUN_MAIN = f"import json, sys; from contamkit.cli import main; code = main(sys.argv[1:]); {REPORT_MODULES}; sys.exit(code)"

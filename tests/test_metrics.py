@@ -114,11 +114,25 @@ def test_one_pass_counting_equals_the_per_gram_oracle_exactly(data):
     max_order = data.draw(st.integers(min_value=1, max_value=40))
     smoothing = data.draw(st.sampled_from(["none", "add_one"]))
     count = data.draw(st.integers(min_value=1, max_value=4))
-    token = st.integers(min_value=0, max_value=3)
+    # a small alphabet repeats grams (clipped through Counters), a large one rarely does (set intersections)
+    alphabet = data.draw(st.sampled_from([2, 4, 1000, 2**32 - 1]))
+    token = st.integers(min_value=0, max_value=alphabet - 1)
+    if data.draw(st.booleans()):
+        token = token.map(lambda t: f"w{t}")  # words, as text mode splits them
     hyps = data.draw(st.lists(st.lists(token, max_size=45), min_size=count, max_size=count))
     refs = data.draw(st.lists(st.lists(token, min_size=1, max_size=45), min_size=count, max_size=count))
     expected = counter_bleu(hyps, refs, max_order=max_order, smoothing=smoothing)
     assert corpus_bleu(hyps, refs, max_order=max_order, smoothing=smoothing) == expected
+
+
+def test_one_pass_counting_equals_the_per_gram_oracle_on_a_generated_corpus():
+    # shaped like the benchmark's segments: 10-30 tokens from a vocabulary of 1,000, each kept with p 0.8
+    rng = random.Random(31)
+    refs = [[rng.randrange(1000) for _ in range(rng.randrange(10, 31))] for _ in range(2500)]
+    hyps = [[t if rng.random() < 0.8 else rng.randrange(1000) for t in ref] for ref in refs]
+    for max_order, smoothing in ((4, "none"), (6, "add_one")):
+        expected = counter_bleu(hyps, refs, max_order=max_order, smoothing=smoothing)
+        assert corpus_bleu(hyps, refs, max_order=max_order, smoothing=smoothing) == expected
 
 
 def test_bleu_memory_follows_the_longest_hypothesis_not_max_order():

@@ -11,7 +11,7 @@ from contamkit.cli import main
 from contamkit.corpus_io import CorpusDocument, example_to_record
 from contamkit.injector import read_schedule
 
-from helpers import make_example, random_tokens, write_corpus
+from helpers import ENV, make_example, random_tokens, write_corpus
 
 DOCS_PER_SHARD = 20_000
 SHARDS = 3
@@ -49,7 +49,7 @@ LAUNCHER = textwrap.dedent(
 
 def _run_measured(*args):
     """Run ``python *args`` through the launcher; returns (its output lines, exit code, peak RSS in MB)."""
-    result = subprocess.run([sys.executable, "-c", LAUNCHER, *args], capture_output=True, text=True, check=True)
+    result = subprocess.run([sys.executable, "-c", LAUNCHER, *args], env=ENV, capture_output=True, text=True, check=True)
     *lines, last = result.stdout.splitlines()
     stats = json.loads(last)
     return lines, stats["code"], stats["peak_kb"] / 1024
