@@ -7,16 +7,17 @@ fractions. Only that one span per field is searched for
 (:func:`longest_span`). One rolling fingerprint walks the field
 (:meth:`NGramIndex.probe`), so each n-gram's fingerprint follows from the
 one before in one step, and the grams are looked up in order of field
-offset. A candidate is a global position in the index's token array. One
-that is left-maximal — at the start of the field or of its document
-(:attr:`NGramIndex.doc_starts`, one set lookup), or preceded by unequal
-tokens — must then equal the field on its first ``L`` tokens, where ``L``
-is the best length found so far, checked as one array-slice comparison;
-only past ``L`` is it extended token by token. Every counted span is thus
-compared token by token, which makes the match exact at any fingerprint
-width. Branch and bound prunes the rest: the walk stops once fewer field
-tokens are left than the best length found, and a candidate with too
-little room in its document to reach that length is not extended. The
+offset. A candidate is a global position in the index's token array. It
+must equal the field on its first ``L`` tokens, where ``L`` is the best
+length found so far, checked as one array-slice comparison; only past
+``L`` is it extended token by token. Every counted span is thus compared
+token by token, which makes the match exact at any fingerprint width.
+Branch and bound prunes the rest: the walk stops once fewer field tokens
+are left than the best length found, and a candidate with too little room
+in its document to reach that length is not extended. A candidate that
+is not left-maximal, one whose span goes on a token further left in its
+document, needs no test of its own: the walk met that longer span at the
+offset before, so ``L`` already exceeds what the candidate can reach. The
 document of a position is looked up (a bisection of the document starts)
 only for a candidate that passes the slice comparison, for its room, and
 once for the span reported.
@@ -86,10 +87,10 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     ``(doc_ref, corpus_start, example_start)``, which orders spans as the
     global position ``i`` and then ``example_start`` do. The grams come
     from one rolling probe of the field (:meth:`NGramIndex.probe`). A
-    left-maximal candidate is first compared on its ``L`` tokens as one
-    slice, ``tokens[i:i + L] == field[j:j + L]``; only one that passes has
-    its document looked up, for its room, and is then extended token by
-    token past ``L``, so the result is exact at any fingerprint width. A
+    candidate is first compared on its ``L`` tokens as one slice,
+    ``tokens[i:i + L] == field[j:j + L]``; only one that passes has its
+    document looked up, for its room, and is then extended token by token
+    past ``L``, so the result is exact at any fingerprint width. A
     token id outside ``[0, 2**32)``, which no index can hold, raises
     ``ValueError``. A field shorter than ``n`` returns its first whole-field
     occurrence, which is the smallest on the tie key.
@@ -106,19 +107,22 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     if len(field) < n:
         return _whole_field_span(field, index)
 
-    tokens, starts, doc_starts = index.tokens, index.starts, index.doc_starts
+    tokens, starts = index.tokens, index.starts
     end = len(field)
     best = None  # (corpus position, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
     for j, positions in enumerate(index.probe(field)):
         if end - j < best_len:
             break  # no span starting here or later in the field can be longer
-        before = field[j - 1] if j else None  # equals no token: the field start is left-maximal
+        head = field[j : j + best_len]
         for i in positions:
-            # at i = 0, tokens[-1] is read, and 0 is a document start
-            if tokens[i - 1] == before and i not in doc_starts:
-                continue  # not left-maximal: the same span starts further left
-            if tokens[i : i + best_len] != field[j : j + best_len]:
+            # A candidate that is not left-maximal (tokens[i - 1] == field[j - 1]
+            # in one document) needs no test of its own: if a span of n or
+            # more tokens starts at (i, j), the span one token longer at
+            # (i - 1, j - 1) has a posting the walk met at offset j - 1, so
+            # best_len already exceeds any span at (i, j). The slice or the
+            # room test rejects it, and it never changes best.
+            if tokens[i : i + best_len] != head:
                 continue  # the first best_len tokens differ
             stop = min(starts[bisect_right(starts, i)] - i, end - j)
             if stop < best_len:
@@ -128,6 +132,7 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
                 length += 1
             if length > best_len or best is None or (i, j) < best:
                 best, best_len = (i, j), length
+                head = field[j : j + best_len]
     if best is None:
         return None
     i, j = best

@@ -1,8 +1,8 @@
 """Exact n-gram location index over tokenized corpora.
 
 Every position ``p`` of every document with ``len >= n`` contributes exactly
-one posting, keyed by a 64-bit rolling polynomial fingerprint of the n-gram
-starting at ``p``:
+one posting, keyed by a rolling polynomial fingerprint of the n-gram
+starting at ``p``, cut to ``min(bits, 32)`` bits:
 
     h(g) = sum_i g[i] * BASE^(n-1-i)  mod 2^64,  BASE = 0x100000001B3
 
@@ -42,10 +42,11 @@ u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
 doc count — then the index's arrays whole, in this order: u32 keys, u32
 positions, u32 document lengths, u32 id byte lengths, u32 tokens, and last
 the UTF-8 doc ids back to back. So every numeric section starts at a
-multiple of its item size, and the file is written front to back. One index holds at most ``2**32 - 1`` tokens, so that every position
-fits its u32. The header bounds the file size and the two length arrays fix
-it, so a damaged count or length is refused before the tokens are read, and
-a file that is not regular (a pipe), which has no size, is refused. A
+multiple of its item size, and the file is written front to back. One
+index holds at most ``2**32 - 1`` tokens, so that every position fits its
+u32. The header bounds the file size and the two length arrays fix it, so
+a damaged count or length is refused before the tokens are read, and a
+file that is not regular (a pipe), which has no size, is refused. A
 position at or past the token count is refused at load, so no posting can
 point outside the documents. Versions 1 to 3 are refused; rebuild them.
 """
@@ -140,7 +141,6 @@ class NGramIndex:
         self.starts = array("Q", [0])
         self._keys = array("I")
         self._positions = array("I")
-        self._doc_starts = None  # built by doc_starts
 
     # -- queries -----------------------------------------------------------
 
@@ -162,17 +162,6 @@ class NGramIndex:
             lo = bisect_left(keys, key)
             hi = bisect_right(keys, key, lo) if lo < size and keys[lo] == key else lo  # most grams have no posting
             yield positions[lo:hi]
-
-    @property
-    def doc_starts(self) -> frozenset[int]:
-        """The start of every document of at least ``n`` tokens: the document starts a posting can be at.
-
-        Built on first use, so an index that is only built and saved never holds it.
-        """
-        if self._doc_starts is None:
-            n = self.ngram_order
-            self._doc_starts = frozenset(start for start, end in pairwise(self.starts) if end - start >= n)
-        return self._doc_starts
 
     def doc_id(self, doc_ref: int) -> str:
         return self._doc_ids[doc_ref]

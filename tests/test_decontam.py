@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from dataclasses import fields
@@ -105,6 +106,15 @@ def test_partition_and_idempotence():
     kept_again, report_again = decontaminate(kept, index, CFG)
     assert kept_again == kept
     assert report_again.removed == 0
+
+
+def test_decontaminate_leaves_the_index_as_built():
+    rng = random.Random(3)
+    examples, corpus = _testset_with_plants(rng, total=6, planted_count=3)
+    index = index_of(corpus)
+    built = copy.deepcopy(vars(index))  # copies, so a change in place shows too
+    decontaminate(examples, index, CFG)
+    assert vars(index) == built
 
 
 def test_threshold_monotonicity():
