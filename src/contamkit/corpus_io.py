@@ -46,9 +46,9 @@ back unchanged; any other line is parsed and checked field by field and
 written back in that form. So every line is checked, and reading and
 writing a stream gives the same bytes either way.
 
-Every text file is read through :func:`read_lines`, which names undecodable
-bytes as ``path:line`` like any other malformed record (``path`` alone in a
-pipe), and every JSON line that is decoded is decoded by :func:`parse_json`.
+Every text file is read once, through :func:`read_lines`, which names
+undecodable bytes as ``path:line`` like any other malformed record, and
+every JSON line that is decoded is decoded by :func:`parse_json`.
 Every file contamkit writes goes through :func:`output_file`: a temporary
 file beside the target replaces it only when the whole output is written, so
 a failed write leaves an existing output untouched and no partial one behind.
@@ -79,7 +79,7 @@ CATEGORIES = (CATEGORY_MONOLINGUAL, CATEGORY_PARALLEL, CATEGORY_CONTAMINATION)
 
 _BINARY_MAGIC = b"CTK1"
 _SWAP = sys.byteorder == "big"  # files are little-endian; arrays are native
-_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode (is_text)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # what UTF-8 cannot encode (is_text); read_lines reads a bad byte as one
 
 
 class CorpusFormatError(ValueError):
@@ -305,28 +305,19 @@ def output_file(path, mode: str = "w"):
 def read_lines(path) -> Iterator[tuple[int, str]]:
     """Yield ``(line number, line)`` for every line of a UTF-8 text file, newline kept.
 
-    Raises :class:`CorpusFormatError` naming the line and column of the first
-    byte that is not UTF-8, or only the file when it is not a regular file.
+    The file is read once, each byte that is not UTF-8 escaped to a lone
+    surrogate, which valid UTF-8 never decodes to; so a line is yielded only
+    when :func:`is_text` holds, and otherwise :class:`CorpusFormatError` names
+    the line and the column of its first such byte, from a pipe as from a
+    regular file.
     """
-    try:
-        with open(path, encoding="utf-8") as f:
-            yield from enumerate(f, start=1)
-    except UnicodeDecodeError:
-        raise CorpusFormatError(_undecodable_line(path)) from None
-
-
-def _undecodable_line(path) -> str:
-    # The reader decodes ahead of the line it yields, so its failure does not
-    # say where the bad byte is; find it, numbering lines as the reader does,
-    # in a regular file only: a pipe cannot be read again.
-    if os.path.isfile(path):
-        with open(path, encoding="utf-8", errors="surrogateescape") as f:
-            for lineno, line in enumerate(f, start=1):
-                bad = re.search("[\udc80-\udcff]", line)
-                if bad:
-                    byte = ord(bad.group()) - 0xDC00
-                    return f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x} at column {bad.start() + 1})"
-    return f"{path}: not UTF-8"
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        for lineno, line in enumerate(f, start=1):
+            if not is_text(line):
+                bad = _SURROGATE.search(line)
+                byte = ord(bad.group()) - 0xDC00
+                raise CorpusFormatError(f"{path}:{lineno}: not UTF-8 (byte 0x{byte:02x} at column {bad.start() + 1})")
+            yield lineno, line
 
 
 def parse_json(line: str, where: str):

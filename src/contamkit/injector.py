@@ -505,6 +505,11 @@ def apply_batches(
         batch = list(batch)
         for slot, i in targets.pop(step, {}).items():
             e, incumbent = schedule.entries[i], batch[slot]
+            if incumbent.category == CATEGORY_CONTAMINATION:
+                raise StreamShapeError(
+                    f"(step {step}, slot {slot}): incumbent is a contamination document; "
+                    "plan the conditions as one schedule instead of applying one plan over another"
+                )
             if require_parallel_slots and incumbent.category != CATEGORY_PARALLEL:
                 raise StreamShapeError(
                     f"(step {step}, slot {slot}): incumbent is {incumbent.category!r}, "

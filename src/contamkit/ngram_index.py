@@ -34,8 +34,11 @@ appends each posting, packed as one integer ``key << 32 | position``, to
 one of ``2**min(6, bits)`` ``array("Q")`` buckets chosen by the top bits of
 its key. It then sorts the buckets one at a time, in ascending order, and
 splits each into the two index arrays, which gives the global order
-exactly. ``contamkit index`` builds 1M postings peaking at about 29 B per
-posting above the interpreter.
+exactly. A bucket of more than ``2**16`` postings is split again by its
+key range before it is sorted, so no sort holds more ints than that; at
+n <= 2 the top key bits are 0 for vocabularies below about 150k tokens,
+and the first bucket holds every posting. ``contamkit index`` builds 1M
+postings peaking at about 29 B per posting above the interpreter.
 
 File layout (version 4, little-endian): a 32-byte header — magic ``CTKX``,
 u32 version, u32 ngram order, u32 fingerprint bits, u64 posting count, u64
@@ -75,6 +78,7 @@ _DOC_BYTES = 8  # u32 document length + u32 id byte length
 _MAX_U32 = (1 << 32) - 1
 _KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bits
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
+_SPLIT_POSTINGS = 1 << 16  # a bucket of more postings is split again by its key range before it is sorted
 _HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
 
 
@@ -252,13 +256,13 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     ``fingerprint_bits`` above 32 no longer narrows the candidates, and a
     narrower one (down to 1) makes collisions more frequent. Postings are
     gathered into flat buckets by the top bits of their key, each packed as
-    one integer, and each bucket is sorted on its own. At n >= 3 the keys
-    spread over the buckets, so the build never holds a Python object per
-    posting of the whole corpus: it peaks at about 13-14 B per posting
-    (``tracemalloc``, 1M postings), 12 B of them kept. At n <= 2 the top key
-    bits are 0 for vocabularies below about 150k tokens, every posting lands
-    in one bucket, and sorting it holds an int per posting: about 61 B per
-    posting (2,000 x 100 tokens, vocabulary 32,000).
+    one integer, and each bucket is sorted on its own; a bucket of more than
+    ``2**16`` postings is first split again by the key range it holds. So the
+    build never holds a Python object per posting of the whole corpus, at
+    any n: at n >= 3, where the keys spread over the buckets, it peaks at
+    about 14 B per posting (``tracemalloc``, 1M postings), 12 B of them kept;
+    at n = 1, where every key lands in one bucket, at about 21 B (1,000 x 100
+    tokens, vocabulary 32,000).
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
@@ -292,8 +296,36 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     # buckets in ascending order, each sorted, are the global (key, position) order
     for b, bucket in enumerate(buckets):
         buckets[b] = None  # each bucket is freed once it has been copied out
-        words = array("I")  # each packed posting as its two native u32 words
-        words.frombytes(array("Q", sorted(bucket)).tobytes())
-        index._keys.extend(words[_HIGH_WORD::2])
-        index._positions.extend(words[1 - _HIGH_WORD :: 2])
+        for run in _sorted_runs(bucket):
+            words = array("I")  # each packed posting as its two native u32 words
+            words.frombytes(run.tobytes())
+            index._keys.extend(words[_HIGH_WORD::2])
+            index._positions.extend(words[1 - _HIGH_WORD :: 2])
     return index
+
+
+def _sorted_runs(bucket: array) -> Iterator[array]:
+    """The packed postings of ``bucket``, appended in position order, as consecutive sorted runs.
+
+    A bucket of more than ``_SPLIT_POSTINGS`` postings is split by the key
+    range it holds into at most 65 parts and emptied, and each part is taken
+    the same way, so ``sorted()`` never holds more ints than that; a part of
+    one key is in position order, so sorted already. Copy each run out
+    before asking for the next.
+    """
+    if len(bucket) <= _SPLIT_POSTINGS:
+        yield array("Q", sorted(bucket))
+        return
+    low, high = min(bucket) >> 32, max(bucket) >> 32
+    if low == high:
+        yield bucket
+        return
+    parts = [array("Q") for _ in range(65)]
+    add = [part.append for part in parts]
+    span = high - low
+    for packed in bucket:
+        add[((packed >> 32) - low) * 64 // span](packed)
+    del bucket[:]
+    for part in parts:
+        yield from _sorted_runs(part)
+        del part[:]

@@ -873,6 +873,33 @@ def test_inject_apply_require_parallel_names_the_stream_step_and_slot(tmp_path, 
     )
 
 
+def test_inject_apply_refuses_to_replace_a_contamination_document(tmp_path, capsys):
+    # two conditions applied in turn: the second plan, drawn alone, targets a slot the first filled,
+    # which would lose one of its documents and put 10 injected documents where the cap allows 5
+    rng = random.Random(0)
+    testset = tmp_path / "testset.jsonl"
+    _write_testset_file(testset, [
+        make_example(f"ex{i}", random_tokens(rng, 20, 10**6), random_tokens(rng, 20, 10**6)) for i in range(40)
+    ])
+    plans = []
+    for mode, seed in (("full_prompted", 1), ("source_only", 2)):
+        plans.append(tmp_path / f"{mode}.jsonl")
+        assert main(["inject", "plan", "--testset", str(testset), "--mode", mode, "--temporal", "late",
+                     "--copies", "2", "--steps", "200", "--batch-size", "100", "--seed", str(seed),
+                     "--out", str(plans[-1])]) == 0
+    stream, once, twice = (tmp_path / name for name in ("stream.jsonl", "once.jsonl", "twice.jsonl"))
+    write_batches(_synth_stream(200, 100).steps, stream)
+    assert main(["inject", "apply", "--stream", str(stream), "--schedule", str(plans[0]), "--out", str(once)]) == 0
+    first = {(e.step, e.slot) for e in read_schedule(plans[0]).entries}
+    step, slot = min((e.step, e.slot) for e in read_schedule(plans[1]).entries if (e.step, e.slot) in first)
+    capsys.readouterr()
+    assert main(["inject", "apply", "--stream", str(once), "--schedule", str(plans[1]), "--out", str(twice)]) == 2
+    assert capsys.readouterr() == ("", f"error: {once}: (step {step}, slot {slot}): incumbent is a contamination "
+                                       "document; plan the conditions as one schedule instead of applying one plan "
+                                       "over another\n")
+    assert not twice.exists()
+
+
 def test_report_names_the_file_and_line_of_a_repeated_key(tmp_path, capsys):
     base = tmp_path / "base.jsonl"
     cont = tmp_path / "cont.jsonl"
@@ -990,7 +1017,8 @@ def test_decontam_refuses_an_index_from_a_fifo_as_not_a_regular_file(tmp_path, c
 
 
 def test_a_testset_fifo_with_a_bad_byte_names_the_file(tmp_path):
-    # run in a child with a timeout: locating the bad byte once opened the pipe again and waited for a writer for ever
+    # run in a child with a timeout: a reader that opened the pipe again to find the bad byte would wait for a
+    # writer for ever; read once, a pipe names the line and column as a regular file does
     rng = random.Random(0)
     lines = []
     while sum(map(len, lines)) < 128 * 1024:
@@ -1005,7 +1033,7 @@ def test_a_testset_fifo_with_a_bad_byte_names_the_file(tmp_path):
                             timeout=30)
     writer.join(timeout=30)
     assert not writer.is_alive()
-    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {fifo}: not UTF-8\n")
+    assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {fifo}:173: not UTF-8 (byte 0xff at column 1)\n")
 
 
 def test_bleu_defaults_are_those_of_corpus_bleu(capsys):

@@ -412,3 +412,12 @@ def test_undecodable_bytes_are_reported_as_path_and_line(tmp_path):
     path.write_bytes(b'{"doc_id": "d0", "tokens": [1]}\n\n{"doc_id": "d\xff1", "tokens": [2]}\n')
     with pytest.raises(CorpusFormatError, match=r"c.jsonl:3: not UTF-8 \(byte 0xff at column 14\)"):
         list(read_json_lines(path))
+
+
+@pytest.mark.parametrize("valid_lines", [1, 1000])
+def test_the_first_fault_in_file_order_is_named(tmp_path, valid_lines):
+    # the bad byte is read only after line 1 has been checked, however near it lies
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b'{"doc_id": \n' + b'{"doc_id": "d0", "tokens": [1]}\n' * valid_lines + b'{"doc_id": "d\xff1"}\n')
+    with pytest.raises(CorpusFormatError, match=rf"^{re.escape(str(path))}:1: invalid JSON"):
+        list(read_json_lines(path))

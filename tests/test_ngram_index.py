@@ -470,6 +470,29 @@ def test_index_files_match_recorded_digests(tmp_path):
     assert digests == INDEX_DIGESTS
 
 
+def test_buckets_split_by_key_range_write_the_recorded_files(tmp_path, monkeypatch):
+    # every bucket of more than two postings is split again, down to parts of one key
+    monkeypatch.setattr(ngram_index, "_SPLIT_POSTINGS", 2)
+    test_index_files_match_recorded_digests(tmp_path)
+
+
+def _build_peak_per_posting(docs, n):
+    tracemalloc.start()
+    try:
+        postings = len(build_index(docs, ScanConfig(n))._keys)
+        return tracemalloc.get_traced_memory()[1] / postings
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_peak_per_posting_at_n_1_stays_near_that_at_n_8():
+    # at n = 1 a key is its token, below 2**26, so every posting lands in the first of 64 buckets;
+    # sorted whole, that bucket would take an int per posting (about 60 B, against 14 B at n = 8)
+    rng = random.Random(16)
+    docs = docs_from_tokens(random_tokens(rng, 100, 32_000) for _ in range(1000))
+    assert _build_peak_per_posting(docs, 1) < 2.5 * _build_peak_per_posting(docs, 8)
+
+
 @pytest.mark.parametrize("n, bits", [*itertools.product((1, 3, 8), (64, 8, 5, 1)), (8, 33), (8, 32)])
 def test_index_file_holds_each_gram_as_its_key_and_position(tmp_path, n, bits):
     # the key is the gram's fingerprint at min(bits, 32) bits, and postings are sorted by (key, position)

@@ -10,6 +10,7 @@ files as the oracle on any stream, canonical, not canonical or damaged.
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -22,6 +23,7 @@ from contamkit import cli
 from contamkit.corpus_io import (
     _STREAM_LINE,
     CATEGORIES,
+    CATEGORY_CONTAMINATION,
     CorpusDocument,
     EncodedDocument,
     StreamRecord,
@@ -89,15 +91,19 @@ def test_every_line_the_pattern_matches_reencodes_to_itself(tmp_path_factory, li
 # -- inject apply: line pass against the oracle ------------------------------------
 
 
+# A plan that replaces four slots of a 4 x 4 stream, and those (step, slot) pairs.
+PLAN = plan_schedule(
+    [make_example(f"ex{i}", [i + 1, 7], [i + 2, 9]) for i in range(2)],
+    ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.UNIFORM, 1),
+    TrainingConfig(total_steps=STEPS, batch_size=BATCH, max_replace_frac=0.5, seed=5),
+)
+REPLACED = set(zip(*PLAN.entries.columns[:2]))
+
+
 @pytest.fixture(scope="module")
 def plan(tmp_path_factory):
-    """A plan that replaces four slots of a 4 x 4 stream."""
     path = tmp_path_factory.mktemp("plan") / "plan.jsonl"
-    write_schedule(plan_schedule(
-        [make_example(f"ex{i}", [i + 1, 7], [i + 2, 9]) for i in range(2)],
-        ContaminationCondition(ContaminationMode.BATCHED_PAIR, Temporal.UNIFORM, 1),
-        TrainingConfig(total_steps=STEPS, batch_size=BATCH, max_replace_frac=0.5, seed=5),
-    ), path)
+    write_schedule(PLAN, path)
     return path
 
 
@@ -136,10 +142,14 @@ FORMS = ["canonical", "ascii", "compact", "padded", "sorted", "extra", "escaped"
 
 @st.composite
 def _stream_text(draw, forms=FORMS):
-    """A 4 x 4 stream whose lines each take a drawn form; some blank lines, CRLF ends or no last newline."""
+    """A 4 x 4 stream whose lines each take a drawn form; some blank lines, CRLF ends or no last newline.
+    A slot the plan replaces holds no contamination document, which apply refuses to replace."""
     docs = draw(st.lists(_docs(st.integers(0, 2**32 - 1)), min_size=STEPS * BATCH, max_size=STEPS * BATCH))
     lines = []
     for i, doc in enumerate(docs):
+        if (i // BATCH, i % BATCH) in REPLACED:
+            doc = dataclasses.replace(doc, category=draw(st.sampled_from(
+                [c for c in CATEGORIES if c != CATEGORY_CONTAMINATION])))
         record = {"step": i // BATCH, "slot": i % BATCH, "doc": doc_to_record(doc)}
         form = draw(st.sampled_from(["canonical"] * len(forms) + forms))
         lines.append(_form(record, form) + draw(st.sampled_from(["\n"] * 8 + ["\r\n", "\n\n", "\n \n"])))
