@@ -27,7 +27,8 @@ drawn uniformly without replacement.
 
 All randomness comes from one counter-based generator (SplitMix64: output i
 is the splitmix finalizer applied to ``seed + (i+1) * 0x9E3779B97F4A7C15``;
-integers below a bound are taken by rejection sampling). Draw order is: one
+integers below a bound are taken by rejection sampling); draws are computed
+1,024 at a time, with the same values. Draw order is: one
 step per layout group in unit order (source half before target half), then
 slots per step in ascending step order. A ``split_pair`` half that finds no
 step with room outside its copy's other steps (a window filled exactly) takes
@@ -44,6 +45,7 @@ import functools
 import json
 import math
 import re
+import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -63,6 +65,7 @@ from .corpus_io import (
 GENERATOR_VERSION = "contamkit-planner/1"
 
 _MASK64 = (1 << 64) - 1
+_BLOCK = 1024  # draws a CounterRng computes at once
 
 _INT64 = "(0|[1-9][0-9]{0,17})"  # at most 18 digits: below 2**63 without a range test
 _PLAIN = r'"([^"\\\x00-\x1f]*)"'  # a JSON string with no escapes: its text is its value
@@ -142,14 +145,12 @@ class CounterRng:
 
     def __init__(self, seed: int):
         self.seed = seed & _MASK64
-        self.counter = 0
+        self.counter = 0  # draws consumed
+        self._outputs = _splitmix64_blocks(self.seed)
 
     def draw64(self) -> int:
         self.counter += 1
-        z = (self.seed + self.counter * self.GAMMA) & _MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        return z ^ (z >> 31)
+        return next(self._outputs)
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection sampling."""
@@ -158,6 +159,30 @@ class CounterRng:
             v = self.draw64()
             if v < limit:
                 return v % n
+
+
+@functools.cache
+def _lanes() -> tuple[int, int, int]:
+    """1, 2**64 - 1 and k * GAMMA mod 2**64 in 128-bit lane k, k < ``_BLOCK``."""
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _BLOCK, "little")
+    ramp = b"".join((k * CounterRng.GAMMA & _MASK64).to_bytes(16, "little") for k in range(_BLOCK))
+    return ones, ones * _MASK64, int.from_bytes(ramp, "little")
+
+
+def _splitmix64_blocks(seed: int) -> Iterator[int]:
+    """The draws of ``seed``, ``_BLOCK`` at a time: draw i of a block is lane i of
+    one int, masked to 64 bits before each multiply, so each line is one big-int
+    operation over all lanes."""
+    ones, lanes, ramp = _lanes()  # built on the first draw, not at import
+    while True:
+        z = ((seed + CounterRng.GAMMA) * ones + ramp) & lanes
+        seed = (seed + _BLOCK * CounterRng.GAMMA) & _MASK64
+        z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
+        z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
+        values = array("Q", (z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little"))
+        if sys.byteorder == "big":
+            values.byteswap()
+        yield from values[::2]
 
 
 @dataclass(frozen=True)
@@ -172,10 +197,11 @@ class ScheduleEntry:
 
 
 class ScheduleEntries(Sequence[ScheduleEntry]):
-    """A schedule's entries, read-only, built from ``rows`` of field values, as
-    one column per :class:`ScheduleEntry` field in field order: ``step``, ``slot``
-    and ``copy_index`` are 64-bit int arrays, and the string columns share one
-    object per distinct string. Indexing and iteration give :class:`ScheduleEntry` values."""
+    """A schedule's entries, read-only, as one column per :class:`ScheduleEntry`
+    field in field order: ``step``, ``slot`` and ``copy_index`` are 64-bit int
+    arrays, and the string columns share their objects between entries (built
+    from ``rows`` of field values, one per distinct string). Indexing and
+    iteration give :class:`ScheduleEntry` values."""
 
     def __init__(self, rows: Iterable[Sequence] = ()):
         self.columns = step, slot, example_id, copy_index, part, text, lang = (
@@ -230,9 +256,10 @@ class InjectionSchedule:
         return self.window_start
 
 
-def _window(condition: ContaminationCondition, config: TrainingConfig, units: int) -> tuple[int, int]:
+def _window(condition: ContaminationCondition, config: TrainingConfig, units: int) -> tuple[int, int, int]:
     """Resolve the [start, end) step window for ``units`` copies, growing
-    concentrated windows just enough to fit all entries under the cap.
+    concentrated windows just enough to fit all entries under the cap, and
+    the groups one step can take.
 
     Raises :class:`CapacityError` when the window cannot hold them.
     """
@@ -240,7 +267,7 @@ def _window(condition: ContaminationCondition, config: TrainingConfig, units: in
     cap = config.replace_cap()
     layout = MODE_LAYOUT[condition.mode]
     size, groups = len(layout[0]), len(layout)  # documents per group (all alike), steps per copy
-    per_step = cap // size  # groups one step can take
+    per_step = cap // size
     if condition.temporal is Temporal.UNIFORM:
         start = int(math.floor(UNIFORM_RANGE_FRAC[0] * steps))
         end = min(int(math.floor(UNIFORM_RANGE_FRAC[1] * steps)) + 1, steps)
@@ -261,23 +288,7 @@ def _window(condition: ContaminationCondition, config: TrainingConfig, units: in
         message = f"plan needs {entries} injection slots but the window provides {available} "
         message += f"({width} steps x cap {cap})"
         raise CapacityError(message, required=entries, available=available)
-    return start, end
-
-
-def _draw_step(rng: CounterRng, window: tuple[int, int], ok: Callable[[int], bool]) -> int | None:
-    """A step of the window that is ``ok``, or None when there is none."""
-    lo, hi = window
-    width = hi - lo
-    for _ in range(64):
-        step = lo + rng.below(width)
-        if ok(step):
-            return step
-    # deterministic fallback: scan forward from the last draw
-    for d in range(width):
-        candidate = lo + (step - lo + d) % width
-        if ok(candidate):
-            return candidate
-    return None
+    return start, end, per_step
 
 
 def _sample_slots(rng: CounterRng, batch_size: int, k: int) -> list[int]:
@@ -313,27 +324,25 @@ def plan_schedule(
         grouped[ex.example_id] = [[next(docs) for _ in parts] for parts in MODE_LAYOUT[condition.mode]]
     if len(grouped) != len(examples):
         raise ValueError("examples must have unique example_ids")
-    window = _window(condition, config, len(examples) * condition.copies)
+    lo, hi, per_step = _window(condition, config, len(examples) * condition.copies)
 
     rng = CounterRng(config.seed)
-    by_step: dict[int, list[tuple[str, int, RenderedDoc]]] = {}
+    by_step: dict[int, list[tuple[str, int, list[RenderedDoc]]]] = {}  # the groups placed on a step
+    fill: dict[int, int] = {}  # their count: sparse, so memory follows the entries, not the window
 
-    def room(step: int, need: int) -> bool:
-        return cap - len(by_step.get(step, ())) >= need
-
-    def free_step(taken: list[int], need: int) -> int:
-        """Move one placed group off a step that ``taken`` lacks, to a step with
-        room that its own copy lacks; return the step it freed. Groups of a
-        layout are all the same size, so the freed step fits ``need``."""
-        for old in range(*window):
+    def free_step(taken: list[int]) -> int:
+        """Move one placed group off a step that ``taken`` lacks to a step with
+        room that its own copy lacks; return the step it freed."""
+        for old in range(lo, hi):
             if old in taken:
                 continue
-            for unit in dict.fromkeys(e[:2] for e in by_step.get(old, ())):  # (example_id, copy)
-                own = {s for s, placed in by_step.items() if any(e[:2] == unit for e in placed)}
-                for step in range(*window):
-                    if step not in own and room(step, need):
-                        by_step.setdefault(step, []).extend(e for e in by_step[old] if e[:2] == unit)
-                        by_step[old] = [e for e in by_step[old] if e[:2] != unit]
+            for i, (example_id, copy, _) in enumerate(by_step.get(old, ())):
+                own = {s for s, placed in by_step.items() if any(e[:2] == (example_id, copy) for e in placed)}
+                for step in range(lo, hi):
+                    if step not in own and fill.get(step, 0) < per_step:
+                        by_step.setdefault(step, []).append(by_step[old].pop(i))
+                        fill[step] = fill.get(step, 0) + 1
+                        fill[old] -= 1
                         return old
         # not reached: when no step draws, a full step outside ``taken`` holds a copy that a step with room lacks
 
@@ -341,22 +350,32 @@ def plan_schedule(
         for copy in range(condition.copies):
             taken: list[int] = []
             for group in groups:
-                step = _draw_step(rng, window, lambda s: s not in taken and room(s, len(group)))
-                if step is None:
-                    step = free_step(taken, len(group))
+                for _ in range(64):
+                    step = lo + rng.below(hi - lo)
+                    if fill.get(step, 0) < per_step and step not in taken:
+                        break
+                else:  # deterministic fallback: scan forward from the last draw, then free a step
+                    step = next((s for s in chain(range(step, hi), range(lo, step))
+                                 if fill.get(s, 0) < per_step and s not in taken), None)
+                    if step is None:
+                        step = free_step(taken)
                 taken.append(step)
-                by_step.setdefault(step, []).extend([(example_id, copy, doc) for doc in group])
+                fill[step] = fill.get(step, 0) + 1
+                by_step.setdefault(step, []).append((example_id, copy, group))
 
-    def rows():  # in (step, slot) order
-        for step in sorted(by_step):
-            placed = by_step[step]
-            slots = _sample_slots(rng, config.batch_size, len(placed))
-            yield from sorted((step, slot, example_id, copy, doc.part, doc.text, doc.lang)
-                              for (example_id, copy, doc), slot in zip(placed, slots))
+    rows = []  # in (step, slot) order: slots differ within a step, so they alone order its rows
+    for step in sorted(by_step):
+        placed = [(example_id, copy, doc) for example_id, copy, group in by_step[step] for doc in group]
+        slots = _sample_slots(rng, config.batch_size, len(placed))
+        rows += sorted(((step, slot, example_id, copy, doc.part, doc.text, doc.lang)
+                        for slot, (example_id, copy, doc) in zip(slots, placed)), key=itemgetter(1))
+    entries = ScheduleEntries()  # filled directly: the renderer already shares each document's strings
+    for column, values in zip(entries.columns, zip(*rows)):
+        column.extend(values)
 
     return InjectionSchedule(
-        condition=condition, config=config, cap=cap, window_start=window[0], window_end=window[1],
-        template_names=dict(template.names), example_count=len(examples), entries=ScheduleEntries(rows()),
+        condition=condition, config=config, cap=cap, window_start=lo, window_end=hi,
+        template_names=dict(template.names), example_count=len(examples), entries=entries,
     )
 
 

@@ -238,6 +238,17 @@ def counter_bleu(hypotheses, references, max_order=4, smoothing="none") -> float
     return 100.0 * brevity * math.exp(log_sum / orders_used)
 
 
+def splitmix64(seed: int, i: int) -> int:
+    """Output ``i`` (counted from 0) of the SplitMix64 stream of ``seed``, one
+    value at a time from the formula the ``injector`` docstring gives: the
+    finalizer applied to ``seed + (i+1) * 0x9E3779B97F4A7C15`` mod 2**64.
+    The exact-equality oracle of ``CounterRng``, which computes its draws in blocks."""
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+    return z ^ (z >> 31)
+
+
 def array_sample_slots(rng, batch_size, k) -> list[int]:
     """Partial Fisher-Yates over a list of the whole batch: the implementation
     the ``injector._sample_slots`` that stores only moved positions replaced,

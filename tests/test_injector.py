@@ -6,7 +6,7 @@ import re
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from contamkit.conditions import PART_SOURCE_HALF, PART_TARGET_HALF, PART_WHOLE
 from contamkit.corpus_io import BatchStream
@@ -33,7 +33,7 @@ from contamkit.injector import (
 )
 from contamkit.corpus_io import TestExample
 
-from helpers import _synth_stream, array_sample_slots, make_example, verify_schedule_per_entry
+from helpers import _synth_stream, array_sample_slots, make_example, splitmix64, verify_schedule_per_entry
 
 DIEGO = TestExample(
     example_id="diego",
@@ -132,6 +132,30 @@ def test_counter_rng_is_reproducible_and_bounded():
     assert len(set(values)) == 10
 
 
+@pytest.mark.parametrize("seed", [0, 2**64 - 1, -1, 2**64, 0x9E3779B97F4A7C15])
+@settings(max_examples=20, deadline=None)
+@given(pattern=st.lists(st.sampled_from([None, 1, 3, 2**63 + 1, 2**64]), min_size=1, max_size=12),
+       skip=st.integers(min_value=0, max_value=1100))
+@example(pattern=[2**63 + 1], skip=0)
+def test_counter_rng_draws_equal_the_scalar_splitmix64_formula(seed, pattern, skip):
+    # after ``skip`` plain draws, ``pattern`` repeats for 2,600 calls: at least
+    # 2,600 draws, so at least two block ends, each met at a varied call; a
+    # None calls draw64, an n calls below(n), which at 2**63 + 1 rejects about
+    # half its draws, so a rejection also runs across block ends (the explicit
+    # example does so at every seed here)
+    rng, i = CounterRng(seed), 0
+    for n in itertools.chain(itertools.repeat(None, skip), itertools.islice(itertools.cycle(pattern), 2600)):
+        if n is None:
+            assert rng.draw64() == splitmix64(seed, i)
+            i += 1
+        else:
+            while (v := splitmix64(seed, i)) >= 2**64 - 2**64 % n:  # rejected
+                i += 1
+            i += 1
+            assert rng.below(n) == v % n
+        assert rng.counter == i
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**64 - 1), st.data())
 def test_sampled_slots_equal_a_shuffle_of_the_whole_batch(batch_size, seed, data):
@@ -154,6 +178,24 @@ def test_planning_memory_follows_the_entries_not_the_batch_size():
         tracemalloc.stop()
     assert len(schedule.entries) == 100
     # a list of every slot of one batch would take over 8 MB
+    assert peak < 1_000_000, f"planning traced a peak of {peak} bytes"
+
+
+@pytest.mark.parametrize("temporal", [Temporal.UNIFORM, Temporal.LATE])
+def test_planning_memory_follows_the_entries_not_the_window_width(temporal):
+    # 20 entries in a window of more than 2**56 steps: fill counts held per step
+    # of the window would take far more than the bound
+    config = TrainingConfig(total_steps=2**62, batch_size=64, seed=3)
+    condition = ContaminationCondition(ContaminationMode.SPLIT_PAIR, temporal, 1)
+    examples = _examples(10)
+    tracemalloc.start()
+    try:
+        schedule = plan_schedule(examples, condition, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.entries) == 20
+    assert schedule.window_end - schedule.window_start > 2**56
     assert peak < 1_000_000, f"planning traced a peak of {peak} bytes"
 
 
@@ -296,6 +338,29 @@ def test_schedule_files_match_recorded_digests(tmp_path):
         write_schedule(plan_schedule(_examples(3), ContaminationCondition(mode, temporal, 4), config), path)
         digests[(mode.value, temporal.value)] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PLAN_DIGESTS
+
+
+# sha256 of the schedule files of plans that draw past several 1,024-draw
+# blocks and fill their windows so nearly that placement falls back to the
+# scan, as written by the contamkit-planner/1 generator
+BLOCK_PLAN_DIGESTS = {
+    # 40 examples x 50 copies, window of 400 steps x cap 5 filled exactly: 6,694 draws
+    ("full_prompted", "late", 40, 50, 10000, 100): "b88d0b6f53838437d5d475e5b32f16226c4adfc8e5e43c18cf08fe555f447771",
+    # 600 halves in 601 steps x cap 1: 3,332 draws
+    ("split_pair", "uniform", 30, 10, 1000, 20): "4261af82eb4721b7c7471cd624d31aac7ce570374b0b9a399ea6f0a444df5bd6",
+    # 600 pairs in 300 steps x 2 pairs: 3,193 draws
+    ("batched_pair", "middle", 30, 20, 10000, 100): "f3ca1c6132f04e72eb0fe2cd2652d16ae22dbbd6a64c1b9a0b76abf53d3cd09c",
+}
+
+
+@pytest.mark.parametrize("case", BLOCK_PLAN_DIGESTS)
+def test_block_crossing_plans_match_recorded_digests(tmp_path, case):
+    mode, temporal, count, copies, total_steps, batch_size = case
+    condition = ContaminationCondition(mode, temporal, copies)
+    config = TrainingConfig(total_steps=total_steps, batch_size=batch_size, seed=5)
+    path = tmp_path / "plan.jsonl"
+    write_schedule(plan_schedule(_examples(count), condition, config), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == BLOCK_PLAN_DIGESTS[case]
 
 
 def _sweep_configs(count, seed):
