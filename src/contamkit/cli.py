@@ -19,7 +19,7 @@ from dataclasses import replace
 
 # Each handler imports only the modules its subcommand runs; the parser reads
 # its choices and defaults from the modules imported here, never from the
-# planner or the metrics.
+# index, the planner or the metrics.
 from .conditions import ContaminationCondition, ContaminationMode, Temporal, TrainingConfig
 from .corpus_io import (
     CORPUS_FORMATS,
@@ -36,10 +36,20 @@ from .corpus_io import (
     write_batches,
     write_testset,
 )
-from .ngram_index import NGramIndex, ScanConfig, build_index
+
+
+def build_index(corpus, config, fingerprint_bits: int = 64):
+    """:func:`contamkit.ngram_index.build_index`, imported on the first call, so
+    that a launch that builds no index never compiles that module; a caller that
+    times the CLI's steps wraps this name."""
+    from .ngram_index import build_index
+
+    return build_index(corpus, config, fingerprint_bits)
 
 
 def _cmd_index(args) -> int:
+    from .ngram_index import ScanConfig
+
     if not args.corpus:  # read_corpus("") would read the shards of the current directory
         raise ValueError("--corpus must name a corpus file or shard directory")
     index = build_index(read_corpus(args.corpus, args.corpus_format), ScanConfig(ngram_order=args.ngram))
@@ -50,6 +60,7 @@ def _cmd_index(args) -> int:
 
 def _cmd_decontam(args) -> int:
     from . import decontam, matcher
+    from .ngram_index import NGramIndex, ScanConfig
 
     config = ScanConfig(threshold=args.threshold)  # refuse a bad threshold before reading the index
     index = NGramIndex.load(args.index)
@@ -207,14 +218,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="build and save an n-gram index")
     p.add_argument("--corpus", required=True, help="corpus file or shard directory")
     p.add_argument("--corpus-format", default=FORMAT_JSONL, choices=CORPUS_FORMATS)
-    p.add_argument("--ngram", type=int, default=ScanConfig.ngram_order)
+    # ngram_index.ScanConfig's defaults, which a test holds these to, written
+    # out so that a launch need not import the index
+    p.add_argument("--ngram", type=int, default=8)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_index)
 
     p = sub.add_parser("decontam", help="scan a test set against a prebuilt index and drop contaminated examples")
     p.add_argument("--testset", required=True)
     p.add_argument("--index", required=True, help="index file written by `contamkit index`; its n is the scan's n")
-    p.add_argument("--threshold", type=float, default=ScanConfig.threshold)
+    p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--out", help="file for the kept examples")
     p.add_argument("--scores-out", help="file for the per-example score dump")
     p.add_argument("--report-out", help="file for the report (stdout otherwise)")

@@ -6,9 +6,13 @@ starting at ``p``, cut to ``min(bits, 32)`` bits:
 
     h(g) = sum_i g[i] * BASE^(n-1-i)  mod 2^64,  BASE = 0x100000001B3
 
-:func:`gram_fingerprints` rolls that fingerprint along a token sequence, one
-step per gram; :func:`build_index` and :meth:`NGramIndex.probe` (the lookup
-of every gram of a field, and the index's one lookup) both use it.
+:meth:`NGramIndex.probe` (the lookup of every gram of a field, and the
+index's one lookup) rolls that fingerprint along the field with
+:func:`gram_fingerprints`, one step per gram. :func:`build_index` computes a
+document's keys a block of grams at a time instead: gram j of a block is
+64-bit lane j of one Python int, and about ``2 * log2(n)`` big-int steps
+over all the lanes give every key of the block. Both equal :func:`fingerprint`
+of each gram at the key's width.
 Fingerprints can collide, so a probe entry is only the fingerprint lookup,
 and the matcher's span search verifies each candidate location token by
 token against the stored documents — results are exact regardless of
@@ -30,9 +34,10 @@ identical files. A built index is immutable and safe to share across
 threads.
 
 :func:`build_index` keeps memory flat too. While it reads the corpus it
-appends each posting, packed as one integer ``key << 32 | position``, to
-one of ``2**min(6, bits)`` ``array("Q")`` buckets chosen by the top bits of
-its key. It then sorts the buckets one at a time, in ascending order, and
+computes each document's postings, packed as one integer
+``key << 32 | position``, 4,096 grams at a time, and appends each to one of
+``2**min(6, bits)`` ``array("Q")`` buckets chosen by the top bits of its
+key. It then sorts the buckets one at a time, in ascending order, and
 splits each into the two index arrays, which gives the global order
 exactly. A bucket of more than ``2**16`` postings is split again by its
 key range before it is sorted, so no sort holds more ints than that; at
@@ -63,7 +68,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice, pairwise
 from operator import sub
 from struct import Struct
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .conditions import CapacityError
 from .corpus_io import CorpusDocument, CorpusFormatError, is_text, output_file, read_array, write_array
@@ -79,7 +84,9 @@ _MAX_U32 = (1 << 32) - 1
 _KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bits
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 _SPLIT_POSTINGS = 1 << 16  # a bucket of more postings is split again by its key range before it is sorted
+_GRAM_BLOCK = 4096  # the build computes the postings of this many grams of a document at once
 _HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
+_SWAP = sys.byteorder == "big"  # a native array's items are byte-swapped against little-endian lanes
 
 
 @dataclass(frozen=True)
@@ -262,13 +269,18 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     any n: at n >= 3, where the keys spread over the buckets, it peaks at
     about 14 B per posting (``tracemalloc``, 1M postings), 12 B of them kept;
     at n = 1, where every key lands in one bucket, at about 21 B (1,000 x 100
-    tokens, vocabulary 32,000).
+    tokens, vocabulary 32,000). A document's postings are computed at most
+    ``_GRAM_BLOCK`` grams at a time (:func:`_posting_blocks`), so one
+    200k-token document peaks as short ones do; 148k postings (300 x 500
+    tokens, n = 8) build in about 68 ms in process, against 103 ms when each
+    key was rolled and packed one posting at a time (2 vCPUs, CPython 3.11).
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
     key_bits = min(fingerprint_bits, _KEY_BITS)
     bucket_bits = min(_BUCKET_BITS, key_bits)
-    low_bits = key_bits - bucket_bits
+    shift = 32 + key_bits - bucket_bits  # a packed posting's bucket is its top key bits
+    posting_blocks = _posting_blocks(n, key_bits)
     # bucket b holds the postings whose key starts with the bits of b, each
     # packed as key << 32 | position, in position order
     buckets = [array("Q") for _ in range(1 << bucket_bits)]
@@ -290,8 +302,9 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         except OverflowError:
             raise CapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
-        for position, key in enumerate(gram_fingerprints(tokens, n, key_bits), start):
-            add[key >> low_bits](key << 32 | position)
+        for block in posting_blocks(index.tokens, start):
+            for packed in block:
+                add[packed >> shift](packed)
     del add, seen  # the appenders hold the buckets too
     # buckets in ascending order, each sorted, are the global (key, position) order
     for b, bucket in enumerate(buckets):
@@ -302,6 +315,71 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
             index._keys.extend(words[_HIGH_WORD::2])
             index._positions.extend(words[1 - _HIGH_WORD :: 2])
     return index
+
+
+def _gram_steps(n: int, key_bits: int) -> list[tuple[bool, int, int]]:
+    """How the keys of a block's n-grams follow from its tokens, as ``(doubles, shift, factor)`` steps.
+
+    Mod ``2**key_bits``, the key of the width-w gram at offset p is
+    ``fingerprint(tokens[p:p + w])``. Reading the bits of n after its top
+    one, each bit doubles the width as ``key(p) * BASE**w + key(p + w)``,
+    and a set bit then adds one token as ``key(p) * BASE + token(p + w)``:
+    so ``n`` takes about ``2 * log2(n)`` steps, not ``n - 1``. ``shift`` is
+    ``64 * w``, the lanes to move, and ``factor`` is below ``2**key_bits``,
+    so ``key * factor`` plus a key or token stays below ``2**64`` in its lane.
+    """
+    modulus, width, steps = 1 << key_bits, 1, []
+    for bit in bin(n)[3:]:
+        steps.append((True, 64 * width, pow(FINGERPRINT_BASE, width, modulus)))
+        width *= 2
+        if bit == "1":
+            steps.append((False, 64 * width, FINGERPRINT_BASE % modulus))
+            width += 1
+    return steps
+
+
+def _posting_blocks(n: int, key_bits: int) -> Callable[[array, int], Iterator[array]]:
+    """A function of ``(tokens, start)`` that yields the packed posting ``key << 32 | position`` of
+    every n-gram of ``tokens[start:]``, in position order, as ``array("Q")`` blocks of at most
+    ``_GRAM_BLOCK`` grams.
+
+    Gram j of a block is 64-bit lane j of one int, so each of the
+    :func:`_gram_steps` is a few big-int operations over the whole block.
+    A block reads only its grams' tokens, ``n - 1`` more than it has grams,
+    so memory follows the block, not the document.
+    """
+    steps = _gram_steps(n, key_bits)
+    lane_one, lane_mask = (1).to_bytes(8, "little"), ((1 << key_bits) - 1).to_bytes(8, "little")
+    ramp = array("Q", range(_GRAM_BLOCK))
+    if _SWAP:
+        ramp.byteswap()
+    ramp = int.from_bytes(ramp, "little")  # j in lane j
+
+    def blocks(tokens: array, start: int) -> Iterator[array]:
+        end = len(tokens) - n + 1  # past the last gram
+        for first in range(start, end, _GRAM_BLOCK):
+            count = min(_GRAM_BLOCK, end - first)
+            width = count + n - 1  # the tokens the block reads, one per lane
+            words = array("I", bytes(8 * width))
+            words[::2] = tokens[first : first + width]  # the low word of each lane
+            if _SWAP:
+                words.byteswap()
+            window = int.from_bytes(words, "little")
+            mask = int.from_bytes(lane_mask * width, "little")
+            keys = window & mask
+            for doubles, shift, factor in steps:
+                keys = (keys * factor + ((keys if doubles else window) >> shift)) & mask
+            keys &= mask >> 64 * (n - 1)  # the block's grams; the last n - 1 lanes ran past its tokens
+            drop = 64 * (_GRAM_BLOCK - count)
+            # lane j of ramp >> drop is j + _GRAM_BLOCK - count; the sum moves it to first + j
+            ones = int.from_bytes(lane_one * count, "little")
+            packed = (keys << 32 | ramp >> drop) + (first - _GRAM_BLOCK + count) * ones
+            block = array("Q", packed.to_bytes(8 * count, "little"))
+            if _SWAP:
+                block.byteswap()
+            yield block
+
+    return blocks
 
 
 def _sorted_runs(bucket: array) -> Iterator[array]:

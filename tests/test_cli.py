@@ -1036,6 +1036,13 @@ def test_a_testset_fifo_with_a_bad_byte_names_the_file(tmp_path):
     assert (result.returncode, result.stdout, result.stderr) == (2, "", f"error: {fifo}:173: not UTF-8 (byte 0xff at column 1)\n")
 
 
+def test_index_and_decontam_defaults_are_those_of_scan_config():
+    # the parser writes them out, so that a launch need not import ngram_index; this holds them equal
+    index_args = build_parser().parse_args(["index", "--corpus", "c.jsonl", "--out", "i.ctkx"])
+    decontam_args = build_parser().parse_args(["decontam", "--testset", "t.jsonl", "--index", "i.ctkx"])
+    assert (index_args.ngram, decontam_args.threshold) == (ScanConfig().ngram_order, ScanConfig().threshold)
+
+
 def test_bleu_defaults_are_those_of_corpus_bleu(capsys):
     # the parser writes them out, so that a launch need not import metrics; this holds them equal
     defaults = inspect.signature(corpus_bleu).parameters

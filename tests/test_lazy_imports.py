@@ -77,6 +77,11 @@ def test_inject_loads_the_planner_and_no_detection_or_analytics(loaded, op):
     assert not loaded[op] & {"contamkit.matcher", "contamkit.decontam", "contamkit.analytics"}
 
 
+@pytest.mark.parametrize("op", ["inject plan", "inject verify", "inject apply", "bleu", "report"])
+def test_launches_that_build_or_scan_no_index_load_no_index(loaded, op):
+    assert "contamkit.ngram_index" not in loaded[op]
+
+
 def test_report_loads_analytics_without_the_planner(loaded):
     assert "contamkit.analytics" in loaded["report"]
     assert not loaded["report"] & {"contamkit.injector", "contamkit.matcher", "contamkit.decontam"}

@@ -476,6 +476,39 @@ def test_buckets_split_by_key_range_write_the_recorded_files(tmp_path, monkeypat
     test_index_files_match_recorded_digests(tmp_path)
 
 
+@pytest.mark.parametrize("block", [1, 3])
+def test_gram_blocks_of_one_write_the_recorded_files(tmp_path, monkeypatch, block):
+    # every document's keys computed one or three grams at a time, so most grams sit at a block's edge
+    monkeypatch.setattr(ngram_index, "_GRAM_BLOCK", block)
+    test_index_files_match_recorded_digests(tmp_path)
+
+
+def _block_crossing_docs(n):
+    """Documents whose grams end just before, at and just past a block's end, or fill three blocks,
+    of tokens that include 0 and 2**32 - 1."""
+    rng = random.Random(n)
+    block = ngram_index._GRAM_BLOCK
+    lengths = [block + n - 2, block + n - 1, block + n, 3 * block + n - 1, 2 * block + n]
+    return docs_from_tokens([rng.choice((0, 2**32 - 1, rng.getrandbits(32))) for _ in range(k)] for k in lengths)
+
+
+def _gram_postings(docs, index, n, bits):
+    """Every gram's (key, position), from :func:`fingerprint` of the gram at min(bits, 32) bits, sorted."""
+    return sorted(
+        (fingerprint(doc.tokens[off : off + n], min(bits, 32)), index.starts[ref] + off)
+        for ref, doc in enumerate(docs)
+        for off in range(len(doc.tokens) - n + 1)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_postings_across_block_edges_are_the_fingerprints_of_their_grams(n):
+    docs = _block_crossing_docs(n)
+    for bits in (1, 5, 8, 32, 33, 64):
+        index = build_index(docs, ScanConfig(n), bits)
+        assert list(zip(index._keys, index._positions)) == _gram_postings(docs, index, n, bits), bits
+
+
 def _build_peak_per_posting(docs, n):
     tracemalloc.start()
     try:
@@ -499,9 +532,13 @@ def test_index_file_holds_each_gram_as_its_key_and_position(tmp_path, n, bits):
     docs = _golden_corpus()
     build_index(docs, ScanConfig(n), bits).save(tmp_path / "i.ctkx")
     index = NGramIndex.load(tmp_path / "i.ctkx")
-    expected = sorted(
-        (fingerprint(doc.tokens[off : off + n], min(bits, 32)), index.starts[ref] + off)
-        for ref, doc in enumerate(docs)
-        for off in range(len(doc.tokens) - n + 1)
-    )
-    assert list(zip(index._keys, index._positions)) == expected
+    assert list(zip(index._keys, index._positions)) == _gram_postings(docs, index, n, bits)
+
+
+def test_build_peak_per_posting_of_one_long_document_stays_near_that_of_short_ones():
+    # the build computes a document's keys a block of grams at a time; in one block, the big ints
+    # of a 200k-token document would peak at about 70 B per posting, against 14 B for short ones
+    rng = random.Random(35)
+    long_doc = docs_from_tokens([random_tokens(rng, 200_000, 32_000)])
+    short_docs = docs_from_tokens(random_tokens(rng, 100, 32_000) for _ in range(2000))
+    assert _build_peak_per_posting(long_doc, 8) < 1.5 * _build_peak_per_posting(short_docs, 8)
