@@ -7,20 +7,25 @@ fractions. Only that one span per field is searched for
 (:func:`longest_span`). One rolling fingerprint walks the field
 (:meth:`NGramIndex.probe`), so each n-gram's fingerprint follows from the
 one before in one step, and the grams are looked up in order of field
-offset. A candidate is a global position in the index's token array. It
-must equal the field on its first ``L`` tokens, where ``L`` is the best
-length found so far, checked as one array-slice comparison; only past
-``L`` is it extended token by token. Every counted span is thus compared
-token by token, which makes the match exact at any fingerprint width.
-Branch and bound prunes the rest: the walk stops once fewer field tokens
-are left than the best length found, and a candidate with too little room
-in its document to reach that length is not extended. A candidate that
-is not left-maximal, one whose span goes on a token further left in its
-document, needs no test of its own: the walk met that longer span at the
-offset before, so ``L`` already exceeds what the candidate can reach. The
-document of a position is looked up (a bisection of the document starts)
-only for a candidate that passes the slice comparison, for its room, and
-once for the span reported.
+offset. A candidate is a global position in the index's token array;
+``L`` is the best length found so far. Once a span is kept, a candidate at
+a later position loses every tie, so it must be longer than ``L``: it is
+dropped unless its token at offset ``L`` equals the field's, one integer
+test that ends most candidates of a repeated gram. Any other candidate
+must equal the field on its first ``L`` tokens, checked as one array-slice
+comparison; only past ``L`` is it extended token by token. The one-token
+test drops only candidates that cannot beat ``L``, and every counted span
+is compared token by token, so the match is exact at any fingerprint
+width. Branch and bound prunes the rest: the walk stops once fewer field
+tokens are left than the best length found, and a candidate with too
+little room in its document to reach that length is not extended. A
+candidate that is not left-maximal, one whose span goes on a token further
+left in its document, needs no test of its own: the walk met that longer
+span at the offset before, so ``L`` already exceeds what the candidate can
+reach, and it fails the one-token test, or else the slice or the room
+test. The document of a position is looked up (a bisection of the
+document starts) only for a candidate that passes the slice comparison,
+for its room, and once for the span reported.
 
 Token ids are compared raw: no normalization, no re-tokenization. They are
 32-bit, as in every index and every format :mod:`contamkit.corpus_io` reads,
@@ -87,13 +92,15 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     ``(doc_ref, corpus_start, example_start)``, which orders spans as the
     global position ``i`` and then ``example_start`` do. The grams come
     from one rolling probe of the field (:meth:`NGramIndex.probe`). A
-    candidate is first compared on its ``L`` tokens as one slice,
-    ``tokens[i:i + L] == field[j:j + L]``; only one that passes has its
-    document looked up, for its room, and is then extended token by token
-    past ``L``, so the result is exact at any fingerprint width. A
-    token id outside ``[0, 2**32)``, which no index can hold, raises
-    ``ValueError``. A field shorter than ``n`` returns its first whole-field
-    occurrence, which is the smallest on the tie key.
+    candidate at a position ``i`` past the kept span's loses the tie, so it
+    is skipped unless ``tokens[i + L] == field[j + L]``, both inside their
+    arrays: it could not be longer. A candidate that survives is compared
+    on its ``L`` tokens as one slice, ``tokens[i:i + L] == field[j:j + L]``;
+    only one that passes has its document looked up, for its room, and is
+    then extended token by token past ``L``, so the result is exact at any
+    fingerprint width. A token id outside ``[0, 2**32)``, which no index
+    can hold, raises ``ValueError``. A field shorter than ``n`` returns its
+    first whole-field occurrence, which is the smallest on the tie key.
     """
     n = index.ngram_order
     if config.ngram_order != n:
@@ -111,17 +118,25 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     end = len(field)
     best = None  # (corpus position, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
+    best_i = last = len(tokens)  # no candidate is past best_i until a span is kept
     for j, positions in enumerate(index.probe(field)):
         if end - j < best_len:
             break  # no span starting here or later in the field can be longer
+        if not positions:
+            continue
         head = field[j : j + best_len]
+        after = field[j + best_len] if j + best_len < end else -1  # -1 equals no token id
         for i in positions:
-            # A candidate that is not left-maximal (tokens[i - 1] == field[j - 1]
-            # in one document) needs no test of its own: if a span of n or
-            # more tokens starts at (i, j), the span one token longer at
+            # Past best_i, (i, j) loses every tie (j only grows), so the
+            # candidate must be longer than best_len: token best_len must
+            # match, inside the token array. A candidate that is not
+            # left-maximal (tokens[i - 1] == field[j - 1] in one document)
+            # needs no test of its own: the span one token longer at
             # (i - 1, j - 1) has a posting the walk met at offset j - 1, so
-            # best_len already exceeds any span at (i, j). The slice or the
-            # room test rejects it, and it never changes best.
+            # best_len already exceeds any span at (i, j), and it fails the
+            # one-token, slice or room test.
+            if i > best_i and (i >= last or tokens[i + best_len] != after):
+                continue
             if tokens[i : i + best_len] != head:
                 continue  # the first best_len tokens differ
             stop = min(starts[bisect_right(starts, i)] - i, end - j)
@@ -131,8 +146,10 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
             while length < stop and tokens[i + length] == field[j + length]:
                 length += 1
             if length > best_len or best is None or (i, j) < best:
-                best, best_len = (i, j), length
+                best, best_len, best_i = (i, j), length, i
+                last = len(tokens) - best_len
                 head = field[j : j + best_len]
+                after = field[j + best_len] if j + best_len < end else -1
     if best is None:
         return None
     i, j = best

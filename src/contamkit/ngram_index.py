@@ -85,6 +85,7 @@ _KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bit
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 _SPLIT_POSTINGS = 1 << 16  # a bucket of more postings is split again by its key range before it is sorted
 _GRAM_BLOCK = 4096  # the build computes the postings of this many grams of a document at once
+_ID_CHUNK = 4096  # save encodes this many doc ids at once
 _HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
 _SWAP = sys.byteorder == "big"  # a native array's items are byte-swapped against little-endian lanes
 
@@ -191,16 +192,19 @@ class NGramIndex:
         """Write the index to a single file, bit-exact across platforms, one section after another.
 
         Every doc id encodes as UTF-8: :func:`build_index` admits no other, and :meth:`load` decodes strictly.
+        The ids are encoded :data:`_ID_CHUNK` at a time, so no copy of them all is held.
         """
-        ids = [doc_id.encode("utf-8") for doc_id in self._doc_ids]
+        ids = self._doc_ids
         lengths = array("I", map(sub, islice(self.starts, 1, None), self.starts))
+        id_lengths = array("I", (len(d) if d.isascii() else len(d.encode("utf-8")) for d in ids))
         with output_file(path, "wb") as f:
             f.write(_HEADER.pack(
                 _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, self.doc_count
             ))
-            for values in (self._keys, self._positions, lengths, array("I", map(len, ids)), self.tokens):
+            for values in (self._keys, self._positions, lengths, id_lengths, self.tokens):
                 write_array(f, values)
-            f.writelines(ids)
+            for k in range(0, len(ids), _ID_CHUNK):
+                f.write("".join(ids[k : k + _ID_CHUNK]).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "NGramIndex":

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -298,6 +299,65 @@ def test_longest_span_tie_at_one_corpus_position_goes_to_the_smaller_field_start
     index = index_of([[1] + a + [2]])
     field = [3] + a + [4] + a
     assert longest_span(field, index, CFG) == MatchSpan(doc_ref=0, corpus_start=1, example_start=1, length=8)
+
+
+@pytest.mark.parametrize("bits", [1, 4, 32])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_longest_span_over_copies_of_one_run_equals_dp_oracle(bits, data):
+    # One run of the field copied into many documents, each copy agreeing
+    # with the field for L - 1, L or L + 1 tokens and then broken by one
+    # token, so the token after the break agrees again: a copy shorter than
+    # the best passes the one-token test and must fail the slice. Doc 0
+    # holds a later part of the field as long as the longest copy, a tie at
+    # the smallest position that the walk meets at a later field offset. The
+    # last copy ends on the last token of the token array. At 1 bit every
+    # gram shares a key with half the postings.
+    n = data.draw(st.sampled_from([2, 8]))
+    vocab = data.draw(st.sampled_from([3, 50]))
+    tokens = st.integers(min_value=0, max_value=vocab - 1)
+    L = n + data.draw(st.integers(min_value=1, max_value=6))
+    run = data.draw(st.lists(tokens, min_size=L + 2, max_size=L + 6))
+    agree = data.draw(st.lists(st.sampled_from([L - 1, L, L + 1]), min_size=2, max_size=12))
+    longest = max(agree)
+    later = data.draw(st.lists(tokens, min_size=longest, max_size=longest))
+    field = data.draw(st.lists(tokens, max_size=4)) + run + [1000] + later + data.draw(st.lists(tokens, max_size=4))
+    brk = 1001  # in no field
+    docs = [[brk] + later + [brk]]
+    docs += [[brk] + run[:k] + [brk] + run[k + 1 :] + [brk] for k in agree[:-1]]
+    docs.append([brk] + run[: agree[-1]])
+    index = index_of(docs, n=n, bits=bits)
+    assert longest_span(field, index, ScanConfig(ngram_order=n)) == longest_common_span(field, docs, n)
+
+
+class _CountingTokens(array):
+    """A token array that counts the slices read from it."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.slices += 1
+        return super().__getitem__(key)
+
+
+def test_longest_span_slices_few_candidates_of_a_repeated_run():
+    # 200 documents share the field's first 40 tokens, doc 1 its first 45;
+    # the field's other 55 tokens are in no document. Each of the run's 33
+    # offsets has 200 candidates, and comparing each as a slice would read
+    # about 6,600 slices. A candidate past the kept span that cannot be
+    # longer is skipped on one token, so at offset 0 only docs 0 and 1 are
+    # sliced, and after it only doc 0, which could still win a tie.
+    run = list(range(100, 145))
+    docs = [[k] + run[:40] + [99] for k in range(200)]
+    docs[1] = [1] + run + [99]
+    field = run + list(range(1000, 1055))
+    index = index_of(docs)
+    index.tokens = tokens = _CountingTokens("I", index.tokens)
+    span = longest_span(field, index, CFG)
+    assert span == MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=45)
+    walked = len(field) - span.length + 1  # offsets up to the first with fewer tokens left than the span
+    assert tokens.slices <= walked, f"{tokens.slices} slices over {walked} offsets"
 
 
 @pytest.mark.parametrize("token", [-1, 2**32, 2**40])

@@ -296,6 +296,41 @@ def test_save_and_load_round_trip_on_a_swapping_host(tmp_path, monkeypatch):
     assert [loaded.doc_id(r) for r in range(loaded.doc_count)] == [original.doc_id(r) for r in range(original.doc_count)]
 
 
+def _docs_with_ids(ids):
+    return [CorpusDocument(doc_id=doc_id, tokens=[k % 5, 1, 2], category="monolingual", lang="") for k, doc_id in enumerate(ids)]
+
+
+def test_save_writes_the_doc_ids_without_holding_them_all(tmp_path):
+    # 50,000 ids of 30 bytes are 1.5 MB encoded; encoded a chunk at a time,
+    # save holds about the two u32 length sections (0.4 MB) and one chunk
+    ids = [f"doc-{k:026d}" for k in range(50_000)]
+    index = build_index(_docs_with_ids(ids), ScanConfig(ngram_order=2))
+    id_bytes = sum(map(len, ids))
+    tracemalloc.start()
+    try:
+        index.save(tmp_path / "i.ctkx")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < id_bytes // 2, f"save held {peak} bytes for {id_bytes} bytes of doc ids"
+    assert NGramIndex.load(tmp_path / "i.ctkx").doc_id(49_999) == ids[-1]
+
+
+def test_save_writes_each_doc_id_as_utf8_across_chunks(tmp_path):
+    # ASCII, two-, three- and four-byte characters, on both sides of a chunk boundary
+    chunk = ngram_index._ID_CHUNK
+    ids = [f"d{k}" + "é€😀"[: k % 4] for k in range(chunk + 7)]
+    build_index(_docs_with_ids(ids), ScanConfig(ngram_order=2)).save(tmp_path / "i.ctkx")
+    encoded = [doc_id.encode("utf-8") for doc_id in ids]
+    data = (tmp_path / "i.ctkx").read_bytes()
+    assert data.endswith(b"".join(encoded))
+    tail = data[: -sum(map(len, encoded))]
+    token_bytes = 4 * 3 * len(ids)
+    assert tail[len(tail) - token_bytes - 4 * len(ids) : len(tail) - token_bytes] == b"".join(len(e).to_bytes(4, "little") for e in encoded)
+    loaded = NGramIndex.load(tmp_path / "i.ctkx")
+    assert [loaded.doc_id(r) for r in range(loaded.doc_count)] == ids
+
+
 def test_load_rejects_bad_magic(tmp_path):
     path = tmp_path / "x.ctkx"
     path.write_bytes(b"WRNG" + b"\x00" * 24)
