@@ -4,11 +4,11 @@ A field's overlap fraction is the length of its longest exact match against
 any indexed document, divided by the field's own token count; the combined
 contamination score of an example is the larger of its two per-field
 fractions. Only that one span per field is searched for
-(:func:`longest_span`). One rolling fingerprint walks the field
-(:meth:`NGramIndex.probe`), so each n-gram's fingerprint follows from the
-one before in one step, and the grams are looked up in order of field
-offset. A candidate is a global position in the index's token array;
-``L`` is the best length found so far. Once a span is kept, a candidate at
+(:func:`longest_span`). The field's n-gram keys come from one probe
+(:meth:`NGramIndex.probe`), which computes them a block of grams at a time,
+and the grams are looked up in order of field offset. A candidate is a
+global position in the index's token array; ``L`` is the best length found
+so far. Once a span is kept, a candidate at
 a later position loses every tie, so it must be longer than ``L``: it is
 dropped unless its token at offset ``L`` equals the field's, one integer
 test that ends most candidates of a repeated gram. Any other candidate
@@ -91,7 +91,7 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     strict, so a later span of length ``L`` still competes on the tie key
     ``(doc_ref, corpus_start, example_start)``, which orders spans as the
     global position ``i`` and then ``example_start`` do. The grams come
-    from one rolling probe of the field (:meth:`NGramIndex.probe`). A
+    from one probe of the field (:meth:`NGramIndex.probe`). A
     candidate at a position ``i`` past the kept span's loses the tie, so it
     is skipped unless ``tokens[i + L] == field[j + L]``, both inside their
     arrays: it could not be longer. A candidate that survives is compared

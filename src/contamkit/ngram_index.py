@@ -1,18 +1,16 @@
 """Exact n-gram location index over tokenized corpora.
 
 Every position ``p`` of every document with ``len >= n`` contributes exactly
-one posting, keyed by a rolling polynomial fingerprint of the n-gram
-starting at ``p``, cut to ``min(bits, 32)`` bits:
+one posting, keyed by the polynomial fingerprint of the n-gram starting at
+``p``, cut to ``min(bits, 32)`` bits:
 
     h(g) = sum_i g[i] * BASE^(n-1-i)  mod 2^64,  BASE = 0x100000001B3
 
+One function computes these keys, for :func:`build_index` and for
 :meth:`NGramIndex.probe` (the lookup of every gram of a field, and the
-index's one lookup) rolls that fingerprint along the field with
-:func:`gram_fingerprints`, one step per gram. :func:`build_index` computes a
-document's keys a block of grams at a time instead: gram j of a block is
-64-bit lane j of one Python int, and about ``2 * log2(n)`` big-int steps
-over all the lanes give every key of the block. Both equal :func:`fingerprint`
-of each gram at the key's width.
+index's one lookup) alike: :func:`_key_blocks`, a block of grams at a time.
+Gram j of a block is 64-bit lane j of one Python int, and about
+``2 * log2(n)`` big-int steps over all the lanes give every key of the block.
 Fingerprints can collide, so a probe entry is only the fingerprint lookup,
 and the matcher's span search verifies each candidate location token by
 token against the stored documents — results are exact regardless of
@@ -65,16 +63,15 @@ import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice, pairwise
+from itertools import accumulate, islice, pairwise
 from operator import sub
 from struct import Struct
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .conditions import CapacityError
 from .corpus_io import CorpusDocument, CorpusFormatError, is_text, output_file, read_array, write_array
 
 FINGERPRINT_BASE = 0x100000001B3
-_MASK64 = (1 << 64) - 1
 _INDEX_MAGIC = b"CTKX"
 _INDEX_VERSION = 4
 _HEADER = Struct("<4sIIIQQ")
@@ -84,7 +81,7 @@ _MAX_U32 = (1 << 32) - 1
 _KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bits
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 _SPLIT_POSTINGS = 1 << 16  # a bucket of more postings is split again by its key range before it is sorted
-_GRAM_BLOCK = 4096  # the build computes the postings of this many grams of a document at once
+_GRAM_BLOCK = 4096  # the keys of this many grams are computed at once
 _ID_CHUNK = 4096  # save encodes this many doc ids at once
 _HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
 _SWAP = sys.byteorder == "big"  # a native array's items are byte-swapped against little-endian lanes
@@ -102,33 +99,6 @@ class ScanConfig:
             raise ValueError("ngram_order must be >= 1")
         if not 0 < self.threshold <= 1:
             raise ValueError("threshold must be in (0, 1]")
-
-
-def fingerprint(tokens: Sequence[int], bits: int = 64) -> int:
-    """Polynomial fingerprint of a token sequence, truncated to ``bits``."""
-    h = 0
-    for t in tokens:
-        h = (h * FINGERPRINT_BASE + t) & _MASK64
-    if bits < 64:
-        h &= (1 << bits) - 1
-    return h
-
-
-def gram_fingerprints(tokens: Sequence[int], n: int, bits: int = 64) -> Iterator[int]:
-    """The fingerprint of every n-gram of ``tokens``, in offset order.
-
-    One rolling pass: each fingerprint is the one before with the new token
-    brought in and the old one dropped, which equals :func:`fingerprint` of
-    the gram. Yields nothing when ``tokens`` is shorter than ``n``. Each
-    fingerprint is yielded as the roll reaches it, so a pass holds only the
-    roll's state, and a caller that stops early rolls no further.
-    """
-    mask = (1 << bits) - 1
-    shift_out = pow(FINGERPRINT_BASE, n, 1 << 64)
-    h = fingerprint(tokens[: n - 1], bits)  # one token short: the first roll drops nothing
-    for new, old in zip(islice(tokens, n - 1, None), chain((0,), tokens)):  # bring in new, drop old
-        h = (h * FINGERPRINT_BASE + new - old * shift_out) & mask
-        yield h
 
 
 class NGramIndex:
@@ -161,19 +131,30 @@ class NGramIndex:
 
         Entry ``j`` is the global position of every posting whose key
         equals that of ``field[j:j + n]``: an ``array("I")`` slice,
-        ascending, found from one rolling fingerprint over the field
-        (:func:`gram_fingerprints`). They are NOT verified: under a key
-        collision they hold postings of other n-grams too, so a caller must
-        compare tokens before trusting a candidate. Lazy, so a caller that
-        stops early neither fingerprints nor looks up the grams it did not
-        reach.
+        ascending. The keys come from :func:`_key_blocks`, as the build's
+        do. They are NOT verified: under a key collision they hold postings
+        of other n-grams too, so a caller must compare tokens before
+        trusting a candidate. Lazy per block of grams, so memory follows the
+        block, not the field, and a caller that stops early neither keys
+        nor looks up the blocks it did not reach. A token id outside
+        ``[0, 2**32)``, which no index can hold, raises ``ValueError``; an
+        ``array("I")`` field is read in place, not copied.
         """
+        if not (isinstance(field, array) and field.typecode == "I"):
+            try:
+                field = array("I", field)
+            except OverflowError:
+                raise ValueError("field token ids must be integers in [0, 2**32)") from None
         keys, positions = self._keys, self._positions
         size = len(keys)
-        for key in gram_fingerprints(field, self.ngram_order, min(self.fingerprint_bits, _KEY_BITS)):
-            lo = bisect_left(keys, key)
-            hi = bisect_right(keys, key, lo) if lo < size and keys[lo] == key else lo  # most grams have no posting
-            yield positions[lo:hi]
+        for _, count, block in _key_blocks(field, 0, self.ngram_order, min(self.fingerprint_bits, _KEY_BITS)):
+            lanes = array("Q", block.to_bytes(8 * count, "little"))
+            if _SWAP:
+                lanes.byteswap()
+            for key in lanes:
+                lo = bisect_left(keys, key)
+                hi = bisect_right(keys, key, lo) if lo < size and keys[lo] == key else lo  # most grams have no posting
+                yield positions[lo:hi]
 
     def doc_id(self, doc_ref: int) -> str:
         return self._doc_ids[doc_ref]
@@ -274,17 +255,20 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     about 14 B per posting (``tracemalloc``, 1M postings), 12 B of them kept;
     at n = 1, where every key lands in one bucket, at about 21 B (1,000 x 100
     tokens, vocabulary 32,000). A document's postings are computed at most
-    ``_GRAM_BLOCK`` grams at a time (:func:`_posting_blocks`), so one
-    200k-token document peaks as short ones do; 148k postings (300 x 500
-    tokens, n = 8) build in about 68 ms in process, against 103 ms when each
-    key was rolled and packed one posting at a time (2 vCPUs, CPython 3.11).
+    ``_GRAM_BLOCK`` grams at a time (:func:`_key_blocks`), so one 200k-token
+    document peaks as short ones do; 148k postings (300 x 500 tokens, n = 8)
+    build in about 68 ms in process (2 vCPUs, CPython 3.11).
     """
     index = NGramIndex(config.ngram_order, fingerprint_bits)
     n = index.ngram_order
     key_bits = min(fingerprint_bits, _KEY_BITS)
     bucket_bits = min(_BUCKET_BITS, key_bits)
     shift = 32 + key_bits - bucket_bits  # a packed posting's bucket is its top key bits
-    posting_blocks = _posting_blocks(n, key_bits)
+    lane_one = (1).to_bytes(8, "little")
+    ramp = array("Q", range(_GRAM_BLOCK))
+    if _SWAP:
+        ramp.byteswap()
+    ramp = int.from_bytes(ramp, "little")  # j in lane j
     # bucket b holds the postings whose key starts with the bits of b, each
     # packed as key << 32 | position, in position order
     buckets = [array("Q") for _ in range(1 << bucket_bits)]
@@ -306,9 +290,16 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         except OverflowError:
             raise CapacityError(f"doc {doc.doc_id!r}: token ids must be integers in [0, 2**32)") from None
         index.starts.append(len(index.tokens))
-        for block in posting_blocks(index.tokens, start):
-            for packed in block:
-                add[packed >> shift](packed)
+        for first, count, keys in _key_blocks(index.tokens, start, n, key_bits):
+            # lane j of ramp >> drop is j + _GRAM_BLOCK - count; the sum moves it to first + j
+            drop = 64 * (_GRAM_BLOCK - count)
+            ones = int.from_bytes(lane_one * count, "little")
+            packed = (keys << 32 | ramp >> drop) + (first - _GRAM_BLOCK + count) * ones
+            block = array("Q", packed.to_bytes(8 * count, "little"))
+            if _SWAP:
+                block.byteswap()
+            for posting in block:
+                add[posting >> shift](posting)
     del add, seen  # the appenders hold the buckets too
     # buckets in ascending order, each sorted, are the global (key, position) order
     for b, bucket in enumerate(buckets):
@@ -325,7 +316,7 @@ def _gram_steps(n: int, key_bits: int) -> list[tuple[bool, int, int]]:
     """How the keys of a block's n-grams follow from its tokens, as ``(doubles, shift, factor)`` steps.
 
     Mod ``2**key_bits``, the key of the width-w gram at offset p is
-    ``fingerprint(tokens[p:p + w])``. Reading the bits of n after its top
+    h of ``tokens[p:p + w]``. Reading the bits of n after its top
     one, each bit doubles the width as ``key(p) * BASE**w + key(p + w)``,
     and a set bit then adds one token as ``key(p) * BASE + token(p + w)``:
     so ``n`` takes about ``2 * log2(n)`` steps, not ``n - 1``. ``shift`` is
@@ -342,48 +333,32 @@ def _gram_steps(n: int, key_bits: int) -> list[tuple[bool, int, int]]:
     return steps
 
 
-def _posting_blocks(n: int, key_bits: int) -> Callable[[array, int], Iterator[array]]:
-    """A function of ``(tokens, start)`` that yields the packed posting ``key << 32 | position`` of
-    every n-gram of ``tokens[start:]``, in position order, as ``array("Q")`` blocks of at most
-    ``_GRAM_BLOCK`` grams.
+def _key_blocks(tokens: array, start: int, n: int, key_bits: int) -> Iterator[tuple[int, int, int]]:
+    """The key of every n-gram of ``tokens[start:]``, ``_GRAM_BLOCK`` grams at a time, in position order.
 
-    Gram j of a block is 64-bit lane j of one int, so each of the
-    :func:`_gram_steps` is a few big-int operations over the whole block.
-    A block reads only its grams' tokens, ``n - 1`` more than it has grams,
-    so memory follows the block, not the document.
+    Yields ``(first, count, keys)`` per block: for j below ``count``, 64-bit
+    lane j of the int ``keys`` holds h of the gram at ``first + j``, cut to
+    ``key_bits`` (at most 32). Each of the :func:`_gram_steps` is a few
+    big-int operations over the whole block. ``tokens`` is an ``array("I")``;
+    a block reads only its grams' tokens, ``n - 1`` more than it has grams,
+    so memory follows the block, not ``tokens``.
     """
     steps = _gram_steps(n, key_bits)
-    lane_one, lane_mask = (1).to_bytes(8, "little"), ((1 << key_bits) - 1).to_bytes(8, "little")
-    ramp = array("Q", range(_GRAM_BLOCK))
-    if _SWAP:
-        ramp.byteswap()
-    ramp = int.from_bytes(ramp, "little")  # j in lane j
-
-    def blocks(tokens: array, start: int) -> Iterator[array]:
-        end = len(tokens) - n + 1  # past the last gram
-        for first in range(start, end, _GRAM_BLOCK):
-            count = min(_GRAM_BLOCK, end - first)
-            width = count + n - 1  # the tokens the block reads, one per lane
-            words = array("I", bytes(8 * width))
-            words[::2] = tokens[first : first + width]  # the low word of each lane
-            if _SWAP:
-                words.byteswap()
-            window = int.from_bytes(words, "little")
-            mask = int.from_bytes(lane_mask * width, "little")
-            keys = window & mask
-            for doubles, shift, factor in steps:
-                keys = (keys * factor + ((keys if doubles else window) >> shift)) & mask
-            keys &= mask >> 64 * (n - 1)  # the block's grams; the last n - 1 lanes ran past its tokens
-            drop = 64 * (_GRAM_BLOCK - count)
-            # lane j of ramp >> drop is j + _GRAM_BLOCK - count; the sum moves it to first + j
-            ones = int.from_bytes(lane_one * count, "little")
-            packed = (keys << 32 | ramp >> drop) + (first - _GRAM_BLOCK + count) * ones
-            block = array("Q", packed.to_bytes(8 * count, "little"))
-            if _SWAP:
-                block.byteswap()
-            yield block
-
-    return blocks
+    lane_mask = ((1 << key_bits) - 1).to_bytes(8, "little")
+    end = len(tokens) - n + 1  # past the last gram
+    for first in range(start, end, _GRAM_BLOCK):
+        count = min(_GRAM_BLOCK, end - first)
+        width = count + n - 1  # the tokens the block reads, one per lane
+        words = array("I", bytes(8 * width))
+        words[::2] = tokens[first : first + width]  # the low word of each lane
+        if _SWAP:
+            words.byteswap()
+        window = int.from_bytes(words, "little")
+        mask = int.from_bytes(lane_mask * width, "little")
+        keys = window & mask
+        for doubles, shift, factor in steps:
+            keys = (keys * factor + ((keys if doubles else window) >> shift)) & mask
+        yield first, count, keys & mask >> 64 * (n - 1)  # the block's grams; the last n - 1 lanes ran past its tokens
 
 
 def _sorted_runs(bucket: array) -> Iterator[array]:

@@ -1,12 +1,13 @@
 """Independent oracles, synthetic-data builders and byte-damage strategies shared across tests.
 
 The oracles deliberately avoid the code paths they check: substring overlap
-is recomputed by dynamic programming, BLEU by direct list-based n-gram
-counting, schedule invariants one entry at a time, and batch streams and
-schedules one decoded record at a time. A ``ctk`` corpus is written by an
-encoder of its own (:func:`write_corpus`, with ``struct``), so the package's
-doc-table reader is tested against bytes that no package code produced. The
-paper's reference score tables are test data under ``tests/data``, read here.
+is recomputed by dynamic programming, index keys one token at a time
+(:func:`fingerprint`), BLEU by direct list-based n-gram counting, schedule
+invariants one entry at a time, and batch streams and schedules one decoded
+record at a time. A ``ctk`` corpus is written by an encoder of its own
+(:func:`write_corpus`, with ``struct``), so the package's doc-table reader is
+tested against bytes that no package code produced. The paper's reference
+score tables are test data under ``tests/data``, read here.
 """
 
 import json
@@ -64,6 +65,16 @@ def lcs_substring_length(a, b) -> int:
         if m > best:
             best = m
     return best
+
+
+def fingerprint(tokens, bits: int = 64) -> int:
+    """h(g) of the ``ngram_index`` docstring, ``sum_i g[i] * BASE^(n-1-i) mod 2**64`` with
+    ``BASE = 0x100000001B3``, cut to its low ``bits``: one multiply-add per token. The
+    exact-equality oracle of every index key, which the package computes a block of grams at a time."""
+    h = 0
+    for t in tokens:
+        h = (h * 0x100000001B3 + t) % 2**64
+    return h % 2**bits
 
 
 def best_overlap(field, docs) -> int:

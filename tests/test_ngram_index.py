@@ -12,15 +12,9 @@ from contamkit import ngram_index
 from contamkit.conditions import CapacityError
 from contamkit.corpus_io import CorpusDocument, CorpusFormatError
 from contamkit.matcher import MatchSpan, longest_span
-from contamkit.ngram_index import (
-    NGramIndex,
-    ScanConfig,
-    build_index,
-    fingerprint,
-    gram_fingerprints,
-)
+from contamkit.ngram_index import NGramIndex, ScanConfig, build_index
 
-from helpers import docs_from_tokens, index_of, random_tokens
+from helpers import docs_from_tokens, fingerprint, index_of, random_tokens
 
 
 def linear_scan(token_lists, gram):
@@ -220,43 +214,48 @@ def test_token_id_outside_32_bits_is_a_capacity_error(token):
         build_index([CorpusDocument("wide", [1, 2, token, 3] * 4)], ScanConfig())
 
 
-@pytest.mark.parametrize("bits", [64, 4])
+@pytest.mark.parametrize("block", [1, 3, ngram_index._GRAM_BLOCK])
+@pytest.mark.parametrize("bits", [64, 32, 4, 1])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, data):
-    # 4-bit fingerprints put postings of other grams in most entries; -1 and
-    # 2**40 are tokens no index holds, fingerprinted all the same
+def test_probe_entry_j_is_the_candidates_of_the_gram_at_j(bits, block, data):
+    # entry j is every stored posting whose key is the gram's fingerprint at min(bits, 32) bits: below
+    # 32 bits most entries hold postings of other grams too. Blocks of 1 and 3 grams put most of a
+    # field's grams at a block's edge. -1 and 2**40 are tokens no index holds, so a field refuses them
     n = data.draw(st.integers(min_value=1, max_value=4), label="n")
     tokens = st.integers(min_value=0, max_value=3) | st.sampled_from([-1, 2**40])
     token_lists = data.draw(
         st.lists(st.lists(st.integers(min_value=0, max_value=3), max_size=20), min_size=1, max_size=5),
         label="corpus",
     )
-    index = index_of(token_lists, n=n, bits=bits)
     field = data.draw(st.lists(tokens, max_size=20), label="field")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ngram_index, "_GRAM_BLOCK", block)
+        index = index_of(token_lists, n=n, bits=bits)
+        if not all(0 <= t < 2**32 for t in field):
+            with pytest.raises(ValueError, match=r"^field token ids must be integers in \[0, 2\*\*32\)$"):
+                list(index.probe(field))
+            return
+        entries = [entry.tolist() for entry in index.probe(field)]
     grams = [field[j : j + n] for j in range(len(field) - n + 1)]
-    assert list(gram_fingerprints(field, n, bits)) == [fingerprint(gram, bits) for gram in grams]
-    entries = list(index.probe(field))
-    assert entries == [next(index.probe(gram)) for gram in grams]
-    if bits == 64:  # no collisions among grams this small: each entry is exactly the gram's postings,
-        # but for a gram holding -1 or 2**40, which a 32-bit key cannot tell from a token an index can hold
-        held = [all(0 <= t < 2**32 for t in g) for g in grams]
-        assert [entry.tolist() for entry, h in zip(entries, held) if h] == [
-            positions_of(index, linear_scan(token_lists, g)) for g, h in zip(grams, held) if h
-        ]
+    stored = list(zip(index._keys, index._positions))
+    assert entries == [[p for k, p in stored if k == fingerprint(gram, min(bits, 32))] for gram in grams]
+    if bits >= 32:  # no collisions among grams this small: each entry is exactly the gram's postings
+        assert entries == [positions_of(index, linear_scan(token_lists, gram)) for gram in grams]
 
 
-def test_gram_fingerprints_rolls_lazily():
-    # as a list, a million fingerprints would take about 44 MB; the first one takes only the roll's state
-    tokens = array("I", range(1 << 20))
+def test_probe_is_lazy_per_block():
+    # the first entry keys one block of grams; a copy of the million-token field alone would take 4 MB
+    field = array("I", range(1 << 20))
+    index = index_of([range(8)])
     tracemalloc.start()
     try:
-        first = next(iter(gram_fingerprints(tokens, 8)))
+        first = next(index.probe(field))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert first == fingerprint(range(8))
-    assert peak < 1 << 20, f"the first fingerprint took {peak} bytes"
+    assert first.tolist() == [0]
+    assert peak < 1 << 20, f"the first entry took {peak} bytes"
 
 
 # -- persistence and determinism ---------------------------------------------

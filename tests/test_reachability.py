@@ -8,6 +8,12 @@ Code that only other tests call does not belong in the package, and neither
 does data: the package holds Python modules only. Dunder methods are called
 by Python itself and are not checked.
 
+Every other module-level name is read too: an import in its own module or
+through that module's ``__all__``, and a constant (any name a module-level
+assignment binds) in its own module, through its ``__all__``, by a
+``from .module import`` of another module, or as an attribute anywhere in
+the package. A name that is only bound and never read is dead code.
+
 Names are matched by spelling, so a property that shares its name with a
 dataclass field anywhere in the package cannot be told from that field: such
 a property counts as unreached, and takes a name of its own.
@@ -17,6 +23,10 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "contamkit"
+
+
+def _trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def _decorated(node, name: str) -> bool:
@@ -75,7 +85,7 @@ def _exported(tree: ast.Module) -> set[str]:
 
 
 def test_every_package_definition_is_reached_from_the_package():
-    trees = {path.stem: ast.parse(path.read_text(), str(path)) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _trees()
     named = set().union(*map(_named, trees.values()))
     called = set().union(*map(_called_methods, trees.values()))
     shadowing = set().union(*map(_dataclass_fields, trees.values()))
@@ -93,6 +103,62 @@ def test_every_package_definition_is_reached_from_the_package():
         and name not in reached[kind]
     }
     assert unreached == set()
+
+
+def _imports(tree: ast.Module) -> set[str]:
+    """The names the module's top-level imports bind."""
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _constants(tree: ast.Module) -> set[str]:
+    """The names the module's top-level assignments bind."""
+    return {
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for top in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        for target in ast.walk(top)
+        if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)
+    }
+
+
+def _loaded(tree: ast.AST) -> set[str]:
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def _attributes_read(tree: ast.AST) -> set[str]:
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def _imported_from(tree: ast.AST) -> set[tuple[str, str]]:
+    """``(module, name)`` per ``from .module import name`` anywhere in the module."""
+    return {
+        (node.module, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def test_every_module_level_name_is_read():
+    trees = _trees()
+    attributes = set().union(*map(_attributes_read, trees.values()))
+    imported = set().union(*map(_imported_from, trees.values()))
+    unread = set()
+    for module, tree in trees.items():
+        read = _loaded(tree) | _exported(tree)
+        unread |= {f"{module}.{name}" for name in _imports(tree) - read}
+        unread |= {
+            f"{module}.{name}"
+            for name in _constants(tree) - read - attributes
+            if (module, name) not in imported and not (name.startswith("__") and name.endswith("__"))
+        }
+    assert unread == set()
 
 
 def test_the_package_holds_python_modules_only():
