@@ -49,8 +49,8 @@ import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, groupby, islice
-from operator import itemgetter, ne
+from itertools import chain, groupby, islice, repeat
+from operator import floordiv, itemgetter, mod, ne
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .conditions import (
@@ -64,7 +64,8 @@ from .corpus_io import (
 
 GENERATOR_VERSION = "contamkit-planner/1"
 
-_MASK64 = (1 << 64) - 1
+_TOP = 1 << 64
+_MASK64 = _TOP - 1
 _BLOCK = 1024  # draws a CounterRng computes at once
 
 _INT64 = "(0|[1-9][0-9]{0,17})"  # at most 18 digits: below 2**63 without a range test
@@ -153,12 +154,18 @@ class CounterRng:
         return next(self._outputs)
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free via rejection sampling."""
-        limit = (1 << 64) - ((1 << 64) % n)
-        while True:
+        """Uniform integer in [0, n), bias-free via rejection sampling: a draw
+        at or above ``limit = 2**64 - 2**64 % n`` is rejected. ``2**64 % n`` is
+        below ``n``, so a draw below ``2**64 - n`` is kept without computing
+        the limit."""
+        self.counter += 1
+        v = next(self._outputs)
+        if v < _TOP - n:
+            return v % n
+        limit = _TOP - _TOP % n
+        while v >= limit:
             v = self.draw64()
-            if v < limit:
-                return v % n
+        return v % n
 
 
 @functools.cache
@@ -309,7 +316,17 @@ def plan_schedule(
     config: TrainingConfig,
     template: PromptTemplate = DEFAULT_TEMPLATE,
 ) -> InjectionSchedule:
-    """Expand a condition into a fully resolved, deterministic injection plan."""
+    """Expand a condition into a fully resolved, deterministic injection plan.
+
+    No Python container is built per entry. Copy ``c`` of example number ``e``
+    is unit ``u = e * copies + c``, group ``k`` of its layout is placed as the
+    one integer ``g = u * groups + k``, and document ``t`` of that group is
+    entry number ``g * size + t``. Steps are drawn per group, in ``g`` order;
+    then each step in ascending order draws the slots of its documents, in
+    the order its groups were placed. Each document's key
+    ``step * batch_size + slot`` is appended to one list, whose indexes are
+    sorted once, and the columns are filled from that order.
+    """
     if not examples:
         raise ValueError("examples must be non-empty")
     cap = config.replace_cap()
@@ -317,18 +334,20 @@ def plan_schedule(
         message = f"replacement cap is 0 for batch_size {config.batch_size} and "
         message += f"max_replace_frac {config.max_replace_frac}"
         raise CapacityError(message, required=1, available=0)
-    # each example's rendered documents, split into the groups of its mode's layout
-    grouped: dict[str, list[list[RenderedDoc]]] = {}
-    for ex in examples:
-        docs = iter(render(ex, condition.mode, template))
-        grouped[ex.example_id] = [[next(docs) for _ in parts] for parts in MODE_LAYOUT[condition.mode]]
-    if len(grouped) != len(examples):
+    # every example's rendered documents in layout order: document i of example e is docs[e * arity + i]
+    docs = [doc for ex in examples for doc in render(ex, condition.mode, template)]
+    if len({ex.example_id for ex in examples}) != len(examples):
         raise ValueError("examples must have unique example_ids")
-    lo, hi, per_step = _window(condition, config, len(examples) * condition.copies)
+    layout, copies, arity = MODE_LAYOUT[condition.mode], condition.copies, condition.arity
+    size, groups = len(layout[0]), len(layout)  # documents per group (all alike), groups per copy
+    units = len(examples) * copies
+    lo, hi, per_step = _window(condition, config, units)
 
     rng = CounterRng(config.seed)
-    by_step: dict[int, list[tuple[str, int, list[RenderedDoc]]]] = {}  # the groups placed on a step
+    below, width = rng.below, hi - lo
+    by_step: dict[int, list[int]] = {}  # the groups placed on a step, in placing order
     fill: dict[int, int] = {}  # their count: sparse, so memory follows the entries, not the window
+    filled = fill.get
 
     def free_step(taken: list[int]) -> int:
         """Move one placed group off a step that ``taken`` lacks to a step with
@@ -336,42 +355,60 @@ def plan_schedule(
         for old in range(lo, hi):
             if old in taken:
                 continue
-            for i, (example_id, copy, _) in enumerate(by_step.get(old, ())):
-                own = {s for s, placed in by_step.items() if any(e[:2] == (example_id, copy) for e in placed)}
+            for i, g in enumerate(by_step.get(old, ())):
+                unit = g // groups
+                own = {s for s, placed in by_step.items() if any(h // groups == unit for h in placed)}
                 for step in range(lo, hi):
-                    if step not in own and fill.get(step, 0) < per_step:
+                    if step not in own and filled(step, 0) < per_step:
                         by_step.setdefault(step, []).append(by_step[old].pop(i))
-                        fill[step] = fill.get(step, 0) + 1
+                        fill[step] = filled(step, 0) + 1
                         fill[old] -= 1
                         return old
         # not reached: when no step draws, a full step outside ``taken`` holds a copy that a step with room lacks
 
-    for example_id, groups in grouped.items():
-        for copy in range(condition.copies):
-            taken: list[int] = []
-            for group in groups:
-                for _ in range(64):
-                    step = lo + rng.below(hi - lo)
-                    if fill.get(step, 0) < per_step and step not in taken:
-                        break
-                else:  # deterministic fallback: scan forward from the last draw, then free a step
-                    step = next((s for s in chain(range(step, hi), range(lo, step))
-                                 if fill.get(s, 0) < per_step and s not in taken), None)
-                    if step is None:
-                        step = free_step(taken)
-                taken.append(step)
-                fill[step] = fill.get(step, 0) + 1
-                by_step.setdefault(step, []).append((example_id, copy, group))
+    for unit in range(units):
+        taken: list[int] = []
+        for g in range(unit * groups, unit * groups + groups):
+            for _ in range(64):
+                step = lo + below(width)
+                if filled(step, 0) < per_step and step not in taken:
+                    break
+            else:  # deterministic fallback: scan forward from the last draw, then free a step
+                step = next((s for s in chain(range(step, hi), range(lo, step))
+                             if filled(s, 0) < per_step and s not in taken), None)
+                if step is None:
+                    step = free_step(taken)
+            taken.append(step)
+            fill[step] = filled(step, 0) + 1
+            by_step.setdefault(step, []).append(g)
 
-    rows = []  # in (step, slot) order: slots differ within a step, so they alone order its rows
+    fill.clear()  # placed: the counts, and each step's list once its slots are drawn, go before the entries grow
+    batch_size = config.batch_size
+    keys: list[int] = []  # step * batch_size + slot, one per entry in slot-drawing order
+    numbers: list[int] = []  # the entry numbers of the same entries
     for step in sorted(by_step):
-        placed = [(example_id, copy, doc) for example_id, copy, group in by_step[step] for doc in group]
-        slots = _sample_slots(rng, config.batch_size, len(placed))
-        rows += sorted(((step, slot, example_id, copy, doc.part, doc.text, doc.lang)
-                        for slot, (example_id, copy, doc) in zip(slots, placed)), key=itemgetter(1))
+        placed = by_step.pop(step)
+        if size > 1:  # else a group's one document has the group's number
+            placed = [d for g in placed for d in range(g * size, g * size + size)]
+        base = step * batch_size
+        keys += [base + slot for slot in _sample_slots(rng, batch_size, len(placed))]
+        numbers += placed
+    # keys are distinct: slots differ within a step, and a step's keys lie below the next step's
+    order = sorted(range(len(keys)), key=keys.__getitem__)
     entries = ScheduleEntries()  # filled directly: the renderer already shares each document's strings
-    for column, values in zip(entries.columns, zip(*rows)):
-        column.extend(values)
+    step_column, slot_column, example_column, copy_column, part_column, text_column, lang_column = entries.columns
+    keys = list(map(keys.__getitem__, order))
+    step_column.extend(map(floordiv, keys, repeat(batch_size)))
+    slot_column.extend(map(mod, keys, repeat(batch_size)))
+    numbers = list(map(numbers.__getitem__, order))
+    del keys, order  # each list goes once the columns hold its values, so they do not all peak together
+    copy_column.extend([d // arity % copies for d in numbers])
+    doc = [d // (arity * copies) * arity + d % arity for d in numbers]  # the entry's index in docs
+    del numbers
+    example_ids = [ex.example_id for ex in examples for _ in range(arity)]
+    for column, values in ((example_column, example_ids), (part_column, [d.part for d in docs]),
+                           (text_column, [d.text for d in docs]), (lang_column, [d.lang for d in docs])):
+        column.extend(map(values.__getitem__, doc))
 
     return InjectionSchedule(
         condition=condition, config=config, cap=cap, window_start=lo, window_end=hi,

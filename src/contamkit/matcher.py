@@ -12,9 +12,10 @@ so far. Once a span is kept, a candidate at
 a later position loses every tie, so it must be longer than ``L``: it is
 dropped unless its token at offset ``L`` equals the field's, one integer
 test that ends most candidates of a repeated gram. Any other candidate
-must equal the field on its first ``L`` tokens, checked as one array-slice
+must equal the field on its first ``L`` tokens: its token at offset
+``L - 1`` is tested first, then the ``L`` tokens as one array-slice
 comparison; only past ``L`` is it extended token by token. The one-token
-test drops only candidates that cannot beat ``L``, and every counted span
+tests drop only candidates that cannot beat ``L``, and every counted span
 is compared token by token, so the match is exact at any fingerprint
 width. Branch and bound prunes the rest: the walk stops once fewer field
 tokens are left than the best length found, and a candidate with too
@@ -94,7 +95,9 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     from one probe of the field (:meth:`NGramIndex.probe`). A
     candidate at a position ``i`` past the kept span's loses the tie, so it
     is skipped unless ``tokens[i + L] == field[j + L]``, both inside their
-    arrays: it could not be longer. A candidate that survives is compared
+    arrays: it could not be longer. Any other candidate is skipped unless
+    ``tokens[i + L - 1] == field[j + L - 1]``, inside the token array. A
+    candidate that survives is compared
     on its ``L`` tokens as one slice, ``tokens[i:i + L] == field[j:j + L]``;
     only one that passes has its document looked up, for its room, and is
     then extended token by token past ``L``, so the result is exact at any
@@ -118,7 +121,8 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
     end = len(field)
     best = None  # (corpus position, example_start) of the span kept
     best_len = n  # spans shorter than n do not count
-    best_i = last = len(tokens)  # no candidate is past best_i until a span is kept
+    best_i = len(tokens)  # no candidate is past best_i until a span is kept
+    last = len(tokens) - best_len  # the last position with best_len tokens left in the array
     for j, positions in enumerate(index.probe(field)):
         if end - j < best_len:
             break  # no span starting here or later in the field can be longer
@@ -129,13 +133,18 @@ def longest_span(field: Sequence[int], index: NGramIndex, config: ScanConfig) ->
         for i in positions:
             # Past best_i, (i, j) loses every tie (j only grows), so the
             # candidate must be longer than best_len: token best_len must
-            # match, inside the token array. A candidate that is not
+            # match, inside the token array. Any other candidate must match
+            # on its first best_len tokens, so token best_len - 1 is tested
+            # first, inside the array too. A candidate that is not
             # left-maximal (tokens[i - 1] == field[j - 1] in one document)
             # needs no test of its own: the span one token longer at
             # (i - 1, j - 1) has a posting the walk met at offset j - 1, so
             # best_len already exceeds any span at (i, j), and it fails the
             # one-token, slice or room test.
-            if i > best_i and (i >= last or tokens[i + best_len] != after):
+            if i > best_i:
+                if i >= last or tokens[i + best_len] != after:
+                    continue
+            elif i > last or tokens[i + best_len - 1] != head[-1]:
                 continue
             if tokens[i : i + best_len] != head:
                 continue  # the first best_len tokens differ

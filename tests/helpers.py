@@ -3,10 +3,12 @@
 The oracles deliberately avoid the code paths they check: substring overlap
 is recomputed by dynamic programming, index keys one token at a time
 (:func:`fingerprint`), BLEU by direct list-based n-gram counting, schedule
-invariants one entry at a time, and batch streams and schedules one decoded
-record at a time. A ``ctk`` corpus is written by an encoder of its own
-(:func:`write_corpus`, with ``struct``), so the package's doc-table reader is
-tested against bytes that no package code produced. The paper's reference
+invariants one entry at a time, plans with a tuple per placed group and one
+generator value at a time (:func:`plan_schedule_scalar`), and batch streams
+and schedules one decoded record at a time. A ``ctk`` corpus is written by
+an encoder of its own (:func:`write_corpus`, with ``struct``), so the
+package's doc-table reader is tested against bytes that no package code
+produced. The paper's reference
 score tables are test data under ``tests/data``, read here.
 """
 
@@ -17,6 +19,8 @@ import random
 import statistics
 import struct
 from collections import Counter
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +33,8 @@ from contamkit.corpus_io import (
     doc_to_record, from_record, read_json_lines, record_values, write_json_lines,
 )
 from contamkit.injector import (
-    MODE_LAYOUT, ContaminationCondition, InjectionSchedule, ScheduleEntries, ScheduleEntry, ScheduleReport,
-    TrainingConfig,
+    DEFAULT_TEMPLATE, MODE_LAYOUT, CapacityError, ContaminationCondition, InjectionSchedule, ScheduleEntries,
+    ScheduleEntry, ScheduleReport, TrainingConfig, _window, render,
 )
 from contamkit.matcher import MatchSpan
 from contamkit.metrics import EvalRecord
@@ -258,6 +262,101 @@ def splitmix64(seed: int, i: int) -> int:
     z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
     return z ^ (z >> 31)
+
+
+class ScalarRng:
+    """``CounterRng`` one value at a time: draw i is :func:`splitmix64` of the seed
+    and i, and ``below(n)`` draws until a value is below ``2**64 - 2**64 % n``,
+    computing that limit for every call. The exact-equality oracle of the
+    generator's blocks and of its fast path below ``2**64 - n``."""
+
+    def __init__(self, seed: int):
+        self.seed = seed % 2**64
+        self.counter = 0  # draws consumed
+
+    def draw64(self) -> int:
+        self.counter += 1
+        return splitmix64(self.seed, self.counter - 1)
+
+    def below(self, n: int) -> int:
+        limit = 2**64 - 2**64 % n
+        while True:
+            v = self.draw64()
+            if v < limit:
+                return v % n
+
+
+def plan_schedule_scalar(examples, condition, config, template=DEFAULT_TEMPLATE):
+    """``plan_schedule`` as the ``contamkit-planner/1`` generator was first
+    written: one :class:`ScalarRng` ``below`` per draw, each placed group an
+    ``(example_id, copy, documents)`` tuple, and each step's rows sorted by slot
+    as 7-tuples. The exact-equality oracle of the planner. Returns the
+    schedule, the draws consumed and a Counter of the placements that fell
+    back to the scan (``"scan"``) and of the groups moved to free a step
+    (``"freed"``)."""
+    if not examples:
+        raise ValueError("examples must be non-empty")
+    cap = config.replace_cap()
+    if cap < 1:
+        message = f"replacement cap is 0 for batch_size {config.batch_size} and "
+        message += f"max_replace_frac {config.max_replace_frac}"
+        raise CapacityError(message, required=1, available=0)
+    grouped = {}
+    for ex in examples:
+        docs = iter(render(ex, condition.mode, template))
+        grouped[ex.example_id] = [[next(docs) for _ in parts] for parts in MODE_LAYOUT[condition.mode]]
+    if len(grouped) != len(examples):
+        raise ValueError("examples must have unique example_ids")
+    lo, hi, per_step = _window(condition, config, len(examples) * condition.copies)
+
+    rng = ScalarRng(config.seed)
+    paths = Counter()
+    by_step = {}
+    fill = {}
+
+    def free_step(taken):
+        for old in range(lo, hi):
+            if old in taken:
+                continue
+            for i, (example_id, copy, _) in enumerate(by_step.get(old, ())):
+                own = {s for s, placed in by_step.items() if any(e[:2] == (example_id, copy) for e in placed)}
+                for step in range(lo, hi):
+                    if step not in own and fill.get(step, 0) < per_step:
+                        by_step.setdefault(step, []).append(by_step[old].pop(i))
+                        fill[step] = fill.get(step, 0) + 1
+                        fill[old] -= 1
+                        paths["freed"] += 1
+                        return old
+
+    for example_id, groups in grouped.items():
+        for copy in range(condition.copies):
+            taken = []
+            for group in groups:
+                for _ in range(64):
+                    step = lo + rng.below(hi - lo)
+                    if fill.get(step, 0) < per_step and step not in taken:
+                        break
+                else:
+                    paths["scan"] += 1
+                    step = next((s for s in chain(range(step, hi), range(lo, step))
+                                 if fill.get(s, 0) < per_step and s not in taken), None)
+                    if step is None:
+                        step = free_step(taken)
+                taken.append(step)
+                fill[step] = fill.get(step, 0) + 1
+                by_step.setdefault(step, []).append((example_id, copy, group))
+
+    rows = []
+    for step in sorted(by_step):
+        placed = [(example_id, copy, doc) for example_id, copy, group in by_step[step] for doc in group]
+        slots = array_sample_slots(rng, config.batch_size, len(placed))
+        rows += sorted(((step, slot, example_id, copy, doc.part, doc.text, doc.lang)
+                        for slot, (example_id, copy, doc) in zip(slots, placed)), key=itemgetter(1))
+    schedule = InjectionSchedule(
+        condition=condition, config=config, cap=cap, window_start=lo, window_end=hi,
+        template_names=dict(template.names), example_count=len(examples), entries=ScheduleEntries(rows),
+    )
+    return schedule, rng.counter, paths
 
 
 def array_sample_slots(rng, batch_size, k) -> list[int]:

@@ -4,11 +4,14 @@ import itertools
 import random
 import re
 import tracemalloc
+from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from contamkit.conditions import PART_SOURCE_HALF, PART_TARGET_HALF, PART_WHOLE
+from contamkit import injector
 from contamkit.corpus_io import BatchStream
 from contamkit.injector import (
     CapacityError,
@@ -33,7 +36,9 @@ from contamkit.injector import (
 )
 from contamkit.corpus_io import TestExample
 
-from helpers import _synth_stream, array_sample_slots, make_example, splitmix64, verify_schedule_per_entry
+from helpers import (
+    _synth_stream, array_sample_slots, make_example, plan_schedule_scalar, splitmix64, verify_schedule_per_entry,
+)
 
 DIEGO = TestExample(
     example_id="diego",
@@ -156,6 +161,31 @@ def test_counter_rng_draws_equal_the_scalar_splitmix64_formula(seed, pattern, sk
         assert rng.counter == i
 
 
+def _edges(n):
+    """The draws at which below(n) changes course: either side of the fast
+    path's line 2**64 - n and of the rejection limit, and the largest draw.
+    A limit of 2**64 (n = 1) is no draw, so it is left out."""
+    limit = 2**64 - 2**64 % n
+    return sorted({v for v in (2**64 - n - 1, 2**64 - n, limit - 1, limit, 2**64 - 1) if v < 2**64})
+
+
+@pytest.mark.parametrize("n", [1, 3, 2**63 + 1])
+def test_counter_rng_below_at_its_edges_equals_the_scalar_rejection_loop(n):
+    # each edge draw, then each edge draw again, then a small one: a stubbed
+    # stream, so every path of below meets every edge, once or twice in a row
+    limit = 2**64 - 2**64 % n
+    for stream in itertools.product(_edges(n), _edges(n), [5]):
+        rng = CounterRng(0)
+        rng._outputs = iter([*stream, 11])
+        draws = 0
+        for v in stream:  # the scalar loop
+            draws += 1
+            if v < limit:
+                break
+        assert (rng.below(n), rng.counter) == (v % n, draws), stream
+        assert rng.draw64() == [*stream, 11][draws]  # no draw taken past the kept one
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=2**64 - 1), st.data())
 def test_sampled_slots_equal_a_shuffle_of_the_whole_batch(batch_size, seed, data):
@@ -197,6 +227,24 @@ def test_planning_memory_follows_the_entries_not_the_window_width(temporal):
     assert len(schedule.entries) == 20
     assert schedule.window_end - schedule.window_start > 2**56
     assert peak < 1_000_000, f"planning traced a peak of {peak} bytes"
+
+
+@pytest.mark.parametrize("mode", [ContaminationMode.FULL_PROMPTED, ContaminationMode.SPLIT_PAIR])
+def test_planning_memory_per_entry_stays_below_a_tuple_per_entry(mode):
+    # 50 examples x 100 copies at the paper's 155,000 steps x 512 slots: the
+    # finished columns take about 59 B per entry, so a bound of 250 B leaves
+    # no room for a tuple or list per entry, placed or sorted
+    config = TrainingConfig(total_steps=155_000, batch_size=512, seed=3)
+    condition = ContaminationCondition(mode, Temporal.LATE, 100)
+    examples = _examples(50)
+    tracemalloc.start()
+    try:
+        schedule = plan_schedule(examples, condition, config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(schedule.entries) == 5000 * condition.arity
+    assert peak / len(schedule.entries) < 250, f"planning traced {peak / len(schedule.entries):.0f} B per entry"
 
 
 # -- planning ---------------------------------------------------------------------
@@ -401,6 +449,69 @@ def test_plan_sweep_matches_recorded_digest():
         for entry in schedule.entries:
             digest.update(f"{dataclasses.astuple(entry)!r}\n".encode())
     assert digest.hexdigest() == PLAN_SWEEP_DIGEST
+
+
+def _plan_like_the_reference(count, condition, config):
+    """Plan with the package and with the scalar reference; assert the same
+    entries, window, cap and draws consumed, or the same CapacityError.
+    Return the reference's counts of fallback scans and freed steps."""
+    examples = _examples(count)
+    rngs = []
+
+    class RecordingRng(CounterRng):
+        def __init__(self, seed):
+            super().__init__(seed)
+            rngs.append(self)
+
+    try:
+        reference, draws, paths = plan_schedule_scalar(examples, condition, config)
+    except CapacityError as e:
+        with pytest.raises(CapacityError) as err:
+            plan_schedule(examples, condition, config)
+        assert (str(err.value), err.value.required, err.value.available) == (str(e), e.required, e.available)
+        return Counter()
+    with mock.patch.object(injector, "CounterRng", RecordingRng):
+        schedule = plan_schedule(examples, condition, config)
+    assert list(schedule.entries) == list(reference.entries)
+    assert schedule == reference  # the window, cap and every other header field too
+    assert [rng.counter for rng in rngs] == [draws]
+    return paths
+
+
+@settings(max_examples=300, deadline=None)
+@given(mode=st.sampled_from(ContaminationMode), temporal=st.sampled_from(Temporal),
+       copies=st.integers(min_value=1, max_value=6), count=st.integers(min_value=1, max_value=8),
+       total_steps=st.integers(min_value=2, max_value=60), batch_size=st.integers(min_value=1, max_value=40),
+       max_replace_frac=st.sampled_from((0.05, 0.1, 0.125, 0.2, 0.25, 0.5)),
+       window_frac=st.sampled_from((0.001, 0.02, 0.05, 0.1, 0.3, 1.0)),
+       seed=st.integers(min_value=-(2**63), max_value=2**64), strict_cap=st.booleans())
+def test_plans_equal_the_scalar_reference(mode, temporal, copies, count, total_steps, batch_size,
+                                           max_replace_frac, window_frac, seed, strict_cap):
+    # small windows of every mode and temporal, about half of them capacity
+    # errors; a concentrated window that grows under the cap is filled exactly
+    # whenever the copies divide into the groups one step takes
+    config = TrainingConfig(total_steps=total_steps, batch_size=batch_size, max_replace_frac=max_replace_frac,
+                            window_frac=window_frac, seed=seed, strict_cap=strict_cap)
+    _plan_like_the_reference(count, ContaminationCondition(mode, temporal, copies), config)
+
+
+# plans that take the placement's rare paths, with the counts the reference makes of them
+RARE_PLANS = {
+    # 48 copies grow a late window to 48 steps x cap 1, filled exactly: one
+    # group finds no step in 64 draws and takes the scan
+    "scan": (8, ContaminationCondition(ContaminationMode.FULL_PROMPTED, Temporal.LATE, 6),
+             TrainingConfig(total_steps=1000, batch_size=20, window_frac=0.001, seed=0), {"scan": 1}),
+    # 20 halves fill the uniform window of 4 steps x cap 5 exactly; one half
+    # finds no step without its own copy, so another half moves to free one
+    "freed": (2, ContaminationCondition(ContaminationMode.SPLIT_PAIR, Temporal.UNIFORM, 5),
+              TrainingConfig(total_steps=5, batch_size=10, max_replace_frac=0.5, seed=2), {"scan": 1, "freed": 1}),
+}
+
+
+@pytest.mark.parametrize("case", RARE_PLANS)
+def test_plans_on_the_rare_paths_equal_the_scalar_reference(case):
+    count, condition, config, paths = RARE_PLANS[case]
+    assert _plan_like_the_reference(count, condition, config) == paths
 
 
 def test_capacity_error_reports_required_vs_available():

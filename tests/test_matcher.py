@@ -341,21 +341,24 @@ class _CountingTokens(array):
         return super().__getitem__(key)
 
 
-def test_longest_span_slices_few_candidates_of_a_repeated_run():
-    # 200 documents share the field's first 40 tokens, doc 1 its first 45;
-    # the field's other 55 tokens are in no document. Each of the run's 33
-    # offsets has 200 candidates, and comparing each as a slice would read
-    # about 6,600 slices. A candidate past the kept span that cannot be
-    # longer is skipped on one token, so at offset 0 only docs 0 and 1 are
-    # sliced, and after it only doc 0, which could still win a tie.
+@pytest.mark.parametrize("long_doc", [1, 199])
+def test_longest_span_slices_few_candidates_of_a_repeated_run(long_doc):
+    # 200 documents share the field's first 40 tokens, doc ``long_doc`` its
+    # first 45; the field's other 55 tokens are in no document. Each of the
+    # run's 33 offsets has 200 candidates, and comparing each as a slice
+    # would read about 6,600 slices. At offset 0 only docs 0 and ``long_doc``
+    # are sliced: a candidate past the kept span that cannot be longer is
+    # skipped on its token at offset 45. After offset 0, a candidate before
+    # the kept span (doc 0, or all of docs 0 to 198) is skipped on its token
+    # at offset 44, so it is sliced only when it could still tie.
     run = list(range(100, 145))
     docs = [[k] + run[:40] + [99] for k in range(200)]
-    docs[1] = [1] + run + [99]
+    docs[long_doc] = [1] + run + [99]
     field = run + list(range(1000, 1055))
     index = index_of(docs)
     index.tokens = tokens = _CountingTokens("I", index.tokens)
     span = longest_span(field, index, CFG)
-    assert span == MatchSpan(doc_ref=1, corpus_start=1, example_start=0, length=45)
+    assert span == MatchSpan(doc_ref=long_doc, corpus_start=1, example_start=0, length=45)
     walked = len(field) - span.length + 1  # offsets up to the first with fewer tokens left than the span
     assert tokens.slices <= walked, f"{tokens.slices} slices over {walked} offsets"
 
