@@ -20,6 +20,11 @@ On-disk formats (all little-endian, all line-oriented files UTF-8):
   ``{"step": int, "slot": int, "doc": <document>}``, step-major then
   slot-minor.
 
+Files are little-endian and arrays native, and this module alone knows the
+host's byte order: besides :func:`write_array` and :func:`read_array`, the
+converters :func:`int_to_array` and :func:`array_to_int` move between an int
+whose little-endian lanes are items and a native array of them.
+
 Every JSON-lines record (here, and schedules and eval records) is read by
 :func:`from_record`, or by :func:`record_values` where a reader keeps the
 values and not the object (schedule entries): every field is checked
@@ -471,12 +476,34 @@ def _read_chunks(f, typecode: str, count: int, path, what: str) -> array:
     return values
 
 
-def write_array(f, values: array) -> None:
-    """Write an array's items little-endian."""
+def _little(values: array) -> array:
+    """``values`` with its items little-endian: the array itself on a little-endian host, a swapped copy otherwise."""
     if _SWAP:
         values = array(values.typecode, values)
         values.byteswap()
-    values.tofile(f)
+    return values
+
+
+def _native(values: array) -> array:
+    """``values``, whose items were filled little-endian, swapped in place to native order."""
+    if _SWAP:
+        values.byteswap()
+    return values
+
+
+def int_to_array(value: int, typecode: str, count: int) -> array:
+    """The ``count`` little-endian lanes of ``value``, one item of ``typecode`` wide each, as a native array."""
+    return _native(array(typecode, value.to_bytes(count * array(typecode).itemsize, "little")))
+
+
+def array_to_int(values: array) -> int:
+    """The int whose little-endian lanes are the items of ``values``: the inverse of :func:`int_to_array`."""
+    return int.from_bytes(_little(values), "little")
+
+
+def write_array(f, values: array) -> None:
+    """Write an array's items little-endian."""
+    _little(values).tofile(f)
 
 
 def read_array(f, typecode: str, count: int, path, what: str) -> array:
@@ -485,9 +512,7 @@ def read_array(f, typecode: str, count: int, path, what: str) -> array:
     values = array(typecode, [0]) * count
     if f.readinto(values) != count * values.itemsize:
         raise CorpusFormatError(f"{path}: truncated while reading {what}")
-    if _SWAP:
-        values.byteswap()
-    return values
+    return _native(values)
 
 
 def example_to_record(ex: TestExample) -> dict:

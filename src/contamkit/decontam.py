@@ -101,33 +101,20 @@ def decontaminate(
     """
     if not testset:
         raise ValueError("testset must be non-empty")
+    report = DecontamReport(threshold=config.threshold, total=len(testset), label_counts=_empty_counts(), per_pair={},
+                            histogram=[0] * bin_count(bin_width), bin_width=bin_width, removed_ids=[])
     kept: list[TestExample] = []
-    removed_ids: list[str] = []
-    scores: list[tuple[str, ContaminationScore]] = []
-    label_counts = _empty_counts()
-    per_pair: dict[str, dict[str, int]] = {}
-    histogram = [0] * bin_count(bin_width)
     for example in testset:
         score = score_example(example, index, config)
-        scores.append((example.example_id, score))
+        report.scores.append((example.example_id, score))
         label = classify(score, config)
-        label_counts[label.value] += 1
-        per_pair.setdefault(example.pair, _empty_counts())[label.value] += 1
-        histogram[histogram_bin(score.combined, bin_width)] += 1
+        report.label_counts[label.value] += 1
+        report.per_pair.setdefault(example.pair, _empty_counts())[label.value] += 1
+        report.histogram[histogram_bin(score.combined, bin_width)] += 1
         if label is ContaminationLabel.CLEAN:
             kept.append(example)
         else:
-            removed_ids.append(example.example_id)
-    report = DecontamReport(
-        threshold=config.threshold,
-        total=len(testset),
-        label_counts=label_counts,
-        per_pair=per_pair,
-        histogram=histogram,
-        bin_width=bin_width,
-        removed_ids=removed_ids,
-    )
-    report.scores = scores
+            report.removed_ids.append(example.example_id)
     return kept, report
 
 

@@ -45,7 +45,6 @@ import functools
 import json
 import math
 import re
-import sys
 from array import array
 from collections import Counter
 from dataclasses import dataclass
@@ -59,7 +58,7 @@ from .conditions import (
 )
 from .corpus_io import (
     CATEGORY_CONTAMINATION, CATEGORY_PARALLEL, BatchStream, CorpusDocument, CorpusFormatError, EncodedDocument,
-    Int64, TestExample, _parse_object, _write_lines, from_record, is_text, read_lines, record_values,
+    Int64, TestExample, _parse_object, _write_lines, from_record, int_to_array, is_text, read_lines, record_values,
 )
 
 GENERATOR_VERSION = "contamkit-planner/1"
@@ -186,10 +185,7 @@ def _splitmix64_blocks(seed: int) -> Iterator[int]:
         seed = (seed + _BLOCK * CounterRng.GAMMA) & _MASK64
         z = ((z ^ (z >> 30)) & lanes) * 0xBF58476D1CE4E5B9 & lanes
         z = ((z ^ (z >> 27)) & lanes) * 0x94D049BB133111EB & lanes
-        values = array("Q", (z ^ (z >> 31)).to_bytes(16 * _BLOCK, "little"))
-        if sys.byteorder == "big":
-            values.byteswap()
-        yield from values[::2]
+        yield from int_to_array(z ^ (z >> 31), "Q", 2 * _BLOCK)[::2]
 
 
 @dataclass(frozen=True)
@@ -345,9 +341,9 @@ def plan_schedule(
 
     rng = CounterRng(config.seed)
     below, width = rng.below, hi - lo
-    by_step: dict[int, list[int]] = {}  # the groups placed on a step, in placing order
-    fill: dict[int, int] = {}  # their count: sparse, so memory follows the entries, not the window
-    filled = fill.get
+    # the groups placed on a step, in placing order: sparse, so memory follows the entries, not the window
+    by_step: dict[int, list[int]] = {}
+    placed_on = by_step.get
 
     def free_step(taken: list[int]) -> int:
         """Move one placed group off a step that ``taken`` lacks to a step with
@@ -359,10 +355,8 @@ def plan_schedule(
                 unit = g // groups
                 own = {s for s, placed in by_step.items() if any(h // groups == unit for h in placed)}
                 for step in range(lo, hi):
-                    if step not in own and filled(step, 0) < per_step:
+                    if step not in own and len(placed_on(step, ())) < per_step:
                         by_step.setdefault(step, []).append(by_step[old].pop(i))
-                        fill[step] = filled(step, 0) + 1
-                        fill[old] -= 1
                         return old
         # not reached: when no step draws, a full step outside ``taken`` holds a copy that a step with room lacks
 
@@ -371,23 +365,21 @@ def plan_schedule(
         for g in range(unit * groups, unit * groups + groups):
             for _ in range(64):
                 step = lo + below(width)
-                if filled(step, 0) < per_step and step not in taken:
+                if len(placed_on(step, ())) < per_step and step not in taken:
                     break
             else:  # deterministic fallback: scan forward from the last draw, then free a step
                 step = next((s for s in chain(range(step, hi), range(lo, step))
-                             if filled(s, 0) < per_step and s not in taken), None)
+                             if len(placed_on(s, ())) < per_step and s not in taken), None)
                 if step is None:
                     step = free_step(taken)
             taken.append(step)
-            fill[step] = filled(step, 0) + 1
             by_step.setdefault(step, []).append(g)
 
-    fill.clear()  # placed: the counts, and each step's list once its slots are drawn, go before the entries grow
     batch_size = config.batch_size
     keys: list[int] = []  # step * batch_size + slot, one per entry in slot-drawing order
     numbers: list[int] = []  # the entry numbers of the same entries
     for step in sorted(by_step):
-        placed = by_step.pop(step)
+        placed = by_step.pop(step)  # each step's list goes once its slots are drawn, before the entries grow
         if size > 1:  # else a group's one document has the group's number
             placed = [d for g in placed for d in range(g * size, g * size + size)]
         base = step * batch_size

@@ -18,18 +18,20 @@ fingerprint width. A weakened ``fingerprint_bits`` (e.g. 8) makes collisions
 frequent on purpose, which is useful for exercising the verification path.
 
 An index is a handful of flat arrays: every document's tokens concatenated
-into one ``array("I")`` with ``array("Q")`` start offsets, and one posting per
-n-gram as two parallel ``array("I")``: the gram's key and its global position
-in the token array. The key is the gram's fingerprint cut to 32 bits, that
-is its fingerprint at ``min(bits, 32)`` bits. It keeps the low bits, not the
-top ones: a one-token gram's fingerprint is the token itself, so its top 32
-bits are always 0, and at every order the last token of a gram barely
-reaches them. A 32-bit key leaves about postings ÷ 2**32 false candidates
-per lookup, which the matcher's token comparison rejects. Postings are
-sorted by (key, position), and the position rises with (document, offset),
-so building twice from the same corpus yields identical arrays and
-identical files. A built index is immutable and safe to share across
-threads.
+into one ``array("I")`` with ``array("Q")`` start offsets, every document's
+id as UTF-8 bytes concatenated into one ``array("B")`` with ``array("Q")``
+end offsets (as the file stores them; :meth:`NGramIndex.doc_id` decodes one
+when asked), and one posting per n-gram as two parallel ``array("I")``: the
+gram's key and its global position in the token array. The key is the
+gram's fingerprint cut to 32 bits, that is its fingerprint at
+``min(bits, 32)`` bits. It keeps the low bits, not the top ones: a
+one-token gram's fingerprint is the token itself, so its top 32 bits are
+always 0, and at every order the last token of a gram barely reaches them.
+A 32-bit key leaves about postings ÷ 2**32 false candidates per lookup,
+which the matcher's token comparison rejects. Postings are sorted by (key,
+position), and the position rises with (document, offset), so building
+twice from the same corpus yields identical arrays and identical files. A
+built index is immutable and safe to share across threads.
 
 :func:`build_index` keeps memory flat too. While it reads the corpus it
 computes each document's postings, packed as one integer
@@ -59,7 +61,6 @@ point outside the documents. Versions 1 to 3 are refused; rebuild them.
 
 import os
 import stat
-import sys
 from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -69,7 +70,9 @@ from struct import Struct
 from typing import Iterable, Iterator, Sequence
 
 from .conditions import CapacityError
-from .corpus_io import CorpusDocument, CorpusFormatError, is_text, output_file, read_array, write_array
+from .corpus_io import (
+    CorpusDocument, CorpusFormatError, array_to_int, int_to_array, is_text, output_file, read_array, write_array,
+)
 
 FINGERPRINT_BASE = 0x100000001B3
 _INDEX_MAGIC = b"CTKX"
@@ -82,9 +85,8 @@ _KEY_BITS = 32  # a posting's key is its gram's fingerprint cut to this many bit
 _BUCKET_BITS = 6  # the build sorts 2**6 buckets of postings one at a time
 _SPLIT_POSTINGS = 1 << 16  # a bucket of more postings is split again by its key range before it is sorted
 _GRAM_BLOCK = 4096  # the keys of this many grams are computed at once
-_ID_CHUNK = 4096  # save encodes this many doc ids at once
-_HIGH_WORD = int(sys.byteorder == "little")  # which native u32 word of a u64 holds its top 32 bits
-_SWAP = sys.byteorder == "big"  # a native array's items are byte-swapped against little-endian lanes
+# which native u32 word of a u64 holds its top 32 bits
+_HIGH_WORD = array("I", array("Q", [1 << 32]).tobytes()).index(1)
 
 
 @dataclass(frozen=True)
@@ -106,7 +108,8 @@ class NGramIndex:
 
     Document ``r`` is ``tokens[starts[r]:starts[r + 1]]``, so position ``p``
     lies in document ``bisect_right(starts, p) - 1``; treat both arrays as
-    read-only.
+    read-only. Its id is held the same way, as the file stores it: the UTF-8
+    bytes ``_ids[_id_ends[r]:_id_ends[r + 1]]``.
     """
 
     def __init__(self, ngram_order: int, fingerprint_bits: int = 64):
@@ -118,9 +121,10 @@ class NGramIndex:
             raise ValueError("fingerprint_bits must be in [1, 64]")
         self.ngram_order = ngram_order
         self.fingerprint_bits = fingerprint_bits
-        self._doc_ids: list[str] = []
         self.tokens = array("I")
         self.starts = array("Q", [0])
+        self._ids = array("B")
+        self._id_ends = array("Q", [0])
         self._keys = array("I")
         self._positions = array("I")
 
@@ -148,20 +152,20 @@ class NGramIndex:
         keys, positions = self._keys, self._positions
         size = len(keys)
         for _, count, block in _key_blocks(field, 0, self.ngram_order, min(self.fingerprint_bits, _KEY_BITS)):
-            lanes = array("Q", block.to_bytes(8 * count, "little"))
-            if _SWAP:
-                lanes.byteswap()
-            for key in lanes:
+            for key in int_to_array(block, "Q", count):
                 lo = bisect_left(keys, key)
                 hi = bisect_right(keys, key, lo) if lo < size and keys[lo] == key else lo  # most grams have no posting
                 yield positions[lo:hi]
 
     def doc_id(self, doc_ref: int) -> str:
-        return self._doc_ids[doc_ref]
+        """Document ``doc_ref``'s id, decoded from its UTF-8 bytes; ``IndexError`` outside ``[0, doc_count)``."""
+        if not 0 <= doc_ref < self.doc_count:
+            raise IndexError(f"doc_ref {doc_ref} is not in [0, {self.doc_count})")
+        return str(self._ids[self._id_ends[doc_ref] : self._id_ends[doc_ref + 1]], "utf-8")
 
     @property
     def doc_count(self) -> int:
-        return len(self._doc_ids)
+        return len(self.starts) - 1
 
     @property
     def posting_count(self) -> int:
@@ -172,24 +176,27 @@ class NGramIndex:
     def save(self, path):
         """Write the index to a single file, bit-exact across platforms, one section after another.
 
-        Every doc id encodes as UTF-8: :func:`build_index` admits no other, and :meth:`load` decodes strictly.
-        The ids are encoded :data:`_ID_CHUNK` at a time, so no copy of them all is held.
+        The index holds its doc ids as the file stores them, UTF-8 bytes back
+        to back, so every section is an array written whole; only the two
+        length sections are computed, each from its array of ends.
         """
-        ids = self._doc_ids
-        lengths = array("I", map(sub, islice(self.starts, 1, None), self.starts))
-        id_lengths = array("I", (len(d) if d.isascii() else len(d.encode("utf-8")) for d in ids))
+        lengths, id_lengths = (
+            array("I", map(sub, islice(ends, 1, None), ends)) for ends in (self.starts, self._id_ends)
+        )
         with output_file(path, "wb") as f:
             f.write(_HEADER.pack(
                 _INDEX_MAGIC, _INDEX_VERSION, self.ngram_order, self.fingerprint_bits, self.posting_count, self.doc_count
             ))
-            for values in (self._keys, self._positions, lengths, id_lengths, self.tokens):
+            for values in (self._keys, self._positions, lengths, id_lengths, self.tokens, self._ids):
                 write_array(f, values)
-            for k in range(0, len(ids), _ID_CHUNK):
-                f.write("".join(ids[k : k + _ID_CHUNK]).encode("utf-8"))
 
     @classmethod
     def load(cls, path) -> "NGramIndex":
-        """Read an index written by :meth:`save`; raises :class:`CorpusFormatError` on any other file."""
+        """Read an index written by :meth:`save`; raises :class:`CorpusFormatError` on any other file.
+
+        The doc ids are kept as the section that stores them; each is decoded
+        once here, only to refuse one that is not UTF-8 or that repeats.
+        """
         with open(path, "rb") as f:
             st = os.fstat(f.fileno())
             if not stat.S_ISREG(st.st_mode):
@@ -222,17 +229,18 @@ class NGramIndex:
                 raise CorpusFormatError(f"{path}: a posting points outside the indexed documents; rebuild the index")
             index.tokens = read_array(f, "I", token_count, path, "tokens")
             index.starts = array("Q", accumulate(lengths, initial=0))
-            ids = memoryview(read_array(f, "B", id_bytes, path, "doc ids"))
+            index._ids = read_array(f, "B", id_bytes, path, "doc ids")
+        index._id_ends = array("Q", accumulate(id_lengths, initial=0))
         seen = set()  # only to refuse a repeated doc id; the index does not keep it
-        for ref, (start, end) in enumerate(pairwise(accumulate(id_lengths, initial=0))):
-            try:
-                doc_id = str(ids[start:end], "utf-8")
-            except UnicodeDecodeError as e:
-                raise CorpusFormatError(f"{path}: doc #{ref} id is not UTF-8") from e
-            if doc_id in seen:
-                raise CorpusFormatError(f"{path}: doc #{ref}: duplicate doc_id {doc_id!r}")
-            seen.add(doc_id)
-            index._doc_ids.append(doc_id)
+        with memoryview(index._ids) as ids:
+            for ref, (start, end) in enumerate(pairwise(index._id_ends)):
+                try:
+                    doc_id = str(ids[start:end], "utf-8")
+                except UnicodeDecodeError as e:
+                    raise CorpusFormatError(f"{path}: doc #{ref} id is not UTF-8") from e
+                if doc_id in seen:
+                    raise CorpusFormatError(f"{path}: doc #{ref}: duplicate doc_id {doc_id!r}")
+                seen.add(doc_id)
         return index
 
 
@@ -240,9 +248,10 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     """Index a document stream; deterministic for a given corpus order.
 
     Documents shorter than the n-gram order contribute no postings but stay
-    in the doc table. A doc id that repeats or is not text UTF-8 can encode
-    (no reader yields one) raises :class:`CorpusFormatError`; a document
-    that would take the index past ``2**32 - 1`` tokens raises
+    in the doc table. Each doc id is kept as its UTF-8 bytes, appended to
+    the index's id section. A doc id that repeats or is not text UTF-8 can
+    encode (no reader yields one) raises :class:`CorpusFormatError`; a
+    document that would take the index past ``2**32 - 1`` tokens raises
     :class:`CapacityError` before its tokens are read. A posting's key is
     its gram's fingerprint at ``min(fingerprint_bits, 32)`` bits, so a
     ``fingerprint_bits`` above 32 no longer narrows the candidates, and a
@@ -264,11 +273,7 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
     key_bits = min(fingerprint_bits, _KEY_BITS)
     bucket_bits = min(_BUCKET_BITS, key_bits)
     shift = 32 + key_bits - bucket_bits  # a packed posting's bucket is its top key bits
-    lane_one = (1).to_bytes(8, "little")
-    ramp = array("Q", range(_GRAM_BLOCK))
-    if _SWAP:
-        ramp.byteswap()
-    ramp = int.from_bytes(ramp, "little")  # j in lane j
+    ramp = array_to_int(array("Q", range(_GRAM_BLOCK)))  # j in lane j
     # bucket b holds the postings whose key starts with the bits of b, each
     # packed as key << 32 | position, in position order
     buckets = [array("Q") for _ in range(1 << bucket_bits)]
@@ -280,7 +285,8 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         if doc.doc_id in seen:
             raise CorpusFormatError(f"duplicate doc_id {doc.doc_id!r}")
         seen.add(doc.doc_id)
-        index._doc_ids.append(doc.doc_id)
+        index._ids.frombytes(doc.doc_id.encode("utf-8"))
+        index._id_ends.append(len(index._ids))
         tokens = doc.tokens
         start = len(index.tokens)
         if start + len(tokens) > _MAX_U32:  # every position, and so every length, fits a u32
@@ -293,12 +299,9 @@ def build_index(corpus: Iterable[CorpusDocument], config: ScanConfig, fingerprin
         for first, count, keys in _key_blocks(index.tokens, start, n, key_bits):
             # lane j of ramp >> drop is j + _GRAM_BLOCK - count; the sum moves it to first + j
             drop = 64 * (_GRAM_BLOCK - count)
-            ones = int.from_bytes(lane_one * count, "little")
+            ones = array_to_int(array("Q", [1]) * count)
             packed = (keys << 32 | ramp >> drop) + (first - _GRAM_BLOCK + count) * ones
-            block = array("Q", packed.to_bytes(8 * count, "little"))
-            if _SWAP:
-                block.byteswap()
-            for posting in block:
+            for posting in int_to_array(packed, "Q", count):
                 add[posting >> shift](posting)
     del add, seen  # the appenders hold the buckets too
     # buckets in ascending order, each sorted, are the global (key, position) order
@@ -344,17 +347,15 @@ def _key_blocks(tokens: array, start: int, n: int, key_bits: int) -> Iterator[tu
     so memory follows the block, not ``tokens``.
     """
     steps = _gram_steps(n, key_bits)
-    lane_mask = ((1 << key_bits) - 1).to_bytes(8, "little")
+    lane_mask = array("Q", [(1 << key_bits) - 1])
     end = len(tokens) - n + 1  # past the last gram
     for first in range(start, end, _GRAM_BLOCK):
         count = min(_GRAM_BLOCK, end - first)
         width = count + n - 1  # the tokens the block reads, one per lane
         words = array("I", bytes(8 * width))
         words[::2] = tokens[first : first + width]  # the low word of each lane
-        if _SWAP:
-            words.byteswap()
-        window = int.from_bytes(words, "little")
-        mask = int.from_bytes(lane_mask * width, "little")
+        window = array_to_int(words)
+        mask = array_to_int(lane_mask * width)
         keys = window & mask
         for doubles, shift, factor in steps:
             keys = (keys * factor + ((keys if doubles else window) >> shift)) & mask

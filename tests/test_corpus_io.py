@@ -18,6 +18,8 @@ from contamkit.corpus_io import (
     CorpusDocument,
     CorpusFormatError,
     TestExample,
+    array_to_int,
+    int_to_array,
     iter_batches,
     read_corpus,
     read_json_lines,
@@ -242,13 +244,44 @@ def test_a_swapping_host_writes_and_reads_little_endian_arrays(monkeypatch):
     # a host whose native order is not the files' swaps on write and on read;
     # on this host, swapping writes the bytes of the opposite order
     monkeypatch.setattr(corpus_io, "_SWAP", True)
-    for typecode, items in (("I", [0, 1, 0x01020304, 2**32 - 1]), ("Q", [0, 0x0102030405060708])):
+    for typecode, items in (("B", [0, 1, 255]), ("I", [0, 1, 0x01020304, 2**32 - 1]), ("Q", [0, 0x0102030405060708])):
         values = array(typecode, items)
         out = io.BytesIO()
         write_array(out, values)
         assert out.getvalue() == struct.pack(f"{FOREIGN}{len(items)}{typecode}", *items)
         assert values.tolist() == items, "the caller's array is left as it was"
         assert read_array(io.BytesIO(out.getvalue()), typecode, len(items), "a", "items").tolist() == items
+
+
+def _lane_value(typecode, count):
+    """A random int of ``count`` lanes of ``typecode``'s width, with an all-ones and a zero lane first."""
+    bits, rng = 8 * array(typecode).itemsize, random.Random(count)
+    lanes = [(1 << bits) - 1, 0] + [rng.getrandbits(bits) for _ in range(count - 2)]
+    return sum(lane << bits * i for i, lane in enumerate(lanes[:count]))
+
+
+@pytest.mark.parametrize("typecode", ["B", "I", "Q"])
+@pytest.mark.parametrize("count", [0, 1, 4_097])
+def test_int_to_array_gives_each_little_endian_lane_as_an_item(typecode, count):
+    bits = 8 * array(typecode).itemsize
+    value = _lane_value(typecode, count)
+    values = int_to_array(value, typecode, count)
+    assert values.typecode == typecode
+    assert values.tolist() == [value >> (bits * i) & ((1 << bits) - 1) for i in range(count)]
+    assert array_to_int(values) == value
+    assert int_to_array(array_to_int(values), typecode, count) == values
+
+
+@pytest.mark.parametrize("typecode", ["B", "I", "Q"])
+def test_a_swapping_host_converts_every_lane_byteswapped(monkeypatch, typecode):
+    # on this host, swapping gives the items the other kind of host holds
+    count = 4_097
+    value = _lane_value(typecode, count)
+    swapped = int_to_array(value, typecode, count)
+    swapped.byteswap()
+    monkeypatch.setattr(corpus_io, "_SWAP", True)
+    assert int_to_array(value, typecode, count) == swapped
+    assert array_to_int(swapped) == value
 
 
 # -- test sets ----------------------------------------------------------------

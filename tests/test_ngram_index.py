@@ -156,8 +156,9 @@ def _kept_bytes(make):
 
 
 def test_an_index_keeps_no_set_of_its_doc_ids(tmp_path):
-    # one token per doc and no postings: a doc costs a list slot, a start offset and a token,
-    # about 20 B; a set of the ids kept to refuse a repeat would add over 50 B more
+    # one token per doc and no postings: a doc costs its id bytes, an id end, a start offset
+    # and a token, about 21 B beside the id bytes; a set of the ids kept to refuse a repeat
+    # would add over 50 B more, and a str object per id about 50 B
     count = 20_000
     docs = [CorpusDocument(f"doc{i}", [i % 7]) for i in range(count)]
     built, kept = _kept_bytes(lambda: build_index(docs, ScanConfig()))
@@ -165,8 +166,21 @@ def test_an_index_keeps_no_set_of_its_doc_ids(tmp_path):
     built.save(tmp_path / "i.ctkx")
     del built
     loaded, kept = _kept_bytes(lambda: NGramIndex.load(tmp_path / "i.ctkx"))
-    ids = sum(sys.getsizeof(loaded.doc_id(ref)) for ref in range(count))  # a loaded index owns its id strings
-    assert kept - ids < 32 * count, f"a loaded index of {count} docs keeps {kept - ids} bytes beyond its ids"
+    ids = sum(len(doc.doc_id.encode("utf-8")) for doc in docs)
+    assert kept - ids < 32 * count, f"a loaded index of {count} docs keeps {kept - ids} bytes beyond its id bytes"
+    assert [loaded.doc_id(ref) for ref in range(count)] == [doc.doc_id for doc in docs]
+
+
+def test_doc_id_refuses_a_ref_outside_the_documents():
+    index = build_index([CorpusDocument("a", [1]), CorpusDocument("b", [2])], ScanConfig(1))
+    assert [index.doc_id(0), index.doc_id(1)] == ["a", "b"]
+    for ref in (-1, index.doc_count):
+        with pytest.raises(IndexError):
+            index.doc_id(ref)
+
+
+def test_high_word_is_the_native_word_of_a_u64s_top_bits():
+    assert ngram_index._HIGH_WORD == int(sys.byteorder == "little")
 
 
 def test_offsets_beyond_32_bits_are_a_capacity_error():
@@ -300,8 +314,8 @@ def _docs_with_ids(ids):
 
 
 def test_save_writes_the_doc_ids_without_holding_them_all(tmp_path):
-    # 50,000 ids of 30 bytes are 1.5 MB encoded; encoded a chunk at a time,
-    # save holds about the two u32 length sections (0.4 MB) and one chunk
+    # 50,000 ids of 30 bytes are 1.5 MB encoded; the index holds them encoded,
+    # so save holds about the two u32 length sections (0.4 MB) and no copy of the ids
     ids = [f"doc-{k:026d}" for k in range(50_000)]
     index = build_index(_docs_with_ids(ids), ScanConfig(ngram_order=2))
     id_bytes = sum(map(len, ids))
@@ -315,10 +329,9 @@ def test_save_writes_the_doc_ids_without_holding_them_all(tmp_path):
     assert NGramIndex.load(tmp_path / "i.ctkx").doc_id(49_999) == ids[-1]
 
 
-def test_save_writes_each_doc_id_as_utf8_across_chunks(tmp_path):
-    # ASCII, two-, three- and four-byte characters, on both sides of a chunk boundary
-    chunk = ngram_index._ID_CHUNK
-    ids = [f"d{k}" + "é€😀"[: k % 4] for k in range(chunk + 7)]
+def test_save_writes_each_doc_id_as_utf8(tmp_path):
+    # ASCII ids and ids ending in two-, three- and four-byte characters
+    ids = [f"d{k}" + "é€😀"[: k % 4] for k in range(12)]
     build_index(_docs_with_ids(ids), ScanConfig(ngram_order=2)).save(tmp_path / "i.ctkx")
     encoded = [doc_id.encode("utf-8") for doc_id in ids]
     data = (tmp_path / "i.ctkx").read_bytes()
